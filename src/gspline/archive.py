@@ -48,6 +48,8 @@ def surface_from_json(text: str) -> GSplineSurface:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"archive is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError("archive is not a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported archive format version {version!r}")
@@ -70,5 +72,10 @@ def surface_from_json(text: str) -> GSplineSurface:
                                  variant=payload["variant"])
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
+    n = net.cnet.n_vertices
+    for ext in extractions:
+        if ((ext.basis < 0) | (ext.basis >= n)).any():
+            raise FormatError(
+                f"element {ext.element} has a basis id outside 0..{n - 1}")
     surface.diagnostics = payload.get("diagnostics")
     return surface

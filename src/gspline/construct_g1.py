@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from .errors import (
     InfeasibleConstraintError,
     InternalError,
 )
-from .evaluate import GSplineSurface, edge_frames, rotate_grid_index
+from .evaluate import (
+    GSplineSurface,
+    edge_frames,
+    edge_pair_tables,
+    rotate_grid_index,
+)
 from .extraction import ElementExtraction, degree_elevate_2
 from .mesh import (
     CNet,
@@ -672,32 +677,15 @@ def g1_residual(surface: GSplineSurface, edge: int, samples: int = 50) -> float:
     any rationalization) and normalizes by the largest basis gradient
     magnitude seen on the edge.
     """
-    from .evaluate import rotated_params, rotation_offset_matrix
-    from .extraction import bernstein_eval
-
     cnet = surface.cnet
     geom = edge_geometry(cnet, edge)
     fr = edge_frames(cnet, edge, v1=geom.v1)
-    ext_r = surface.extraction(fr.right)
-    ext_l = surface.extraction(fr.left)
-    _, Ar = rotation_offset_matrix(fr.rot_right)
-    _, Al = rotation_offset_matrix(fr.rot_left)
-    right = {int(a): i for i, a in enumerate(ext_r.basis)}
-    left = {int(a): i for i, a in enumerate(ext_l.basis)}
-    worst = 0.0
-    scale = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        b = float(blend_polynomial(geom, float(t)))
-        xi_r, eta_r = rotated_params(fr.rot_right, float(t), 0.0)
-        xi_l, eta_l = rotated_params(fr.rot_left, 0.0, float(t))
-        _, dr, _ = bernstein_eval(ext_r.degree, xi_r, eta_r)
-        _, dl, _ = bernstein_eval(ext_l.degree, xi_l, eta_l)
-        d_r = (ext_r.coeffs @ dr) @ Ar  # frame-axis gradients, right side
-        d_l = (ext_l.coeffs @ dl) @ Al
-        for a in set(right) | set(left):
-            gr = d_r[right[a]] if a in right else np.zeros(2)
-            gl = d_l[left[a]] if a in left else np.zeros(2)
-            res = gl[0] + b * gr[0] + gr[1]
-            worst = max(worst, abs(float(res)))
-            scale = max(scale, float(np.abs(gr).max()), float(np.abs(gl).max()))
-    return worst / max(scale, 1.0)
+    ts = np.linspace(0.0, 1.0, samples)
+    # frame-axis gradients of the polynomial (unrationalized) functions
+    (_, gr, _), (_, gl, _) = edge_pair_tables(
+        fr, replace(surface.extraction(fr.right), rational=False),
+        replace(surface.extraction(fr.left), rational=False), ts)
+    res = gl[..., 0] + blend_polynomial(geom, ts) * gr[..., 0] + gr[..., 1]
+    scale = max(float(np.abs(gr).max(initial=0.0)),
+                float(np.abs(gl).max(initial=0.0)))
+    return float(np.abs(res).max(initial=0.0)) / max(scale, 1.0)

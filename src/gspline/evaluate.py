@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalError, SingularParameterizationError
-from .extraction import ElementExtraction, evaluate_basis
+from .extraction import ElementExtraction, basis_table
 from .mesh import CNet, ControlNet, classify_elements, classify_vertices
 
 
@@ -49,7 +49,8 @@ class GSplineSurface:
 
 @dataclass(frozen=True)
 class SurfaceFrame:
-    """First and second fundamental data of the surface at one point."""
+    """First and second fundamental data of the surface at one point (the
+    shapes below) or at an array of points (its shape in front)."""
 
     point: np.ndarray
     a1: np.ndarray
@@ -59,49 +60,55 @@ class SurfaceFrame:
     curvature: np.ndarray  # (2, 2) b_{ab} = d a_a / d(xi, eta)_b . n
 
 
-def map_point(surface: GSplineSurface, element: int, xi: float, eta: float,
-              nderiv: int = 0):
+def map_point(surface: GSplineSurface, element: int, xi, eta, nderiv: int = 0):
     """Evaluate the geometric map (optionally with 1st/2nd derivatives).
 
     Returns ``x`` (3,), or ``(x, J)`` with J (3, 2), or ``(x, J, H)`` with H
-    columns (xixi, xieta, etaeta) for ``nderiv`` 0, 1, 2.
+    rows (xixi, xieta, etaeta) for ``nderiv`` 0, 1, 2.  ``xi`` and ``eta``
+    may be scalars or arrays; arrays broadcast against each other and
+    their shape leads every output.
     """
     ext = surface.extraction(element)
-    vals, d1, d2 = evaluate_basis(ext, xi, eta)
+    xi, eta = np.broadcast_arrays(xi, eta)
+    vals, d1, d2 = basis_table(ext, np.stack([xi.ravel(), eta.ravel()], 1))
     P = surface.net.positions[ext.basis]
-    x = vals @ P
+    x = (vals.T @ P).reshape(xi.shape + (3,))
     if nderiv == 0:
         return x
-    J = d1.T @ P  # (2, 3) -> transpose below
+    J = (np.moveaxis(d1, 0, -1) @ P).swapaxes(-1, -2).reshape(xi.shape + (3, 2))
     if nderiv == 1:
-        return x, J.T
-    H = d2.T @ P  # (3, 3): rows xixi, xieta, etaeta
-    return x, J.T, H
+        return x, J
+    H = (np.moveaxis(d2, 0, -1) @ P).reshape(xi.shape + (3, 3))
+    return x, J, H
 
 
-def frame(surface: GSplineSurface, element: int, xi: float, eta: float,
+def frame(surface: GSplineSurface, element: int, xi, eta,
           degenerate_tol: float = 1e-12) -> SurfaceFrame:
-    """Tangents, unit normal, metric and curvature coefficients at a point.
+    """Tangents, unit normal, metric and curvature coefficients.
 
-    Raises SingularParameterizationError when the tangents are linearly
-    dependent relative to ``degenerate_tol`` (scaled by the tangent size).
+    ``xi`` and ``eta`` broadcast as in ``map_point``.  Raises
+    SingularParameterizationError at the first point whose tangents are
+    linearly dependent relative to ``degenerate_tol`` (scaled by the
+    tangent size).
     """
     x, J, H = map_point(surface, element, xi, eta, nderiv=2)
-    a1, a2 = J[:, 0], J[:, 1]
+    a1, a2 = J[..., 0], J[..., 1]
     cross = np.cross(a1, a2)
-    norm = np.linalg.norm(cross)
-    scale = max(np.linalg.norm(a1) * np.linalg.norm(a2), degenerate_tol)
-    if norm <= degenerate_tol * scale:
+    norm = np.linalg.norm(cross, axis=-1)
+    scale = np.maximum(np.linalg.norm(a1, axis=-1) * np.linalg.norm(a2, axis=-1),
+                       degenerate_tol)
+    bad = np.flatnonzero(norm <= degenerate_tol * scale)
+    if bad.size:
+        uv = tuple(float(np.broadcast_to(c, norm.shape).flat[bad[0]])
+                   for c in (xi, eta))
         raise SingularParameterizationError(
-            f"degenerate tangents at element {element}, ({xi}, {eta})",
-            element=element, uv=(xi, eta),
+            f"degenerate tangents at element {element}, ({uv[0]}, {uv[1]})",
+            element=element, uv=uv,
         )
-    n = cross / norm
-    metric = np.array([[a1 @ a1, a1 @ a2], [a2 @ a1, a2 @ a2]])
-    b11 = H[0] @ n
-    b12 = H[1] @ n
-    b22 = H[2] @ n
-    curvature = np.array([[b11, b12], [b12, b22]])
+    n = cross / norm[..., None]
+    metric = J.swapaxes(-1, -2) @ J
+    b = np.einsum("...ci,...i->...c", H, n)  # (b11, b12, b22)
+    curvature = b[..., [0, 1, 1, 2]].reshape(b.shape[:-1] + (2, 2))
     return SurfaceFrame(point=x, a1=a1, a2=a2, normal=n, metric=metric,
                         curvature=curvature)
 
@@ -136,11 +143,14 @@ def rotation_offset_matrix(k: int) -> tuple[np.ndarray, np.ndarray]:
     raise DomainError(f"rotation index {k} out of range")
 
 
-def rotated_params(k: int, x: float, y: float) -> tuple[float, float]:
-    """Stored (xi, eta) of frame coordinates (x, y) under rotation k."""
+def rotated_params(k: int, x, y):
+    """Stored (xi, eta) of frame coordinates (x, y) under rotation k.
+
+    ``x`` and ``y`` may be scalars or arrays that broadcast together.
+    """
     off, A = rotation_offset_matrix(k)
-    uv = off + A @ np.array([x, y])
-    return float(uv[0]), float(uv[1])
+    return (off[0] + (A[0, 0] * x + A[0, 1] * y),
+            off[1] + (A[1, 0] * x + A[1, 1] * y))
 
 
 def rotate_grid_index(k: int, p: int, i: int, j: int) -> tuple[int, int]:
@@ -198,7 +208,7 @@ def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
     )
 
 
-def edge_side_params(frames: EdgeFrames, t: float, side: str):
+def edge_side_params(frames: EdgeFrames, t, side: str):
     """Stored (xi, eta) of edge parameter t on the given side ("left"/"right")."""
     if side == "right":
         return rotated_params(frames.rot_right, t, 0.0)
@@ -207,19 +217,44 @@ def edge_side_params(frames: EdgeFrames, t: float, side: str):
     raise DomainError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def _frame_derivatives(surface, element, rot, x, y):
-    """Basis ids, values and frame-axis first/second derivatives."""
-    xi, eta = rotated_params(rot, x, y)
-    ext = surface.extraction(element)
-    vals, d1, d2 = evaluate_basis(ext, xi, eta)
+def edge_side_table(ext: ElementExtraction, rot: int, frame_pts):
+    """Basis values and frame-axis derivatives of one element at frame points.
+
+    ``frame_pts`` is an (m, 2) array of (x, y) coordinates in the frame of
+    quarter-turn index ``rot``.  Returns ``(vals, d1, d2)`` shaped (n, m),
+    (n, m, 2), (n, m, 3), differentiated along the frame axes with d2
+    columns (xx, xy, yy).
+    """
+    frame_pts = np.asarray(frame_pts, dtype=float)
+    uv = rotated_params(rot, frame_pts[:, 0], frame_pts[:, 1])
+    vals, d1, d2 = basis_table(ext, np.stack(uv, axis=1))
     _, A = rotation_offset_matrix(rot)
-    fd1 = d1 @ A
-    H = np.empty_like(d2)
-    for r in range(d2.shape[0]):
-        Hs = np.array([[d2[r, 0], d2[r, 1]], [d2[r, 1], d2[r, 2]]])
-        Hf = A.T @ Hs @ A
-        H[r] = (Hf[0, 0], Hf[0, 1], Hf[1, 1])
-    return ext.basis, vals, fd1, H
+    Hs = d2[..., [0, 1, 1, 2]].reshape(d2.shape[:-1] + (2, 2))
+    Hf = A.T @ Hs @ A
+    return vals, d1 @ A, Hf[..., [0, 0, 1], [0, 1, 1]]
+
+
+def edge_pair_tables(fr: EdgeFrames, ext_r: ElementExtraction,
+                     ext_l: ElementExtraction, ts: np.ndarray):
+    """``edge_side_table`` of the right and left elements at edge parameters.
+
+    Returns ``((vals, d1, d2) right, (vals, d1, d2) left)`` whose rows
+    follow the sorted union of the two basis lists; a function missing on
+    one side has zero rows there.
+    """
+    ids = np.union1d(ext_r.basis, ext_l.basis)
+    zs = np.zeros_like(ts)
+    sides = []
+    for ext, rot, pts in ((ext_r, fr.rot_right, np.stack([ts, zs], axis=1)),
+                          (ext_l, fr.rot_left, np.stack([zs, ts], axis=1))):
+        rows = np.searchsorted(ids, ext.basis)
+        tables = []
+        for table in edge_side_table(ext, rot, pts):
+            full = np.zeros((len(ids),) + table.shape[1:])
+            full[rows] = table
+            tables.append(full)
+        sides.append(tables)
+    return sides
 
 
 def edge_jumps(surface: GSplineSurface, edge: int, order: int,
@@ -233,58 +268,38 @@ def edge_jumps(surface: GSplineSurface, edge: int, order: int,
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
     fr = edge_frames(surface.cnet, edge, v1)
-    worst = 0.0
-    ts = np.linspace(0.0, 1.0, samples)
-    for t in ts:
-        ids_r, vals_r, d1_r, d2_r = _frame_derivatives(
-            surface, fr.right, fr.rot_right, float(t), 0.0)
-        ids_l, vals_l, d1_l, d2_l = _frame_derivatives(
-            surface, fr.left, fr.rot_left, 0.0, float(t))
-        right = {int(a): i for i, a in enumerate(ids_r)}
-        left = {int(a): i for i, a in enumerate(ids_l)}
-        for a in set(right) | set(left):
-            ir, il = right.get(a), left.get(a)
-            if order == 0:
-                vr = vals_r[ir] if ir is not None else 0.0
-                vl = vals_l[il] if il is not None else 0.0
-                worst = max(worst, abs(vr - vl))
-            elif order == 1:
-                # glued transversal coordinate w: w = eta on the right,
-                # w = -xi on the left
-                vr = d1_r[ir, 1] if ir is not None else 0.0
-                vl = -d1_l[il, 0] if il is not None else 0.0
-                worst = max(worst, abs(vr - vl))
-            else:
-                vr2 = d2_r[ir, 2] if ir is not None else 0.0
-                vl2 = d2_l[il, 0] if il is not None else 0.0
-                vrm = d2_r[ir, 1] if ir is not None else 0.0
-                vlm = -d2_l[il, 1] if il is not None else 0.0
-                worst = max(worst, abs(vr2 - vl2), abs(vrm - vlm))
-    return worst
+    (vals_r, d1_r, d2_r), (vals_l, d1_l, d2_l) = edge_pair_tables(
+        fr, surface.extraction(fr.right), surface.extraction(fr.left),
+        np.linspace(0.0, 1.0, samples))
+    if order == 0:
+        jumps = [vals_r - vals_l]
+    elif order == 1:
+        # glued transversal coordinate w: w = eta on the right, w = -xi on
+        # the left
+        jumps = [d1_r[..., 1] + d1_l[..., 0]]
+    else:
+        jumps = [d2_r[..., 2] - d2_l[..., 0], d2_r[..., 1] + d2_l[..., 1]]
+    return max(float(np.abs(j).max(initial=0.0)) for j in jumps)
 
 
 def edge_watertightness(surface: GSplineSurface, edge: int,
                         samples: int = 11) -> float:
     """Max distance between the two-sided surface samples along an edge."""
     fr = edge_frames(surface.cnet, edge)
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        xr = map_point(surface, fr.right, *edge_side_params(fr, float(t), "right"))
-        xl = map_point(surface, fr.left, *edge_side_params(fr, float(t), "left"))
-        worst = max(worst, float(np.linalg.norm(xr - xl)))
-    return worst
+    ts = np.linspace(0.0, 1.0, samples)
+    xr = map_point(surface, fr.right, *edge_side_params(fr, ts, "right"))
+    xl = map_point(surface, fr.left, *edge_side_params(fr, ts, "left"))
+    return float(np.linalg.norm(xr - xl, axis=-1).max(initial=0.0))
 
 
 def normal_jump(surface: GSplineSurface, edge: int, samples: int = 11) -> float:
     """Max angle (radians) between the two-sided unit normals along an edge."""
     fr = edge_frames(surface.cnet, edge)
-    worst = 0.0
-    for t in np.linspace(0.02, 0.98, samples):
-        nr = frame(surface, fr.right, *edge_side_params(fr, float(t), "right")).normal
-        nl = frame(surface, fr.left, *edge_side_params(fr, float(t), "left")).normal
-        c = float(np.clip(nr @ nl, -1.0, 1.0))
-        worst = max(worst, float(np.arccos(c)))
-    return worst
+    ts = np.linspace(0.02, 0.98, samples)
+    nr = frame(surface, fr.right, *edge_side_params(fr, ts, "right")).normal
+    nl = frame(surface, fr.left, *edge_side_params(fr, ts, "left")).normal
+    c = np.clip(np.einsum("mi,mi->m", nr, nl), -1.0, 1.0)
+    return float(np.arccos(c).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +319,11 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     quads: list[list[int]] = []
     loops: list[list[int]] = []
     r = resolution
+    grid = np.arange(r + 1) / r
+    xi, eta = np.tile(grid, r + 1), np.repeat(grid, r + 1)  # xi fastest
     for e in range(surface.cnet.n_faces):
-        base = len(pts)
-        for j in range(r + 1):
-            for i in range(r + 1):
-                pts.append(map_point(surface, e, i / r, j / r))
+        base = (r + 1) * (r + 1) * e
+        pts.append(map_point(surface, e, xi, eta))
         for j in range(r):
             for i in range(r):
                 k = base + j * (r + 1) + i
@@ -318,7 +333,7 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
         loop += [base + (r + 1) * (r + 1) - 1 - i for i in range(r)]
         loop += [base + (r - j) * (r + 1) for j in range(r)]
         loops.append(loop)
-    return np.asarray(pts), quads, loops
+    return np.concatenate(pts), quads, loops
 
 
 def sampled_mesh_obj(points: np.ndarray, quads) -> str:

@@ -5,6 +5,12 @@ a holds the tensor-product Bernstein coefficients of basis function a on
 that element.  Bernstein coefficients are flattened with the first
 parametric index fastest: column k = (p+1)*j + i for coefficient (i, j),
 0-based.  Bezier control points follow as B = C^T P.
+
+Every element is one Bezier patch, so every evaluation in the package goes
+through one kernel: ``basis_table`` multiplies C with the Bernstein table
+of ``bernstein_table`` at a batch of points and applies the quotient rule
+of ``rationalize`` on rational elements.  ``bernstein_eval`` and
+``evaluate_basis`` are its single-point forms.
 """
 
 from __future__ import annotations
@@ -35,82 +41,46 @@ def bernstein_1d(p: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
 
-    def basis(q, t):
-        out = np.empty((q + 1,) + t.shape)
+    def padded(q, pad):  # degree-q basis between `pad` zero rows each side
+        out = np.zeros((q + 1 + 2 * pad,) + x.shape)
         for k in range(q + 1):
-            out[k] = comb(q, k) * t**k * (1.0 - t) ** (q - k)
+            out[pad + k] = comb(q, k) * x**k * (1.0 - x) ** (q - k)
         return out
 
-    b = basis(p, x)
-    lower = basis(p - 1, x) if p >= 1 else None
-    lower2 = basis(p - 2, x) if p >= 2 else None
-
-    d1 = np.zeros_like(b)
-    d2 = np.zeros_like(b)
-    for k in range(p + 1):
-        if p >= 1:
-            lo = lower[k - 1] if k - 1 >= 0 else 0.0
-            hi = lower[k] if k <= p - 1 else 0.0
-            d1[k] = p * (lo - hi)
-        if p >= 2:
-            t0 = lower2[k - 2] if k - 2 >= 0 else 0.0
-            t1 = lower2[k - 1] if 0 <= k - 1 <= p - 2 else 0.0
-            t2 = lower2[k] if k <= p - 2 else 0.0
-            d2[k] = p * (p - 1) * (t0 - 2 * t1 + t2)
-    return b, d1, d2
+    lower = padded(p - 1, 1)
+    lower2 = padded(p - 2, 2)
+    d1 = p * (lower[:-1] - lower[1:])
+    d2 = p * (p - 1) * (lower2[:-2] - 2 * lower2[1:-1] + lower2[2:])
+    return padded(p, 0), d1, d2
 
 
 def bernstein_eval(p: int, xi: float, eta: float):
+    """``bernstein_table`` at one point: shapes (n,), (n, 2), (n, 3)."""
+    vals, d1, d2 = bernstein_table(p, [[xi, eta]])
+    return vals[:, 0], d1[:, 0], d2[:, 0]
+
+
+def bernstein_table(p: int, pts):
     """Tensor-product Bernstein basis with first and second derivatives.
 
-    Returns ``(vals, d1, d2)`` where vals has length (p+1)^2, d1 columns are
-    (d/dxi, d/deta) and d2 columns are (xixi, xieta, etaeta).  Raises
-    DomainError off the parent element [0,1]^2.
-    """
-    if not (0.0 <= xi <= 1.0 and 0.0 <= eta <= 1.0):
-        raise DomainError(f"({xi}, {eta}) outside the parent element [0,1]^2")
-    bu, du, d2u = bernstein_1d(p, float(xi))
-    bv, dv, d2v = bernstein_1d(p, float(eta))
-    n = (p + 1) * (p + 1)
-    vals = np.empty(n)
-    d1 = np.empty((n, 2))
-    d2 = np.empty((n, 3))
-    for j in range(p + 1):
-        for i in range(p + 1):
-            k = (p + 1) * j + i
-            vals[k] = bu[i] * bv[j]
-            d1[k, 0] = du[i] * bv[j]
-            d1[k, 1] = bu[i] * dv[j]
-            d2[k, 0] = d2u[i] * bv[j]
-            d2[k, 1] = du[i] * dv[j]
-            d2[k, 2] = bu[i] * d2v[j]
-    return vals, d1, d2
-
-
-def bernstein_table(p: int, pts: np.ndarray):
-    """Vectorized ``bernstein_eval`` over an (m, 2) array of points.
-
-    Returns arrays of shapes (n, m), (n, m, 2) and (n, m, 3).
+    ``pts`` is an (m, 2) array of (xi, eta) points.  Returns arrays of
+    shapes (n, m), (n, m, 2) and (n, m, 3) with n = (p+1)^2; d1 columns
+    are (d/dxi, d/deta) and d2 columns (xixi, xieta, etaeta).  Raises
+    DomainError unless every point lies in the parent element [0,1]^2
+    (NaN included).
     """
     pts = np.asarray(pts, dtype=float)
-    if pts.min() < 0.0 or pts.max() > 1.0:
-        raise DomainError("evaluation points outside the parent element")
+    if not ((pts >= 0.0) & (pts <= 1.0)).all():
+        raise DomainError("evaluation points outside the parent element [0,1]^2")
     bu, du, d2u = bernstein_1d(p, pts[:, 0])
     bv, dv, d2v = bernstein_1d(p, pts[:, 1])
-    n = (p + 1) * (p + 1)
-    m = pts.shape[0]
-    vals = np.empty((n, m))
-    d1 = np.empty((n, m, 2))
-    d2 = np.empty((n, m, 3))
-    for j in range(p + 1):
-        for i in range(p + 1):
-            k = (p + 1) * j + i
-            vals[k] = bu[i] * bv[j]
-            d1[k, :, 0] = du[i] * bv[j]
-            d1[k, :, 1] = bu[i] * dv[j]
-            d2[k, :, 0] = d2u[i] * bv[j]
-            d2[k, :, 1] = du[i] * dv[j]
-            d2[k, :, 2] = bu[i] * d2v[j]
+
+    def tensor(a, b):  # row (p+1)*j + i holds a[i] * b[j]
+        return (b[:, None, :] * a[None, :, :]).reshape((p + 1) ** 2, -1)
+
+    vals = tensor(bu, bv)
+    d1 = np.stack([tensor(du, bv), tensor(bu, dv)], axis=-1)
+    d2 = np.stack([tensor(d2u, bv), tensor(du, dv), tensor(bu, d2v)], axis=-1)
     return vals, d1, d2
 
 
@@ -177,44 +147,57 @@ class ElementExtraction:
         return self.coeffs.sum(axis=0)
 
 
-def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):
-    """Values and first/second partials of all supported basis functions.
+def basis_table(ext: ElementExtraction, pts):
+    """Values and first/second partials of an element's basis functions.
 
-    Applies the rational form when the element is marked rational.
-    Returns ``(vals, d1, d2)`` shaped (n,), (n, 2), (n, 3).
+    The one element kernel: the extraction matrix times the Bernstein
+    table of ``pts`` (an (m, 2) array), followed by the quotient rule on
+    rational elements.  Returns ``(vals, d1, d2)`` shaped (n, m),
+    (n, m, 2), (n, m, 3) with n the number of supported functions.
     """
-    b, db, d2b = bernstein_eval(ext.degree, xi, eta)
+    b, db, d2b = bernstein_table(ext.degree, pts)
+    k, m = b.shape
+    n = ext.n_basis
     vals = ext.coeffs @ b
-    d1 = ext.coeffs @ db
-    d2 = ext.coeffs @ d2b
+    d1 = (ext.coeffs @ db.reshape(k, 2 * m)).reshape(n, m, 2)
+    d2 = (ext.coeffs @ d2b.reshape(k, 3 * m)).reshape(n, m, 3)
     if ext.rational:
         return rationalize(vals, d1, d2, element=ext.element)
     return vals, d1, d2
 
 
+def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):
+    """``basis_table`` at one point: shapes (n,), (n, 2), (n, 3)."""
+    vals, d1, d2 = basis_table(ext, [[xi, eta]])
+    return vals[:, 0], d1[:, 0], d2[:, 0]
+
+
 def rationalize(values, d1, d2, element=None):
     """Divide a polynomial basis bundle by its sum, quotient-rule derivatives.
 
-    The denominator W is the sum of the input values; raises
-    DegenerateBasisError when W <= 0 at the evaluation point.
+    Takes one point, shapes (n,), (n, 2), (n, 3), or m points, shapes
+    (n, m), (n, m, 2), (n, m, 3).  The denominator W is the sum of the
+    values over the n functions; raises DegenerateBasisError when W <= 0
+    at any evaluation point.
     """
     values = np.asarray(values, dtype=float)
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    w = values.sum()
-    if w <= 0.0:
+    w = values.sum(axis=0)
+    if np.any(w <= 0.0):
         raise DegenerateBasisError(
-            f"basis denominator {w} is not positive", element=element
+            f"basis denominator {np.min(w)} is not positive", element=element
         )
     dw = d1.sum(axis=0)
     d2w = d2.sum(axis=0)
     r = values / w
-    r1 = (d1 - np.outer(r, dw)) / w
+    r1 = (d1 - r[..., None] * dw) / w[..., None]
     r2 = np.empty_like(d2)
     # second derivatives: R_ab = (N_ab - R_a W_b - R_b W_a - R W_ab) / W
-    r2[:, 0] = (d2[:, 0] - 2 * r1[:, 0] * dw[0] - r * d2w[0]) / w
-    r2[:, 1] = (d2[:, 1] - r1[:, 0] * dw[1] - r1[:, 1] * dw[0] - r * d2w[1]) / w
-    r2[:, 2] = (d2[:, 2] - 2 * r1[:, 1] * dw[1] - r * d2w[2]) / w
+    r2[..., 0] = (d2[..., 0] - 2 * r1[..., 0] * dw[..., 0] - r * d2w[..., 0]) / w
+    r2[..., 1] = (d2[..., 1] - r1[..., 0] * dw[..., 1] - r1[..., 1] * dw[..., 0]
+                  - r * d2w[..., 1]) / w
+    r2[..., 2] = (d2[..., 2] - 2 * r1[..., 1] * dw[..., 1] - r * d2w[..., 2]) / w
     return r, r1, r2
 
 

@@ -81,46 +81,57 @@ class QualityReport:
 
 
 def _quadrature_frames(surface: GSplineSurface):
-    """Frames at all surface quadrature points, computed once per surface."""
+    """Metric data at all surface quadrature points, computed once per surface.
+
+    Returns ``(elements, uv, metric, curvature)`` with one row per point,
+    element by element and, within one, eta-major with xi fastest.
+    """
     out = []
     for e in range(surface.cnet.n_faces):
-        p = surface.degree(e)
-        rule = gauss_legendre(p + 1)
-        for eta in rule.points:
-            for xi in rule.points:
-                out.append((e, float(xi), float(eta),
-                            frame(surface, e, float(xi), float(eta))))
-    return out
+        xs = gauss_legendre(surface.degree(e) + 1).points
+        xi, eta = np.tile(xs, len(xs)), np.repeat(xs, len(xs))
+        fr = frame(surface, e, xi, eta)
+        out.append((np.full(len(xi), e), np.stack([xi, eta], axis=1),
+                    fr.metric, fr.curvature))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _fiber_dets(frames, zetas: np.ndarray) -> np.ndarray:
+    """det(a - 2 zeta b) at every quadrature point (rows) and fiber (columns)."""
+    _, _, metric, curvature = frames
+    g = metric[:, None] - 2.0 * zetas[:, None, None] * curvature[:, None]
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
 def is_valid_at_thickness(surface: GSplineSurface, t: float, frames=None):
     """Check det g > 0 at every surface point and Lobatto fiber.
 
     Returns ``(valid, failure)`` where failure describes the first
-    nonpositive area element (element, xi, eta, zeta, det).
+    nonpositive area element (element, xi, eta, zeta, det), scanning the
+    points in ``_quadrature_frames`` order and the fibers upward.
     """
     if t <= 0.0:
         raise DomainError("thickness must be positive")
     frames = frames if frames is not None else _quadrature_frames(surface)
-    rule = gauss_lobatto5(-0.5 * t, 0.5 * t)
-    for e, xi, eta, fr in frames:
-        for zeta in rule.points:
-            d = shell_metric_det(fr, float(zeta))
-            if d <= 0.0:
-                return False, {"element": e, "xi": xi, "eta": eta,
-                               "zeta": float(zeta), "det": d}
-    return True, None
+    zetas = gauss_lobatto5(-0.5 * t, 0.5 * t).points
+    dets = _fiber_dets(frames, zetas)
+    bad = np.flatnonzero(dets <= 0.0)
+    if bad.size == 0:
+        return True, None
+    i, z = divmod(int(bad[0]), len(zetas))
+    elements, uv, _, _ = frames
+    return False, {"element": int(elements[i]), "xi": float(uv[i, 0]),
+                   "eta": float(uv[i, 1]), "zeta": float(zetas[z]),
+                   "det": float(dets[i, z])}
 
 
 def element_min_dets(surface: GSplineSurface, t: float, frames=None):
     """Per-element minimum of det g over quadrature points at thickness t."""
     frames = frames if frames is not None else _quadrature_frames(surface)
-    rule = gauss_lobatto5(-0.5 * t, 0.5 * t)
-    mins: dict[int, float] = {}
-    for e, xi, eta, fr in frames:
-        d = min(shell_metric_det(fr, float(z)) for z in rule.points)
-        mins[e] = min(mins.get(e, np.inf), d)
-    return mins
+    dets = _fiber_dets(frames, gauss_lobatto5(-0.5 * t, 0.5 * t).points)
+    mins = np.full(surface.cnet.n_faces, np.inf)
+    np.minimum.at(mins, frames[0], dets.min(axis=1))
+    return {e: float(d) for e, d in enumerate(mins)}
 
 
 def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,

@@ -26,7 +26,7 @@ from .errors import (
     TopologyError,
 )
 from .evaluate import GSplineSurface, map_point
-from .extraction import bernstein_table
+from .extraction import basis_table
 from .quality import gauss_legendre
 from .refine import refine
 
@@ -50,22 +50,9 @@ def exact_gradient(x, y):
 
 
 def element_tables(surface: GSplineSurface, e: int, pts: np.ndarray):
-    """Basis ids, values and parametric gradients at sample points.
-
-    Applies the rational quotient rule on rational elements.  Shapes:
-    ids (n,), vals (n, m), grads (n, m, 2).
-    """
-    ext = surface.extraction(e)
-    bt, dbt, _ = bernstein_table(ext.degree, pts)
-    vals = ext.coeffs @ bt
-    grads = np.stack([ext.coeffs @ dbt[:, :, 0], ext.coeffs @ dbt[:, :, 1]],
-                     axis=2)
-    if ext.rational:
-        w = vals.sum(axis=0)
-        dw = grads.sum(axis=0)
-        vals = vals / w
-        grads = (grads - vals[:, :, None] * dw[None, :, :]) / w[None, :, None]
-    return ext.basis, vals, grads
+    """``basis_table`` ids, values (n, m) and parametric gradients (n, m, 2)."""
+    vals, grads, _ = basis_table(surface.extraction(e), pts)
+    return surface.extraction(e).basis, vals, grads
 
 
 def _element_geometry(surface, e, pts, ids, vals, grads):
@@ -251,10 +238,8 @@ def mean_element_size(surface: GSplineSurface) -> float:
     """Mean mapped diagonal length of the Bezier-mesh faces."""
     total = 0.0
     for e in range(surface.cnet.n_faces):
-        c00 = map_point(surface, e, 0.0, 0.0)
-        c11 = map_point(surface, e, 1.0, 1.0)
-        c10 = map_point(surface, e, 1.0, 0.0)
-        c01 = map_point(surface, e, 0.0, 1.0)
+        c00, c11, c10, c01 = map_point(surface, e, [0.0, 1.0, 1.0, 0.0],
+                                       [0.0, 1.0, 0.0, 1.0])
         total += 0.5 * (np.linalg.norm(c11 - c00) + np.linalg.norm(c01 - c10))
     return total / surface.cnet.n_faces
 

@@ -230,6 +230,36 @@ class TestCheck:
         assert report["c2_residual_smooth_edges"] < 1e-9
 
 
+class TestBadArchives:
+    def test_json_list_exit_2(self, tmp_path, capsys):
+        arc = tmp_path / "list.json"
+        arc.write_text("[]")
+        assert main(["check", str(arc)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    def test_basis_id_out_of_range_exit_2(self, ep_obj, tmp_path, capsys):
+        arc = tmp_path / "a.json"
+        main(["build", str(ep_obj), "--variant", "g1p", "-o", str(arc)])
+        payload = json.loads(arc.read_text())
+        n_vertices = len(payload["net"]["positions"])
+        payload["elements"][0]["basis"][0] = n_vertices
+        arc.write_text(json.dumps(payload))
+        assert main(["eigen", str(arc)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    def test_nonpositive_rational_denominator_exit_4(self, ep_obj, tmp_path,
+                                                     capsys):
+        arc = tmp_path / "a.json"
+        main(["build", str(ep_obj), "--variant", "g1r", "-o", str(arc)])
+        payload = json.loads(arc.read_text())
+        record = next(r for r in payload["elements"] if r["rational"])
+        record["coeffs"] = [[-c for c in row] for row in record["coeffs"]]
+        arc.write_text(json.dumps(payload))
+        assert main(["eigen", str(arc)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateBasisError"
+
+
 class TestEnvThreads:
     def test_env_override(self, quad_obj, tmp_path, monkeypatch):
         monkeypatch.setenv("GSPLINE_THREADS", "2")

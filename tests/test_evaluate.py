@@ -50,6 +50,34 @@ class TestMapPoint:
         with pytest.raises(DomainError):
             map_point(surf, 0, 1.5, 0.5)
 
+    def test_nan_parameter_in_array(self):
+        surf = build_c0(netgen.structured(2, 2))
+        with pytest.raises(DomainError):
+            map_point(surf, 0, np.array([0.2, np.nan]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("variant", ["c0", "g1r"])
+    def test_arrays_match_scalar_calls(self, variant):
+        net = netgen.bumped(netgen.val33(), amplitude=0.3)
+        c0 = build_c0(net)
+        surf = c0 if variant == "c0" else build_g1(c0, variant)
+        rng = np.random.default_rng(22)
+        xi, eta = rng.uniform(0, 1, size=(2, 6))
+        for f in range(net.cnet.n_faces):
+            x, J, H = map_point(surf, f, xi, eta, nderiv=2)
+            assert x.shape == (6, 3) and J.shape == (6, 3, 2)
+            assert H.shape == (6, 3, 3)
+            fr = frame(surf, f, xi, 0.25)  # scalar eta broadcasts
+            assert fr.metric.shape == (6, 2, 2)
+            for m in range(6):
+                xm, Jm, Hm = map_point(surf, f, xi[m], eta[m], nderiv=2)
+                np.testing.assert_allclose(x[m], xm, atol=1e-14)
+                np.testing.assert_allclose(J[m], Jm, atol=1e-13)
+                np.testing.assert_allclose(H[m], Hm, atol=1e-12)
+                fm = frame(surf, f, xi[m], 0.25)
+                np.testing.assert_allclose(fr.normal[m], fm.normal, atol=1e-14)
+                np.testing.assert_allclose(fr.curvature[m], fm.curvature,
+                                           atol=1e-12)
+
 
 class TestFrame:
     def test_flat_plate_zero_curvature(self):
@@ -92,6 +120,9 @@ class TestFrame:
         surf = build_c0(ControlNet(net.cnet, pos))
         with pytest.raises(SingularParameterizationError):
             frame(surf, 0, 0.5, 0.0)
+        with pytest.raises(SingularParameterizationError) as info:
+            frame(surf, 0, np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+        assert info.value.uv == (0.5, 0.0)
 
 
 class TestContinuityAcrossSpokes:

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from gspline.errors import DegenerateBasisError, DomainError
+from gspline.construct_c0 import build_c0
+from gspline.construct_g1 import build_g1
 from gspline.extraction import (
     ElementExtraction,
+    basis_table,
+    bernstein_1d,
     bernstein_eval,
     bernstein_table,
     degree_elevate_2,
     evaluate_basis,
     rationalize,
 )
+
+import netgen
 
 
 def eval_cubic_grid(coeffs16, xi, eta):
@@ -51,6 +57,28 @@ class TestBernstein:
             bernstein_eval(3, -0.1, 0.5)
         with pytest.raises(DomainError):
             bernstein_eval(3, 0.5, 1.2)
+
+    def test_table_matches_outer_products(self):
+        # reference: the tensor products written out from the 1-D basis
+        pts = np.random.default_rng(11).uniform(0, 1, size=(4, 2))
+        tv, t1, t2 = bernstein_table(5, pts)
+        bu, du, d2u = bernstein_1d(5, pts[:, 0])
+        bv, dv, d2v = bernstein_1d(5, pts[:, 1])
+        for m in range(len(pts)):
+            def tp(a, b):  # flattened with the first index fastest
+                return np.outer(b[:, m], a[:, m]).reshape(-1)
+            np.testing.assert_array_equal(tv[:, m], tp(bu, bv))
+            np.testing.assert_array_equal(t1[:, m, 0], tp(du, bv))
+            np.testing.assert_array_equal(t1[:, m, 1], tp(bu, dv))
+            np.testing.assert_array_equal(t2[:, m, 0], tp(d2u, bv))
+            np.testing.assert_array_equal(t2[:, m, 1], tp(du, dv))
+            np.testing.assert_array_equal(t2[:, m, 2], tp(bu, d2v))
+
+    def test_nan_parameter(self):
+        with pytest.raises(DomainError):
+            bernstein_table(3, np.array([[np.nan, 0.5]]))
+        with pytest.raises(DomainError):
+            bernstein_table(5, np.array([[0.2, 0.3], [0.5, np.nan]]))
 
     def test_quintic_derivatives_vs_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -158,3 +186,54 @@ class TestRationalize:
         d2 = np.zeros((2, 3))
         with pytest.raises(DegenerateBasisError):
             rationalize(vals, d1, d2)
+
+    def test_rational_second_derivatives_vs_finite_differences(self):
+        rng = np.random.default_rng(9)
+        coeffs = rng.uniform(0.2, 1.0, size=(6, 36))
+        ext = ElementExtraction(0, 5, np.arange(6), coeffs, rational=True)
+        h = 1e-6
+        pts = rng.uniform(0.1, 0.9, size=(5, 2))
+        _, _, r2 = basis_table(ext, pts)
+        _, r1_xp, _ = basis_table(ext, pts + [h, 0.0])
+        _, r1_xm, _ = basis_table(ext, pts - [h, 0.0])
+        _, r1_ep, _ = basis_table(ext, pts + [0.0, h])
+        _, r1_em, _ = basis_table(ext, pts - [0.0, h])
+        fd_x = (r1_xp - r1_xm) / (2 * h)  # d/dxi of (R_xi, R_eta)
+        fd_e = (r1_ep - r1_em) / (2 * h)  # d/deta of (R_xi, R_eta)
+        scale = max(1.0, np.abs(r2).max())
+        assert np.abs(fd_x[..., 0] - r2[..., 0]).max() / scale < 1e-6
+        assert np.abs(fd_x[..., 1] - r2[..., 1]).max() / scale < 1e-6
+        assert np.abs(fd_e[..., 0] - r2[..., 1]).max() / scale < 1e-6
+        assert np.abs(fd_e[..., 1] - r2[..., 2]).max() / scale < 1e-6
+
+    def test_table_raises_when_one_point_has_nonpositive_denominator(self):
+        # denominator coefficients positive except at the (1, 1) corner
+        coeffs = np.full((2, 16), 0.5)
+        coeffs[:, 15] = -0.5
+        ext = ElementExtraction(3, 3, np.arange(2), coeffs, rational=True)
+        vals, _, _ = basis_table(ext, np.array([[0.0, 0.0], [0.5, 0.5]]))
+        np.testing.assert_allclose(vals.sum(axis=0), 1.0, atol=1e-14)
+        with pytest.raises(DegenerateBasisError) as info:
+            basis_table(ext, np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]))
+        assert info.value.element == 3
+
+
+class TestBasisTable:
+    @pytest.mark.parametrize("variant", ["c0", "g1p", "g1r"])
+    def test_matches_pointwise_evaluation(self, variant):
+        c0 = build_c0(netgen.bumped(netgen.rot44(), amplitude=0.3))
+        surf = c0 if variant == "c0" else build_g1(c0, variant)
+        assert any(ext.rational for ext in surf.extractions) == (variant == "g1r")
+        rng = np.random.default_rng(10)
+        pts = np.vstack([rng.uniform(0, 1, size=(7, 2)),
+                         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+        for ext in surf.extractions:
+            vals, d1, d2 = basis_table(ext, pts)
+            assert vals.shape == (ext.n_basis, len(pts))
+            assert d1.shape == (ext.n_basis, len(pts), 2)
+            assert d2.shape == (ext.n_basis, len(pts), 3)
+            for m, (xi, eta) in enumerate(pts):
+                v, g, h = evaluate_basis(ext, xi, eta)
+                assert np.abs(vals[:, m] - v).max() <= 1e-14
+                assert np.abs(d1[:, m] - g).max() <= 1e-14
+                assert np.abs(d2[:, m] - h).max() <= 1e-14
