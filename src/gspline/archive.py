@@ -72,10 +72,27 @@ def surface_from_json(text: str) -> GSplineSurface:
                                  variant=payload["variant"])
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
+    _validate(net, extractions)
+    surface.diagnostics = payload.get("diagnostics")
+    return surface
+
+
+def _validate(net: ControlNet, extractions: list[ElementExtraction]) -> None:
+    """Raise FormatError unless the records describe every face once, with
+    in-range, distinct basis ids and finite numbers."""
+    if not np.isfinite(net.positions).all():
+        raise FormatError("archive has a non-finite control point position")
+    ids = [ext.element for ext in extractions]
+    if ids != list(range(net.cnet.n_faces)):
+        raise FormatError(
+            f"element ids are not a permutation of 0..{net.cnet.n_faces - 1}")
     n = net.cnet.n_vertices
     for ext in extractions:
         if ((ext.basis < 0) | (ext.basis >= n)).any():
             raise FormatError(
                 f"element {ext.element} has a basis id outside 0..{n - 1}")
-    surface.diagnostics = payload.get("diagnostics")
-    return surface
+        if np.unique(ext.basis).size != ext.basis.size:
+            raise FormatError(f"element {ext.element} repeats a basis id")
+        if not np.isfinite(ext.coeffs).all():
+            raise FormatError(
+                f"element {ext.element} has a non-finite coefficient")

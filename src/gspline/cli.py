@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -70,11 +69,11 @@ def _load_surface(path: str) -> GSplineSurface:
     return surface_from_json(Path(path).read_text())
 
 
-def _build_surface(net: ControlNet, variant: str, threads: int) -> GSplineSurface:
+def _build_surface(net: ControlNet, variant: str) -> GSplineSurface:
     c0 = build_c0(net)
     if variant == "c0":
         return c0
-    return build_g1(c0, variant, threads=threads)
+    return build_g1(c0, variant)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -167,7 +166,7 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
 
 def cmd_build(args) -> int:
     net = _load_net(args.input)
-    surface = _build_surface(net, args.variant, args.threads)
+    surface = _build_surface(net, args.variant)
     _write(args.output, surface_to_json(surface))
     if args.bezier:
         from .extraction import bezier_points_record
@@ -194,7 +193,7 @@ def cmd_refine(args) -> int:
         net = _load_net(args.input)
         refined, stats = refine_n(net, args.levels)
         if out is not None and out.suffix == ".json":
-            surface = _build_surface(refined, args.variant, args.threads)
+            surface = _build_surface(refined, args.variant)
             _write(args.output, surface_to_json(surface))
         else:
             _write(args.output, save_obj(refined))
@@ -204,7 +203,7 @@ def cmd_refine(args) -> int:
         if out is not None and out.suffix == ".obj":
             _write(args.output, save_obj(refined))
         else:
-            rebuilt = _build_surface(refined, surface.variant, args.threads)
+            rebuilt = _build_surface(refined, surface.variant)
             _write(args.output, surface_to_json(rebuilt))
     sys.stderr.write(json.dumps({"levels": stats}) + "\n")
     return 0
@@ -254,19 +253,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _resolve_threads(flag_value) -> int:
-    # the environment variable takes precedence over the flag
-    env = os.environ.get("GSPLINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise FormatError(f"GSPLINE_THREADS={env!r} is not an integer")
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gspline",
@@ -274,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the per-function solves "
-                            "(default: GSPLINE_THREADS or CPU count)")
 
     p = sub.add_parser("build", help="build a surface archive from an OBJ net")
     p.add_argument("input")
@@ -292,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export sampled frames: point, normal, curvatures")
     p.add_argument("--resolution", type=int, default=8,
                    help="samples per element edge for the exports")
-    add_threads(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("refine", help="globally refine a net or archive")
@@ -301,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("c0", "g1p", "g1r"), default="c0",
                    help="construction when converting an OBJ to an archive")
     p.add_argument("-o", "--output", default=None)
-    add_threads(p)
     p.set_defaults(fn=cmd_refine)
 
     p = sub.add_parser("quality", help="minimum invalid shell thickness")
@@ -311,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.005)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--csv", default=None)
-    add_threads(p)
     p.set_defaults(fn=cmd_quality)
 
     p = sub.add_parser("poisson", help="Poisson convergence study")
@@ -321,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--dat", default=None)
-    add_threads(p)
     p.set_defaults(fn=cmd_poisson)
 
     p = sub.add_parser("eigen", help="membrane eigenvalues of an archive")
@@ -331,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="consistent")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--csv", default=None)
-    add_threads(p)
     p.set_defaults(fn=cmd_eigen)
 
     p = sub.add_parser("check", help="invariant diagnostics of an archive")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    add_threads(p)
     p.set_defaults(fn=cmd_check)
 
     return parser
@@ -347,7 +322,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(getattr(args, "threads", None))
         return args.fn(args)
     except GSplineError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

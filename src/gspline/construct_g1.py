@@ -16,12 +16,16 @@ extraordinary vertices it can reach, which preserves the polynomial
 partition of unity but can enlarge supports; the restricted construction
 keeps each function on its original support and pins the support
 boundary, which requires rationalization to restore partition of unity.
+
+The equality and fairing matrices depend only on the set of elements a
+function is solved over; only the right-hand sides depend on the
+function.  Functions sharing an element set are therefore solved
+together: one factorization, one right-hand-side column per function.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -232,9 +236,20 @@ _SIDE_TRACE_SLOTS = {
 }
 
 
+# slot pairs whose coefficient differences the fairing rows preserve
+_FAIRING_PAIRS = (
+    [((i, j), (i + 1, j)) for j in range(P + 1) for i in range(P)]
+    + [((i, j), (i, j + 1)) for j in range(P) for i in range(P + 1)]
+)
+
+
 @dataclass
 class ConstraintSystem:
-    """Assembled equality (G, g) and fairing (F, f) pairs of one solve."""
+    """Assembled equality (G, g) and fairing (F, f) pairs of one solve.
+
+    ``g`` and ``f`` hold one right-hand side (1-D) or one column per basis
+    function solved over the same element set (2-D).
+    """
 
     G: np.ndarray
     g: np.ndarray
@@ -244,75 +259,89 @@ class ConstraintSystem:
     nodes: list = field(default_factory=list)
 
 
-class ConstraintProblem:
-    """Unknowns, targets and equations of one basis function's solve.
+def basis_supports(c0: GSplineSurface, info: NetAnalysis, functions) -> dict:
+    """Irregular elements supporting each of ``functions``: id -> set."""
+    out = {int(a): set() for a in functions}
+    for f in info.irregular_faces:
+        for a in c0.extraction(f).basis:
+            if int(a) in out:
+                out[int(a)].add(f)
+    return out
 
-    ``variant`` selects the constrained edge set: "g1p" couples every
-    edge between two in-cluster irregular elements, "g1r" couples only
-    edges interior to the function's original support and pins the rest.
+
+def solve_elements(info: NetAnalysis, support: set, variant: str) -> list[int]:
+    """Sorted elements a function is solved over: its support (g1r) or the
+    union of the cluster rings its support touches (g1p)."""
+    if variant == "g1r":
+        return sorted(support)
+    return sorted({f for s in support
+                   for f in info.cluster_rings[info.face_cluster[s]]})
+
+
+class ConstraintProblem:
+    """Unknowns, targets and equations of the solve of one basis function,
+    or of several functions solved over the same element set.
+
+    ``basisfn`` is one id (1-D targets and right-hand sides) or a sequence
+    of ids (one column per function).  ``variant`` selects the constrained
+    edge set: "g1p" couples every edge between two in-cluster irregular
+    elements, "g1r" couples only edges interior to the function's original
+    support and pins the rest.
     """
 
-    def __init__(self, c0: GSplineSurface, basisfn: int, variant: str,
+    def __init__(self, c0: GSplineSurface, basisfn, variant: str,
                  analysis: NetAnalysis | None = None):
         if c0.variant != "c0":
             raise DomainError("constraint problems start from a C0 surface")
         if variant not in ("g1p", "g1r"):
             raise DomainError(f"unknown construction variant {variant!r}")
         self.c0 = c0
-        self.basisfn = int(basisfn)
+        self.functions = [int(a) for a in np.atleast_1d(basisfn)]
+        cols = () if np.ndim(basisfn) == 0 else (len(self.functions),)
         self.variant = variant
         self.info = analysis if analysis is not None else analyze_net(c0.cnet)
         cnet = c0.cnet
 
-        support = {
-            f for f in self.info.irregular_faces
-            if self.basisfn in c0.extraction(f).basis
-        }
-        self.support0 = support
-        if variant == "g1r":
-            elements = set(support)
-        else:
-            clusters = {self.info.face_cluster[f] for f in support}
-            elements = set()
-            for cid in clusters:
-                elements.update(self.info.cluster_rings[cid])
-        self.elements = sorted(elements)
-        el_set = set(self.elements)
-        self.element_set = el_set
+        supports = basis_supports(c0, self.info, self.functions)
+        self.supports = [supports[a] for a in self.functions]
+        element_sets = {tuple(solve_elements(self.info, s, variant))
+                        for s in self.supports}
+        if len(element_sets) > 1:
+            raise DomainError(
+                f"basis functions {self.functions} are solved over "
+                "different element sets")
+        self.elements = list(element_sets.pop()) if element_sets else []
+        self.element_set = set(self.elements)
 
-        # unknown numbering over shared nodes
-        self.node_index: dict[NodeKey, int] = {}
-        self.nodes: list[NodeKey] = []
-        self.slot_node = {}  # (face, i, j) -> node index
+        # unknown numbering over shared nodes; grid_nodes[f][i, j] is the
+        # unknown of slot (i, j) on element f
+        node_index: dict[NodeKey, int] = {}
+        self.grid_nodes: dict[int, np.ndarray] = {}
         for f in self.elements:
+            grid = np.empty((P + 1, P + 1), dtype=int)
             for j in range(P + 1):
                 for i in range(P + 1):
-                    key = node_key(cnet, f, i, j)
-                    idx = self.node_index.get(key)
-                    if idx is None:
-                        idx = len(self.nodes)
-                        self.node_index[key] = idx
-                        self.nodes.append(key)
-                    self.slot_node[(f, i, j)] = idx
+                    grid[i, j] = node_index.setdefault(
+                        node_key(cnet, f, i, j), len(node_index))
+            self.grid_nodes[f] = grid
+        self.nodes: list[NodeKey] = list(node_index)
         self.n = len(self.nodes)
 
         # degree-elevated targets, checked for consistency on shared nodes
-        self.ctilde = np.zeros(self.n)
+        self.ctilde = np.zeros((self.n,) + cols)
+        self._zero = np.zeros(cols)
         have = np.zeros(self.n, dtype=bool)
         for f in self.elements:
-            grid = self._elevated_grid(f)
-            for j in range(P + 1):
-                for i in range(P + 1):
-                    idx = self.slot_node[(f, i, j)]
-                    if have[idx]:
-                        if abs(self.ctilde[idx] - grid[i, j]) > 1e-9:
-                            raise InternalError(
-                                "inconsistent elevated coefficients at a "
-                                f"shared node of element {f}"
-                            )
-                    else:
-                        self.ctilde[idx] = grid[i, j]
-                        have[idx] = True
+            idx = self.grid_nodes[f]
+            grid = self._elevated_grid(f).reshape((P + 1, P + 1) + cols)
+            seen = have[idx]
+            if (np.abs(self.ctilde[idx[seen]] - grid[seen]) > 1e-9).any():
+                raise InternalError(
+                    "inconsistent elevated coefficients at a "
+                    f"shared node of element {f}"
+                )
+            self.ctilde[idx[~seen]] = grid[~seen]
+            have[idx] = True
 
         # Classify the sides of every element.  Edges interior to the
         # unknown set carry tangent-plane equations.  Sides against
@@ -335,7 +364,7 @@ class ConstraintProblem:
                 other = cnet.face_across(f, e)
                 if other is None:
                     self.boundary_sides.append((f, s))
-                elif other in el_set:
+                elif other in self.element_set:
                     if e not in seen_edges:
                         seen_edges.add(e)
                         self.constrained_edges.append(e)
@@ -348,17 +377,20 @@ class ConstraintProblem:
     # -- pieces ---------------------------------------------------------
 
     def _elevated_grid(self, face: int) -> np.ndarray:
+        """(6, 6, k) elevated coefficients of the k functions on a face."""
         ext = self.c0.extraction(face)
-        rows = np.flatnonzero(ext.basis == self.basisfn)
-        if rows.size == 0:
-            return np.zeros((P + 1, P + 1))
-        cubic = ext.coeffs[rows[0]].reshape(4, 4, order="F")
-        return degree_elevate_2(cubic)
+        grid = np.zeros((P + 1, P + 1, len(self.functions)))
+        for k, a in enumerate(self.functions):
+            rows = np.flatnonzero(ext.basis == a)
+            if rows.size:
+                cubic = ext.coeffs[rows[0]].reshape(4, 4, order="F")
+                grid[..., k] = degree_elevate_2(cubic)
+        return grid
 
     def _node(self, face: int, rot: int, i: int, j: int) -> int:
         """Unknown index of 1-based frame slot (i, j) of a rotated element."""
         si, sj = rotate_grid_index(rot, P, i - 1, j - 1)
-        return self.slot_node[(face, si, sj)]
+        return int(self.grid_nodes[face][si, sj])
 
     def g1_edge_equations(self, edge: int):
         """The six tangent-plane rows plus the quartic-boundary row of an edge.
@@ -410,7 +442,7 @@ class ConstraintProblem:
             row([(r(1, 1), -1.0), (r(2, 1), 5.0), (r(3, 1), -10.0),
                  (r(4, 1), 10.0), (r(5, 1), -5.0), (r(6, 1), 1.0)]),
         ]
-        return [(eq, 0.0) for eq in eqs]
+        return [(eq, self._zero) for eq in eqs]
 
     def c1_interface_equations(self, element: int, side: int,
                                zero: bool = False):
@@ -420,42 +452,31 @@ class ConstraintProblem:
         elevated values (support-boundary spoke edges, where the trace
         already vanishes and the cross-derivative must follow).
         """
-        out = []
-        for i, j in _SIDE_SLOTS[side]:
-            idx = self.slot_node[(element, i, j)]
-            out.append(({idx: 1.0}, 0.0 if zero else float(self.ctilde[idx])))
-        return out
+        return self._pins(element, _SIDE_SLOTS[side], zero)
 
     def boundary_trace_equations(self, element: int, side: int):
         """Pin the trace row of a domain-boundary side."""
-        out = []
-        for i, j in _SIDE_TRACE_SLOTS[side]:
-            idx = self.slot_node[(element, i, j)]
-            out.append(({idx: 1.0}, float(self.ctilde[idx])))
-        return out
+        return self._pins(element, _SIDE_TRACE_SLOTS[side], False)
+
+    def _pins(self, element: int, slots, zero: bool):
+        nodes = [int(self.grid_nodes[element][s]) for s in slots]
+        return [({idx: 1.0}, self._zero if zero else self.ctilde[idx])
+                for idx in nodes]
 
     def fairing_equations(self, element: int):
         """Difference-preserving least-squares rows of one element (60)."""
+        nodes = self.grid_nodes[element]
         out = []
-        for j in range(P + 1):
-            for i in range(P):
-                a = self.slot_node[(element, i, j)]
-                b = self.slot_node[(element, i + 1, j)]
-                out.append(({a: 1.0, b: -1.0},
-                            float(self.ctilde[a] - self.ctilde[b])))
-        for j in range(P):
-            for i in range(P + 1):
-                a = self.slot_node[(element, i, j)]
-                b = self.slot_node[(element, i, j + 1)]
-                out.append(({a: 1.0, b: -1.0},
-                            float(self.ctilde[a] - self.ctilde[b])))
+        for s, t in _FAIRING_PAIRS:
+            a, b = int(nodes[s]), int(nodes[t])
+            out.append(({a: 1.0, b: -1.0}, self.ctilde[a] - self.ctilde[b]))
         return out
 
     # -- assembly and solve ----------------------------------------------
 
     def assemble(self) -> ConstraintSystem:
         eq_rows: list[dict] = []
-        eq_rhs: list[float] = []
+        eq_rhs: list = []
         tags: list = []
         for e in self.constrained_edges:
             for coeffs, rhs in self.g1_edge_equations(e):
@@ -485,7 +506,7 @@ class ConstraintProblem:
         add_pins(self.boundary_sides, "trace")
 
         fair_rows: list[dict] = []
-        fair_rhs: list[float] = []
+        fair_rhs: list = []
         for f in self.elements:
             for coeffs, rhs in self.fairing_equations(f):
                 fair_rows.append(coeffs)
@@ -498,31 +519,36 @@ class ConstraintProblem:
                     M[r_, idx] = c
             return M
 
+        def rhs(values):
+            return np.asarray(values, dtype=float).reshape(
+                (len(values),) + self._zero.shape)
+
         return ConstraintSystem(
-            G=dense(eq_rows), g=np.asarray(eq_rhs, dtype=float),
-            F=dense(fair_rows), f=np.asarray(fair_rhs, dtype=float),
-            tags=tags, nodes=list(self.nodes),
+            G=dense(eq_rows), g=rhs(eq_rhs), F=dense(fair_rows),
+            f=rhs(fair_rhs), tags=tags, nodes=list(self.nodes),
         )
 
     def solve(self):
-        system = self.assemble()
-        c, diag = solve_constrained_ls(system, return_info=True)
-        grids = {}
-        for f in self.elements:
-            grid = np.empty((P + 1, P + 1))
-            for j in range(P + 1):
-                for i in range(P + 1):
-                    grid[i, j] = c[self.slot_node[(f, i, j)]]
-            grids[f] = grid
-        diag.update(
-            basis=self.basisfn,
-            n_unknowns=self.n,
-            n_constrained_edges=len(self.constrained_edges),
-            n_pinned_sides=len(self.pinned_sides),
-            support_before=len(self.support0),
-            support_after=len(self.elements),
-        )
-        return grids, diag
+        """``(grids, diag)`` of the function, or a list of them (one per
+        function) when built from a sequence of ids; ``grids`` maps each
+        element to its (6, 6) coefficient grid."""
+        c, infos = solve_constrained_ls(self.assemble(), return_info=True)
+        c = c.reshape(self.n, -1)
+        out = []
+        infos = infos if self._zero.shape else [infos]
+        for k, (a, support, diag) in enumerate(
+                zip(self.functions, self.supports, infos)):
+            grids = {f: c[self.grid_nodes[f], k] for f in self.elements}
+            diag.update(
+                basis=a,
+                n_unknowns=self.n,
+                n_constrained_edges=len(self.constrained_edges),
+                n_pinned_sides=len(self.pinned_sides),
+                support_before=len(support),
+                support_after=len(self.elements),
+            )
+            out.append((grids, diag))
+        return out if self._zero.shape else out[0]
 
 
 def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
@@ -531,53 +557,47 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
 
     Redundant equality rows are removed by a rank-revealing SVD; the
     least-squares problem is then solved in the nullspace
-    parameterization.  Inconsistent constraints raise
-    InfeasibleConstraintError listing the offending edges.
+    parameterization (Lawson & Hanson, ch. 20).  ``g`` and ``f`` are one
+    right-hand side (1-D; returns a vector and one info dict) or one
+    column per right-hand side (2-D; returns one column and one info dict
+    per right-hand side), all sharing one factorization of G and F.
+    Inconsistent constraints of any column raise InfeasibleConstraintError
+    listing that column's offending edges.
     """
-    G, g, F, f = system.G, system.g, system.F, system.f
-    n = F.shape[1]
-    if G.shape[0] == 0:
-        c, *_ = np.linalg.lstsq(F, f, rcond=None)
-        rank = 0
-        resid = float(np.linalg.norm(F @ c - f))
-        if return_info:
-            return c, {"rank": 0, "n_equality": 0, "ls_residual": resid,
-                       "eq_residual": 0.0}
-        return c
+    G, F = system.G, system.F
+    f = np.asarray(system.f, dtype=float)
+    cols = f.shape[1:]
+    f = f.reshape(F.shape[0], -1)
+    g = np.asarray(system.g, dtype=float).reshape(G.shape[0], f.shape[1])
 
     U, s, Vt = np.linalg.svd(G, full_matrices=True)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    else:
-        rank = 0
-    cp = Vt[:rank].T @ ((U[:, :rank].T @ g) / s[:rank]) if rank else np.zeros(n)
+    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    cp = Vt[:rank].T @ ((U[:, :rank].T @ g) / s[:rank, None])
+    scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
     eq_residual = np.abs(G @ cp - g)
-    scale = max(1.0, float(np.abs(g).max()) if g.size else 1.0)
-    if eq_residual.size and eq_residual.max() > eq_tol * scale:
-        bad = np.flatnonzero(eq_residual > eq_tol * scale)
-        edges = sorted({system.tags[i][1] for i in bad
+    bad = eq_residual > eq_tol * scale
+    if bad.any():
+        col = int(np.flatnonzero(bad.any(axis=0))[0])
+        rows = np.flatnonzero(bad[:, col])
+        edges = sorted({system.tags[i][1] for i in rows
                         if system.tags[i][0] == "edge"})
         raise InfeasibleConstraintError(
             f"equality constraints inconsistent (max residual "
-            f"{eq_residual.max():.3e})", edges=edges)
+            f"{eq_residual[:, col].max():.3e})", edges=edges)
     Z = Vt[rank:].T
-    if Z.shape[1]:
-        z, *_ = np.linalg.lstsq(F @ Z, f - F @ cp, rcond=None)
-        c = cp + Z @ z
-    else:
-        c = cp
-    final = float(np.abs(G @ c - g).max()) if g.size else 0.0
-    if final > eq_tol * scale:
+    z, *_ = np.linalg.lstsq(F @ Z, f - F @ cp, rcond=None)
+    c = cp + Z @ z
+    final = np.abs(G @ c - g).max(axis=0, initial=0.0)
+    if (final > eq_tol * scale).any():
         raise InfeasibleConstraintError(
-            f"constraint residual {final:.3e} after solve", edges=[])
-    if return_info:
-        return c, {
-            "rank": rank,
-            "n_equality": int(G.shape[0]),
-            "ls_residual": float(np.linalg.norm(F @ c - f)),
-            "eq_residual": final,
-        }
-    return c
+            f"constraint residual {final.max():.3e} after solve", edges=[])
+    if not return_info:
+        return c.reshape((-1,) + cols)
+    ls_residual = np.linalg.norm(F @ c - f, axis=0)
+    infos = [{"rank": rank, "n_equality": int(G.shape[0]),
+              "ls_residual": float(ls), "eq_residual": float(eq)}
+             for ls, eq in zip(ls_residual, final)]
+    return c.reshape((-1,) + cols), (infos if cols else infos[0])
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +617,7 @@ def elevate_irregular(c0: GSplineSurface):
     return out
 
 
-def build_g1(c0: GSplineSurface, variant: str, threads: int = 1) -> GSplineSurface:
+def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     """Upgrade a C0 surface to a tangent-plane continuous construction.
 
     ``variant`` is "g1p" (polynomial, propagated support) or "g1r"
@@ -619,33 +639,29 @@ def build_g1(c0: GSplineSurface, variant: str, threads: int = 1) -> GSplineSurfa
                 f"irregular element {f}"
             )
 
-    def solve_one(a):
-        problem = ConstraintProblem(c0, a, variant, analysis=info)
-        return a, problem.solve()
-
+    # functions solved over the same elements share G and F: one solve
+    # with a column per function
+    groups: dict[tuple, list[int]] = {}
+    for a, support in basis_supports(c0, info, functions).items():
+        key = tuple(solve_elements(info, support, variant))
+        groups.setdefault(key, []).append(a)
     results = {}
-    if threads and threads > 1 and len(functions) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for a, res in pool.map(solve_one, functions):
-                results[a] = res
-    else:
-        for a in functions:
-            results[a] = solve_one(a)[1]
+    for group in groups.values():
+        problem = ConstraintProblem(c0, group, variant, analysis=info)
+        results.update(zip(group, problem.solve()))
 
+    # functions ascend, so every element's rows come in basis-id order
     per_element: dict[int, list[tuple[int, np.ndarray]]] = {
         f: [] for f in info.irregular_faces
     }
-    diagnostics = []
     for a in functions:
-        grids, diag = results[a]
-        diagnostics.append(diag)
-        for f, grid in grids.items():
+        for f, grid in results[a][0].items():
             per_element[f].append((a, grid))
 
     extractions = []
     for f in range(c0.cnet.n_faces):
         if info.labels[f] is ElementClass.IRREGULAR:
-            rows = sorted(per_element[f], key=lambda t: t[0])
+            rows = per_element[f]
             basis = np.array([a for a, _ in rows], dtype=int)
             coeffs = np.array([grid.reshape(36, order="F") for _, grid in rows])
             extractions.append(
@@ -661,7 +677,7 @@ def build_g1(c0: GSplineSurface, variant: str, threads: int = 1) -> GSplineSurfa
                                   coeffs=old.coeffs.copy())
             )
     surface = GSplineSurface(net=c0.net, extractions=extractions, variant=variant)
-    surface.diagnostics = diagnostics
+    surface.diagnostics = [results[a][1] for a in functions]
     return surface
 
 

@@ -245,16 +245,6 @@ def extraordinary_vertices(cnet: CNet) -> list[int]:
     return [v for v, c in enumerate(classify_vertices(cnet)) if c.is_extraordinary]
 
 
-def _face_touches(cnet: CNet) -> list[set[int]]:
-    """For each face, the faces sharing at least one vertex with it."""
-    touch: list[set[int]] = [set() for _ in range(cnet.n_faces)]
-    for f, quad in enumerate(cnet.faces):
-        for v in quad:
-            touch[f].update(cnet.vertex_faces[int(v)])
-        touch[f].discard(f)
-    return touch
-
-
 def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:
     """m-ring faces of an extraordinary vertex.
 
@@ -264,13 +254,13 @@ def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:
     """
     if m < 1:
         raise DomainError("ring index must be >= 1 (ring 0 holds no faces)")
-    touch = _face_touches(cnet)
     layer = set(cnet.vertex_faces[ep])
     seen = set(layer)
     for _ in range(m - 1):
         nxt = set()
         for f in layer:
-            nxt.update(touch[f])
+            for v in cnet.faces[f]:
+                nxt.update(cnet.vertex_faces[int(v)])
         layer = nxt - seen
         seen |= layer
     return layer

@@ -93,8 +93,7 @@ class TestBuild:
     def test_deterministic_output(self, ep_obj, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["build", str(ep_obj), "--variant", "g1p", "-o", str(a)])
-        main(["build", str(ep_obj), "--variant", "g1p", "-o", str(b),
-              "--threads", "4"])
+        main(["build", str(ep_obj), "--variant", "g1p", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
     def test_auxiliary_exports(self, ep_obj, tmp_path):
@@ -259,17 +258,45 @@ class TestBadArchives:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateBasisError"
 
+    def _mutated_g1r_archive(self, ep_obj, tmp_path, mutate):
+        arc = tmp_path / "a.json"
+        main(["build", str(ep_obj), "--variant", "g1r", "-o", str(arc)])
+        payload = json.loads(arc.read_text())
+        mutate(payload)
+        arc.write_text(json.dumps(payload))
+        return arc
 
-class TestEnvThreads:
-    def test_env_override(self, quad_obj, tmp_path, monkeypatch):
-        monkeypatch.setenv("GSPLINE_THREADS", "2")
-        out = tmp_path / "q.json"
-        # the environment wins even when --threads is passed
-        assert main(["build", str(quad_obj), "--variant", "c0",
-                     "-o", str(out), "--threads", "7"]) == 0
+    def _assert_format_error(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
 
-    def test_env_invalid(self, quad_obj, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GSPLINE_THREADS", "many")
-        code = main(["build", str(quad_obj), "--variant", "c0",
-                     "-o", str(tmp_path / "q.json")])
-        assert code == 2
+    def test_element_ids_not_a_permutation_exit_2(self, ep_obj, tmp_path,
+                                                  capsys):
+        def duplicate_id(payload):
+            ids = [r["element"] for r in payload["elements"]]
+            payload["elements"][ids.index(1)]["element"] = 0
+
+        arc = self._mutated_g1r_archive(ep_obj, tmp_path, duplicate_id)
+        self._assert_format_error(["check", str(arc)], capsys)
+
+    def test_repeated_basis_id_exit_2(self, ep_obj, tmp_path, capsys):
+        def repeat_basis(payload):
+            basis = payload["elements"][0]["basis"]
+            basis[1] = basis[0]
+
+        arc = self._mutated_g1r_archive(ep_obj, tmp_path, repeat_basis)
+        self._assert_format_error(["check", str(arc)], capsys)
+        self._assert_format_error(["quality", str(arc)], capsys)
+
+    @pytest.mark.parametrize("field", ["coeffs", "positions"])
+    def test_nonfinite_number_exit_2(self, ep_obj, tmp_path, capsys, field):
+        def put_nan(payload):
+            if field == "coeffs":
+                payload["elements"][0]["coeffs"][0][0] = float("nan")
+            else:
+                payload["net"]["positions"][0][0] = float("nan")
+
+        arc = self._mutated_g1r_archive(ep_obj, tmp_path, put_nan)
+        self._assert_format_error(["check", str(arc)], capsys)
+        self._assert_format_error(["quality", str(arc)], capsys)

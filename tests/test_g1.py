@@ -16,7 +16,7 @@ from gspline.construct_g1 import (
     g1_residual,
     solve_constrained_ls,
 )
-from gspline.errors import InfeasibleConstraintError
+from gspline.errors import DomainError, InfeasibleConstraintError
 from gspline.evaluate import (
     edge_frames,
     edge_watertightness,
@@ -239,6 +239,66 @@ class TestConstrainedLS:
         np.testing.assert_allclose(pinned, problem.ctilde, atol=1e-9)
 
 
+class TestGroupedSolve:
+    def test_two_columns_equal_two_solves(self):
+        rng = np.random.default_rng(11)
+        n, m = 14, 5
+        F = rng.normal(size=(n + 6, n))
+        f = rng.normal(size=(n + 6, 2))
+        G = rng.normal(size=(m, n))
+        g = G @ rng.normal(size=(n, 2))
+        tags = [("edge", 0)] * m
+        both, infos = solve_constrained_ls(
+            ConstraintSystem(G=G, g=g, F=F, f=f, tags=tags), return_info=True)
+        assert both.shape == (n, 2) and len(infos) == 2
+        for k in range(2):
+            one, info = solve_constrained_ls(
+                ConstraintSystem(G=G, g=g[:, k], F=F, f=f[:, k], tags=tags),
+                return_info=True)
+            assert one.shape == (n,)
+            np.testing.assert_allclose(both[:, k], one, rtol=0, atol=1e-12)
+            assert infos[k].keys() == info.keys()
+            assert infos[k]["rank"] == info["rank"] == m
+            for key in ("ls_residual", "eq_residual"):
+                assert abs(infos[k][key] - info[key]) < 1e-12
+
+    def test_infeasible_second_column_reports_its_edges(self):
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        g = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InfeasibleConstraintError) as err:
+            solve_constrained_ls(ConstraintSystem(
+                G=G, g=g, F=np.eye(2), f=np.zeros((2, 2)),
+                tags=[("edge", 3), ("edge", 7), ("edge", 9)]))
+        assert err.value.edges and set(err.value.edges) <= {7, 9}
+
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    @pytest.mark.parametrize("make", [netgen.rot44, netgen.val333,
+                                      netgen.boundary_ep3])
+    def test_build_matches_per_function_solves(self, make, variant):
+        c0 = build_c0(make())
+        surf = build_g1(c0, variant)
+        for diag in surf.diagnostics:
+            a = diag["basis"]
+            grids, ref = ConstraintProblem(c0, a, variant).solve()
+            assert diag.keys() == ref.keys()
+            for key, value in ref.items():
+                if isinstance(value, float):
+                    assert abs(diag[key] - value) < 1e-12, (a, key)
+                else:
+                    assert diag[key] == value, (a, key)
+            for f, grid in grids.items():
+                ext = surf.extraction(f)
+                (row,) = np.flatnonzero(ext.basis == a)
+                np.testing.assert_allclose(
+                    ext.coeffs[row], grid.reshape(36, order="F"),
+                    rtol=0, atol=1e-13)
+
+    def test_mixed_element_sets_rejected(self):
+        c0 = build_c0(netgen.rot44())
+        with pytest.raises(DomainError):
+            ConstraintProblem(c0, [0, 11], "g1r")
+
+
 class TestElevateIrregular:
     def test_elevated_reproduces_c0(self):
         net = netgen.fan(5)
@@ -364,14 +424,6 @@ class TestBuildG1:
                                    - map_point(g1r, f, xi, eta))
                 worst = max(worst, float(d))
         assert worst < 1e-2 * diag
-
-    def test_threads_give_identical_result(self):
-        net = netgen.val33()
-        c0 = build_c0(net)
-        s1 = build_g1(c0, "g1p", threads=1)
-        s2 = build_g1(c0, "g1p", threads=4)
-        for a, b in zip(s1.extractions, s2.extractions):
-            np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_diagnostics_present(self):
         net = netgen.fan(3)
