@@ -72,14 +72,18 @@ def surface_from_json(text: str) -> GSplineSurface:
                                  variant=payload["variant"])
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
-    _validate(net, extractions)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"archive field has the wrong type: {exc}") from exc
+    _validate(net, extractions, surface.variant)
     surface.diagnostics = payload.get("diagnostics")
     return surface
 
 
-def _validate(net: ControlNet, extractions: list[ElementExtraction]) -> None:
+def _validate(net: ControlNet, extractions: list[ElementExtraction],
+              variant: str) -> None:
     """Raise FormatError unless the records describe every face once, with
-    in-range, distinct basis ids and finite numbers."""
+    in-range, distinct basis ids, finite numbers and rational elements only
+    where the g1r construction makes them (degree 5)."""
     if not np.isfinite(net.positions).all():
         raise FormatError("archive has a non-finite control point position")
     ids = [ext.element for ext in extractions]
@@ -96,3 +100,6 @@ def _validate(net: ControlNet, extractions: list[ElementExtraction]) -> None:
         if not np.isfinite(ext.coeffs).all():
             raise FormatError(
                 f"element {ext.element} has a non-finite coefficient")
+        if ext.rational and (variant != "g1r" or ext.degree != 5):
+            raise FormatError(f"element {ext.element} of a {variant} archive "
+                              f"cannot be rational at degree {ext.degree}")

@@ -211,8 +211,7 @@ def cmd_refine(args) -> int:
 
 def cmd_quality(args) -> int:
     surface = _load_surface(args.input)
-    report = min_invalid_thickness(surface, t_lo=args.t_lo, t_hi=args.t_hi,
-                                   tol=args.tol)
+    report = min_invalid_thickness(surface, t_lo=args.t_lo, t_hi=args.t_hi)
     _write(args.output, report.to_json())
     if args.csv:
         _write(args.csv, report.to_csv_row())
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--t-lo", type=float, default=0.01)
     p.add_argument("--t-hi", type=float, default=100.0)
-    p.add_argument("--tol", type=float, default=0.005)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_quality)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InternalError, SingularParameterizationError
 from .extraction import ElementExtraction, basis_table
-from .mesh import CNet, ControlNet, classify_elements, classify_vertices
+from .mesh import CNet, ControlNet
 
 
 @dataclass
@@ -362,12 +362,6 @@ def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
                     f"{n[0]:.12g},{n[1]:.12g},{n[2]:.12g},{k1:.12g},{k2:.12g}"
                 )
     return "\n".join(rows) + "\n"
-
-
-def surface_classification(surface: GSplineSurface):
-    """Vertex and element classifications of the surface's net."""
-    cnet = surface.cnet
-    return classify_vertices(cnet), classify_elements(cnet)
 
 
 def bounding_box_diagonal(net: ControlNet) -> float:

@@ -127,6 +127,9 @@ class CNet:
                 self.boundary_vertex[int(v)] = True
 
         self.valence = np.array([len(fs) for fs in self.vertex_faces])
+        # interior vertices of valence other than four, boundary ones above two
+        self.extraordinary = np.where(self.boundary_vertex, self.valence > 2,
+                                      self.valence != 4)
         self.n_faces = len(self.faces)
         self.n_edges = n_e
 
@@ -219,30 +222,20 @@ class ControlNet:
 
 
 def classify_vertices(cnet: CNet) -> list[VertexClass]:
-    """Classify every vertex by valence, boundary flag and extraordinarity.
-
-    Valence counts incident faces.  A vertex is extraordinary when it is
-    interior with valence other than four, or on the boundary with valence
-    greater than two.  A boundary vertex of valence one is a corner.
+    """Classify every vertex by valence (incident faces), boundary flag and
+    extraordinarity (``CNet.extraordinary``).  A boundary vertex of valence
+    one is a corner.
     """
-    out = []
-    for v in range(cnet.n_vertices):
-        mu = int(cnet.valence[v])
-        bnd = bool(cnet.boundary_vertex[v])
-        extraordinary = (not bnd and mu != 4) or (bnd and mu > 2)
-        out.append(
-            VertexClass(
-                valence=mu,
-                is_boundary=bnd,
-                is_extraordinary=extraordinary,
-                is_corner=bnd and mu == 1,
-            )
-        )
-    return out
+    return [
+        VertexClass(valence=int(mu), is_boundary=bool(bnd),
+                    is_extraordinary=bool(ext), is_corner=bool(bnd and mu == 1))
+        for mu, bnd, ext in zip(cnet.valence, cnet.boundary_vertex,
+                                cnet.extraordinary)
+    ]
 
 
 def extraordinary_vertices(cnet: CNet) -> list[int]:
-    return [v for v, c in enumerate(classify_vertices(cnet)) if c.is_extraordinary]
+    return np.flatnonzero(cnet.extraordinary).tolist()
 
 
 def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:

@@ -24,7 +24,6 @@ from .evaluate import GSplineSurface, SurfaceFrame, frame
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "gauss_legendre" | "gauss_lobatto"
     points: np.ndarray
     weights: np.ndarray
 
@@ -32,7 +31,7 @@ class QuadratureRule:
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
-    return QuadratureRule("gauss_legendre", a + half * (x + 1.0), half * w)
+    return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
 _LOBATTO5_X = np.array([-1.0, -math.sqrt(3.0 / 7.0), 0.0,
@@ -44,8 +43,7 @@ def gauss_lobatto5(a: float, b: float) -> QuadratureRule:
     """5-point Gauss-Lobatto rule on [a, b]; includes both endpoints."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return QuadratureRule("gauss_lobatto", mid + half * _LOBATTO5_X,
-                          half * _LOBATTO5_W)
+    return QuadratureRule(mid + half * _LOBATTO5_X, half * _LOBATTO5_W)
 
 
 def shell_metric_det(fr: SurfaceFrame, zeta: float) -> float:
@@ -125,9 +123,8 @@ def is_valid_at_thickness(surface: GSplineSurface, t: float, frames=None):
                    "det": float(dets[i, z])}
 
 
-def element_min_dets(surface: GSplineSurface, t: float, frames=None):
+def element_min_dets(surface: GSplineSurface, t: float, frames):
     """Per-element minimum of det g over quadrature points at thickness t."""
-    frames = frames if frames is not None else _quadrature_frames(surface)
     dets = _fiber_dets(frames, gauss_lobatto5(-0.5 * t, 0.5 * t).points)
     mins = np.full(surface.cnet.n_faces, np.inf)
     np.minimum.at(mins, frames[0], dets.min(axis=1))
@@ -135,52 +132,34 @@ def element_min_dets(surface: GSplineSurface, t: float, frames=None):
 
 
 def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,
-                          t_hi: float = 100.0, tol: float = 0.005,
-                          guard_span: float = 0.1) -> QualityReport:
-    """Bisect for the smallest thickness with an invalid area element.
-
-    Requires validity at ``t_lo``; returns thickness = inf when the
-    surface stays valid through ``t_hi`` (e.g. flat plates).  Because
-    monotonicity of invalidity in t is only expected, not guaranteed, a
-    dense guard scan just below the bracket re-runs the bisection if it
-    uncovers an earlier failure.
+                          t_hi: float = 100.0) -> QualityReport:
+    """Smallest thickness t* with a nonpositive area element, in closed form:
+    det(a - 2 zeta b) = c0 + c1 zeta + c2 zeta^2 at each point, and the Lobatto
+    end nodes +-t/2 meet each root first, so t* = 2 min |real root| (0 where
+    c0 <= 0), first attained at ``location``.  Raises DomainError unless
+    0 < t_lo < t*; if t* > t_hi, thickness = inf and valid_up_to = t_hi.
     """
     frames = _quadrature_frames(surface)
-    ok_lo, fail = is_valid_at_thickness(surface, t_lo, frames)
-    if not ok_lo:
-        raise DomainError(
-            f"surface already invalid at t = {t_lo} (element "
-            f"{fail['element']})")
-    ok_hi, fail_hi = is_valid_at_thickness(surface, t_hi, frames)
-    if ok_hi:
-        return QualityReport(
-            variant=surface.variant, thickness=math.inf, valid_up_to=t_hi,
-            location=None, element_min_det=element_min_dets(surface, t_hi, frames))
-
-    lo, hi = t_lo, t_hi
-    last_fail = fail_hi
-    for _ in range(200):
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            ok, fail = is_valid_at_thickness(surface, mid, frames)
-            if ok:
-                lo = mid
-            else:
-                hi = mid
-                last_fail = fail
-        # guard: confirm validity on a dense sweep below the bracket
-        retry = None
-        for t_probe in np.linspace(max(t_lo, lo - guard_span), lo, 11):
-            ok, fail = is_valid_at_thickness(surface, float(t_probe), frames)
-            if not ok:
-                retry = float(t_probe)
-                last_fail = fail
-                break
-        if retry is None:
-            break
-        hi = retry
-        lo = t_lo
-    return QualityReport(
-        variant=surface.variant, thickness=hi, valid_up_to=lo,
-        location=last_fail,
-        element_min_det=element_min_dets(surface, hi, frames))
+    elements, uv, a, b = frames
+    c0 = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    c1 = -2.0 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
+                 - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
+    c2 = 4.0 * (b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # stable roots q/c2, c0/q; c0/q is the smaller as q^2 >= |c0 c2|
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        root = np.where(c0 > 0.0, c0 / q, 0.0)
+    root[~np.isfinite(root)] = np.inf  # no real root: disc < 0 or c1 = c2 = 0
+    i = int(np.abs(root).argmin())
+    t_star = 2.0 * abs(float(root[i]))
+    if not 0.0 < t_lo < t_star:
+        raise DomainError(f"invalid at t_lo = {t_lo} (element {elements[i]})")
+    if t_star > t_hi:
+        return QualityReport(surface.variant, math.inf, t_hi, None,
+                             element_min_dets(surface, t_hi, frames))
+    zeta = math.copysign(0.5 * t_star, root[i])
+    location = {"element": int(elements[i]), "xi": float(uv[i, 0]),
+                "eta": float(uv[i, 1]), "zeta": zeta,
+                "det": float(c0[i] + zeta * (c1[i] + zeta * c2[i]))}
+    return QualityReport(surface.variant, t_star, float(np.nextafter(t_star, 0.0)),
+                         location, element_min_dets(surface, t_star, frames))

@@ -113,12 +113,9 @@ def refine_n(net: ControlNet, levels: int):
     current = net
     for _ in range(max(levels, 0)):
         current = refine(current)
-        eps = sum(
-            1 for c in classify_vertices(current.cnet) if c.is_extraordinary
-        )
         stats.append({
             "n_vertices": current.cnet.n_vertices,
             "n_faces": current.cnet.n_faces,
-            "n_extraordinary": eps,
+            "n_extraordinary": int(current.cnet.extraordinary.sum()),
         })
     return current, stats

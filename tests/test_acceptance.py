@@ -214,7 +214,7 @@ def test_criterion_6_quality_metric():
 
     R = 2.0
     cyl = build_c0(netgen.cylinder(n_theta=32, n_z=3, radius=R, height=2.0))
-    t_cyl = min_invalid_thickness(cyl, t_lo=0.01, t_hi=20.0, tol=0.002).thickness
+    t_cyl = min_invalid_thickness(cyl, t_lo=0.01, t_hi=20.0).thickness
     assert abs(t_cyl - R) / R < 0.05
 
     net = netgen.bumped(netgen.val33(), amplitude=0.4, sigma=0.5)
@@ -223,16 +223,15 @@ def test_criterion_6_quality_metric():
     if np.linalg.det(A) < 0:
         A[:, 0] = -A[:, 0]
     moved = ControlNet(net.cnet, net.positions @ A.T + rng.normal(size=3))
-    t0 = min_invalid_thickness(build_c0(net), tol=1e-9).thickness
-    t_mv = min_invalid_thickness(build_c0(moved), tol=1e-9).thickness
+    t0 = min_invalid_thickness(build_c0(net)).thickness
+    t_mv = min_invalid_thickness(build_c0(moved)).thickness
     assert abs(t_mv - t0) / t0 < 1e-9
 
     s = 3.7
     scaled = ControlNet(net.cnet, net.positions * s)
     t_sc = min_invalid_thickness(build_c0(scaled), t_lo=0.01 * s,
-                                 t_hi=100.0 * s, tol=1e-8 * s).thickness
-    t_base = min_invalid_thickness(build_c0(net), t_lo=0.01, t_hi=100.0,
-                                   tol=1e-8).thickness
+                                 t_hi=100.0 * s).thickness
+    t_base = min_invalid_thickness(build_c0(net), t_lo=0.01, t_hi=100.0).thickness
     assert abs(t_sc - s * t_base) / (s * t_base) < 1e-6
 
     ep_net = refine(netgen.bumped(netgen.val33(), amplitude=0.4, sigma=0.5))
@@ -240,9 +239,9 @@ def test_criterion_6_quality_metric():
     assert any(not classes[v].is_boundary and classes[v].valence == 3
                for v in extraordinary_vertices(ep_net.cnet))
     c0 = build_c0(ep_net)
-    t_c0 = min_invalid_thickness(c0, tol=0.001).thickness
+    t_c0 = min_invalid_thickness(c0).thickness
     for variant in ("g1p", "g1r"):
-        t_v = min_invalid_thickness(build_g1(c0, variant), tol=0.001).thickness
+        t_v = min_invalid_thickness(build_g1(c0, variant)).thickness
         assert abs(t_v - t_c0) / t_c0 < 0.10, (variant, t_v, t_c0)
     _report("criterion 6 (shell quality metric)", started, 120)
 

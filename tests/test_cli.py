@@ -258,9 +258,9 @@ class TestBadArchives:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateBasisError"
 
-    def _mutated_g1r_archive(self, ep_obj, tmp_path, mutate):
+    def _mutated_archive(self, obj, tmp_path, mutate, variant="g1r"):
         arc = tmp_path / "a.json"
-        main(["build", str(ep_obj), "--variant", "g1r", "-o", str(arc)])
+        main(["build", str(obj), "--variant", variant, "-o", str(arc)])
         payload = json.loads(arc.read_text())
         mutate(payload)
         arc.write_text(json.dumps(payload))
@@ -277,7 +277,7 @@ class TestBadArchives:
             ids = [r["element"] for r in payload["elements"]]
             payload["elements"][ids.index(1)]["element"] = 0
 
-        arc = self._mutated_g1r_archive(ep_obj, tmp_path, duplicate_id)
+        arc = self._mutated_archive(ep_obj, tmp_path, duplicate_id)
         self._assert_format_error(["check", str(arc)], capsys)
 
     def test_repeated_basis_id_exit_2(self, ep_obj, tmp_path, capsys):
@@ -285,7 +285,7 @@ class TestBadArchives:
             basis = payload["elements"][0]["basis"]
             basis[1] = basis[0]
 
-        arc = self._mutated_g1r_archive(ep_obj, tmp_path, repeat_basis)
+        arc = self._mutated_archive(ep_obj, tmp_path, repeat_basis)
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)
 
@@ -297,6 +297,32 @@ class TestBadArchives:
             else:
                 payload["net"]["positions"][0][0] = float("nan")
 
-        arc = self._mutated_g1r_archive(ep_obj, tmp_path, put_nan)
+        arc = self._mutated_archive(ep_obj, tmp_path, put_nan)
+        self._assert_format_error(["check", str(arc)], capsys)
+        self._assert_format_error(["quality", str(arc)], capsys)
+
+    @pytest.mark.parametrize("field", ["degree", "faces"])
+    def test_field_of_wrong_type_exit_2(self, ep_obj, tmp_path, capsys, field):
+        def wrong_type(payload):
+            if field == "degree":
+                payload["elements"][0]["degree"] = "x"
+            else:
+                payload["net"]["faces"] = "abc"
+
+        arc = self._mutated_archive(ep_obj, tmp_path, wrong_type)
+        self._assert_format_error(["check", str(arc)], capsys)
+        self._assert_format_error(["quality", str(arc)], capsys)
+
+    @pytest.mark.parametrize("net, variant", [("val33", "c0"), ("rot44", "g1r")])
+    def test_rational_element_outside_g1r_quintics_exit_2(self, tmp_path, capsys,
+                                                          net, variant):
+        obj = tmp_path / f"{net}.obj"
+        obj.write_text(save_obj(getattr(netgen, net)()))
+
+        def make_cubic_rational(payload):
+            cubic = next(r for r in payload["elements"] if r["degree"] == 3)
+            cubic["rational"] = True
+
+        arc = self._mutated_archive(obj, tmp_path, make_cubic_rational, variant)
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)

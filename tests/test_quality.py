@@ -1,8 +1,13 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gspline import quality
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import DomainError
@@ -86,7 +91,7 @@ class TestValidity:
         R = 1.5
         net = netgen.cylinder(n_theta=16, n_z=2, radius=R, height=1.5)
         surf = build_c0(net)
-        report = min_invalid_thickness(surf, t_lo=0.01, t_hi=10.0, tol=0.002)
+        report = min_invalid_thickness(surf, t_lo=0.01, t_hi=10.0)
         t_star = report.thickness
         # dense parameter sweep agrees with the quadrature-point verdict
         for t, expect in ((t_star - 0.05, True), (t_star + 0.05, False)):
@@ -111,7 +116,7 @@ class TestMinInvalidThickness:
         R = 2.0
         net = netgen.cylinder(n_theta=32, n_z=3, radius=R, height=2.0)
         surf = build_c0(net)
-        report = min_invalid_thickness(surf, t_lo=0.01, t_hi=20.0, tol=0.002)
+        report = min_invalid_thickness(surf, t_lo=0.01, t_hi=20.0)
         assert abs(report.thickness - R) / R < 0.05
 
     def test_invalid_at_lower_bracket(self):
@@ -129,18 +134,17 @@ class TestMinInvalidThickness:
             A[:, 0] = -A[:, 0]
         b = rng.normal(size=3)
         moved = ControlNet(net.cnet, net.positions @ A.T + b)
-        t1 = min_invalid_thickness(build_c0(net), tol=1e-9).thickness
-        t2 = min_invalid_thickness(build_c0(moved), tol=1e-9).thickness
+        t1 = min_invalid_thickness(build_c0(net)).thickness
+        t2 = min_invalid_thickness(build_c0(moved)).thickness
         assert abs(t1 - t2) / t1 < 1e-9
 
     def test_scaling_covariance(self):
         net = netgen.bumped(netgen.rot44(), amplitude=0.6, sigma=0.3)
         s = 3.7
         scaled = ControlNet(net.cnet, net.positions * s)
-        t1 = min_invalid_thickness(build_c0(net), t_lo=0.001, t_hi=50.0,
-                                   tol=1e-8).thickness
+        t1 = min_invalid_thickness(build_c0(net), t_lo=0.001, t_hi=50.0).thickness
         t2 = min_invalid_thickness(build_c0(scaled), t_lo=0.001 * s,
-                                   t_hi=50.0 * s, tol=1e-8 * s).thickness
+                                   t_hi=50.0 * s).thickness
         assert abs(t2 - s * t1) / (s * t1) < 1e-6
 
     def test_constructions_have_similar_thickness(self):
@@ -149,12 +153,11 @@ class TestMinInvalidThickness:
         # with the critical point sitting in an irregular element
         net = refine(netgen.bumped(netgen.val33(), amplitude=0.4, sigma=0.5))
         c0 = build_c0(net)
-        r_c0 = min_invalid_thickness(c0, tol=0.001)
+        r_c0 = min_invalid_thickness(c0)
         t_c0 = r_c0.thickness
         assert math.isfinite(t_c0)
         for variant in ("g1p", "g1r"):
-            t_v = min_invalid_thickness(build_g1(c0, variant),
-                                        tol=0.001).thickness
+            t_v = min_invalid_thickness(build_g1(c0, variant)).thickness
             assert abs(t_v - t_c0) / t_c0 < 0.10
 
     def test_report_serialization(self):
@@ -162,3 +165,62 @@ class TestMinInvalidThickness:
         report = min_invalid_thickness(surf, t_hi=10.0)
         assert "min_invalid_thickness" in report.to_json()
         assert report.to_csv_row().startswith("c0,inf")
+
+
+def _shell(name):
+    if name == "cylinder":
+        return build_c0(netgen.cylinder(n_theta=32, n_z=3, radius=2.0,
+                                        height=2.0))
+    if name == "rot44_bumped":
+        return build_c0(netgen.bumped(netgen.rot44(), amplitude=0.6, sigma=0.3))
+    net = netgen.bumped(netgen.val33(), amplitude=0.4, sigma=0.5)
+    if name == "val33_bumped":
+        return build_c0(net)
+    c0 = build_c0(refine(net))
+    variant = name.rsplit("_", 1)[1]
+    return c0 if variant == "c0" else build_g1(c0, variant)
+
+
+class TestExactThickness:
+    @pytest.mark.parametrize("name", [
+        "cylinder", "val33_bumped", "val33_refined_c0", "val33_refined_g1p",
+        "val33_refined_g1r", "rot44_bumped"])
+    def test_thickness_brackets_the_discrete_check(self, name):
+        surf = _shell(name)
+        report = min_invalid_thickness(surf, t_hi=20.0)
+        t = report.thickness
+        assert report.valid_up_to < t
+        assert is_valid_at_thickness(surf, t * (1 - 1e-12))[0]
+        assert not is_valid_at_thickness(surf, t * (1 + 1e-12))[0]
+        loc = report.location
+        fr = frame(surf, loc["element"], loc["xi"], loc["eta"])
+        zeta = math.copysign(0.5 * t * (1 + 1e-12), loc["zeta"])
+        assert shell_metric_det(fr, zeta) <= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+           k=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_closed_form_matches_dense_scan(self, m, k):
+        # one quadrature point with metric a (positive definite) and
+        # curvature b; |det| up to 1e-12 (|a| + 2 |zeta| |b|)^2 counts as zero
+        m = np.reshape(m, (2, 2))
+        a = m @ m.T + 0.1 * np.eye(2)
+        b = np.array([[k[0], k[1]], [k[1], k[2]]])
+        fr = SimpleNamespace(metric=a, curvature=b)
+        frames = (np.zeros(1, dtype=int), np.full((1, 2), 0.5), a[None], b[None])
+        surf = SimpleNamespace(variant="c0", cnet=SimpleNamespace(n_faces=1))
+        with mock.patch.object(quality, "_quadrature_frames", lambda s: frames):
+            report = min_invalid_thickness(surf, t_lo=0.01, t_hi=10.0)
+        assert report.valid_up_to < report.thickness
+
+        def zero_tol(z):
+            return 1e-12 * (np.linalg.norm(a) + 2.0 * abs(z) * np.linalg.norm(b)) ** 2
+
+        reach = 0.5 * min(report.thickness, 10.0) * (1.0 - 1e-9)
+        for z in np.linspace(0.0, reach, 2001):
+            assert shell_metric_det(fr, z) > -zero_tol(z)
+            assert shell_metric_det(fr, -z) > -zero_tol(z)
+        if report.location is not None:
+            zeta = report.location["zeta"]
+            assert abs(zeta) == 0.5 * report.thickness
+            assert abs(shell_metric_det(fr, zeta)) <= zero_tol(zeta)
