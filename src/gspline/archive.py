@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .evaluate import GSplineSurface
 from .extraction import ElementExtraction
 from .mesh import CNet, ControlNet
@@ -59,24 +59,31 @@ def surface_from_json(text: str) -> GSplineSurface:
             np.asarray(payload["net"]["positions"], dtype=float),
         )
         records = sorted(payload["elements"], key=lambda r: r["element"])
-        extractions = [
-            ElementExtraction(
-                element=int(r["element"]), degree=int(r["degree"]),
-                basis=np.asarray(r["basis"], dtype=int),
-                coeffs=np.asarray(r["coeffs"], dtype=float),
-                rational=bool(r.get("rational", False)),
-            )
-            for r in records
-        ]
-        surface = GSplineSurface(net=net, extractions=extractions,
-                                 variant=payload["variant"])
+        extractions = [_extraction(r) for r in records]
+        variant = payload["variant"]
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"archive field has the wrong type: {exc}") from exc
-    _validate(net, extractions, surface.variant)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(
+            f"archive field has the wrong type or is out of range: {exc}"
+        ) from exc
+    _validate(net, extractions, variant)
+    surface = GSplineSurface(net=net, extractions=extractions, variant=variant)
     surface.diagnostics = payload.get("diagnostics")
     return surface
+
+
+def _extraction(record: dict) -> ElementExtraction:
+    element = int(record["element"])
+    try:
+        return ElementExtraction(
+            element=element, degree=int(record["degree"]),
+            basis=np.asarray(record["basis"], dtype=int),
+            coeffs=np.asarray(record["coeffs"], dtype=float),
+            rational=bool(record.get("rational", False)),
+        )
+    except (DomainError, ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"element {element}: {exc}") from exc
 
 
 def _validate(net: ControlNet, extractions: list[ElementExtraction],

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .archive import surface_from_json, surface_to_json
-from .construct_c0 import build_c0, geometry_continuity_residual
-from .construct_g1 import build_g1, g1_residual
+from .construct_c0 import geometry_continuity_residual
+from .construct_g1 import g1_residual
 from .errors import (
     DegenerateBasisError,
     DomainError,
@@ -41,6 +41,7 @@ from .quality import min_invalid_thickness
 from .refine import refine_n
 from .solve import (
     assemble_membrane_eigen,
+    build_variant,
     convergence_study,
     solve_generalized_eigen,
 )
@@ -66,14 +67,11 @@ def _load_net(path: str) -> ControlNet:
 
 
 def _load_surface(path: str) -> GSplineSurface:
-    return surface_from_json(Path(path).read_text())
-
-
-def _build_surface(net: ControlNet, variant: str) -> GSplineSurface:
-    c0 = build_c0(net)
-    if variant == "c0":
-        return c0
-    return build_g1(c0, variant)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"archive is not UTF-8 text: {exc}") from exc
+    return surface_from_json(text)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -166,7 +164,7 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
 
 def cmd_build(args) -> int:
     net = _load_net(args.input)
-    surface = _build_surface(net, args.variant)
+    surface = build_variant(net, args.variant)
     _write(args.output, surface_to_json(surface))
     if args.bezier:
         from .extraction import bezier_points_record
@@ -193,7 +191,7 @@ def cmd_refine(args) -> int:
         net = _load_net(args.input)
         refined, stats = refine_n(net, args.levels)
         if out is not None and out.suffix == ".json":
-            surface = _build_surface(refined, args.variant)
+            surface = build_variant(refined, args.variant)
             _write(args.output, surface_to_json(surface))
         else:
             _write(args.output, save_obj(refined))
@@ -203,7 +201,7 @@ def cmd_refine(args) -> int:
         if out is not None and out.suffix == ".obj":
             _write(args.output, save_obj(refined))
         else:
-            rebuilt = _build_surface(refined, surface.variant)
+            rebuilt = build_variant(refined, surface.variant)
             _write(args.output, surface_to_json(rebuilt))
     sys.stderr.write(json.dumps({"levels": stats}) + "\n")
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .evaluate import GSplineSurface, edge_jumps
 from .extraction import ElementExtraction
-from .mesh import CNet, ControlNet, classify_vertices
+from .mesh import CNet, ControlNet
 
 Stencil = dict[int, float]
 
@@ -70,12 +70,11 @@ def c0_stencils(cnet: CNet):
             }
         edge_pts.append(pts)
 
-    vclass = classify_vertices(cnet)
     vertex_pts: list[Stencil] = []
     for w in range(cnet.n_vertices):
-        if vclass[w].is_corner:
+        if cnet.boundary_vertex[w] and cnet.valence[w] == 1:  # corner
             vertex_pts.append({w: 1.0})
-        elif vclass[w].is_boundary:
+        elif cnet.boundary_vertex[w]:
             nbrs = []
             for e in cnet.vertex_edges[w]:
                 if cnet.boundary_edge[e]:

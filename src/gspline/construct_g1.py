@@ -21,12 +21,19 @@ The equality and fairing matrices depend only on the set of elements a
 function is solved over; only the right-hand sides depend on the
 function.  Functions sharing an element set are therefore solved
 together: one factorization, one right-hand-side column per function.
+
+Unknowns are numbered from integer slot keys (``slot_keys``: corner
+slots by vertex, side slots by edge position, interior slots per face),
+so elements share the unknowns of their common edges.  ``assemble``
+writes G and F directly from index arrays: a (7, n) block per
+constrained edge, one identity row per pinned unknown and two flat
+index arrays for the 60 fairing differences of each element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,15 +53,12 @@ from .mesh import (
     CNet,
     ElementClass,
     classify_elements,
-    classify_vertices,
     extraordinary_vertices,
     irregular_basis_vertices,
     spoke_edges,
 )
 
 P = 5  # irregular elements are bi-quintic
-
-NodeKey = tuple
 
 
 @dataclass(frozen=True)
@@ -79,28 +83,24 @@ class EdgeGeometryData:
     omega2: float
 
 
-def frame_vertex1(cnet: CNet, edge: int, vclass=None) -> int:
+def frame_vertex1(cnet: CNet, edge: int) -> int:
     """Endpoint placed at the frame origin: the extraordinary endpoint if
     exactly one is extraordinary, otherwise the lower vertex index."""
-    if vclass is None:
-        vclass = classify_vertices(cnet)
     u, v = (int(x) for x in cnet.edges[edge])
-    eu, ev = vclass[u].is_extraordinary, vclass[v].is_extraordinary
+    eu, ev = cnet.extraordinary[u], cnet.extraordinary[v]
     if eu != ev:
         return u if eu else v
     return min(u, v)
 
 
-def edge_geometry(cnet: CNet, edge: int, vclass=None) -> EdgeGeometryData:
+def edge_geometry(cnet: CNet, edge: int) -> EdgeGeometryData:
     """Blend weights of an edge from its endpoint valences."""
-    if vclass is None:
-        vclass = classify_vertices(cnet)
-    v1 = frame_vertex1(cnet, edge, vclass)
+    v1 = frame_vertex1(cnet, edge)
     u, v = (int(x) for x in cnet.edges[edge])
     v2 = v if v1 == u else u
-    a1 = 1 if vclass[v1].is_boundary else 2
-    a2 = 1 if vclass[v2].is_boundary else 2
-    mu1, mu2 = vclass[v1].valence, vclass[v2].valence
+    a1 = 1 if cnet.boundary_vertex[v1] else 2
+    a2 = 1 if cnet.boundary_vertex[v2] else 2
+    mu1, mu2 = int(cnet.valence[v1]), int(cnet.valence[v2])
     return EdgeGeometryData(
         edge=edge, v1=v1, v2=v2, a1=a1, a2=a2, mu1=mu1, mu2=mu2,
         omega1=math.cos(a1 * math.pi / mu1),
@@ -121,7 +121,6 @@ def blend_polynomial(geom: EdgeGeometryData, v) -> np.ndarray:
 @dataclass
 class NetAnalysis:
     cnet: CNet
-    vclass: list
     labels: list
     eps: list
     spokes: set
@@ -131,7 +130,6 @@ class NetAnalysis:
 
 
 def analyze_net(cnet: CNet) -> NetAnalysis:
-    vclass = classify_vertices(cnet)
     labels = classify_elements(cnet)
     eps = extraordinary_vertices(cnet)
     irregular = {f for f, lab in enumerate(labels) if lab is ElementClass.IRREGULAR}
@@ -182,7 +180,7 @@ def analyze_net(cnet: CNet) -> NetAnalysis:
     cluster_rings = {cid: sorted(fs) for cid, fs in cluster_rings.items()}
 
     return NetAnalysis(
-        cnet=cnet, vclass=vclass, labels=labels, eps=eps,
+        cnet=cnet, labels=labels, eps=eps,
         spokes=spoke_edges(cnet), irregular_faces=irregular,
         face_cluster=face_cluster, cluster_rings=cluster_rings,
     )
@@ -192,55 +190,40 @@ def analyze_net(cnet: CNet) -> NetAnalysis:
 # node bookkeeping
 
 
-def node_key(cnet: CNet, face: int, i: int, j: int) -> NodeKey:
-    """Globally shared identity of grid slot (i, j) on a face's quintic grid.
+# flat index i + (P + 1) * j of grid slot (i, j), the layout of a row of
+# extraction coefficients
+_SLOT = np.arange((P + 1) ** 2).reshape(P + 1, P + 1, order="F")
 
-    Corner slots map to the corner vertex, side slots to a canonical
-    position along the edge, interior slots stay face-local.  Adjacent
-    elements therefore share their edge-row unknowns, which builds C0
-    continuity into the constraint systems.
-    """
-    loop = [int(v) for v in cnet.faces[face]]
-    on_i = i in (0, P)
-    on_j = j in (0, P)
-    if on_i and on_j:
-        corner = {(0, 0): 0, (P, 0): 1, (P, P): 2, (0, P): 3}[(i, j)]
-        return ("v", loop[corner])
-    if on_j or on_i:
-        if j == 0:
-            s, t = 0, i
-        elif i == P:
-            s, t = 1, j
-        elif j == P:
-            s, t = 2, P - i
-        else:
-            s, t = 3, P - j
-        a, b = loop[s], loop[(s + 1) % 4]
-        e = int(cnet.face_edges[face][s])
-        return ("e", e, t if a < b else P - t)
-    return ("f", face, i, j)
-
-
-_SIDE_SLOTS = {
-    0: [(i, j) for j in (0, 1) for i in range(P + 1)],
-    1: [(i, j) for i in (P, P - 1) for j in range(P + 1)],
-    2: [(i, j) for j in (P, P - 1) for i in range(P + 1)],
-    3: [(i, j) for i in (0, 1) for j in range(P + 1)],
-}
-
-_SIDE_TRACE_SLOTS = {
-    0: [(i, 0) for i in range(P + 1)],
-    1: [(P, j) for j in range(P + 1)],
-    2: [(i, P) for i in range(P + 1)],
-    3: [(0, j) for j in range(P + 1)],
-}
-
+# the two outermost layers along each side, trace row first; the trace
+# rows of sides 2 and 3 run against the face loop
+_SIDE_SLOTS = np.array([_SLOT.T[[0, 1]], _SLOT[[P, P - 1]],
+                        _SLOT.T[[P, P - 1]], _SLOT[[0, 1]]]).reshape(4, -1)
 
 # slot pairs whose coefficient differences the fairing rows preserve
-_FAIRING_PAIRS = (
-    [((i, j), (i + 1, j)) for j in range(P + 1) for i in range(P)]
-    + [((i, j), (i, j + 1)) for j in range(P) for i in range(P + 1)]
-)
+_FAIR_A = np.concatenate([_SLOT[:P].T.ravel(), _SLOT[:, :P].T.ravel()])
+_FAIR_B = np.concatenate([_SLOT[1:].T.ravel(), _SLOT[:, 1:].T.ravel()])
+
+
+def slot_keys(cnet: CNet, face: int) -> np.ndarray:
+    """Globally shared integer identity of each slot of a face's quintic
+    grid, at flat index i + (P + 1) * j for slot (i, j).
+
+    Corner slots map to the corner vertex id, side slots to
+    ``n_vertices + (P - 1) * edge + t - 1`` with t the position along the
+    edge from its lower-index endpoint, interior slots to face-local keys
+    above both.  Adjacent elements therefore share their edge-row
+    unknowns, which builds C0 continuity into the constraint systems.
+    """
+    loop = cnet.faces[face]
+    n_side = cnet.n_vertices + (P - 1) * cnet.n_edges
+    keys = n_side + (P + 1) ** 2 * face + np.arange((P + 1) ** 2)
+    keys[_SLOT[[0, P, P, 0], [0, 0, P, P]]] = loop
+    t = np.arange(1, P)
+    for s, e in enumerate(cnet.face_edges[face]):
+        slots = _SIDE_SLOTS[s, t if s < 2 else P - t]
+        along = t if loop[s] < loop[(s + 1) % 4] else P - t
+        keys[slots] = cnet.n_vertices + (P - 1) * e + along - 1
+    return keys
 
 
 @dataclass
@@ -256,7 +239,6 @@ class ConstraintSystem:
     F: np.ndarray
     f: np.ndarray
     tags: list  # provenance per equality row (edge id or pin description)
-    nodes: list = field(default_factory=list)
 
 
 def basis_supports(c0: GSplineSurface, info: NetAnalysis, functions) -> dict:
@@ -313,23 +295,20 @@ class ConstraintProblem:
         self.elements = list(element_sets.pop()) if element_sets else []
         self.element_set = set(self.elements)
 
-        # unknown numbering over shared nodes; grid_nodes[f][i, j] is the
-        # unknown of slot (i, j) on element f
-        node_index: dict[NodeKey, int] = {}
-        self.grid_nodes: dict[int, np.ndarray] = {}
-        for f in self.elements:
-            grid = np.empty((P + 1, P + 1), dtype=int)
-            for j in range(P + 1):
-                for i in range(P + 1):
-                    grid[i, j] = node_index.setdefault(
-                        node_key(cnet, f, i, j), len(node_index))
-            self.grid_nodes[f] = grid
-        self.nodes: list[NodeKey] = list(node_index)
-        self.n = len(self.nodes)
+        # unknowns numbered by first appearance of their slot key, element
+        # by element, j then i; grid_nodes[f][i, j] is the unknown of slot
+        # (i, j) on element f
+        keys = np.array([slot_keys(cnet, f) for f in self.elements], dtype=int)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        nodes = first.argsort().argsort()[inverse.ravel()]
+        self.grid_nodes: dict[int, np.ndarray] = {
+            f: grid.reshape(P + 1, P + 1, order="F")
+            for f, grid in zip(self.elements, nodes.reshape(-1, (P + 1) ** 2))}
+        self.n = first.size
 
         # degree-elevated targets, checked for consistency on shared nodes
         self.ctilde = np.zeros((self.n,) + cols)
-        self._zero = np.zeros(cols)
         have = np.zeros(self.n, dtype=bool)
         for f in self.elements:
             idx = self.grid_nodes[f]
@@ -392,14 +371,11 @@ class ConstraintProblem:
         si, sj = rotate_grid_index(rot, P, i - 1, j - 1)
         return int(self.grid_nodes[face][si, sj])
 
-    def g1_edge_equations(self, edge: int):
-        """The six tangent-plane rows plus the quartic-boundary row of an edge.
-
-        Returns ``(coeff_dict, rhs)`` pairs with coefficients keyed by
-        unknown index.
-        """
+    def _edge_block(self, edge: int) -> np.ndarray:
+        """The six tangent-plane rows plus the quartic-boundary row of an
+        edge, as a (7, n) block; their right-hand sides are zero."""
         cnet = self.c0.cnet
-        geom = edge_geometry(cnet, edge, self.info.vclass)
+        geom = edge_geometry(cnet, edge)
         fr = edge_frames(cnet, edge, v1=geom.v1)
         if fr.left not in self.element_set or fr.right not in self.element_set:
             raise InternalError(
@@ -418,115 +394,71 @@ class ConstraintProblem:
         def l(i, j):
             return self._node(fr.left, fr.rot_left, i, j)
 
-        def row(pairs):
-            d: dict[int, float] = {}
-            for idx, c in pairs:
-                d[idx] = d.get(idx, 0.0) + c
-            return d
-
         eqs = [
-            row([(l(2, 1), 5.0), (r(1, 1), 10 * w1 - 10.0), (r(2, 1), -10 * w1),
-                 (r(1, 2), 5.0)]),
-            row([(l(2, 2), 5.0), (r(2, 1), 10 * w1 - 10.0), (r(3, 1), -8 * w1),
-                 (r(1, 1), -2 * w1), (r(2, 2), 5.0)]),
-            row([(l(2, 3), 5.0), (r(3, 1), -10.0), (r(5, 1), -5 * w1),
-                 (r(4, 1), 4 * w1), (r(6, 1), w1), (r(2, 1), w2),
-                 (r(1, 1), -w2), (r(3, 2), 5.0)]),
-            row([(l(2, 4), 5.0), (r(4, 1), -10.0), (r(6, 1), -w1),
-                 (r(5, 1), w1), (r(3, 1), 4 * w2), (r(2, 1), -5 * w2),
-                 (r(1, 1), w2), (r(4, 2), 5.0)]),
-            row([(l(2, 5), 5.0), (r(5, 1), 10 * w2 - 10.0), (r(4, 1), -8 * w2),
-                 (r(6, 1), -2 * w2), (r(5, 2), 5.0)]),
-            row([(l(2, 6), 5.0), (r(6, 1), 10 * w2 - 10.0), (r(5, 1), -10 * w2),
-                 (r(6, 2), 5.0)]),
-            row([(r(1, 1), -1.0), (r(2, 1), 5.0), (r(3, 1), -10.0),
-                 (r(4, 1), 10.0), (r(5, 1), -5.0), (r(6, 1), 1.0)]),
+            [(l(2, 1), 5.0), (r(1, 1), 10 * w1 - 10.0), (r(2, 1), -10 * w1),
+             (r(1, 2), 5.0)],
+            [(l(2, 2), 5.0), (r(2, 1), 10 * w1 - 10.0), (r(3, 1), -8 * w1),
+             (r(1, 1), -2 * w1), (r(2, 2), 5.0)],
+            [(l(2, 3), 5.0), (r(3, 1), -10.0), (r(5, 1), -5 * w1),
+             (r(4, 1), 4 * w1), (r(6, 1), w1), (r(2, 1), w2),
+             (r(1, 1), -w2), (r(3, 2), 5.0)],
+            [(l(2, 4), 5.0), (r(4, 1), -10.0), (r(6, 1), -w1),
+             (r(5, 1), w1), (r(3, 1), 4 * w2), (r(2, 1), -5 * w2),
+             (r(1, 1), w2), (r(4, 2), 5.0)],
+            [(l(2, 5), 5.0), (r(5, 1), 10 * w2 - 10.0), (r(4, 1), -8 * w2),
+             (r(6, 1), -2 * w2), (r(5, 2), 5.0)],
+            [(l(2, 6), 5.0), (r(6, 1), 10 * w2 - 10.0), (r(5, 1), -10 * w2),
+             (r(6, 2), 5.0)],
+            [(r(1, 1), -1.0), (r(2, 1), 5.0), (r(3, 1), -10.0),
+             (r(4, 1), 10.0), (r(5, 1), -5.0), (r(6, 1), 1.0)],
         ]
-        return [(eq, self._zero) for eq in eqs]
-
-    def c1_interface_equations(self, element: int, side: int,
-                               zero: bool = False):
-        """Pin the two outermost coefficient layers along one side.
-
-        With ``zero`` the layers are pinned to zero instead of their
-        elevated values (support-boundary spoke edges, where the trace
-        already vanishes and the cross-derivative must follow).
-        """
-        return self._pins(element, _SIDE_SLOTS[side], zero)
-
-    def boundary_trace_equations(self, element: int, side: int):
-        """Pin the trace row of a domain-boundary side."""
-        return self._pins(element, _SIDE_TRACE_SLOTS[side], False)
-
-    def _pins(self, element: int, slots, zero: bool):
-        nodes = [int(self.grid_nodes[element][s]) for s in slots]
-        return [({idx: 1.0}, self._zero if zero else self.ctilde[idx])
-                for idx in nodes]
-
-    def fairing_equations(self, element: int):
-        """Difference-preserving least-squares rows of one element (60)."""
-        nodes = self.grid_nodes[element]
-        out = []
-        for s, t in _FAIRING_PAIRS:
-            a, b = int(nodes[s]), int(nodes[t])
-            out.append(({a: 1.0, b: -1.0}, self.ctilde[a] - self.ctilde[b]))
-        return out
+        block = np.zeros((len(eqs), self.n))
+        for row, pairs in zip(block, eqs):
+            for idx, c in pairs:
+                row[idx] += c
+        return block
 
     # -- assembly and solve ----------------------------------------------
 
     def assemble(self) -> ConstraintSystem:
-        eq_rows: list[dict] = []
-        eq_rhs: list = []
-        tags: list = []
-        for e in self.constrained_edges:
-            for coeffs, rhs in self.g1_edge_equations(e):
-                eq_rows.append(coeffs)
-                eq_rhs.append(rhs)
-                tags.append(("edge", e))
-        pinned_nodes = set()
+        """Equality rows (seven per constrained edge, then one identity row
+        per pinned unknown) and fairing rows (60 per element)."""
+        flat = {f: grid.ravel(order="F") for f, grid in self.grid_nodes.items()}
 
-        def add_pins(sides, kind, zero=False):
+        # Pins: two coefficient layers per side, the trace row alone on
+        # domain-boundary sides.  Frozen (zero) pins come first so shared
+        # corner slots obey the stronger support-boundary condition; each
+        # unknown is pinned once, by its first side.
+        pins, tags = [np.zeros(0, dtype=int)], []
+        for kind, sides, width in (("frozen", self.frozen_sides, 2 * P + 2),
+                                   ("pin", self.pinned_sides, 2 * P + 2),
+                                   ("trace", self.boundary_sides, P + 1)):
             for f, s in sides:
-                rows = (self.c1_interface_equations(f, s, zero=zero)
-                        if kind != "trace"
-                        else self.boundary_trace_equations(f, s))
-                for coeffs, rhs in rows:
-                    (idx,) = coeffs
-                    if idx in pinned_nodes:
-                        continue
-                    pinned_nodes.add(idx)
-                    eq_rows.append(coeffs)
-                    eq_rhs.append(rhs)
-                    tags.append((kind, f, s))
+                pins.append(flat[f][_SIDE_SLOTS[s, :width]])
+                tags += [(kind, f, s)] * width
+        pins = np.concatenate(pins)
+        keep = np.sort(np.unique(pins, return_index=True)[1])
+        pinned = pins[keep]
+        pin_rhs = self.ctilde[pinned]
+        pin_rhs[keep < (2 * P + 2) * len(self.frozen_sides)] = 0.0
+        pin_rows = np.zeros((pinned.size, self.n))
+        pin_rows[np.arange(pinned.size), pinned] = 1.0
 
-        # frozen (zero) pins first so shared corner slots obey the
-        # stronger support-boundary condition
-        add_pins(self.frozen_sides, "frozen", zero=True)
-        add_pins(self.pinned_sides, "pin")
-        add_pins(self.boundary_sides, "trace")
+        edges = self.constrained_edges
+        G = np.vstack([self._edge_block(e) for e in edges] + [pin_rows])
+        g = np.concatenate([np.zeros((7 * len(edges),) + pin_rhs.shape[1:]),
+                            pin_rhs])
+        tags = [("edge", e) for e in edges for _ in range(7)] + [
+            tags[k] for k in keep]
 
-        fair_rows: list[dict] = []
-        fair_rhs: list = []
-        for f in self.elements:
-            for coeffs, rhs in self.fairing_equations(f):
-                fair_rows.append(coeffs)
-                fair_rhs.append(rhs)
-
-        def dense(rows):
-            M = np.zeros((len(rows), self.n))
-            for r_, coeffs in enumerate(rows):
-                for idx, c in coeffs.items():
-                    M[r_, idx] = c
-            return M
-
-        def rhs(values):
-            return np.asarray(values, dtype=float).reshape(
-                (len(values),) + self._zero.shape)
-
-        return ConstraintSystem(
-            G=dense(eq_rows), g=rhs(eq_rhs), F=dense(fair_rows),
-            f=rhs(fair_rhs), tags=tags, nodes=list(self.nodes),
-        )
+        grids = np.array([flat[f] for f in self.elements], dtype=int)
+        a = grids[:, _FAIR_A].ravel()
+        b = grids[:, _FAIR_B].ravel()
+        F = np.zeros((a.size, self.n))
+        F[np.arange(a.size), a] = 1.0
+        F[np.arange(a.size), b] = -1.0
+        return ConstraintSystem(G=G, g=g, F=F,
+                                f=self.ctilde[a] - self.ctilde[b], tags=tags)
 
     def solve(self):
         """``(grids, diag)`` of the function, or a list of them (one per
@@ -535,7 +467,7 @@ class ConstraintProblem:
         c, infos = solve_constrained_ls(self.assemble(), return_info=True)
         c = c.reshape(self.n, -1)
         out = []
-        infos = infos if self._zero.shape else [infos]
+        infos = infos if self.ctilde.ndim > 1 else [infos]
         for k, (a, support, diag) in enumerate(
                 zip(self.functions, self.supports, infos)):
             grids = {f: c[self.grid_nodes[f], k] for f in self.elements}
@@ -548,7 +480,7 @@ class ConstraintProblem:
                 support_after=len(self.elements),
             )
             out.append((grids, diag))
-        return out if self._zero.shape else out[0]
+        return out if self.ctilde.ndim > 1 else out[0]
 
 
 def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,

@@ -345,6 +345,8 @@ def sampled_mesh_obj(points: np.ndarray, quads) -> str:
 
 def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
     """CSV of sampled frames: position, unit normal, principal curvatures."""
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
     rows = ["element,xi,eta,x,y,z,nx,ny,nz,kappa1,kappa2"]
     r = resolution
     for e in range(surface.cnet.n_faces):

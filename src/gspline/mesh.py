@@ -53,7 +53,10 @@ class CNet:
     """
 
     def __init__(self, n_vertices: int, faces) -> None:
-        faces = np.asarray(faces, dtype=int)
+        try:
+            faces = np.asarray(faces, dtype=int)
+        except OverflowError as exc:
+            raise FormatError("face vertex index out of range") from exc
         if faces.size == 0:
             raise EmptyError("net has no faces")
         if faces.ndim != 2 or faces.shape[1] != 4:
@@ -319,10 +322,10 @@ def load_obj(data: bytes | str) -> ControlNet:
     Only ``v`` and ``f`` records are read; faces must be quads with
     1-based indices (texture/normal references after ``/`` are ignored).
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"OBJ is not UTF-8 text: {exc}") from exc
     positions: list[list[float]] = []
     faces: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -137,8 +137,11 @@ def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,
     det(a - 2 zeta b) = c0 + c1 zeta + c2 zeta^2 at each point, and the Lobatto
     end nodes +-t/2 meet each root first, so t* = 2 min |real root| (0 where
     c0 <= 0), first attained at ``location``.  Raises DomainError unless
-    0 < t_lo < t*; if t* > t_hi, thickness = inf and valid_up_to = t_hi.
+    0 < t_lo < t* and t_lo < t_hi < inf; if t* > t_hi, thickness = inf and
+    valid_up_to = t_hi.
     """
+    if not (math.isfinite(t_hi) and t_hi > t_lo):
+        raise DomainError(f"need a finite t_hi > t_lo, got [{t_lo}, {t_hi}]")
     frames = _quadrature_frames(surface)
     elements, uv, a, b = frames
     c0 = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]

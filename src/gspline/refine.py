@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import InternalError, ResourceError
-from .mesh import CNet, ControlNet, classify_vertices
+from .mesh import CNet, ControlNet
 
 MAX_LEVELS = 8
 
@@ -32,17 +32,15 @@ def refine(net: ControlNet) -> ControlNet:
     """One level of global uniform refinement."""
     cnet = net.cnet
     pos = net.positions
-    vclass = classify_vertices(cnet)
 
     n_v, n_f, n_e = cnet.n_vertices, cnet.n_faces, cnet.n_edges
     new_pos = np.empty((n_v + n_f + n_e, 3))
 
     # updated old vertices
     for v in range(n_v):
-        cls = vclass[v]
-        if cls.is_corner:
+        if cnet.boundary_vertex[v] and cnet.valence[v] == 1:  # corner
             new_pos[v] = pos[v]
-        elif cls.is_boundary:
+        elif cnet.boundary_vertex[v]:
             nbrs = []
             for e in cnet.vertex_edges[v]:
                 if cnet.boundary_edge[e]:
@@ -76,8 +74,8 @@ def refine(net: ControlNet) -> ControlNet:
 
         def bend(w):
             # boundary endpoints shift weight toward themselves
-            if vclass[w].is_boundary:
-                return 0.25 * math.cos(math.pi / vclass[w].valence)
+            if cnet.boundary_vertex[w]:
+                return 0.25 * math.cos(math.pi / int(cnet.valence[w]))
             return 0.0
 
         su, sv = bend(u), bend(v)

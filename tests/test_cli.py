@@ -1,14 +1,18 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspline.archive import surface_from_json, surface_to_json
-from gspline.cli import main, surface_check
+from gspline.cli import _exit_code, main, surface_check
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
+from gspline.errors import GSplineError
 from gspline.evaluate import map_point
-from gspline.mesh import save_obj
+from gspline.mesh import load_obj, save_obj
 
 import netgen
 
@@ -111,6 +115,32 @@ class TestBuild:
         assert obj.read_text().startswith("v ")
         assert csv.read_text().startswith("element,")
 
+    def test_frames_csv_zero_resolution_exit_2(self, quad_obj, tmp_path,
+                                               capsys):
+        code = main(["build", str(quad_obj), "--variant", "c0",
+                     "-o", str(tmp_path / "q.json"),
+                     "--frames-csv", str(tmp_path / "f.csv"),
+                     "--resolution", "0"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+    def test_obj_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.obj"
+        path.write_bytes(SINGLE_QUAD_OBJ.encode() + "# caf\xe9\n".encode("latin-1"))
+        code = main(["build", str(path), "--variant", "c0", "-o",
+                     str(tmp_path / "out.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    def test_obj_face_index_beyond_int64_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.obj"
+        path.write_text(SINGLE_QUAD_OBJ.replace(
+            "f 1 2 3 4", "f 1 2 3 99999999999999999999999"))
+        code = main(["build", str(path), "--variant", "c0", "-o",
+                     str(tmp_path / "out.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
 
 class TestRefine:
     def test_obj_to_obj(self, ep_obj, tmp_path, capsys):
@@ -156,6 +186,19 @@ class TestQuality:
         code = main(["quality", str(arc), "--t-lo", "5.0"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("bracket", [["--t-hi", "nan"],
+                                         ["--t-hi", "inf"],
+                                         ["--t-lo", "0.5", "--t-hi", "0.5"],
+                                         ["--t-lo", "0.5", "--t-hi", "0.1"]])
+    def test_bad_t_hi_exit_2(self, quad_obj, tmp_path, capsys, bracket):
+        arc = tmp_path / "a.json"
+        main(["build", str(quad_obj), "--variant", "c0", "-o", str(arc)])
+        out = tmp_path / "q.json"
+        capsys.readouterr()
+        assert main(["quality", str(arc), "-o", str(out), *bracket]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not out.exists()
 
 
 class TestPoissonAndEigen:
@@ -280,6 +323,13 @@ class TestBadArchives:
         arc = self._mutated_archive(ep_obj, tmp_path, duplicate_id)
         self._assert_format_error(["check", str(arc)], capsys)
 
+    def test_missing_element_record_exit_2(self, ep_obj, tmp_path, capsys):
+        def drop_last(payload):
+            payload["elements"].pop()
+
+        arc = self._mutated_archive(ep_obj, tmp_path, drop_last)
+        self._assert_format_error(["check", str(arc)], capsys)
+
     def test_repeated_basis_id_exit_2(self, ep_obj, tmp_path, capsys):
         def repeat_basis(payload):
             basis = payload["elements"][0]["basis"]
@@ -326,3 +376,110 @@ class TestBadArchives:
         arc = self._mutated_archive(obj, tmp_path, make_cubic_rational, variant)
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)
+
+    def test_archive_not_utf8_exit_2(self, ep_obj, tmp_path, capsys):
+        arc = tmp_path / "a.json"
+        main(["build", str(ep_obj), "--variant", "c0", "-o", str(arc)])
+        arc.write_bytes(arc.read_bytes().replace(b'"c0"', b'"c\xe9"'))
+        self._assert_format_error(["check", str(arc)], capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("faces", 10**30), ("basis", 10**30), ("basis", -10**30),
+        ("element", float("inf")), ("degree", float("inf")),
+        ("degree", float("-inf"))])
+    def test_number_beyond_int64_exit_2(self, ep_obj, tmp_path, capsys,
+                                        field, value):
+        def put(payload):
+            if field == "faces":
+                payload["net"]["faces"][0][0] = value
+            elif field == "basis":
+                payload["elements"][0]["basis"][0] = value
+            else:
+                payload["elements"][0][field] = value
+
+        arc = self._mutated_archive(ep_obj, tmp_path, put, "c0")
+        self._assert_format_error(["check", str(arc)], capsys)
+        self._assert_format_error(["quality", str(arc)], capsys)
+
+    @pytest.mark.parametrize("mutation", ["degree", "row_length", "ragged"])
+    def test_bad_element_shape_names_the_element(self, ep_obj, tmp_path,
+                                                 capsys, mutation):
+        def reshape(payload):
+            record = payload["elements"][2]
+            if mutation == "degree":
+                record["degree"] = 4
+            elif mutation == "row_length":
+                record["coeffs"] = [row[:-1] for row in record["coeffs"]]
+            else:
+                record["coeffs"][0] = record["coeffs"][0][:-1]
+
+        arc = self._mutated_archive(ep_obj, tmp_path, reshape, "c0")
+        capsys.readouterr()
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert "element 2" in err["message"]
+
+
+# -- property tests over mutated inputs -----------------------------------
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2**63, -2**63 - 1, 10**30, -10**30, 10**400])
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=8)
+
+
+@functools.cache
+def small_archive(variant):
+    c0 = build_c0(netgen.val33())
+    return surface_to_json(c0 if variant == "c0" else build_g1(c0, variant))
+
+
+def assert_loads_or_exit_2_or_3(load, data):
+    """``load(data)`` returns, or raises a GSplineError the CLI reports
+    with exit code 2 (input format) or 3 (topology)."""
+    try:
+        load(data)
+    except GSplineError as exc:
+        assert _exit_code(exc) in (2, 3), repr(exc)
+
+
+class TestMutatedInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(["c0", "g1r"]), data=st.data())
+    def test_archive_with_one_field_replaced(self, variant, data):
+        payload = json.loads(small_archive(variant))
+        # walk down from the root, then replace the node reached
+        parent, key, node = None, None, payload
+        while (isinstance(node, (dict, list)) and node
+               and data.draw(st.booleans(), label="descend")):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, data.draw(st.sampled_from(keys), label="key")
+            node = node[key]
+        value = data.draw(JSON_VALUES, label="value")
+        if parent is None:
+            payload = value
+        else:
+            parent[key] = value
+        assert_loads_or_exit_2_or_3(surface_from_json, json.dumps(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_obj_with_one_token_replaced(self, data):
+        lines = [line.split() for line in save_obj(netgen.val33()).splitlines()]
+        row = data.draw(st.integers(0, len(lines) - 1), label="line")
+        col = data.draw(st.integers(0, len(lines[row]) - 1), label="token")
+        lines[row][col] = data.draw(
+            st.text(max_size=8)
+            | st.integers().map(str)
+            | st.sampled_from(["99999999999999999999999", "-10000000000000000000",
+                               "nan", "inf", "-inf", "1e999", "1/2/3", "0"])
+            | st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            label="token value")
+        text = "\n".join(" ".join(line) for line in lines) + "\n"
+        assert_loads_or_exit_2_or_3(load_obj, text.encode("utf-8", "surrogatepass"))

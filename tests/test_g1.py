@@ -35,6 +35,11 @@ def first_spoke_edge(cnet):
     return min(e for e in spoke_edges(cnet) if not cnet.boundary_edge[e])
 
 
+def edge_rows(system, edge):
+    """Indices of the equality rows an edge contributes, in order."""
+    return [r for r, tag in enumerate(system.tags) if tag == ("edge", edge)]
+
+
 class TestEdgeGeometry:
     def test_omega_values_fan5(self):
         net = netgen.fan(5)
@@ -74,10 +79,13 @@ class TestEdgeEquations:
 
     def test_constant_satisfies_all_equations(self):
         problem, edge = self._problem_and_edge()
+        system = problem.assemble()
         ones = np.ones(problem.n)
-        for coeffs, rhs in problem.g1_edge_equations(edge):
-            val = sum(c * ones[idx] for idx, c in coeffs.items())
-            assert abs(val - rhs) < 1e-12
+        rows = edge_rows(system, edge)
+        assert len(rows) == 7
+        for r in rows:
+            val = system.G[r] @ ones
+            assert abs(val - system.g[r]) < 1e-12
 
     def test_shared_edge_nodes_identified(self):
         problem, edge = self._problem_and_edge()
@@ -100,14 +108,12 @@ class TestEdgeEquations:
         cnet = net.cnet
         edge = first_spoke_edge(cnet)
         problem = ConstraintProblem(c0, 0, "g1p")
-        eqs = problem.g1_edge_equations(edge)
+        system = problem.assemble()
+        rows = edge_rows(system, edge)
         rng = np.random.default_rng(seed)
         c = rng.normal(size=problem.n)
         # project onto the quartic-boundary hyperplane (last equation)
-        quartic, _ = eqs[6]
-        row = np.zeros(problem.n)
-        for idx, co in quartic.items():
-            row[idx] = co
+        row = system.G[rows[6]]
         c -= row * (row @ c) / (row @ row)
         assert abs(row @ c) < 1e-12
 
@@ -120,10 +126,7 @@ class TestEdgeEquations:
                 grid_l[i - 1, j - 1] = c[problem._node(fr.left, fr.rot_left, i, j)]
                 grid_r[i - 1, j - 1] = c[problem._node(fr.right, fr.rot_right, i, j)]
 
-        residual_coeffs = np.array(
-            [sum(co * c[idx] for idx, co in coeffs.items()) - rhs
-             for coeffs, rhs in eqs[:6]]
-        )
+        residual_coeffs = system.G[rows[:6]] @ c - system.g[rows[:6]]
         for v in np.linspace(0, 1, 50):
             bv, dbv, _ = bernstein_1d(5, v)
             # d/dxi of the left function on its xi=0 side
@@ -141,12 +144,13 @@ class TestEdgeEquations:
         problem = ConstraintProblem(c0, 11, "g1p")
         assert problem.pinned_sides  # sides abutting transition elements
         f, s = problem.pinned_sides[0]
-        eqs = problem.c1_interface_equations(f, s)
-        assert len(eqs) == 12
-        for coeffs, rhs in eqs:
-            (idx,) = coeffs
-            assert coeffs[idx] == 1.0
-            assert rhs == problem.ctilde[idx]
+        system = problem.assemble()
+        rows = [r for r, tag in enumerate(system.tags) if tag == ("pin", f, s)]
+        assert len(rows) == 12
+        for r in rows:
+            (idx,) = np.flatnonzero(system.G[r])
+            assert system.G[r, idx] == 1.0
+            assert system.g[r] == problem.ctilde[idx]
 
     def test_boundary_trace_pins_single_row(self):
         net = netgen.fan(3)
@@ -154,13 +158,18 @@ class TestEdgeEquations:
         problem = ConstraintProblem(c0, 0, "g1p")
         assert problem.boundary_sides
         f, s = problem.boundary_sides[0]
-        assert len(problem.boundary_trace_equations(f, s)) == 6
+        tags = problem.assemble().tags
+        assert tags.count(("trace", f, s)) == 6
 
     def test_fairing_row_count(self):
         net = netgen.fan(3)
         c0 = build_c0(net)
         problem = ConstraintProblem(c0, 0, "g1p")
-        assert len(problem.fairing_equations(problem.elements[0])) == 60
+        F = problem.assemble().F
+        # fairing rows come element by element, 60 each
+        assert F.shape[0] == 60 * len(problem.elements)
+        cols = np.flatnonzero(np.abs(F[:60]).sum(axis=0))
+        assert set(cols) <= set(problem.grid_nodes[problem.elements[0]].ravel())
 
 
 class TestConstrainedLS:
@@ -214,16 +223,8 @@ class TestConstrainedLS:
         net = netgen.fan(3)
         c0 = build_c0(net)
         problem = ConstraintProblem(c0, 0, "g1p")
-        rows = []
-        rhs = []
-        for f in problem.elements:
-            for coeffs, r in problem.fairing_equations(f):
-                rows.append(coeffs)
-                rhs.append(r)
-        F = np.zeros((len(rows), problem.n))
-        for k, coeffs in enumerate(rows):
-            for idx, co in coeffs.items():
-                F[k, idx] = co
+        system = problem.assemble()
+        F, rhs = system.F, system.f
         # no constraints: solution matches the target up to a constant
         free = solve_constrained_ls(ConstraintSystem(
             G=np.zeros((0, problem.n)), g=np.zeros(0), F=F,
