@@ -55,7 +55,8 @@ def surface_from_json(text: str) -> GSplineSurface:
         raise FormatError(f"unsupported archive format version {version!r}")
     try:
         net = ControlNet(
-            CNet(len(payload["net"]["positions"]), payload["net"]["faces"]),
+            CNet(len(payload["net"]["positions"]),
+                 _integers(payload["net"]["faces"], "net.faces", 2)),
             np.asarray(payload["net"]["positions"], dtype=float),
         )
         records = sorted(payload["elements"], key=lambda r: r["element"])
@@ -73,24 +74,41 @@ def surface_from_json(text: str) -> GSplineSurface:
     return surface
 
 
+def _integers(value, field: str, ndim: int) -> np.ndarray:
+    """An archive field of integers nested ``ndim`` (0, 1 or 2) lists deep,
+    as int64; FormatError naming the field for anything else, such as a
+    number that is not integral."""
+    arr = np.asarray(value)
+    if (arr.dtype.kind == "f" and (np.round(arr) == arr).all()
+            and (np.abs(arr) < 2.0**63).all()):
+        arr = arr.astype(int)
+    if arr.dtype.kind != "i" or arr.ndim != ndim:
+        kind = ("an integer", "a list of integers", "a list of integer lists")[ndim]
+        raise FormatError(f"archive field {field!r} must be {kind}, not {value!r:.60}")
+    return arr
+
+
 def _extraction(record: dict) -> ElementExtraction:
-    element = int(record["element"])
+    element = int(_integers(record["element"], "element", 0))
     try:
         return ElementExtraction(
-            element=element, degree=int(record["degree"]),
-            basis=np.asarray(record["basis"], dtype=int),
+            element=element, degree=int(_integers(record["degree"], "degree", 0)),
+            basis=_integers(record["basis"], "basis", 1),
             coeffs=np.asarray(record["coeffs"], dtype=float),
             rational=bool(record.get("rational", False)),
         )
-    except (DomainError, ValueError, TypeError, OverflowError) as exc:
+    except (FormatError, DomainError, ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"element {element}: {exc}") from exc
 
 
 def _validate(net: ControlNet, extractions: list[ElementExtraction],
               variant: str) -> None:
     """Raise FormatError unless the records describe every face once, with
-    in-range, distinct basis ids, finite numbers and rational elements only
-    where the g1r construction makes them (degree 5)."""
+    in-range, distinct basis ids, finite numbers, a known variant and rational
+    elements only where the g1r construction makes them (degree 5)."""
+    if variant not in ("c0", "g1p", "g1r"):
+        raise FormatError(f"archive field 'variant' is {variant!r:.60}, "
+                          "not one of c0, g1p, g1r")
     if not np.isfinite(net.positions).all():
         raise FormatError("archive has a non-finite control point position")
     ids = [ext.element for ext in extractions]

@@ -6,7 +6,8 @@ minimum-invalid-thickness report, ``poisson`` for the convergence study,
 ``eigen`` for membrane eigenvalues and ``check`` for the invariant
 diagnostics of an archive.  All commands are deterministic for identical
 inputs; errors exit with machine-readable JSON on stderr (exit codes:
-2 input format, 3 topology, 4 construction infeasible, 5 numeric).
+2 input format, 3 topology, 4 construction infeasible, 5 numeric or an
+unexpected exception).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +331,10 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)})
                          + "\n")
         return 2
+    except Exception as exc:  # a defect: still one JSON line, with the traceback
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                                     "traceback": traceback.format_exc()}) + "\n")
+        return 5
 
 
 if __name__ == "__main__":

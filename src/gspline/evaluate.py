@@ -5,17 +5,46 @@ the element's extraction providing the basis.  Two elements meeting at an
 edge are glued through per-element frame rotations so that both sides see
 a common edge parameter; that gluing underlies the watertightness and
 continuity diagnostics as well as the tangent-plane constraint assembly.
+
+Whole-surface passes (Galerkin assembly, error norms, shell frames) run
+over ``GSplineSurface.groups``: the elements of one (degree, rational)
+class are evaluated together at points they share, and ``map_groups``
+reports the error of the lowest failing element, as a loop would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InternalError, SingularParameterizationError
-from .extraction import ElementExtraction, basis_table
+from .errors import (
+    DegenerateBasisError,
+    DomainError,
+    InternalError,
+    SingularParameterizationError,
+)
+from .extraction import ElementExtraction, basis_table, group_table
 from .mesh import CNet, ControlNet
+
+
+@dataclass(frozen=True)
+class ElementGroup:
+    """The elements of one (degree, rational) class, stacked.
+
+    ``elements`` (E,) lists the element ids in ascending order; ``basis``
+    and ``mask`` (E, n) hold each element's basis ids and which of the n
+    slots are used, ``coeffs`` (E, n, (degree+1)^2) its extraction matrix
+    with zero rows in the unused slots.
+    """
+
+    degree: int
+    rational: bool
+    elements: np.ndarray
+    basis: np.ndarray
+    mask: np.ndarray
+    coeffs: np.ndarray
 
 
 @dataclass
@@ -45,6 +74,60 @@ class GSplineSurface:
 
     def degree(self, element: int) -> int:
         return self.extractions[element].degree
+
+    @cached_property
+    def groups(self) -> list[ElementGroup]:
+        """The elements stacked by (degree, rational), built on first use;
+        the extractions must not change after that."""
+        groups, exts = [], self.extractions
+        for p, rational in sorted({(x.degree, x.rational) for x in exts}):
+            ids = [e for e, x in enumerate(exts)
+                   if (x.degree, x.rational) == (p, rational)]
+            counts = np.array([exts[e].n_basis for e in ids])
+            mask = np.arange(counts.max()) < counts[:, None]
+            basis = np.zeros(mask.shape, dtype=int)
+            coeffs = np.zeros(mask.shape + ((p + 1) ** 2,))
+            basis[mask] = np.concatenate([exts[e].basis for e in ids])
+            coeffs[mask] = np.concatenate([exts[e].coeffs for e in ids])
+            groups.append(ElementGroup(p, rational, np.array(ids), basis, mask, coeffs))
+        return groups
+
+
+def map_groups(surface: GSplineSurface, fn) -> list:
+    """``[fn(group) for group in surface.groups]``.
+
+    An element error from ``fn`` is raised after every group has run: the
+    one of the lowest element, as a loop over the elements would meet it.
+    """
+    out, errors = [], []
+    for group in surface.groups:
+        try:
+            out.append(fn(group))
+        except (DegenerateBasisError, SingularParameterizationError) as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.element)
+    return out
+
+
+def raise_first(group: ElementGroup, checks) -> None:
+    """Raise the error of the group's lowest failing element.
+
+    ``checks`` lists ``(failed, error)`` pairs in the order that one
+    element's evaluation runs them: an (E,) mask, and a function of the
+    row index that makes the exception.
+    """
+    failed = np.array([f for f, _ in checks])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        raise next(error for f, error in checks if f[i])(i)
+
+
+def degenerate(group: ElementGroup, wmin: np.ndarray):
+    """The check of ``group_table``'s rational denominators, for ``raise_first``."""
+    return wmin <= 0.0, lambda i: DegenerateBasisError(
+        f"basis denominator {wmin[i]} is not positive",
+        element=int(group.elements[i]))
 
 
 @dataclass(frozen=True)
@@ -92,20 +175,51 @@ def frame(surface: GSplineSurface, element: int, xi, eta,
     tangent size).
     """
     x, J, H = map_point(surface, element, xi, eta, nderiv=2)
+    bad = np.flatnonzero(_flat_tangents(J, degenerate_tol))
+    if bad.size:
+        raise _tangent_error(element, *(np.broadcast_to(c, J.shape[:-2]).flat[bad[0]]
+                                        for c in (xi, eta)))
+    return _frame(x, J, H)
+
+
+def group_frames(surface: GSplineSurface, group: ElementGroup, pts,
+                 degenerate_tol: float = 1e-12) -> SurfaceFrame:
+    """``frame`` of every element of a group at the same (m, 2) points.
+
+    Fields are shaped (E, m, ...).  Raises, for the group's first failing
+    element, the error ``frame`` raises there.
+    """
+    vals, d1, d2, wmin = group_table(group, pts)
+    P = surface.net.positions[group.basis]
+    # the products of map_point, one matrix per element and point
+    J = (np.moveaxis(d1, 1, -1) @ P[:, None]).swapaxes(-1, -2)
+    flat = _flat_tangents(J, degenerate_tol)
+    raise_first(group, [degenerate(group, wmin), (flat.any(axis=1), lambda i: (
+        _tangent_error(int(group.elements[i]), *pts[flat[i].argmax()])))])
+    return _frame(vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None])
+
+
+def _flat_tangents(J, degenerate_tol):
+    """Points whose tangents are linearly dependent relative to the tolerance
+    (scaled by the tangent size)."""
     a1, a2 = J[..., 0], J[..., 1]
-    cross = np.cross(a1, a2)
-    norm = np.linalg.norm(cross, axis=-1)
     scale = np.maximum(np.linalg.norm(a1, axis=-1) * np.linalg.norm(a2, axis=-1),
                        degenerate_tol)
-    bad = np.flatnonzero(norm <= degenerate_tol * scale)
-    if bad.size:
-        uv = tuple(float(np.broadcast_to(c, norm.shape).flat[bad[0]])
-                   for c in (xi, eta))
-        raise SingularParameterizationError(
-            f"degenerate tangents at element {element}, ({uv[0]}, {uv[1]})",
-            element=element, uv=uv,
-        )
-    n = cross / norm[..., None]
+    return np.linalg.norm(np.cross(a1, a2), axis=-1) <= degenerate_tol * scale
+
+
+def _tangent_error(element, xi, eta):
+    uv = (float(xi), float(eta))
+    return SingularParameterizationError(
+        f"degenerate tangents at element {element}, ({uv[0]}, {uv[1]})",
+        element=element, uv=uv)
+
+
+def _frame(x, J, H) -> SurfaceFrame:
+    """The frame of a point x with tangents J and second derivatives H."""
+    a1, a2 = J[..., 0], J[..., 1]
+    cross = np.cross(a1, a2)
+    n = cross / np.linalg.norm(cross, axis=-1)[..., None]
     metric = J.swapaxes(-1, -2) @ J
     b = np.einsum("...ci,...i->...c", H, n)  # (b11, b12, b22)
     curvature = b[..., [0, 1, 1, 2]].reshape(b.shape[:-1] + (2, 2))

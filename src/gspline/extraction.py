@@ -6,11 +6,15 @@ that element.  Bernstein coefficients are flattened with the first
 parametric index fastest: column k = (p+1)*j + i for coefficient (i, j),
 0-based.  Bezier control points follow as B = C^T P.
 
-Every element is one Bezier patch, so every evaluation in the package goes
-through one kernel: ``basis_table`` multiplies C with the Bernstein table
-of ``bernstein_table`` at a batch of points and applies the quotient rule
-of ``rationalize`` on rational elements.  ``bernstein_eval`` and
-``evaluate_basis`` are its single-point forms.
+Every element is one Bezier patch, so every evaluation in the package
+multiplies extraction matrices with the Bernstein table of
+``bernstein_table`` at a batch of points and applies the quotient rule of
+``rationalize`` on rational elements.  ``basis_table`` does so for one
+element; ``group_table`` for the elements of one (degree, rational) class
+whose matrices are stacked and zero-padded to the group's largest
+support, at points they share (Bezier extraction: Borden, Scott, Evans,
+Hughes, IJNME 87, 2011).  ``bernstein_eval`` and ``evaluate_basis`` are
+single-point forms of the one-element kernel.
 """
 
 from __future__ import annotations
@@ -155,15 +159,37 @@ def basis_table(ext: ElementExtraction, pts):
     rational elements.  Returns ``(vals, d1, d2)`` shaped (n, m),
     (n, m, 2), (n, m, 3) with n the number of supported functions.
     """
-    b, db, d2b = bernstein_table(ext.degree, pts)
-    k, m = b.shape
-    n = ext.n_basis
-    vals = ext.coeffs @ b
-    d1 = (ext.coeffs @ db.reshape(k, 2 * m)).reshape(n, m, 2)
-    d2 = (ext.coeffs @ d2b.reshape(k, 3 * m)).reshape(n, m, 3)
+    vals, d1, d2 = _polynomial_table(ext.coeffs, ext.degree, pts)
     if ext.rational:
         return rationalize(vals, d1, d2, element=ext.element)
     return vals, d1, d2
+
+
+def _polynomial_table(coeffs, p, pts):
+    """Extraction rows ``coeffs`` (..., k) times the Bernstein table of pts:
+    shapes (..., m), (..., m, 2), (..., m, 3)."""
+    b, db, d2b = bernstein_table(p, pts)
+    k, m = b.shape
+    flat, lead = coeffs.reshape(-1, k), coeffs.shape[:-1]
+    return ((flat @ b).reshape(lead + (m,)),
+            (flat @ db.reshape(k, 2 * m)).reshape(lead + (m, 2)),
+            (flat @ d2b.reshape(k, 3 * m)).reshape(lead + (m, 3)))
+
+
+def group_table(group, pts):
+    """``basis_table`` of every element of an ``evaluate.ElementGroup`` at the
+    same (m, 2) points: (E, n, m), (E, n, m, 2), (E, n, m, 3), zero in unused
+    slots, and each element's least rational denominator ``wmin`` (inf if
+    polynomial).  Elements with ``wmin <= 0`` stay unrationalized."""
+    tables = _polynomial_table(group.coeffs, group.degree, pts)
+    wmin = np.full(len(group.elements), np.inf)
+    if group.rational:
+        wmin = tables[0].sum(axis=1).min(axis=1)
+        ok = wmin > 0.0
+        quotients = rationalize(*(np.moveaxis(t[ok], 1, 0) for t in tables))
+        for t, q in zip(tables, quotients):
+            t[ok] = np.moveaxis(q, 0, 1)
+    return (*tables, wmin)
 
 
 def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):
@@ -176,9 +202,9 @@ def rationalize(values, d1, d2, element=None):
     """Divide a polynomial basis bundle by its sum, quotient-rule derivatives.
 
     Takes one point, shapes (n,), (n, 2), (n, 3), or m points, shapes
-    (n, m), (n, m, 2), (n, m, 3).  The denominator W is the sum of the
-    values over the n functions; raises DegenerateBasisError when W <= 0
-    at any evaluation point.
+    (n, m), (n, m, 2), (n, m, 3), or any further axes after n.  The
+    denominator W is the sum of the values over the n functions; raises
+    DegenerateBasisError when W <= 0 at any evaluation point.
     """
     values = np.asarray(values, dtype=float)
     d1 = np.asarray(d1, dtype=float)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluate import GSplineSurface, SurfaceFrame, frame
+from .evaluate import GSplineSurface, SurfaceFrame, group_frames, map_groups
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,17 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * w)
+
+
+@cache
+def gauss_legendre_2d(n: int) -> QuadratureRule:
+    """n x n Gauss-Legendre rule on [0,1]^2 with read-only (n^2, 2) points,
+    eta-major with xi fastest, shared by every caller."""
+    rule = gauss_legendre(n)
+    pts = np.stack(np.meshgrid(rule.points, rule.points), axis=-1).reshape(-1, 2)
+    wts = np.outer(rule.weights, rule.weights).ravel()
+    pts.flags.writeable = wts.flags.writeable = False
+    return QuadratureRule(pts, wts)
 
 
 _LOBATTO5_X = np.array([-1.0, -math.sqrt(3.0 / 7.0), 0.0,
@@ -84,14 +96,15 @@ def _quadrature_frames(surface: GSplineSurface):
     Returns ``(elements, uv, metric, curvature)`` with one row per point,
     element by element and, within one, eta-major with xi fastest.
     """
-    out = []
-    for e in range(surface.cnet.n_faces):
-        xs = gauss_legendre(surface.degree(e) + 1).points
-        xi, eta = np.tile(xs, len(xs)), np.repeat(xs, len(xs))
-        fr = frame(surface, e, xi, eta)
-        out.append((np.full(len(xi), e), np.stack([xi, eta], axis=1),
-                    fr.metric, fr.curvature))
-    return tuple(np.concatenate(parts) for parts in zip(*out))
+    def rows(g):
+        pts = gauss_legendre_2d(g.degree + 1).points
+        fr = group_frames(surface, g, pts)
+        return (np.repeat(g.elements, len(pts)), np.tile(pts, (len(g.elements), 1)),
+                fr.metric.reshape(-1, 2, 2), fr.curvature.reshape(-1, 2, 2))
+
+    parts = [np.concatenate(p) for p in zip(*map_groups(surface, rows))]
+    order = np.argsort(parts[0], kind="stable")
+    return tuple(p[order] for p in parts)
 
 
 def _fiber_dets(frames, zetas: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ weighting spaces.  A Poisson model problem with homogeneous Dirichlet data
 drives the convergence study; a membrane eigenvalue problem with
 consistent or row-sum lumped mass matrices mirrors the modal tests.
 Quadrature uses (p+1)^2 Gauss-Legendre points per element, so 4x4 on
-bi-cubic and 6x6 on bi-quintic elements.
+bi-cubic and 6x6 on bi-quintic elements.  Assembly, error norms and element
+sizes run per (degree, rational) group of elements: one Bernstein table per
+group and point set, then one einsum per quantity gives every element's
+Jacobians, Ke, Me, load or error integrals (see ``evaluate.map_groups``).
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .errors import (
     SingularParameterizationError,
     TopologyError,
 )
-from .evaluate import GSplineSurface, map_point
-from .extraction import basis_table
-from .quality import gauss_legendre
+from .evaluate import GSplineSurface, degenerate, map_groups, raise_first
+from .extraction import basis_table, group_table
+from .quality import gauss_legendre_2d
 from .refine import refine
 
 
@@ -55,32 +58,26 @@ def element_tables(surface: GSplineSurface, e: int, pts: np.ndarray):
     return surface.extraction(e).basis, vals, grads
 
 
-def _element_geometry(surface, e, pts, ids, vals, grads):
-    """Planar Jacobians and weights detail for assembly (z is ignored)."""
-    P = surface.net.positions[ids][:, :2]
-    x = np.einsum("nm,nd->md", vals, P)
-    J = np.einsum("nma,nd->mda", grads, P)  # J[m, d, a] = dx_d / dxi_a
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    scale = np.abs(J).max()
-    if np.abs(det).min() <= 1e-14 * max(scale * scale, 1e-30):
-        raise SingularParameterizationError(
-            f"singular Jacobian in element {e}", element=e)
-    inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1] / det
-    inv[:, 0, 1] = -J[:, 0, 1] / det
-    inv[:, 1, 0] = -J[:, 1, 0] / det
-    inv[:, 1, 1] = J[:, 0, 0] / det
+def _group_geometry(surface, g, pts, checks=()):
+    """Planar geometry (z is ignored) of a group's elements at pts: values
+    (E, n, m), physical gradients (E, n, m, 2), points (E, m, 2), |det J|
+    (E, m).  Raises for the first element with a nonpositive rational
+    denominator, a singular Jacobian or a failed later check, in that order.
+    """
+    N, dN, _, wmin = group_table(g, pts)
+    P = surface.net.positions[g.basis][..., :2]
+    J = np.einsum("enma,end->emda", dN, P)  # J[e, m, d, a] = dx_d / dxi_a
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    scale = np.abs(J).max(axis=(1, 2, 3))
+    singular = np.abs(det).min(axis=1) <= 1e-14 * np.maximum(scale * scale, 1e-30)
+    raise_first(g, [degenerate(g, wmin), (singular, lambda i: (
+        SingularParameterizationError(f"singular Jacobian in element {g.elements[i]}",
+                                      element=int(g.elements[i])))), *checks])
+    inv = np.stack([J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]],
+                   axis=-1).reshape(J.shape) / det[..., None, None]
     # physical gradients: dN/dx_d = dN/dxi_a * (J^-1)[a, d]
-    gp = np.einsum("nma,mad->nmd", grads, inv)
-    return x, np.abs(det), gp
-
-
-def _quad_points(p: int):
-    rule = gauss_legendre(p + 1)
-    xs, ws = rule.points, rule.weights
-    pts = np.array([(xi, eta) for eta in xs for xi in xs])
-    wts = np.array([wx * wy for wy in ws for wx in ws])
-    return pts, wts
+    gp = np.einsum("enma,emad->enmd", dN, inv)
+    return N, gp, np.einsum("enm,end->emd", N, P), np.abs(det)
 
 
 def boundary_functions(surface: GSplineSurface) -> set[int]:
@@ -93,22 +90,12 @@ def boundary_functions(surface: GSplineSurface) -> set[int]:
     if not cnet.boundary_edge.any():
         raise TopologyError("net has no boundary")
     out: set[int] = set()
-    for f in range(cnet.n_faces):
-        ext = surface.extraction(f)
-        p = ext.degree
-        for s in range(4):
-            if not cnet.boundary_edge[int(cnet.face_edges[f][s])]:
-                continue
-            if s == 0:
-                cols = [i for i in range(p + 1)]
-            elif s == 1:
-                cols = [j * (p + 1) + p for j in range(p + 1)]
-            elif s == 2:
-                cols = [p * (p + 1) + i for i in range(p + 1)]
-            else:
-                cols = [j * (p + 1) for j in range(p + 1)]
-            mask = np.abs(ext.coeffs[:, cols]).max(axis=1) > 1e-12
-            out.update(int(a) for a in ext.basis[mask])
+    for g in surface.groups:
+        p, r = g.degree, np.arange(g.degree + 1)
+        sides = np.array([r, r * (p + 1) + p, p * (p + 1) + r, r * (p + 1)])
+        trace = np.abs(g.coeffs[:, :, sides]).max(axis=-1) > 1e-12  # (E, n, 4)
+        on_boundary = cnet.boundary_edge[cnet.face_edges[g.elements]]
+        out.update(g.basis[(trace & on_boundary[:, None, :]).any(axis=-1)].tolist())
     return out
 
 
@@ -136,38 +123,26 @@ def assemble_poisson(surface: GSplineSurface, source=default_source,
                      with_mass: bool = False) -> GalerkinSystem:
     """Stiffness matrix and load vector of the Poisson model problem."""
     n = surface.cnet.n_vertices
-    rows, cols, vals = [], [], []
-    mrows, mcols, mvals = [], [], []
-    load = np.zeros(n)
-    for e in range(surface.cnet.n_faces):
-        p = surface.degree(e)
-        pts, wts = _quad_points(p)
-        ids, N, dN = element_tables(surface, e, pts)
-        x, adet, gp = _element_geometry(surface, e, pts, ids, N, dN)
-        w = wts * adet
-        Ke = np.einsum("nmd,kmd,m->nk", gp, gp, w)
-        fe = N @ (w * source(x[:, 0], x[:, 1]))
-        idx = np.asarray(ids, dtype=int)
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(Ke.reshape(-1))
-        np.add.at(load, idx, fe)
-        if with_mass:
-            Me = np.einsum("nm,km,m->nk", N, N, w)
-            mrows.append(np.repeat(idx, len(idx)))
-            mcols.append(np.tile(idx, len(idx)))
-            mvals.append(Me.reshape(-1))
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    M = None
-    if with_mass:
-        M = sp.csr_matrix(
-            (np.concatenate(mvals), (np.concatenate(mrows), np.concatenate(mcols))),
-            shape=(n, n))
-    return GalerkinSystem(surface=surface, K=K, load=load,
-                          boundary=boundary_functions(surface), M=M,
-                          mass_kind="consistent" if with_mass else None)
+
+    def blocks(g):  # the used entries of each element's Ke, Me and fe
+        rule = gauss_legendre_2d(g.degree + 1)
+        N, gp, x, adet = _group_geometry(surface, g, rule.points)
+        w = rule.weights * adet
+        pair = g.mask[:, :, None] & g.mask[:, None, :]
+        Ke = np.einsum("enmd,ekmd,em->enk", gp, gp, w, optimize=True)
+        Me = np.einsum("enm,ekm,em->enk", N, N, w, optimize=True)[pair] \
+            if with_mass else np.empty(0)
+        fe = np.einsum("enm,em->en", N, w * source(x[..., 0], x[..., 1]))
+        return (np.broadcast_to(g.basis[:, :, None], pair.shape)[pair],
+                np.broadcast_to(g.basis[:, None, :], pair.shape)[pair],
+                Ke[pair], Me, g.basis[g.mask], fe[g.mask])
+
+    rows, cols, Ke, Me, ids, fe = map(np.concatenate, zip(*map_groups(surface, blocks)))
+    return GalerkinSystem(
+        surface=surface, K=sp.csr_matrix((Ke, (rows, cols)), shape=(n, n)),
+        load=np.bincount(ids, fe, minlength=n), boundary=boundary_functions(surface),
+        M=sp.csr_matrix((Me, (rows, cols)), shape=(n, n)) if with_mass else None,
+        mass_kind="consistent" if with_mass else None)
 
 
 def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
@@ -200,32 +175,30 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
                    exact=exact_solution, exact_grad=exact_gradient,
                    linf_resolution: int = 10):
     """Relative L2, Linf and H1 errors against a closed-form solution."""
-    num_l2 = den_l2 = 0.0
-    num_h1g = den_h1g = 0.0
-    num_inf = den_inf = 0.0
     grid = np.linspace(0.0, 1.0, linf_resolution)
-    grid_pts = np.array([(xi, eta) for eta in grid for xi in grid])
-    for e in range(surface.cnet.n_faces):
-        p = surface.degree(e)
-        pts, wts = _quad_points(p)
-        ids, N, dN = element_tables(surface, e, pts)
-        x, adet, gp = _element_geometry(surface, e, pts, ids, N, dN)
-        w = wts * adet
-        ue = exact(x[:, 0], x[:, 1])
-        gx, gy = exact_grad(x[:, 0], x[:, 1])
-        ca = coeffs[np.asarray(ids, dtype=int)]
-        uh = ca @ N
-        guh = np.einsum("n,nmd->md", ca, gp)
-        num_l2 += float(np.sum(w * (uh - ue) ** 2))
-        den_l2 += float(np.sum(w * ue**2))
-        num_h1g += float(np.sum(w * ((guh[:, 0] - gx) ** 2 + (guh[:, 1] - gy) ** 2)))
-        den_h1g += float(np.sum(w * (gx**2 + gy**2)))
-        ids2, N2, dN2 = element_tables(surface, e, grid_pts)
-        x2 = np.einsum("nm,nd->md", N2, surface.net.positions[ids2][:, :2])
-        uh2 = coeffs[np.asarray(ids2, dtype=int)] @ N2
-        ue2 = exact(x2[:, 0], x2[:, 1])
-        num_inf = max(num_inf, float(np.abs(uh2 - ue2).max()))
-        den_inf = max(den_inf, float(np.abs(ue2).max()))
+    grid_pts = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+
+    def sums(g):
+        rule = gauss_legendre_2d(g.degree + 1)
+        N2, _, _, wmin2 = group_table(g, grid_pts)
+        N, gp, x, adet = _group_geometry(surface, g, rule.points, [degenerate(g, wmin2)])
+        w = rule.weights * adet
+        ca = np.where(g.mask, coeffs[g.basis], 0.0)
+        ue, (gx, gy) = exact(x[..., 0], x[..., 1]), exact_grad(x[..., 0], x[..., 1])
+        guh = np.einsum("en,enmd->emd", ca, gp)
+        x2 = np.einsum("enm,end->emd", N2, surface.net.positions[g.basis][..., :2])
+        ue2 = exact(x2[..., 0], x2[..., 1])
+        return np.array([
+            np.sum(w * (np.einsum("en,enm->em", ca, N) - ue) ** 2),
+            np.sum(w * ue**2),
+            np.sum(w * ((guh[..., 0] - gx) ** 2 + (guh[..., 1] - gy) ** 2)),
+            np.sum(w * (gx**2 + gy**2)),
+            np.abs(np.einsum("en,enm->em", ca, N2) - ue2).max(initial=0.0),
+            np.abs(ue2).max(initial=0.0)])
+
+    per_group = np.array(map_groups(surface, sums))
+    num_l2, den_l2, num_h1g, den_h1g = per_group[:, :4].sum(axis=0).tolist()
+    num_inf, den_inf = per_group[:, 4:].max(axis=0).tolist()
     return {
         "l2": math.sqrt(num_l2 / den_l2) if den_l2 else math.sqrt(num_l2),
         "linf": num_inf / den_inf if den_inf else num_inf,
@@ -236,12 +209,14 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
 
 def mean_element_size(surface: GSplineSurface) -> float:
     """Mean mapped diagonal length of the Bezier-mesh faces."""
-    total = 0.0
-    for e in range(surface.cnet.n_faces):
-        c00, c11, c10, c01 = map_point(surface, e, [0.0, 1.0, 1.0, 0.0],
-                                       [0.0, 1.0, 0.0, 1.0])
-        total += 0.5 * (np.linalg.norm(c11 - c00) + np.linalg.norm(c01 - c10))
-    return total / surface.cnet.n_faces
+    def diagonals(g):
+        N, _, _, wmin = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        raise_first(g, [degenerate(g, wmin)])
+        c = np.einsum("enm,enc->mec", N, surface.net.positions[g.basis])
+        return np.linalg.norm(c[1] - c[0], axis=-1) + np.linalg.norm(c[3] - c[2], axis=-1)
+
+    total = float(np.concatenate(map_groups(surface, diagonals)).sum())
+    return 0.5 * total / surface.cnet.n_faces
 
 
 @dataclass

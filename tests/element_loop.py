@@ -1,0 +1,112 @@
+"""Per-element reference for the grouped evaluation in ``gspline.solve`` and
+``gspline.quality``: one ``basis_table`` call and one Python iteration per
+element, in element order, raising at the first failing element.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from gspline.errors import SingularParameterizationError
+from gspline.evaluate import frame, map_point
+from gspline.extraction import basis_table
+from gspline.quality import gauss_legendre
+from gspline.solve import default_source, exact_gradient, exact_solution
+
+
+def quad_points(p):
+    rule = gauss_legendre(p + 1)
+    xs, ws = rule.points, rule.weights
+    pts = np.array([(xi, eta) for eta in xs for xi in xs])
+    wts = np.array([wx * wy for wy in ws for wx in ws])
+    return pts, wts
+
+
+def element_geometry(surface, e, pts):
+    """Basis ids, values, planar points, |det J| and physical gradients."""
+    ext = surface.extraction(e)
+    vals, grads, _ = basis_table(ext, pts)
+    P = surface.net.positions[ext.basis][:, :2]
+    x = np.einsum("nm,nd->md", vals, P)
+    J = np.einsum("nma,nd->mda", grads, P)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    scale = np.abs(J).max()
+    if np.abs(det).min() <= 1e-14 * max(scale * scale, 1e-30):
+        raise SingularParameterizationError(
+            f"singular Jacobian in element {e}", element=e)
+    inv = np.empty_like(J)
+    inv[:, 0, 0] = J[:, 1, 1] / det
+    inv[:, 0, 1] = -J[:, 0, 1] / det
+    inv[:, 1, 0] = -J[:, 1, 0] / det
+    inv[:, 1, 1] = J[:, 0, 0] / det
+    gp = np.einsum("nma,mad->nmd", grads, inv)
+    return ext.basis, vals, x, np.abs(det), gp
+
+
+def assemble(surface, source=default_source):
+    """(K, M, load) of the Poisson problem, element by element."""
+    n = surface.cnet.n_vertices
+    rows, cols, kvals, mvals = [], [], [], []
+    load = np.zeros(n)
+    for e in range(surface.cnet.n_faces):
+        pts, wts = quad_points(surface.degree(e))
+        ids, N, x, adet, gp = element_geometry(surface, e, pts)
+        w = wts * adet
+        rows.append(np.repeat(ids, len(ids)))
+        cols.append(np.tile(ids, len(ids)))
+        kvals.append(np.einsum("nmd,kmd,m->nk", gp, gp, w).reshape(-1))
+        mvals.append(np.einsum("nm,km,m->nk", N, N, w).reshape(-1))
+        np.add.at(load, ids, N @ (w * source(x[:, 0], x[:, 1])))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    K = sp.csr_matrix((np.concatenate(kvals), (rows, cols)), shape=(n, n))
+    M = sp.csr_matrix((np.concatenate(mvals), (rows, cols)), shape=(n, n))
+    return K, M, load
+
+
+def errors(surface, coeffs, exact=exact_solution, exact_grad=exact_gradient,
+           linf_resolution=10):
+    """Relative L2, Linf and H1 errors, element by element."""
+    num_l2 = den_l2 = num_h1g = den_h1g = num_inf = den_inf = 0.0
+    grid = np.linspace(0.0, 1.0, linf_resolution)
+    grid_pts = np.array([(xi, eta) for eta in grid for xi in grid])
+    for e in range(surface.cnet.n_faces):
+        pts, wts = quad_points(surface.degree(e))
+        ids, N, x, adet, gp = element_geometry(surface, e, pts)
+        w = wts * adet
+        ue = exact(x[:, 0], x[:, 1])
+        gx, gy = exact_grad(x[:, 0], x[:, 1])
+        ca = coeffs[ids]
+        guh = np.einsum("n,nmd->md", ca, gp)
+        num_l2 += float(np.sum(w * (ca @ N - ue) ** 2))
+        den_l2 += float(np.sum(w * ue**2))
+        num_h1g += float(np.sum(w * ((guh[:, 0] - gx) ** 2 + (guh[:, 1] - gy) ** 2)))
+        den_h1g += float(np.sum(w * (gx**2 + gy**2)))
+        N2, _, _ = basis_table(surface.extraction(e), grid_pts)
+        x2 = np.einsum("nm,nd->md", N2, surface.net.positions[ids][:, :2])
+        ue2 = exact(x2[:, 0], x2[:, 1])
+        num_inf = max(num_inf, float(np.abs(ca @ N2 - ue2).max()))
+        den_inf = max(den_inf, float(np.abs(ue2).max()))
+    return {"l2": math.sqrt(num_l2 / den_l2), "linf": num_inf / den_inf,
+            "h1": math.sqrt((num_l2 + num_h1g) / (den_l2 + den_h1g))}
+
+
+def mean_element_size(surface):
+    total = 0.0
+    for e in range(surface.cnet.n_faces):
+        c00, c11, c10, c01 = map_point(surface, e, [0.0, 1.0, 1.0, 0.0],
+                                       [0.0, 1.0, 0.0, 1.0])
+        total += 0.5 * (np.linalg.norm(c11 - c00) + np.linalg.norm(c01 - c10))
+    return total / surface.cnet.n_faces
+
+
+def quadrature_frames(surface):
+    """(elements, uv, metric, curvature) rows, element by element."""
+    out = []
+    for e in range(surface.cnet.n_faces):
+        xs = gauss_legendre(surface.degree(e) + 1).points
+        xi, eta = np.tile(xs, len(xs)), np.repeat(xs, len(xs))
+        fr = frame(surface, e, xi, eta)
+        out.append((np.full(len(xi), e), np.stack([xi, eta], axis=1),
+                    fr.metric, fr.curvature))
+    return tuple(np.concatenate(parts) for parts in zip(*out))

@@ -1,16 +1,18 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gspline import cli
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import _exit_code, main, surface_check
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
-from gspline.errors import GSplineError
+from gspline.errors import FormatError, GSplineError
 from gspline.evaluate import map_point
 from gspline.mesh import load_obj, save_obj
 
@@ -421,6 +423,47 @@ class TestBadArchives:
         assert "element 2" in err["message"]
 
 
+    @pytest.mark.parametrize("field", ["element", "degree", "basis", "faces"])
+    def test_non_integral_number_names_the_field(self, ep_obj, tmp_path, capsys,
+                                                 field):
+        def put(payload):
+            if field == "faces":
+                payload["net"]["faces"][0] = [0.9, 1.9, 3.9, 2.9]
+            elif field == "basis":
+                payload["elements"][0]["basis"][0] += 0.5
+            else:
+                payload["elements"][0][field] = {"element": 0.5, "degree": 3.7}[field]
+
+        arc = self._mutated_archive(ep_obj, tmp_path, put, "c0")
+        capsys.readouterr()
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert repr("net.faces" if field == "faces" else field) in err["message"]
+
+    def test_unknown_variant_exit_2(self, ep_obj, tmp_path, capsys):
+        arc = self._mutated_archive(ep_obj, tmp_path,
+                                    lambda payload: payload.update(variant="g2"), "c0")
+        capsys.readouterr()
+        assert main(["quality", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert "'variant'" in err["message"]
+
+
+class TestUnexpectedException:
+    def test_exit_5_with_json(self, ep_obj, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("not a GSplineError")
+
+        monkeypatch.setattr(cli, "cmd_build", broken)
+        assert main(["build", str(ep_obj), "--variant", "c0",
+                     "-o", str(tmp_path / "a.json")]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RuntimeError"
+        assert err["message"] == "not a GSplineError"
+
+
 # -- property tests over mutated inputs -----------------------------------
 
 JSON_LEAVES = (
@@ -467,6 +510,25 @@ class TestMutatedInputs:
         else:
             parent[key] = value
         assert_loads_or_exit_2_or_3(surface_from_json, json.dumps(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(["c0", "g1r"]),
+           field=st.sampled_from(["element", "degree", "basis", "net.faces"]),
+           value=st.floats().filter(lambda x: not (math.isfinite(x) and x.is_integer())),
+           data=st.data())
+    def test_non_integral_float_in_an_integer_field(self, variant, field, value, data):
+        payload = json.loads(small_archive(variant))
+        if field == "net.faces":
+            parent = data.draw(st.sampled_from(payload["net"]["faces"]), label="face")
+            key = data.draw(st.integers(0, 3), label="corner")
+        else:
+            record = data.draw(st.sampled_from(payload["elements"]), label="record")
+            parent, key = (record["basis"], data.draw(st.integers(
+                0, len(record["basis"]) - 1), label="slot")) if field == "basis" \
+                else (record, field)
+        parent[key] = value
+        with pytest.raises(FormatError, match=repr(field)):
+            surface_from_json(json.dumps(payload))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -22,6 +22,7 @@ from gspline.quality import (
 )
 from gspline.refine import refine
 
+import element_loop
 import netgen
 
 
@@ -224,3 +225,29 @@ class TestExactThickness:
             zeta = report.location["zeta"]
             assert abs(zeta) == 0.5 * report.thickness
             assert abs(shell_metric_det(fr, zeta)) <= zero_tol(zeta)
+
+
+class TestGroupedFrames:
+    @pytest.mark.parametrize("net, variant", [("rot44", "c0"), ("rot44", "g1p"),
+                                              ("rot44", "g1r"), ("val333", "g1r")])
+    def test_frames_match_element_loop(self, net, variant):
+        c0 = build_c0(netgen.bumped(getattr(netgen, net)(), amplitude=0.4))
+        surf = c0 if variant == "c0" else build_g1(c0, variant)
+        elements, uv, metric, curvature = quality._quadrature_frames(surf)
+        ref = element_loop.quadrature_frames(surf)
+        np.testing.assert_array_equal(elements, ref[0])
+        np.testing.assert_array_equal(uv, ref[1])
+        assert np.abs(metric - ref[2]).max() <= 1e-14 * np.abs(ref[2]).max()
+        assert np.abs(curvature - ref[3]).max() <= 1e-14 * np.abs(ref[3]).max()
+
+    def test_location_matches_element_loop(self):
+        net = refine(refine(netgen.bumped(netgen.rot44(), amplitude=0.3)))
+        surf = build_g1(build_c0(net), "g1p")
+        report = min_invalid_thickness(surf)
+        with mock.patch.object(quality, "_quadrature_frames",
+                               element_loop.quadrature_frames):
+            ref = min_invalid_thickness(surf)
+        assert report.location is not None
+        assert {k: report.location[k] for k in ("element", "xi", "eta", "zeta")} \
+            == {k: ref.location[k] for k in ("element", "xi", "eta", "zeta")}
+        assert abs(report.thickness - ref.thickness) <= 1e-14 * ref.thickness

@@ -1,9 +1,19 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from gspline import quality
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
-from gspline.errors import TopologyError
+from gspline.errors import (
+    DegenerateBasisError,
+    SingularParameterizationError,
+    TopologyError,
+)
+from gspline.evaluate import GSplineSurface
 from gspline.solve import (
     assemble_membrane_eigen,
     assemble_poisson,
@@ -22,6 +32,7 @@ from gspline.solve import (
 )
 from gspline.refine import refine_n
 
+import element_loop
 import netgen
 from oracles import StructuredPoissonOracle
 
@@ -243,3 +254,132 @@ class TestEigen:
         report = solve_generalized_eigen(system, k=2)
         assert "eigenvalues" in report.to_json()
         assert report.to_csv().startswith("mode,")
+
+
+# -- grouped evaluation against the per-element loop of element_loop.py ----
+
+GROUPED_CASES = [("rot44", "c0"), ("rot44", "g1p"), ("rot44", "g1r"),
+                 ("val333", "g1r")]
+
+
+@functools.cache
+def grouped_case(net, variant):
+    c0 = build_c0(getattr(netgen, net)())
+    return c0 if variant == "c0" else build_g1(c0, variant)
+
+
+def rel(a, b):
+    a, b = (x.toarray() if sp.issparse(x) else np.asarray(x) for x in (a, b))
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestGroupedEvaluation:
+    def test_cases_mix_classes_and_pad_supports(self):
+        classes, supports, padded = set(), set(), set()
+        for case in GROUPED_CASES:
+            for g in grouped_case(*case).groups:
+                classes.add((g.degree, g.rational))
+                sizes = g.mask.sum(axis=1)
+                supports.update(sizes.tolist())
+                padded.update(sizes[sizes < g.mask.shape[1]].tolist())
+                assert (g.basis[~g.mask] == 0).all() and (g.coeffs[~g.mask] == 0).all()
+                assert (np.diff(g.elements) > 0).all()
+        assert {(3, False), (5, False), (5, True)} <= classes
+        assert {9, 12, 14, 16, 18} <= supports and {9, 12, 14, 16} <= padded
+
+    @pytest.mark.parametrize("net, variant", GROUPED_CASES)
+    def test_assembly_matches_element_loop(self, net, variant):
+        surf = grouped_case(net, variant)
+        system = assemble_poisson(surf, with_mass=True)
+        K, M, load = element_loop.assemble(surf)
+        assert rel(system.K, K) <= 1e-14
+        assert rel(system.M, M) <= 1e-14
+        assert rel(system.load, load) <= 1e-14
+        assert system.K.nnz == K.nnz
+
+    @pytest.mark.parametrize("net, variant", GROUPED_CASES)
+    def test_errors_and_size_match_element_loop(self, net, variant):
+        surf = grouped_case(net, variant)
+        u = solve_poisson(assemble_poisson(surf))
+        errs, ref = compute_errors(surf, u), element_loop.errors(surf, u)
+        for key in ("l2", "h1"):
+            assert abs(errs[key] - ref[key]) <= 1e-12 * ref[key]
+        assert abs(errs["linf"] - ref["linf"]) <= 1e-15
+        size = mean_element_size(surf)
+        assert abs(size - element_loop.mean_element_size(surf)) <= 1e-14 * size
+
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    def test_eigenvalues_match_element_loop(self, variant):
+        net, _ = refine_n(netgen.rot44(), 1)
+        surf = build_g1(build_c0(net), variant)
+        system = assemble_membrane_eigen(surf)
+        lams = solve_generalized_eigen(system).eigenvalues
+        K, M, _ = element_loop.assemble(surf)
+        ref = solve_generalized_eigen(dataclasses.replace(system, K=K, M=M)).eigenvalues
+        np.testing.assert_allclose(lams, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("net, variant", GROUPED_CASES)
+    def test_boundary_functions_match_extraction_rows(self, net, variant):
+        surf = grouped_case(net, variant)
+        expected = set()
+        for ext in surf.extractions:
+            p = ext.degree
+            for s, edge in enumerate(surf.cnet.face_edges[ext.element]):
+                if surf.cnet.boundary_edge[edge]:
+                    cols = [[i, i * (p + 1) + p, p * (p + 1) + i, i * (p + 1)][s]
+                            for i in range(p + 1)]
+                    rows = np.abs(ext.coeffs[:, cols]).max(axis=1) > 1e-12
+                    expected.update(ext.basis[rows].tolist())
+        assert boundary_functions(surf) == expected
+
+
+def with_bad_elements(surface, singular=(), degenerate=()):
+    """A copy whose ``singular`` elements have all-zero extraction rows (a
+    zero Jacobian, a zero denominator if rational) and whose ``degenerate``
+    (rational) elements have negative denominators."""
+    exts = list(surface.extractions)
+    for e in singular:
+        exts[e] = dataclasses.replace(exts[e], coeffs=0.0 * exts[e].coeffs)
+    for e in degenerate:
+        exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
+    return GSplineSurface(net=surface.net, extractions=exts, variant=surface.variant)
+
+
+def raised(fn, *args):
+    with pytest.raises((DegenerateBasisError, SingularParameterizationError)) as info:
+        fn(*args)
+    return type(info.value), info.value.element
+
+
+class TestGroupedErrorOrder:
+    @pytest.mark.parametrize("singular_first", [True, False])
+    def test_lowest_failing_element_across_groups(self, singular_first):
+        surf = grouped_case("rot44", "g1r")
+        cubic = [e for e, x in enumerate(surf.extractions) if not x.rational]
+        rational = [e for e, x in enumerate(surf.extractions) if x.rational]
+        if singular_first:
+            s = min(cubic)
+            d = min(e for e in rational if e > s)
+        else:
+            d = min(rational)
+            s = min(e for e in cubic if e > d)
+        bad = with_bad_elements(surf, singular=[s], degenerate=[d])
+        first = (SingularParameterizationError, s) if singular_first else (
+            DegenerateBasisError, d)
+        u = np.zeros(surf.cnet.n_vertices)
+        assert raised(assemble_poisson, bad) == first
+        assert raised(element_loop.assemble, bad) == first
+        assert raised(compute_errors, bad, u) == first
+        assert raised(element_loop.errors, bad, u) == first
+        assert raised(quality._quadrature_frames, bad) == first
+        assert raised(element_loop.quadrature_frames, bad) == first
+        # the corner map checks denominators only
+        assert raised(mean_element_size, bad) == (DegenerateBasisError, d)
+        assert raised(element_loop.mean_element_size, bad) == (DegenerateBasisError, d)
+
+    def test_denominator_before_jacobian_within_one_element(self):
+        surf = grouped_case("rot44", "g1r")
+        e = min(e for e, x in enumerate(surf.extractions) if x.rational)
+        bad = with_bad_elements(surf, singular=[e], degenerate=[e])
+        assert raised(assemble_poisson, bad) == (DegenerateBasisError, e)
+        assert raised(element_loop.assemble, bad) == (DegenerateBasisError, e)
