@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -331,9 +330,9 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)})
                          + "\n")
         return 2
-    except Exception as exc:  # a defect: still one JSON line, with the traceback
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                                     "traceback": traceback.format_exc()}) + "\n")
+    except Exception as exc:  # a defect: still one JSON line
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)})
+                         + "\n")
         return 5
 
 

@@ -28,6 +28,8 @@ from .errors import (
 from .extraction import ElementExtraction, basis_table, group_table
 from .mesh import CNet, ControlNet
 
+DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
+
 
 @dataclass(frozen=True)
 class ElementGroup:
@@ -115,19 +117,13 @@ def raise_first(group: ElementGroup, checks) -> None:
 
     ``checks`` lists ``(failed, error)`` pairs in the order that one
     element's evaluation runs them: an (E,) mask, and a function of the
-    row index that makes the exception.
+    row index that makes the exception (``group_table`` returns the one
+    of the rational denominators).
     """
     failed = np.array([f for f, _ in checks])
     if failed.any():
         i = int(failed.any(axis=0).argmax())
         raise next(error for f, error in checks if f[i])(i)
-
-
-def degenerate(group: ElementGroup, wmin: np.ndarray):
-    """The check of ``group_table``'s rational denominators, for ``raise_first``."""
-    return wmin <= 0.0, lambda i: DegenerateBasisError(
-        f"basis denominator {wmin[i]} is not positive",
-        element=int(group.elements[i]))
 
 
 @dataclass(frozen=True)
@@ -165,47 +161,45 @@ def map_point(surface: GSplineSurface, element: int, xi, eta, nderiv: int = 0):
     return x, J, H
 
 
-def frame(surface: GSplineSurface, element: int, xi, eta,
-          degenerate_tol: float = 1e-12) -> SurfaceFrame:
+def frame(surface: GSplineSurface, element: int, xi, eta) -> SurfaceFrame:
     """Tangents, unit normal, metric and curvature coefficients.
 
     ``xi`` and ``eta`` broadcast as in ``map_point``.  Raises
     SingularParameterizationError at the first point whose tangents are
-    linearly dependent relative to ``degenerate_tol`` (scaled by the
+    linearly dependent relative to ``DEGENERATE_TOL`` (scaled by the
     tangent size).
     """
     x, J, H = map_point(surface, element, xi, eta, nderiv=2)
-    bad = np.flatnonzero(_flat_tangents(J, degenerate_tol))
+    bad = np.flatnonzero(_flat_tangents(J))
     if bad.size:
         raise _tangent_error(element, *(np.broadcast_to(c, J.shape[:-2]).flat[bad[0]]
                                         for c in (xi, eta)))
     return _frame(x, J, H)
 
 
-def group_frames(surface: GSplineSurface, group: ElementGroup, pts,
-                 degenerate_tol: float = 1e-12) -> SurfaceFrame:
+def group_frames(surface: GSplineSurface, group: ElementGroup, pts) -> SurfaceFrame:
     """``frame`` of every element of a group at the same (m, 2) points.
 
     Fields are shaped (E, m, ...).  Raises, for the group's first failing
     element, the error ``frame`` raises there.
     """
-    vals, d1, d2, wmin = group_table(group, pts)
+    vals, d1, d2, bad_w = group_table(group, pts)
     P = surface.net.positions[group.basis]
     # the products of map_point, one matrix per element and point
     J = (np.moveaxis(d1, 1, -1) @ P[:, None]).swapaxes(-1, -2)
-    flat = _flat_tangents(J, degenerate_tol)
-    raise_first(group, [degenerate(group, wmin), (flat.any(axis=1), lambda i: (
+    flat = _flat_tangents(J)
+    raise_first(group, [bad_w, (flat.any(axis=1), lambda i: (
         _tangent_error(int(group.elements[i]), *pts[flat[i].argmax()])))])
     return _frame(vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None])
 
 
-def _flat_tangents(J, degenerate_tol):
-    """Points whose tangents are linearly dependent relative to the tolerance
-    (scaled by the tangent size)."""
+def _flat_tangents(J):
+    """Points whose tangents are linearly dependent relative to
+    ``DEGENERATE_TOL`` (scaled by the tangent size)."""
     a1, a2 = J[..., 0], J[..., 1]
     scale = np.maximum(np.linalg.norm(a1, axis=-1) * np.linalg.norm(a2, axis=-1),
-                       degenerate_tol)
-    return np.linalg.norm(np.cross(a1, a2), axis=-1) <= degenerate_tol * scale
+                       DEGENERATE_TOL)
+    return np.linalg.norm(np.cross(a1, a2), axis=-1) <= DEGENERATE_TOL * scale
 
 
 def _tangent_error(element, xi, eta):

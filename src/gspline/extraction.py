@@ -179,8 +179,8 @@ def _polynomial_table(coeffs, p, pts):
 def group_table(group, pts):
     """``basis_table`` of every element of an ``evaluate.ElementGroup`` at the
     same (m, 2) points: (E, n, m), (E, n, m, 2), (E, n, m, 3), zero in unused
-    slots, and each element's least rational denominator ``wmin`` (inf if
-    polynomial).  Elements with ``wmin <= 0`` stay unrationalized."""
+    slots, and the ``evaluate.raise_first`` check of the elements whose
+    rational denominator is not positive there; those stay unrationalized."""
     tables = _polynomial_table(group.coeffs, group.degree, pts)
     wmin = np.full(len(group.elements), np.inf)
     if group.rational:
@@ -189,7 +189,8 @@ def group_table(group, pts):
         quotients = rationalize(*(np.moveaxis(t[ok], 1, 0) for t in tables))
         for t, q in zip(tables, quotients):
             t[ok] = np.moveaxis(q, 0, 1)
-    return (*tables, wmin)
+    return (*tables, (wmin <= 0.0, lambda i: DegenerateBasisError(
+        f"basis denominator {wmin[i]} is not positive", element=int(group.elements[i]))))
 
 
 def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):

@@ -28,7 +28,7 @@ from .errors import (
     SingularParameterizationError,
     TopologyError,
 )
-from .evaluate import GSplineSurface, degenerate, map_groups, raise_first
+from .evaluate import GSplineSurface, map_groups, raise_first
 from .extraction import basis_table, group_table
 from .quality import gauss_legendre_2d
 from .refine import refine
@@ -64,13 +64,13 @@ def _group_geometry(surface, g, pts, checks=()):
     (E, m).  Raises for the first element with a nonpositive rational
     denominator, a singular Jacobian or a failed later check, in that order.
     """
-    N, dN, _, wmin = group_table(g, pts)
+    N, dN, _, bad_w = group_table(g, pts)
     P = surface.net.positions[g.basis][..., :2]
     J = np.einsum("enma,end->emda", dN, P)  # J[e, m, d, a] = dx_d / dxi_a
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     scale = np.abs(J).max(axis=(1, 2, 3))
     singular = np.abs(det).min(axis=1) <= 1e-14 * np.maximum(scale * scale, 1e-30)
-    raise_first(g, [degenerate(g, wmin), (singular, lambda i: (
+    raise_first(g, [bad_w, (singular, lambda i: (
         SingularParameterizationError(f"singular Jacobian in element {g.elements[i]}",
                                       element=int(g.elements[i])))), *checks])
     inv = np.stack([J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]],
@@ -180,8 +180,8 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
 
     def sums(g):
         rule = gauss_legendre_2d(g.degree + 1)
-        N2, _, _, wmin2 = group_table(g, grid_pts)
-        N, gp, x, adet = _group_geometry(surface, g, rule.points, [degenerate(g, wmin2)])
+        N2, _, _, bad_w2 = group_table(g, grid_pts)
+        N, gp, x, adet = _group_geometry(surface, g, rule.points, [bad_w2])
         w = rule.weights * adet
         ca = np.where(g.mask, coeffs[g.basis], 0.0)
         ue, (gx, gy) = exact(x[..., 0], x[..., 1]), exact_grad(x[..., 0], x[..., 1])
@@ -210,8 +210,8 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
 def mean_element_size(surface: GSplineSurface) -> float:
     """Mean mapped diagonal length of the Bezier-mesh faces."""
     def diagonals(g):
-        N, _, _, wmin = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        raise_first(g, [degenerate(g, wmin)])
+        N, _, _, bad_w = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        raise_first(g, [bad_w])
         c = np.einsum("enm,enc->mec", N, surface.net.positions[g.basis])
         return np.linalg.norm(c[1] - c[0], axis=-1) + np.linalg.norm(c[3] - c[2], axis=-1)
 

@@ -460,8 +460,7 @@ class TestUnexpectedException:
         assert main(["build", str(ep_obj), "--variant", "c0",
                      "-o", str(tmp_path / "a.json")]) == 5
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "RuntimeError"
-        assert err["message"] == "not a GSplineError"
+        assert err == {"error": "RuntimeError", "message": "not a GSplineError"}
 
 
 # -- property tests over mutated inputs -----------------------------------
