@@ -161,7 +161,7 @@ def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,
     c1 = -2.0 * (a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0]
                  - a[:, 0, 1] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 1])
     c2 = 4.0 * (b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # stable roots q/c2, c0/q; c0/q is the smaller as q^2 >= |c0 c2|
         q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
         root = np.where(c0 > 0.0, c0 / q, 0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -225,6 +226,20 @@ class TestExactThickness:
             zeta = report.location["zeta"]
             assert abs(zeta) == 0.5 * report.thickness
             assert abs(shell_metric_det(fr, zeta)) <= zero_tol(zeta)
+
+    def test_subnormal_root_coefficient_is_no_root(self):
+        # a = I, b = diag(1e-310, 0): c1 = -2e-310 and c2 = 0, so c0/q
+        # overflows to an infinite root, which counts as none
+        a, b = np.eye(2), np.diag([1e-310, 0.0])
+        frames = (np.zeros(1, dtype=int), np.full((1, 2), 0.5), a[None], b[None])
+        surf = SimpleNamespace(variant="c0", cnet=SimpleNamespace(n_faces=1))
+        with mock.patch.object(quality, "_quadrature_frames", lambda s: frames), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = min_invalid_thickness(surf, t_lo=0.01, t_hi=10.0)
+        assert report.thickness == math.inf
+        assert report.valid_up_to == 10.0
+        assert report.location is None
 
 
 class TestGroupedFrames:
