@@ -11,7 +11,9 @@ double).
 The reader converts each element field once over all records and checks
 the results as arrays.  An error about one element names the lowest
 failing element: a record whose fields cannot be read (wrong type or
-shape) is reported before a record whose values fail a check.
+shape) is reported before a record whose values fail a check.  Numbers
+must be JSON numbers: a numeric string or a boolean where a coefficient,
+a position or an integer belongs is a FormatError.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ def surface_from_json(text: str) -> GSplineSurface:
         raise FormatError("archive field 'diagnostics' must be null or a list, "
                           f"not {diagnostics!r:.60}")
     try:
+        positions = payload["net"]["positions"]
+        _numbers(list(chain.from_iterable(positions)), "net.positions")
         net = ControlNet(
-            CNet(len(payload["net"]["positions"]),
-                 _integers(payload["net"]["faces"], "net.faces", 2)),
-            np.asarray(payload["net"]["positions"], dtype=float),
+            CNet(len(positions), _integers(payload["net"]["faces"], "net.faces", 2)),
+            np.asarray(positions, dtype=float),
         )
         records = payload["elements"]
         ids = _integers([r["element"] for r in records], "element", 1)
@@ -114,6 +117,17 @@ def _integers(value, field: str, ndim: int) -> np.ndarray:
     wrong = next((x for x in value if not _is_int64(x)), value)
     raise FormatError(
         f"archive field {field!r} holds {wrong!r:.60}, not a 64-bit integer")
+
+
+def _numbers(values: list, field: str) -> list:
+    """``values`` if every one is a JSON number (an int or a float), else
+    FormatError naming the field and the first wrong value, such as a
+    numeric string or a boolean."""
+    wrong = set(map(type, values)) - {int, float}
+    if wrong:
+        bad = next(x for x in values if type(x) in wrong)
+        raise FormatError(f"archive field {field!r} holds {bad!r:.60}, not a number")
+    return values
 
 
 def _is_int64(x) -> bool:
@@ -195,12 +209,12 @@ def _convert(records: list) -> _Elements:
         raise FormatError("coefficient matrix shape does not match basis list")
     stacked = {}
     for p in np.unique(degree).tolist():
-        members = np.flatnonzero(degree == p)
-        stacked[p] = np.array(
-            list(chain.from_iterable(coeffs[i] for i in members.tolist())),
-            dtype=float)
-        if stacked[p].shape != (counts[members].sum(), (p + 1) ** 2):
+        rows = list(chain.from_iterable(coeffs[i] for i in np.flatnonzero(degree == p)))
+        if (any(type(r) is not list for r in rows)
+                or set(map(len, rows)) != {(p + 1) ** 2}):
             raise FormatError("coefficient matrix shape does not match basis list")
+        stacked[p] = np.array(_numbers(list(chain.from_iterable(rows)), "coeffs"),
+                              dtype=float).reshape(len(rows), (p + 1) ** 2)
     return _Elements(
         degree=degree, rational=np.array(rational, dtype=bool),
         counts=counts,

@@ -18,10 +18,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import __version__
 from .archive import surface_from_json, surface_to_json
-from .construct_c0 import geometry_continuity_residual
 from .construct_g1 import g1_residual
 from .errors import (
     DegenerateBasisError,
@@ -36,8 +37,16 @@ from .errors import (
     SingularParameterizationError,
     TopologyError,
 )
-from .evaluate import GSplineSurface, edge_watertightness, normal_jump
-from .mesh import ControlNet, ElementClass, classify_elements, load_obj, save_obj, spoke_edges
+from .evaluate import (
+    GSplineSurface,
+    edge_residuals,
+    edge_sides,
+    map_groups,
+    normal_jump,
+    raise_first,
+)
+from .extraction import group_table
+from .mesh import ControlNet, ElementClass, classify_elements, load_obj, save_obj
 from .quality import min_invalid_thickness
 from .refine import refine_n
 from .solve import (
@@ -84,79 +93,115 @@ def _write(path: str | None, text: str) -> None:
 
 def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
     """The invariant suite of a surface: continuity residuals, partition
-    of unity, watertightness and numerical linear independence."""
+    of unity, watertightness and numerical linear independence.
+
+    All interior edges go through one batched ``edge_residuals`` call:
+    watertightness everywhere, order-1 jumps between irregular and
+    transition elements and order-2 jumps between elements that are not
+    irregular.  Spoke edges (at an extraordinary vertex) are checked one
+    by one with ``g1_residual`` and ``normal_jump`` instead of jumps.
+    """
     cnet = surface.cnet
     labels = classify_elements(cnet)
-    spokes = spoke_edges(cnet)
+    irregular = np.array([c is ElementClass.IRREGULAR for c in labels])
+    transition = np.array([c is ElementClass.TRANSITION for c in labels])
+    interior = np.flatnonzero(~cnet.boundary_edge)
+    spoke = cnet.extraordinary[cnet.edges[interior]].any(axis=1)
+    faces, rots = (a[interior] for a in edge_sides(cnet))
+    irr, trans = irregular[faces], transition[faces]
+    orders = np.select([spoke, (irr & trans[:, ::-1]).any(axis=1), ~irr.any(axis=1)],
+                       [-1, 1, 2], -1)
+    gap, jump = edge_residuals(surface, faces, rots, orders, jump_samples=samples)
     report: dict = {"variant": surface.variant}
-
-    watertight = 0.0
-    c1_interface = 0.0
-    c2_regular = 0.0
-    g1_spoke = 0.0
-    normal_kink = 0.0
-    for e in range(cnet.n_edges):
-        if cnet.boundary_edge[e]:
-            continue
-        watertight = max(watertight, edge_watertightness(surface, e))
-        f, g = cnet.edge_faces[e]
-        kinds = {labels[f], labels[g]}
-        if e in spokes:
-            g1_spoke = max(g1_spoke, g1_residual(surface, e))
-            if surface.variant in ("g1p", "g1r"):
-                normal_kink = max(normal_kink, normal_jump(surface, e, samples=5))
-        elif kinds == {ElementClass.IRREGULAR, ElementClass.TRANSITION}:
-            c1_interface = max(
-                c1_interface,
-                geometry_continuity_residual(surface, e, 1, samples=samples))
-        elif ElementClass.IRREGULAR not in kinds:
-            c2_regular = max(
-                c2_regular,
-                geometry_continuity_residual(surface, e, 2, samples=samples))
-    report["watertightness"] = watertight
-    report["g1_residual_spoke_edges"] = g1_spoke
-    report["c1_residual_irregular_transition"] = c1_interface
-    report["c2_residual_smooth_edges"] = c2_regular
+    report["watertightness"] = float(gap.max(initial=0.0))
+    report["g1_residual_spoke_edges"] = max(
+        (g1_residual(surface, e) for e in interior[spoke].tolist()), default=0.0)
+    report["c1_residual_irregular_transition"] = float(jump[orders == 1].max(initial=0.0))
+    report["c2_residual_smooth_edges"] = float(jump[orders == 2].max(initial=0.0))
     if surface.variant in ("g1p", "g1r"):
-        report["normal_jump_spoke_edges"] = normal_kink
+        report["normal_jump_spoke_edges"] = max(
+            (normal_jump(surface, e, samples=5) for e in interior[spoke].tolist()),
+            default=0.0)
 
     pou = 0.0
     wmin, wmax = np.inf, -np.inf
-    for ext in surface.extractions:
-        sums = ext.coeffs.sum(axis=0)
-        if ext.rational:
-            wmin = min(wmin, float(sums.min()))
-            wmax = max(wmax, float(sums.max()))
+    for g in surface.groups:
+        sums = g.coeffs.sum(axis=1)  # padded rows add zero
+        if g.rational:
+            wmin, wmax = min(wmin, float(sums.min())), max(wmax, float(sums.max()))
         else:
             pou = max(pou, float(np.abs(sums - 1.0).max()))
     report["partition_of_unity_defect"] = pou
     if np.isfinite(wmin):
         report["rational_weight_range"] = [wmin, wmax]
 
-    sv = collocation_singular_values(surface)
-    report["collocation_sv_ratio"] = float(sv.min() / sv.max())
+    smax, smin = collocation_singular_values(surface)
+    report["collocation_sv_ratio"] = float(smin / smax)
     if getattr(surface, "diagnostics", None):
         report["construction"] = surface.diagnostics
     return report
 
 
-def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
-    """Singular values of the basis collocation matrix at interior
-    tensor sample points of every element."""
-    from .solve import element_tables
+GRAM_FLOOR = 1e-7  # least sqrt(lambda_min / lambda_max) the Gram matrix resolves
+DENSE_COLLOCATION_BYTES = 2**28  # largest dense collocation matrix below the floor
 
-    n = surface.cnet.n_vertices
-    rows = []
-    for e in range(surface.cnet.n_faces):
-        p = surface.degree(e)
-        ts = (np.arange(p + 1) + 0.5) / (p + 1)
-        pts = np.array([(xi, eta) for eta in ts for xi in ts])
-        ids, vals, _ = element_tables(surface, e, pts)
-        block = np.zeros((pts.shape[0], n))
-        block[:, np.asarray(ids, dtype=int)] = vals.T
-        rows.append(block)
-    matrix = np.vstack(rows)
-    return np.linalg.svd(matrix, compute_uv=False)
+
+def _collocation_matrix(surface: GSplineSurface) -> sp.csr_matrix:
+    """The sparse basis collocation matrix A: one row per interior tensor
+    point ((arange(p+1) + 1/2) / (p+1), xi fastest) of each element, the
+    groups one after another, and one column per basis function.  Raises
+    for the lowest element whose rational denominator is not positive."""
+    def entries(g):
+        ts = (np.arange(g.degree + 1) + 0.5) / (g.degree + 1)
+        vals, _, _, bad_w = group_table(
+            g, np.stack([np.tile(ts, len(ts)), np.repeat(ts, len(ts))], axis=1))
+        raise_first(g, [bad_w])
+        E, _, m = vals.shape
+        used = np.broadcast_to(g.mask[:, :, None], vals.shape)
+        return (np.broadcast_to(np.arange(E * m).reshape(E, 1, m), vals.shape)[used],
+                np.broadcast_to(g.basis[:, :, None], vals.shape)[used], vals[used])
+
+    parts = map_groups(surface, entries)
+    offsets = np.cumsum([0] + [len(g.elements) * (g.degree + 1) ** 2
+                               for g in surface.groups])
+    return sp.csr_matrix(
+        (np.concatenate([v for _, _, v in parts]),
+         (np.concatenate([r + o for (r, _, _), o in zip(parts, offsets)]),
+          np.concatenate([c for _, c, _ in parts]))),
+        shape=(offsets[-1], surface.cnet.n_vertices))
+
+
+def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
+    """Largest and smallest singular value of the basis collocation matrix
+    A at the interior tensor points of every element, in that order.
+
+    They are the square roots of the extreme eigenvalues of the sparse
+    n x n Gram matrix A^T A: ARPACK for the largest, shift-invert at zero
+    for the smallest, from one fixed start vector, so the result is
+    deterministic.  The Gram matrix squares the condition number, so
+    below a ratio of ``GRAM_FLOOR`` (or where it is singular) the values
+    come from the dense SVD of A, and a dense A larger than
+    ``DENSE_COLLOCATION_BYTES`` is a ResourceError.
+    """
+    A = _collocation_matrix(surface)
+    gram = (A.T @ A).tocsc()
+    v0 = np.ones(A.shape[1])
+    try:
+        (lmax,) = spla.eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        # a fill-reducing ordering for a symmetric matrix
+        lu = spla.splu(gram, permc_spec="MMD_AT_PLUS_A")
+        (lmin,) = spla.eigsh(gram, k=1, sigma=0.0, which="LM", v0=v0,
+                             OPinv=spla.LinearOperator(gram.shape, lu.solve),
+                             return_eigenvectors=False)
+    except (RuntimeError, spla.ArpackError):  # a singular Gram matrix
+        lmin = lmax = 0.0
+    if lmin > 0.0 and lmin >= GRAM_FLOOR**2 * lmax:
+        return np.sqrt([lmax, lmin])
+    if A.shape[0] * A.shape[1] * 8 > DENSE_COLLOCATION_BYTES:
+        raise ResourceError(
+            f"collocation ratio below {GRAM_FLOOR:g} needs a dense {A.shape[0]} x "
+            f"{A.shape[1]} matrix, more than {DENSE_COLLOCATION_BYTES} bytes")
+    return np.linalg.svd(A.toarray(), compute_uv=False)[[0, -1]]
 
 
 # ----------------------------------------------------------------------

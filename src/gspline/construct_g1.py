@@ -33,7 +33,7 @@ index arrays for the 60 fairing differences of each element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -630,9 +630,7 @@ def g1_residual(surface: GSplineSurface, edge: int, samples: int = 50) -> float:
     fr = edge_frames(cnet, edge, v1=geom.v1)
     ts = np.linspace(0.0, 1.0, samples)
     # frame-axis gradients of the polynomial (unrationalized) functions
-    (_, gr, _), (_, gl, _) = edge_pair_tables(
-        fr, replace(surface.extraction(fr.right), rational=False),
-        replace(surface.extraction(fr.left), rational=False), ts)
+    (_, gr, _), (_, gl, _) = edge_pair_tables(surface, fr, ts, polynomial=True)
     res = gl[..., 0] + blend_polynomial(geom, ts) * gr[..., 0] + gr[..., 1]
     scale = max(float(np.abs(gr).max(initial=0.0)),
                 float(np.abs(gl).max(initial=0.0)))

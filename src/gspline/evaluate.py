@@ -9,7 +9,10 @@ continuity diagnostics as well as the tangent-plane constraint assembly.
 Whole-surface passes (Galerkin assembly, error norms, shell frames) run
 over ``GSplineSurface.groups``: the elements of one (degree, rational)
 class are evaluated together at points they share, and ``map_groups``
-reports the error of the lowest failing element, as a loop would.
+reports the error of the lowest failing element, as a loop would.  Edge
+diagnostics do the same per (side, rotation, group): ``edge_residuals``
+takes the watertightness and basis-function jumps of many edges at once,
+and the one-edge functions are its single-edge case.
 """
 
 from __future__ import annotations
@@ -93,6 +96,15 @@ class GSplineSurface:
             coeffs[mask] = np.concatenate([exts[e].coeffs for e in ids])
             groups.append(ElementGroup(p, rational, np.array(ids), basis, mask, coeffs))
         return groups
+
+    @cached_property
+    def group_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index in ``groups`` and row there of every element."""
+        group_of = np.empty(self.cnet.n_faces, dtype=int)
+        row_of = np.empty(self.cnet.n_faces, dtype=int)
+        for i, g in enumerate(self.groups):
+            group_of[g.elements], row_of[g.elements] = i, np.arange(len(g.elements))
+        return group_of, row_of
 
 
 def map_groups(surface: GSplineSurface, fn) -> list:
@@ -325,41 +337,154 @@ def edge_side_params(frames: EdgeFrames, t, side: str):
     raise DomainError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def edge_side_table(ext: ElementExtraction, rot: int, frame_pts):
-    """Basis values and frame-axis derivatives of one element at frame points.
+def edge_sides(cnet: CNet) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_frames`` of every edge as arrays.
 
-    ``frame_pts`` is an (m, 2) array of (x, y) coordinates in the frame of
-    quarter-turn index ``rot``.  Returns ``(vals, d1, d2)`` shaped (n, m),
-    (n, m, 2), (n, m, 3), differentiated along the frame axes with d2
-    columns (xx, xy, yy).
+    Returns ``(faces, rots)``, each (n_edges, 2): column 0 holds the right
+    element (its loop runs from the lower vertex to the higher) and its
+    quarter-turn index, column 1 the left one; -1 on the missing side of
+    a boundary edge.
     """
-    frame_pts = np.asarray(frame_pts, dtype=float)
-    uv = rotated_params(rot, frame_pts[:, 0], frame_pts[:, 1])
-    vals, d1, d2 = basis_table(ext, np.stack(uv, axis=1))
-    _, A = rotation_offset_matrix(rot)
-    Hs = d2[..., [0, 1, 1, 2]].reshape(d2.shape[:-1] + (2, 2))
-    Hf = A.T @ Hs @ A
-    return vals, d1 @ A, Hf[..., [0, 0, 1], [0, 1, 1]]
+    forward = cnet.faces < np.roll(cnet.faces, -1, axis=1)
+    faces = np.full((cnet.n_edges, 2), -1)
+    rots = np.full((cnet.n_edges, 2), -1)
+    for side, (f, s) in enumerate((np.nonzero(forward), np.nonzero(~forward))):
+        faces[cnet.face_edges[f, s], side] = f
+        rots[cnet.face_edges[f, s], side] = (s + side) % 4
+    return faces, rots
 
 
-def edge_pair_tables(fr: EdgeFrames, ext_r: ElementExtraction,
-                     ext_l: ElementExtraction, ts: np.ndarray):
-    """``edge_side_table`` of the right and left elements at edge parameters.
+def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
+    """The sides of k edges, one batch per (side, rotation, group).
+
+    ``faces`` and ``rots`` are (k, 2) as from ``edge_sides``.  Yields
+    ``(side, rot, rows, sub)``: ``rows`` index the edges whose side
+    element lies in the group and has that rotation, and ``sub`` is the
+    ``ElementGroup`` of those elements in row order, polynomial (not
+    rationalized) if asked.
+    """
+    group_of, row_of = surface.group_slots
+    for side in (0, 1):
+        f, r = faces[:, side], rots[:, side]
+        for rot in range(4):
+            for i, g in enumerate(surface.groups):
+                rows = np.flatnonzero((r == rot) & (group_of[f] == i))
+                if rows.size:
+                    take = row_of[f[rows]]
+                    yield side, rot, rows, ElementGroup(
+                        g.degree, g.rational and not polynomial, g.elements[take],
+                        g.basis[take], g.mask[take], g.coeffs[take])
+
+
+def _side_tables(sub: ElementGroup, side: int, rot: int, ts):
+    """``group_table`` of a batch at edge parameters ``ts`` on its side
+    (eta = 0 on the right, xi = 0 on the left, in the frame of ``rot``),
+    derivatives along the frame axes with d2 columns (xx, xy, yy).  Raises
+    for the first element whose rational denominator is not positive."""
+    zs = np.zeros_like(ts)
+    uv = rotated_params(rot, *((ts, zs) if side == 0 else (zs, ts)))
+    vals, d1, d2, bad_w = group_table(sub, np.stack(uv, axis=1),
+                                      axes=rotation_offset_matrix(rot)[1])
+    raise_first(sub, [bad_w])
+    return vals, d1, d2
+
+
+def _edge_keys(surface: GSplineSurface, faces, rows) -> np.ndarray:
+    """Sorted (edge, basis function) keys, edge row * n_vertices + basis
+    id, of both sides of the edges ``rows``."""
+    group_of, row_of = surface.group_slots
+    keys = [np.empty(0, dtype=int)]
+    for f in faces[rows].T:
+        for i, g in enumerate(surface.groups):
+            on = group_of[f] == i
+            take = row_of[f[on]]
+            keys.append((rows[on, None] * surface.cnet.n_vertices
+                         + g.basis[take])[g.mask[take]])
+    return np.unique(np.concatenate(keys))
+
+
+def _jump_terms(side: int, order, vals, d1, d2):
+    """One side's signed share of the jumps of a batch, shaped (E, n, m, 2),
+    for ``order`` (E,) per row (-1: none).  The glued transversal
+    coordinate w is eta on the right and -xi on the left."""
+    out = np.zeros(vals.shape + (2,))
+    o0, o1, o2 = (order == k for k in range(3))
+    if side == 0:
+        out[o0, ..., 0], out[o1, ..., 0], out[o2, ..., 0] = (
+            vals[o0], d1[o1, ..., 1], d2[o2, ..., 2])
+    else:
+        out[o0, ..., 0], out[o1, ..., 0], out[o2, ..., 0] = (
+            -vals[o0], d1[o1, ..., 0], -d2[o2, ..., 0])
+    out[o2, ..., 1] = d2[o2, ..., 1]
+    return out
+
+
+def edge_residuals(surface: GSplineSurface, faces, rots, orders,
+                   gap_samples: int = 11, jump_samples: int = 20):
+    """Watertightness and basis-function jumps of k interior edges.
+
+    ``faces`` and ``rots`` are (k, 2) gluing frames as from ``edge_sides``;
+    ``orders`` (k,) the jump order of each edge: 0 compares traces, 1 the
+    transversal derivative in the glued chart, 2 the transversal and
+    mixed second derivatives, and -1 measures no jump.  Returns ``(gap,
+    jump)``, each (k,): the max distance between the two sides' surface
+    points at ``gap_samples`` edge parameters, and the max jump of any
+    basis function at ``jump_samples`` (a function missing on one side
+    counts as zero there).  One ``group_table`` call per (side, rotation,
+    group) covers both sample sets; the jumps are summed per (edge,
+    basis function).
+    """
+    faces, rots, orders = np.asarray(faces), np.asarray(rots), np.asarray(orders)
+    k, n = len(faces), surface.cnet.n_vertices
+    ts = np.concatenate([np.linspace(0.0, 1.0, gap_samples),
+                         np.linspace(0.0, 1.0, jump_samples)])
+    keys = _edge_keys(surface, faces, np.flatnonzero(orders >= 0))
+    points = np.zeros((2, k, gap_samples, 3))
+    sums = np.zeros((len(keys), jump_samples, 2))
+
+    def visit(side, rot, rows, sub):  # one batch's points and jump terms
+        vals, d1, d2 = _side_tables(sub, side, rot, ts)
+        points[side, rows] = (vals[..., :gap_samples].swapaxes(1, 2)
+                              @ surface.net.positions[sub.basis])
+        used = sub.mask & (orders[rows, None] >= 0)
+        terms = _jump_terms(side, orders[rows],
+                            *(t[:, :, gap_samples:] for t in (vals, d1, d2)))
+        sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += terms[used]
+
+    for batch in _edge_batches(surface, faces, rots):
+        visit(*batch)
+    gap = np.linalg.norm(points[0] - points[1], axis=-1).max(axis=1, initial=0.0)
+    jump = np.zeros(k)
+    if len(keys):
+        edge = keys // n
+        starts = np.flatnonzero(np.r_[True, edge[1:] != edge[:-1]])
+        jump[edge[starts]] = np.maximum.reduceat(
+            np.abs(sums, out=sums).max(axis=(1, 2), initial=0.0), starts)
+    return gap, jump
+
+
+def _one_edge(fr: EdgeFrames):
+    return np.array([[fr.right, fr.left]]), np.array([[fr.rot_right, fr.rot_left]])
+
+
+def edge_pair_tables(surface: GSplineSurface, fr: EdgeFrames, ts,
+                     polynomial: bool = False):
+    """Both elements of one edge at edge parameters ``ts``, in the frame axes.
 
     Returns ``((vals, d1, d2) right, (vals, d1, d2) left)`` whose rows
     follow the sorted union of the two basis lists; a function missing on
-    one side has zero rows there.
+    one side has zero rows there.  ``polynomial`` skips the rational
+    quotient.
     """
-    ids = np.union1d(ext_r.basis, ext_l.basis)
-    zs = np.zeros_like(ts)
+    faces, rots = _one_edge(fr)
+    ids = _edge_keys(surface, faces, np.zeros(1, dtype=int))
     sides = []
-    for ext, rot, pts in ((ext_r, fr.rot_right, np.stack([ts, zs], axis=1)),
-                          (ext_l, fr.rot_left, np.stack([zs, ts], axis=1))):
-        rows = np.searchsorted(ids, ext.basis)
+    for side, rot, _, sub in _edge_batches(surface, faces, rots, polynomial):
+        rows = np.searchsorted(ids, sub.basis[0, sub.mask[0]])
         tables = []
-        for table in edge_side_table(ext, rot, pts):
-            full = np.zeros((len(ids),) + table.shape[1:])
-            full[rows] = table
+        for table in _side_tables(sub, side, rot, ts):
+            full = np.zeros((len(ids),) + table.shape[2:])
+            full[rows] = table[0, sub.mask[0]]
             tables.append(full)
         sides.append(tables)
     return sides
@@ -367,37 +492,23 @@ def edge_pair_tables(fr: EdgeFrames, ext_r: ElementExtraction,
 
 def edge_jumps(surface: GSplineSurface, edge: int, order: int,
                samples: int = 20, v1: int | None = None) -> float:
-    """Max per-basis-function derivative jump across an interior edge.
-
-    Order 0 compares traces, order 1 the transversal derivative in the
-    glued chart, order 2 the transversal and mixed second derivatives.
-    Functions missing on one side count as zero there.
-    """
+    """Max per-basis-function derivative jump across an interior edge:
+    ``edge_residuals`` of one edge, glued at ``v1`` (default the lower
+    vertex)."""
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
-    fr = edge_frames(surface.cnet, edge, v1)
-    (vals_r, d1_r, d2_r), (vals_l, d1_l, d2_l) = edge_pair_tables(
-        fr, surface.extraction(fr.right), surface.extraction(fr.left),
-        np.linspace(0.0, 1.0, samples))
-    if order == 0:
-        jumps = [vals_r - vals_l]
-    elif order == 1:
-        # glued transversal coordinate w: w = eta on the right, w = -xi on
-        # the left
-        jumps = [d1_r[..., 1] + d1_l[..., 0]]
-    else:
-        jumps = [d2_r[..., 2] - d2_l[..., 0], d2_r[..., 1] + d2_l[..., 1]]
-    return max(float(np.abs(j).max(initial=0.0)) for j in jumps)
+    _, jump = edge_residuals(surface, *_one_edge(edge_frames(surface.cnet, edge, v1)),
+                             [order], gap_samples=0, jump_samples=samples)
+    return float(jump[0])
 
 
 def edge_watertightness(surface: GSplineSurface, edge: int,
                         samples: int = 11) -> float:
-    """Max distance between the two-sided surface samples along an edge."""
-    fr = edge_frames(surface.cnet, edge)
-    ts = np.linspace(0.0, 1.0, samples)
-    xr = map_point(surface, fr.right, *edge_side_params(fr, ts, "right"))
-    xl = map_point(surface, fr.left, *edge_side_params(fr, ts, "left"))
-    return float(np.linalg.norm(xr - xl, axis=-1).max(initial=0.0))
+    """Max distance between the two-sided surface samples along an edge:
+    ``edge_residuals`` of one edge."""
+    gap, _ = edge_residuals(surface, *_one_edge(edge_frames(surface.cnet, edge)),
+                            [-1], gap_samples=samples, jump_samples=0)
+    return float(gap[0])
 
 
 def normal_jump(surface: GSplineSurface, edge: int, samples: int = 11) -> float:

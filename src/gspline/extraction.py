@@ -165,10 +165,17 @@ def basis_table(ext: ElementExtraction, pts):
     return vals, d1, d2
 
 
-def _polynomial_table(coeffs, p, pts):
+def _polynomial_table(coeffs, p, pts, axes=None):
     """Extraction rows ``coeffs`` (..., k) times the Bernstein table of pts:
-    shapes (..., m), (..., m, 2), (..., m, 3)."""
+    shapes (..., m), (..., m, 2), (..., m, 3).  With ``axes`` (2, 2) the
+    derivatives are taken along its columns: d1 @ axes and A^T H A."""
     b, db, d2b = bernstein_table(p, pts)
+    if axes is not None:
+        pairs = ((0, 0), (0, 1), (1, 1))  # the d2 columns as (i, j) pairs
+        second = np.array([[axes[i, a] * axes[j, b] + (axes[j, a] * axes[i, b] if i != j
+                                                        else 0.0)
+                            for i, j in pairs] for a, b in pairs])
+        db, d2b = db @ axes, d2b @ second.T
     k, m = b.shape
     flat, lead = coeffs.reshape(-1, k), coeffs.shape[:-1]
     return ((flat @ b).reshape(lead + (m,)),
@@ -176,12 +183,14 @@ def _polynomial_table(coeffs, p, pts):
             (flat @ d2b.reshape(k, 3 * m)).reshape(lead + (m, 3)))
 
 
-def group_table(group, pts):
+def group_table(group, pts, axes=None):
     """``basis_table`` of every element of an ``evaluate.ElementGroup`` at the
     same (m, 2) points: (E, n, m), (E, n, m, 2), (E, n, m, 3), zero in unused
     slots, and the ``evaluate.raise_first`` check of the elements whose
-    rational denominator is not positive there; those stay unrationalized."""
-    tables = _polynomial_table(group.coeffs, group.degree, pts)
+    rational denominator is not positive there; those stay unrationalized.
+    ``axes`` (2, 2) turns the derivatives to its columns, as in
+    ``_polynomial_table``; the quotient rule commutes with that."""
+    tables = _polynomial_table(group.coeffs, group.degree, pts, axes)
     wmin = np.full(len(group.elements), np.inf)
     if group.rational:
         wmin = tables[0].sum(axis=1).min(axis=1)

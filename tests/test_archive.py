@@ -117,6 +117,32 @@ class TestFieldTypes:
             payload["elements"][0]["basis"][0] = True
         assert repr(field) in str(load_error(payload))
 
+    @pytest.mark.parametrize("value", ["0.5", "1", True, False, None])
+    @pytest.mark.parametrize("field", ["coeffs", "net.positions"])
+    def test_number_fields_hold_json_numbers(self, field, value, tmp_path, capsys):
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        if field == "coeffs":
+            payload["elements"][2]["coeffs"][1][3] = value
+        else:
+            payload["net"]["positions"][4][1] = value
+        message = str(load_error(payload))
+        assert repr(field) in message and repr(value) in message
+        assert ("element 2" in message) == (field == "coeffs")
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(payload))
+        assert main(["check", str(arc)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    def test_integral_numbers_still_load_as_floats(self):
+        written = surface("val33", 0, "c0")
+        payload = json.loads(surface_to_json(written))
+        payload["net"]["positions"] = [[int(x) if x.is_integer() else x for x in row]
+                                       for row in payload["net"]["positions"]]
+        for record in payload["elements"]:
+            record["coeffs"] = [[int(x) if x.is_integer() else x for x in row]
+                                for row in record["coeffs"]]
+        assert_same_surface(surface_from_json(json.dumps(payload)), written)
+
 
 # One way each for an element record to fail.  A record that cannot be
 # read (wrong type or shape) is reported before any whose values fail a
@@ -131,6 +157,8 @@ UNREADABLE = {
     "rational type": _set("rational", "false"),
     "basis type": lambda r, n: r["basis"].__setitem__(0, 0.5),
     "coeffs shape": lambda r, n: r.__setitem__("coeffs", r["coeffs"][:-1]),
+    "coeff string": lambda r, n: r["coeffs"][0].__setitem__(0, "0.5"),
+    "coeff boolean": lambda r, n: r["coeffs"][-1].__setitem__(-1, True),
 }
 INVALID = {
     "basis range": lambda r, n: r["basis"].__setitem__(0, n),

@@ -530,6 +530,21 @@ class TestMutatedInputs:
             surface_from_json(json.dumps(payload))
 
     @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(["c0", "g1r"]),
+           field=st.sampled_from(["coeffs", "net.positions"]),
+           value=st.booleans() | st.floats(allow_nan=False).map(repr)
+           | st.integers().map(str),
+           data=st.data())
+    def test_string_or_boolean_in_a_number_field(self, variant, field, value, data):
+        payload = json.loads(small_archive(variant))
+        rows = payload["net"]["positions"] if field == "net.positions" else \
+            data.draw(st.sampled_from(payload["elements"]), label="record")["coeffs"]
+        row = data.draw(st.sampled_from(rows), label="row")
+        row[data.draw(st.integers(0, len(row) - 1), label="slot")] = value
+        with pytest.raises(FormatError, match=repr(field)):
+            surface_from_json(json.dumps(payload))
+
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_obj_with_one_token_replaced(self, data):
         lines = [line.split() for line in save_obj(netgen.val33()).splitlines()]
