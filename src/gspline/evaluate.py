@@ -442,7 +442,7 @@ def edge_residuals(surface: GSplineSurface, faces, rots, orders,
     points = np.zeros((2, k, gap_samples, 3))
     sums = np.zeros((len(keys), jump_samples, 2))
 
-    def visit(side, rot, rows, sub):  # one batch's points and jump terms
+    def visit(side, rot, rows, sub):  # a call, so each batch's tables are freed
         vals, d1, d2 = _side_tables(sub, side, rot, ts)
         points[side, rows] = (vals[..., :gap_samples].swapaxes(1, 2)
                               @ surface.net.positions[sub.basis])

@@ -171,10 +171,10 @@ def _polynomial_table(coeffs, p, pts, axes=None):
     derivatives are taken along its columns: d1 @ axes and A^T H A."""
     b, db, d2b = bernstein_table(p, pts)
     if axes is not None:
-        pairs = ((0, 0), (0, 1), (1, 1))  # the d2 columns as (i, j) pairs
-        second = np.array([[axes[i, a] * axes[j, b] + (axes[j, a] * axes[i, b] if i != j
-                                                        else 0.0)
-                            for i, j in pairs] for a, b in pairs])
+        # (A^T H A)_ab from the d2 columns (H_00, H_01, H_11), for ab = 00, 01, 11
+        second = np.array([[axes[0, a] * axes[0, b],
+                            axes[0, a] * axes[1, b] + axes[1, a] * axes[0, b],
+                            axes[1, a] * axes[1, b]] for a, b in ((0, 0), (0, 1), (1, 1))])
         db, d2b = db @ axes, d2b @ second.T
     k, m = b.shape
     flat, lead = coeffs.reshape(-1, k), coeffs.shape[:-1]
