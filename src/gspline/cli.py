@@ -46,7 +46,14 @@ from .evaluate import (
     raise_first,
 )
 from .extraction import group_table
-from .mesh import ControlNet, ElementClass, classify_elements, load_obj, save_obj
+from .mesh import (
+    ControlNet,
+    ElementClass,
+    classify_elements,
+    load_obj,
+    save_obj,
+    spoke_mask,
+)
 from .quality import min_invalid_thickness
 from .refine import refine_n
 from .solve import (
@@ -106,7 +113,7 @@ def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
     irregular = np.array([c is ElementClass.IRREGULAR for c in labels])
     transition = np.array([c is ElementClass.TRANSITION for c in labels])
     interior = np.flatnonzero(~cnet.boundary_edge)
-    spoke = cnet.extraordinary[cnet.edges[interior]].any(axis=1)
+    spoke = spoke_mask(cnet)[interior]
     faces, rots = (a[interior] for a in edge_sides(cnet))
     irr, trans = irregular[faces], transition[faces]
     orders = np.select([spoke, (irr & trans[:, ::-1]).any(axis=1), ~irr.any(axis=1)],

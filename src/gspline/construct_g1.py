@@ -630,7 +630,7 @@ def g1_residual(surface: GSplineSurface, edge: int, samples: int = 50) -> float:
     fr = edge_frames(cnet, edge, v1=geom.v1)
     ts = np.linspace(0.0, 1.0, samples)
     # frame-axis gradients of the polynomial (unrationalized) functions
-    (_, gr, _), (_, gl, _) = edge_pair_tables(surface, fr, ts, polynomial=True)
+    (_, gr, _), (_, gl, _) = edge_pair_tables(surface, fr, ts)
     res = gl[..., 0] + blend_polynomial(geom, ts) * gr[..., 0] + gr[..., 1]
     scale = max(float(np.abs(gr).max(initial=0.0)),
                 float(np.abs(gl).max(initial=0.0)))

@@ -113,10 +113,15 @@ def map_groups(surface: GSplineSurface, fn) -> list:
     An element error from ``fn`` is raised after every group has run: the
     one of the lowest element, as a loop over the elements would meet it.
     """
+    return map_lowest(fn, ((g,) for g in surface.groups))
+
+
+def map_lowest(fn, batches) -> list:
+    """``[fn(*batch) for batch in batches]``, raising as ``map_groups``."""
     out, errors = [], []
-    for group in surface.groups:
+    for batch in batches:
         try:
-            out.append(fn(group))
+            out.append(fn(*batch))
         except (DegenerateBasisError, SingularParameterizationError) as exc:
             errors.append(exc)
     if errors:
@@ -360,8 +365,9 @@ def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
     ``faces`` and ``rots`` are (k, 2) as from ``edge_sides``.  Yields
     ``(side, rot, rows, sub)``: ``rows`` index the edges whose side
     element lies in the group and has that rotation, and ``sub`` is the
-    ``ElementGroup`` of those elements in row order, polynomial (not
-    rationalized) if asked.
+    ``ElementGroup`` of those elements, polynomial (not rationalized) if
+    asked.  ``rows`` run in element order, so ``raise_first`` meets the
+    batch's lowest failing element.
     """
     group_of, row_of = surface.group_slots
     for side in (0, 1):
@@ -370,6 +376,7 @@ def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
             for i, g in enumerate(surface.groups):
                 rows = np.flatnonzero((r == rot) & (group_of[f] == i))
                 if rows.size:
+                    rows = rows[np.argsort(f[rows], kind="stable")]
                     take = row_of[f[rows]]
                     yield side, rot, rows, ElementGroup(
                         g.degree, g.rational and not polynomial, g.elements[take],
@@ -380,7 +387,8 @@ def _side_tables(sub: ElementGroup, side: int, rot: int, ts):
     """``group_table`` of a batch at edge parameters ``ts`` on its side
     (eta = 0 on the right, xi = 0 on the left, in the frame of ``rot``),
     derivatives along the frame axes with d2 columns (xx, xy, yy).  Raises
-    for the first element whose rational denominator is not positive."""
+    for the batch's lowest element whose rational denominator is not
+    positive."""
     zs = np.zeros_like(ts)
     uv = rotated_params(rot, *((ts, zs) if side == 0 else (zs, ts)))
     vals, d1, d2, bad_w = group_table(sub, np.stack(uv, axis=1),
@@ -432,7 +440,8 @@ def edge_residuals(surface: GSplineSurface, faces, rots, orders,
     basis function at ``jump_samples`` (a function missing on one side
     counts as zero there).  One ``group_table`` call per (side, rotation,
     group) covers both sample sets; the jumps are summed per (edge,
-    basis function).
+    basis function).  An element error is raised after every batch has
+    run, for the lowest element, as ``map_groups`` does.
     """
     faces, rots, orders = np.asarray(faces), np.asarray(rots), np.asarray(orders)
     k, n = len(faces), surface.cnet.n_vertices
@@ -451,8 +460,7 @@ def edge_residuals(surface: GSplineSurface, faces, rots, orders,
                             *(t[:, :, gap_samples:] for t in (vals, d1, d2)))
         sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += terms[used]
 
-    for batch in _edge_batches(surface, faces, rots):
-        visit(*batch)
+    map_lowest(visit, _edge_batches(surface, faces, rots))
     gap = np.linalg.norm(points[0] - points[1], axis=-1).max(axis=1, initial=0.0)
     jump = np.zeros(k)
     if len(keys):
@@ -467,19 +475,19 @@ def _one_edge(fr: EdgeFrames):
     return np.array([[fr.right, fr.left]]), np.array([[fr.rot_right, fr.rot_left]])
 
 
-def edge_pair_tables(surface: GSplineSurface, fr: EdgeFrames, ts,
-                     polynomial: bool = False):
-    """Both elements of one edge at edge parameters ``ts``, in the frame axes.
+def edge_pair_tables(surface: GSplineSurface, fr: EdgeFrames, ts):
+    """Both elements of one edge at edge parameters ``ts``, in the frame
+    axes, from the polynomial (not rationalized) coefficients that
+    ``construct_g1.g1_residual`` measures.
 
     Returns ``((vals, d1, d2) right, (vals, d1, d2) left)`` whose rows
     follow the sorted union of the two basis lists; a function missing on
-    one side has zero rows there.  ``polynomial`` skips the rational
-    quotient.
+    one side has zero rows there.
     """
     faces, rots = _one_edge(fr)
     ids = _edge_keys(surface, faces, np.zeros(1, dtype=int))
     sides = []
-    for side, rot, _, sub in _edge_batches(surface, faces, rots, polynomial):
+    for side, rot, _, sub in _edge_batches(surface, faces, rots, polynomial=True):
         rows = np.searchsorted(ids, sub.basis[0, sub.mask[0]])
         tables = []
         for table in _side_tables(sub, side, rot, ts):

@@ -292,12 +292,14 @@ def classify_elements(cnet: CNet) -> list[ElementClass]:
     return labels
 
 
+def spoke_mask(cnet: CNet) -> np.ndarray:
+    """(n_edges,) mask of the edges emanating from any extraordinary vertex."""
+    return cnet.extraordinary[cnet.edges].any(axis=1)
+
+
 def spoke_edges(cnet: CNet) -> set[int]:
     """Edges emanating from any extraordinary vertex."""
-    out: set[int] = set()
-    for ep in extraordinary_vertices(cnet):
-        out.update(cnet.vertex_edges[ep])
-    return out
+    return set(np.flatnonzero(spoke_mask(cnet)).tolist())
 
 
 def irregular_basis_vertices(cnet: CNet) -> set[int]:

@@ -126,6 +126,23 @@ class TestParityWithEdgeLoop:
             raised.append(info.value.element)
         assert raised == [e, e]
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 4), (3, 5)])
+    def test_lowest_of_two_degenerate_elements_is_named(self, pair):
+        # the pairs (1, 4) and (3, 5) lie in edge batches that run the
+        # higher element's batch first
+        surface = case("val33_refined_g1r")
+        exts = list(surface.extractions)
+        rational = [i for i, x in enumerate(exts) if x.rational]
+        lo, hi = (rational[i] for i in pair)
+        for e in (lo, hi):
+            exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
+        bad = GSplineSurface(net=surface.net, extractions=exts, variant="g1r")
+        with pytest.raises(DegenerateBasisError) as info:
+            surface_check(bad)
+        assert info.value.element == lo
+        with pytest.raises(DegenerateBasisError):
+            edge_loop.surface_check(bad)
+
 
 def nearly_dependent_quad(delta=1e-9):
     """One bi-cubic element whose last two basis functions differ by

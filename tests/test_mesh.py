@@ -13,6 +13,7 @@ from gspline.mesh import (
     ring_vertices,
     save_obj,
     spoke_edges,
+    spoke_mask,
     ElementClass,
 )
 
@@ -224,6 +225,14 @@ class TestSpokesAndBasis:
         assert cnet.edge_id(0, 1) in spokes
         by_ep = [e for v in (0, 1) for e in cnet.vertex_edges[v]]
         assert len(spokes) == len(set(by_ep))
+
+    @pytest.mark.parametrize("make", [netgen.val33, netgen.rot44, lambda: netgen.fan(5)])
+    def test_spoke_mask_is_the_edges_at_extraordinary_vertices(self, make):
+        cnet = make().cnet
+        expected = {e for ep in extraordinary_vertices(cnet) for e in cnet.vertex_edges[ep]}
+        mask = spoke_mask(cnet)
+        assert mask.shape == (cnet.n_edges,)
+        assert set(np.flatnonzero(mask).tolist()) == expected == spoke_edges(cnet)
 
     def test_spoke_edge_touches_irregular(self):
         net = netgen.rot44()
