@@ -1,13 +1,15 @@
 """Preliminary C0 construction: bi-cubic extraction operators everywhere.
 
-Every element gets 16 Bezier control points expressed as affine
-combinations of control points: face points from the element's own four
+Every element gets 16 Bezier control points that are fixed affine
+combinations of control points, so the whole construction is one sparse
+operator S with 16 rows per face: face points from the element's own four
 corners, interior edge points as averages of the two flanking face points,
 interior vertex points as the average of the surrounding face points,
 boundary edge/vertex points from the boundary control polygon, and corner
-points equal to the corner control point.  Shared points receive identical
-stencils from every element, so the result is C0 everywhere, C2 across
-edges away from extraordinary vertices and C0 across spoke edges.
+points equal to the corner control point.  Shared points come from the
+same rows for every element, so the result is C0 everywhere, C2 across
+edges away from extraordinary vertices and C0 across spoke edges.  An
+element's basis is the ascending list of control points its rows touch.
 """
 
 from __future__ import annotations
@@ -17,140 +19,95 @@ import numpy as np
 from .errors import DomainError
 from .evaluate import GSplineSurface, edge_jumps
 from .extraction import ElementExtraction
-from .mesh import CNet, ControlNet
+from .mesh import CNet, ControlNet, boundary_neighbours
 
-Stencil = dict[int, float]
-
-
-def _face_point(cnet: CNet, face: int, corner_slot: int) -> Stencil:
-    """Face Bezier point nearest to the given corner of the face."""
-    loop = [int(v) for v in cnet.faces[face]]
-    a = loop[corner_slot]
-    b = loop[(corner_slot + 1) % 4]
-    c = loop[(corner_slot - 1) % 4]
-    d = loop[(corner_slot + 2) % 4]
-    return {a: 4.0 / 9.0, b: 2.0 / 9.0, c: 2.0 / 9.0, d: 1.0 / 9.0}
-
-
-def _merge(*parts: tuple[float, Stencil]) -> Stencil:
-    out: Stencil = {}
-    for w, st in parts:
-        for v, c in st.items():
-            out[v] = out.get(v, 0.0) + w * c
-    return out
+# Bezier grid positions 4 j + i of each face's corner s, its face point
+# nearest corner s, and the two points of side s (corner s -> corner s+1)
+# nearest its start and its end
+CORNER_POS = [0, 3, 15, 12]
+FACE_POS = [5, 6, 10, 9]
+SIDE_START_POS = [1, 7, 14, 8]
+SIDE_END_POS = [2, 11, 13, 4]
 
 
 def c0_stencils(cnet: CNet):
-    """All Bezier-point stencils of the net.
+    """The Bezier-point operator S of the net.
 
-    Returns ``(face_pts, edge_pts, vertex_pts)``:
-    ``face_pts[face][slot]`` for the four interior points of each face,
-    ``edge_pts[edge][t]`` for the two points at 1/3 and 2/3 from the
-    edge's lower-index endpoint, and ``vertex_pts[vertex]``.
+    A CSR matrix of shape (16 n_faces, n_vertices): row 16 f + 4 j + i
+    holds Bezier point (i, j) of element f as weights on the control
+    points.
     """
-    face_pts = [
-        [_face_point(cnet, f, s) for s in range(4)] for f in range(cnet.n_faces)
-    ]
+    import scipy.sparse as sp
 
-    def fp_by_vertex(face: int, vertex: int) -> Stencil:
-        loop = [int(v) for v in cnet.faces[face]]
-        return face_pts[face][loop.index(vertex)]
+    n_v, n_f, n_e = cnet.n_vertices, cnet.n_faces, cnet.n_edges
+    faces, slots = cnet.faces, np.arange(4)
+    fp = 4 * np.arange(n_f)[:, None] + slots  # face point nearest corner s
+    start, end = faces, np.roll(faces, -1, axis=1)
+    near_start = 2 * cnet.face_edges + (start > end)  # edge point rows
+    near_end = 2 * cnet.face_edges + (end > start)
 
-    edge_pts: list[dict[int, Stencil]] = []
-    for e, (u, v) in enumerate(cnet.edges):
-        u, v = int(u), int(v)  # u < v by construction
-        if cnet.boundary_edge[e]:
-            pts = {1: {u: 2.0 / 3.0, v: 1.0 / 3.0},
-                   2: {u: 1.0 / 3.0, v: 2.0 / 3.0}}
-        else:
-            f1, f2 = cnet.edge_faces[e]
-            pts = {
-                1: _merge((0.5, fp_by_vertex(f1, u)), (0.5, fp_by_vertex(f2, u))),
-                2: _merge((0.5, fp_by_vertex(f1, v)), (0.5, fp_by_vertex(f2, v))),
-            }
-        edge_pts.append(pts)
+    # points: the face points (4/9 at their corner, 2/9 at its neighbours,
+    # 1/9 opposite), then the control points themselves
+    ring = faces[:, (slots[:, None] + slots) % 4]
+    points = sp.vstack([
+        sp.csr_matrix((np.tile([4 / 9, 2 / 9, 1 / 9, 2 / 9], 4 * n_f),
+                       (np.repeat(fp.ravel(), 4), ring.ravel())),
+                      shape=(4 * n_f, n_v)),
+        sp.identity(n_v, format="csr"),
+    ]).tocsr()
 
-    vertex_pts: list[Stencil] = []
-    for w in range(cnet.n_vertices):
-        if cnet.boundary_vertex[w] and cnet.valence[w] == 1:  # corner
-            vertex_pts.append({w: 1.0})
-        elif cnet.boundary_vertex[w]:
-            nbrs = []
-            for e in cnet.vertex_edges[w]:
-                if cnet.boundary_edge[e]:
-                    a, b = (int(x) for x in cnet.edges[e])
-                    nbrs.append(b if a == w else a)
-            if len(nbrs) != 2:
-                raise DomainError(
-                    f"boundary vertex {w} has {len(nbrs)} boundary edges"
-                )
-            vertex_pts.append(
-                {w: 2.0 / 3.0, nbrs[0]: 1.0 / 6.0, nbrs[1]: 1.0 / 6.0}
-            )
-        else:
-            parts = [(1.0 / cnet.valence[w], fp_by_vertex(f, w))
-                     for f in cnet.vertex_faces[w]]
-            vertex_pts.append(_merge(*parts))
-    return face_pts, edge_pts, vertex_pts
+    # M: face points as themselves, then edge points (two per edge, the one
+    # nearer the lower vertex first) and vertex points, on ``points``
+    rows, cols, vals = [fp.ravel()], [fp.ravel()], [np.ones(4 * n_f)]
+    inner = ~cnet.boundary_edge[cnet.face_edges]  # sides on interior edges
+    for near, pt in ((near_start, fp), (near_end, np.roll(fp, -1, axis=1))):
+        rows.append(4 * n_f + near[inner])
+        cols.append(pt[inner])
+        vals.append(np.full(inner.sum(), 0.5))
+    be = np.flatnonzero(cnet.boundary_edge)
+    u, v = 4 * n_f + cnet.edges[be].T
+    rows.append(4 * n_f + np.concatenate([2 * be, 2 * be, 2 * be + 1, 2 * be + 1]))
+    cols.append(np.concatenate([u, v, u, v]))
+    vals.append(np.repeat([2 / 3, 1 / 3, 1 / 3, 2 / 3], len(be)))
 
+    v0 = 4 * n_f + 2 * n_e
+    at = ~cnet.boundary_vertex[faces]  # corners at interior vertices
+    rows.append(v0 + faces[at])
+    cols.append(fp[at])
+    vals.append(1.0 / cnet.valence[faces[at]])
+    corner = np.flatnonzero(cnet.boundary_vertex & (cnet.valence == 1))
+    side = np.flatnonzero(cnet.boundary_vertex & (cnet.valence > 1))
+    nbrs = boundary_neighbours(cnet)[side]
+    rows.append(v0 + np.concatenate([corner, side, side, side]))
+    cols.append(4 * n_f + np.concatenate([corner, side, nbrs[:, 0], nbrs[:, 1]]))
+    vals.append(np.repeat([1.0, 2 / 3, 1 / 6, 1 / 6], [len(corner)] + [len(side)] * 3))
+    M = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(v0 + n_v, 4 * n_f + n_v))
 
-def _element_stencils(cnet: CNet, face: int, face_pts, edge_pts, vertex_pts):
-    """The 16 Bezier-point stencils of one element, grid order (i fastest)."""
-    loop = [int(v) for v in cnet.faces[face]]
-    grid: list[list[Stencil | None]] = [[None] * 4 for _ in range(4)]
-
-    grid[0][0] = vertex_pts[loop[0]]
-    grid[3][0] = vertex_pts[loop[1]]
-    grid[3][3] = vertex_pts[loop[2]]
-    grid[0][3] = vertex_pts[loop[3]]
-
-    grid[1][1] = face_pts[face][0]
-    grid[2][1] = face_pts[face][1]
-    grid[2][2] = face_pts[face][2]
-    grid[1][2] = face_pts[face][3]
-
-    # sides: (slot pair along the side, side index s = loop[s] -> loop[s+1])
-    side_slots = {
-        0: ((1, 0), (2, 0)),  # eta = 0, from loop[0] to loop[1]
-        1: ((3, 1), (3, 2)),  # xi = 1, from loop[1] to loop[2]
-        2: ((2, 3), (1, 3)),  # eta = 1, from loop[2] to loop[3]
-        3: ((0, 2), (0, 1)),  # xi = 0, from loop[3] to loop[0]
-    }
-    for s in range(4):
-        a, b = loop[s], loop[(s + 1) % 4]
-        e = cnet.face_edges[face][s]
-        near_a, near_b = (1, 2) if a < b else (2, 1)
-        (i1, j1), (i2, j2) = side_slots[s]
-        grid[i1][j1] = edge_pts[e][near_a]
-        grid[i2][j2] = edge_pts[e][near_b]
-    return grid
+    pick = np.empty((n_f, 16), dtype=int)
+    pick[:, CORNER_POS] = v0 + faces
+    pick[:, FACE_POS] = fp
+    pick[:, SIDE_START_POS] = 4 * n_f + near_start
+    pick[:, SIDE_END_POS] = 4 * n_f + near_end
+    return (M @ points)[pick.ravel()]
 
 
 def build_c0(net: ControlNet) -> GSplineSurface:
     """Build the preliminary C0 surface (degree 3 on every element)."""
     cnet = net.cnet
-    face_pts, edge_pts, vertex_pts = c0_stencils(cnet)
-    extractions = []
-    for f in range(cnet.n_faces):
-        grid = _element_stencils(cnet, f, face_pts, edge_pts, vertex_pts)
-        support: list[int] = []
-        index: dict[int, int] = {}
-        for j in range(4):
-            for i in range(4):
-                for v in grid[i][j]:
-                    if v not in index:
-                        index[v] = len(support)
-                        support.append(v)
-        coeffs = np.zeros((len(support), 16))
-        for j in range(4):
-            for i in range(4):
-                k = 4 * j + i
-                for v, c in grid[i][j].items():
-                    coeffs[index[v], k] = c
-        extractions.append(
-            ElementExtraction(element=f, degree=3, basis=np.array(support),
-                              coeffs=coeffs)
-        )
+    S = c0_stencils(cnet).tocoo()
+    face, pos = np.divmod(S.row, 16)
+    keys, slot = np.unique(face * cnet.n_vertices + S.col, return_inverse=True)
+    owner, basis = np.divmod(keys, cnet.n_vertices)
+    coeffs = np.zeros((len(keys), 16))
+    coeffs[slot, pos] = S.data
+    bounds = np.searchsorted(owner, np.arange(cnet.n_faces + 1))
+    extractions = [
+        ElementExtraction(element=f, degree=3, basis=basis[a:b],
+                          coeffs=coeffs[a:b])
+        for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
     return GSplineSurface(net=net, extractions=extractions, variant="c0")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyError, FormatError, TopologyError
+from .errors import DomainError, EmptyError, FormatError, InternalError, TopologyError
 
 
 class ElementClass(enum.Enum):
@@ -290,6 +290,24 @@ def classify_elements(cnet: CNet) -> list[ElementClass]:
             if labels[f] is not ElementClass.IRREGULAR:
                 labels[f] = ElementClass.TRANSITION
     return labels
+
+
+def boundary_neighbours(cnet: CNet) -> np.ndarray:
+    """(n_vertices, 2) array of the two vertices that share a boundary edge
+    with each boundary vertex, the one across the lower edge id first;
+    -1 on interior vertices.  The fan check of ``CNet`` leaves every
+    boundary vertex exactly two boundary edges.
+    """
+    ends = cnet.edges[cnet.boundary_edge]
+    own, other = ends.ravel(), ends[:, ::-1].ravel()
+    count = np.bincount(own, minlength=cnet.n_vertices)
+    bad = np.flatnonzero(cnet.boundary_vertex & (count != 2))
+    if bad.size:
+        raise InternalError(f"boundary vertex {bad[0]} has {count[bad[0]]} "
+                            "boundary edges")
+    out = np.full((cnet.n_vertices, 2), -1)
+    out[cnet.boundary_vertex] = other[np.argsort(own, kind="stable")].reshape(-1, 2)
+    return out
 
 
 def spoke_mask(cnet: CNet) -> np.ndarray:

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    DomainError,
     EigensolverError,
     LumpingError,
     ResourceError,
@@ -271,6 +272,8 @@ def convergence_study(net0, variant: str, levels: int,
                       source=default_source, exact=exact_solution,
                       exact_grad=exact_gradient) -> ConvergenceReport:
     """Refine, rebuild from scratch, solve and record errors per level."""
+    if levels < 1:
+        raise DomainError(f"a convergence study needs >= 1 level, got {levels}")
     if levels > 6:
         raise ResourceError("convergence study capped at 6 levels")
     report = ConvergenceReport(variant=variant)
@@ -337,6 +340,9 @@ def solve_generalized_eigen(system: GalerkinSystem, k: int = 6,
     if system.M is None:
         raise ValueError("system was assembled without a mass matrix")
     act = system.active
+    if not 1 <= k < len(act):
+        raise DomainError(f"k = {k} eigenpairs need 1 <= k < {len(act)}, "
+                          "the number of active dofs")
     K = system.K[act][:, act].tocsc()
     M = system.M[act][:, act].tocsc()
     v0 = np.ones(K.shape[0])

@@ -451,6 +451,47 @@ class TestBadArchives:
         assert "'variant'" in err["message"]
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("levels", ["-1", "-4"])
+    def test_negative_refinement_levels_exit_2(self, ep_obj, tmp_path, capsys,
+                                               levels):
+        out = tmp_path / "x.obj"
+        assert main(["refine", str(ep_obj), "--levels", levels, "-o", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not out.exists()
+
+    def test_zero_refinement_levels_convert_obj_to_archive(self, ep_obj, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["refine", str(ep_obj), "--levels", "0", "-o", str(out)]) == 0
+        assert surface_from_json(out.read_text()).cnet.n_faces == 4
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_empty_poisson_study_exit_2(self, ep_obj, tmp_path, capsys, levels):
+        out = tmp_path / "conv.json"
+        assert main(["poisson", str(ep_obj), "--levels", levels, "--variant", "c0",
+                     "-o", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, code", [("0", 2), ("-3", 2), ("8", 0), ("9", 2),
+                                         ("40", 2)])
+    def test_eigenvalue_count_outside_active_dofs_exit_2(self, tmp_path, capsys,
+                                                         k, code):
+        # the c0 surface of rot44 has 9 active dofs
+        arc = tmp_path / "a.json"
+        arc.write_text(surface_to_json(build_c0(netgen.rot44())))
+        out = tmp_path / "eig.json"
+        capsys.readouterr()
+        assert main(["eigen", str(arc), "-k", k, "-o", str(out)]) == code
+        if code == 0:
+            assert len(json.loads(out.read_text())["eigenvalues"]) == 8
+        else:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "DomainError"
+            assert "< 9" in err["message"]
+            assert not out.exists()
+
+
 class TestUnexpectedException:
     def test_exit_5_with_json(self, ep_obj, tmp_path, capsys, monkeypatch):
         def broken(args):
