@@ -97,7 +97,7 @@ def build_c0(net: ControlNet) -> GSplineSurface:
     """Build the preliminary C0 surface (degree 3 on every element)."""
     cnet = net.cnet
     S = c0_stencils(cnet).tocoo()
-    face, pos = np.divmod(S.row, 16)
+    face, pos = np.divmod(S.row.astype(np.int64), 16)  # keys pass 2**31
     keys, slot = np.unique(face * cnet.n_vertices + S.col, return_inverse=True)
     owner, basis = np.divmod(keys, cnet.n_vertices)
     coeffs = np.zeros((len(keys), 16))

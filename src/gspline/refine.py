@@ -1,15 +1,14 @@
 """Global uniform refinement with extended Catmull-Clark control rules.
 
 Each face splits into four, with the child faces written by index
-arithmetic on the face and edge arrays.  The new control points are
-R P for one sparse subdivision matrix R whose rows are fixed affine masks
+arithmetic on the face and edge arrays.  The new control points are R P
+for one sparse subdivision matrix R whose rows are fixed affine masks
 (the subdivision-matrix view of Stam, SIGGRAPH 1998): face points average
 the four corners, edge and vertex points use the extended rules that keep
 the boundary curve a cubic B-spline of the boundary control polygon and
-hold corner control points fixed.  No
-book-keeping is involved: a refined net is rebuilt by the same
-construction algorithms as any other net, and the extraordinary-vertex
-count never changes.
+hold corner control points fixed.  No book-keeping is involved: a refined
+net is rebuilt by the same construction algorithms as any other net, and
+the extraordinary-vertex count never changes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 from gspline.construct_c0 import build_c0, c0_stencils
 from gspline.construct_g1 import build_g1
 from gspline.errors import InternalError
-from gspline.mesh import boundary_neighbours
+from gspline.mesh import CNet, ControlNet, boundary_neighbours
 from gspline.refine import refine
 
 import netgen
@@ -67,6 +67,17 @@ def test_operator_rows_are_the_element_bezier_points():
         np.testing.assert_allclose(
             bez[ext.element], ext.coeffs.T @ net.positions[ext.basis],
             rtol=0, atol=1e-15)
+
+
+def test_element_keys_beyond_int32():
+    # 24000 disjoint quads: face id x n_vertices passes 2**31
+    n = 24000
+    square = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]]
+    net = ControlNet(CNet(4 * n, np.arange(4 * n).reshape(n, 4)),
+                     np.tile(square, (n, 1)))
+    first, last = build_c0(net).extractions[::n - 1]
+    np.testing.assert_array_equal(last.basis, 4 * (n - 1) + np.arange(4))
+    np.testing.assert_array_equal(last.coeffs, first.coeffs)
 
 
 @pytest.mark.parametrize("variant", ["c0", "g1p", "g1r"])
