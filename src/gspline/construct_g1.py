@@ -28,6 +28,12 @@ so elements share the unknowns of their common edges.  ``assemble``
 writes G and F directly from index arrays: a (7, n) block per
 constrained edge, one identity row per pinned unknown and two flat
 index arrays for the 60 fairing differences of each element.
+
+``solve_constrained_ls`` eliminates the pinned unknowns before it
+factors: each identity pin row fixes its unknown, and only the other
+rows, restricted to the free unknowns, go through the rank-revealing SVD,
+with a rank tolerance relative to that reduced matrix.  The reported rank is
+the number of pins plus the rank of the reduced rows.
 """
 
 from __future__ import annotations
@@ -487,14 +493,25 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
                          eq_tol: float = 1e-9, return_info: bool = False):
     """Minimize the fairing residual subject to the equality constraints.
 
-    Redundant equality rows are removed by a rank-revealing SVD; the
-    least-squares problem is then solved in the nullspace
-    parameterization (Lawson & Hanson, ch. 20).  ``g`` and ``f`` are one
-    right-hand side (1-D; returns a vector and one info dict) or one
-    column per right-hand side (2-D; returns one column and one info dict
-    per right-hand side), all sharing one factorization of G and F.
-    Inconsistent constraints of any column raise InfeasibleConstraintError
-    listing that column's offending edges.
+    Pins are eliminated first (Lawson & Hanson, ch. 21): an equality row
+    with a single nonzero entry a c_j = g_i fixes c_j = g_i / a, and the
+    first such row of an unknown is the one used.  The other rows,
+    restricted to the free unknowns with the pinned part moved to the
+    right-hand side, go through a rank-revealing SVD whose tolerance
+    ``rank_tol`` is relative to the largest singular value of that
+    reduced matrix; the least-squares problem is then solved in the
+    nullspace parameterization (Lawson & Hanson, ch. 20), without the
+    fairing rows that touch no free unknown.  The reported ``rank`` is
+    the number of pinned unknowns plus the rank of the reduced rows,
+    which is the rank of G.  The result is the minimum-norm solution.
+
+    ``g`` and ``f`` are one right-hand side (1-D; returns a vector and one
+    info dict) or one column per right-hand side (2-D; returns one column
+    and one info dict per right-hand side), all sharing one factorization.
+    Residuals are checked on the full G, pin rows included.  Inconsistent
+    constraints of any column raise InfeasibleConstraintError listing that
+    column's offending edges, with the rows that pinned the unknowns of
+    the offending rows.
     """
     G, F = system.G, system.F
     f = np.asarray(system.f, dtype=float)
@@ -502,23 +519,43 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     f = f.reshape(F.shape[0], -1)
     g = np.asarray(system.g, dtype=float).reshape(G.shape[0], f.shape[1])
 
-    U, s, Vt = np.linalg.svd(G, full_matrices=True)
+    # the first single-entry row of each unknown pins it
+    single = np.flatnonzero(np.count_nonzero(G, axis=1) == 1)
+    pinned, first = np.unique(np.argmax(G[single] != 0, axis=1),
+                              return_index=True)
+    pin_rows = single[first]
+    free = np.ones(G.shape[1], dtype=bool)
+    free[pinned] = False
+    c = np.zeros((G.shape[1], f.shape[1]))
+    c[pinned] = g[pin_rows] / G[pin_rows, pinned][:, None]
+
+    rest = np.ones(G.shape[0], dtype=bool)
+    rest[pin_rows] = False
+    Gr = G[rest]
+    gr = g[rest] - Gr @ c
+    Gr = Gr[:, free]
+    live = Gr.any(axis=1)  # rows on pinned unknowns only: checked below
+    U, s, Vt = np.linalg.svd(Gr[live], full_matrices=True)
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    cp = Vt[:rank].T @ ((U[:, :rank].T @ g) / s[:rank, None])
+    c[free] = Vt[:rank].T @ ((U[:, :rank].T @ gr[live]) / s[:rank, None])
     scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
-    eq_residual = np.abs(G @ cp - g)
+    eq_residual = np.abs(G @ c - g)
     bad = eq_residual > eq_tol * scale
     if bad.any():
         col = int(np.flatnonzero(bad.any(axis=0))[0])
         rows = np.flatnonzero(bad[:, col])
-        edges = sorted({system.tags[i][1] for i in rows
+        pins = pin_rows[G[np.ix_(rows, pinned)].any(axis=0)]
+        edges = sorted({system.tags[i][1] for i in np.union1d(rows, pins)
                         if system.tags[i][0] == "edge"})
         raise InfeasibleConstraintError(
             f"equality constraints inconsistent (max residual "
             f"{eq_residual[:, col].max():.3e})", edges=edges)
     Z = Vt[rank:].T
-    z, *_ = np.linalg.lstsq(F @ Z, f - F @ cp, rcond=None)
-    c = cp + Z @ z
+    Fr = F[:, free]
+    touch = Fr.any(axis=1)
+    z, *_ = np.linalg.lstsq(Fr[touch] @ Z, f[touch] - F[touch] @ c,
+                            rcond=None)
+    c[free] += Z @ z
     final = np.abs(G @ c - g).max(axis=0, initial=0.0)
     if (final > eq_tol * scale).any():
         raise InfeasibleConstraintError(
@@ -526,7 +563,7 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     if not return_info:
         return c.reshape((-1,) + cols)
     ls_residual = np.linalg.norm(F @ c - f, axis=0)
-    infos = [{"rank": rank, "n_equality": int(G.shape[0]),
+    infos = [{"rank": pinned.size + rank, "n_equality": int(G.shape[0]),
               "ls_residual": float(ls), "eq_residual": float(eq)}
              for ls, eq in zip(ls_residual, final)]
     return c.reshape((-1,) + cols), (infos if cols else infos[0])

@@ -118,10 +118,6 @@ class CNet:
         for f, quad in enumerate(self.faces):
             for v in quad:
                 self.vertex_faces[int(v)].append(f)
-        self.vertex_edges: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for e, (u, v) in enumerate(self.edges):
-            self.vertex_edges[int(u)].append(e)
-            self.vertex_edges[int(v)].append(e)
 
         self.boundary_vertex = np.zeros(self.n_vertices, dtype=bool)
         for e, (u, v) in enumerate(self.edges):

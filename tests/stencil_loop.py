@@ -36,6 +36,15 @@ def _merge(*parts: tuple[float, Stencil]) -> Stencil:
     return out
 
 
+def _vertex_edges(cnet: CNet) -> list[list[int]]:
+    """Edges at each vertex in ascending order, from ``cnet.edges``."""
+    out: list[list[int]] = [[] for _ in range(cnet.n_vertices)]
+    for e, (u, v) in enumerate(cnet.edges):
+        out[int(u)].append(e)
+        out[int(v)].append(e)
+    return out
+
+
 def c0_stencils(cnet: CNet):
     """All Bezier-point stencils of the net.
 
@@ -66,13 +75,14 @@ def c0_stencils(cnet: CNet):
             }
         edge_pts.append(pts)
 
+    vertex_edges = _vertex_edges(cnet)
     vertex_pts: list[Stencil] = []
     for w in range(cnet.n_vertices):
         if cnet.boundary_vertex[w] and cnet.valence[w] == 1:  # corner
             vertex_pts.append({w: 1.0})
         elif cnet.boundary_vertex[w]:
             nbrs = []
-            for e in cnet.vertex_edges[w]:
+            for e in vertex_edges[w]:
                 if cnet.boundary_edge[e]:
                     a, b = (int(x) for x in cnet.edges[e])
                     nbrs.append(b if a == w else a)
@@ -157,6 +167,7 @@ def refine(net: ControlNet) -> ControlNet:
 
     n_v, n_f, n_e = cnet.n_vertices, cnet.n_faces, cnet.n_edges
     new_pos = np.empty((n_v + n_f + n_e, 3))
+    vertex_edges = _vertex_edges(cnet)
 
     # updated old vertices
     for v in range(n_v):
@@ -164,7 +175,7 @@ def refine(net: ControlNet) -> ControlNet:
             new_pos[v] = pos[v]
         elif cnet.boundary_vertex[v]:
             nbrs = []
-            for e in cnet.vertex_edges[v]:
+            for e in vertex_edges[v]:
                 if cnet.boundary_edge[e]:
                     a, b = (int(x) for x in cnet.edges[e])
                     nbrs.append(b if a == v else a)
@@ -175,7 +186,7 @@ def refine(net: ControlNet) -> ControlNet:
             mu = int(cnet.valence[v])
             w_own, w_edge, w_diag = _interior_vertex_mask(mu)
             acc = w_own * pos[v]
-            for e in cnet.vertex_edges[v]:
+            for e in vertex_edges[v]:
                 a, b = (int(x) for x in cnet.edges[e])
                 acc = acc + w_edge * pos[b if a == v else a]
             for f in cnet.vertex_faces[v]:

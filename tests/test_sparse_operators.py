@@ -96,7 +96,8 @@ def test_boundary_neighbours_are_the_boundary_edge_ends(name):
     nbrs = boundary_neighbours(cnet)
     for v in range(cnet.n_vertices):
         expected = [int(a + b - v) for a, b in
-                    (cnet.edges[e] for e in cnet.vertex_edges[v]
+                    (cnet.edges[e]
+                     for e in np.flatnonzero((cnet.edges == v).any(axis=1))
                      if cnet.boundary_edge[e])]
         assert nbrs[v].tolist() == (expected if cnet.boundary_vertex[v] else [-1, -1])
 
