@@ -33,6 +33,7 @@ from .errors import (
     GSplineError,
     InfeasibleConstraintError,
     LumpingError,
+    NonFiniteError,
     ResourceError,
     SingularParameterizationError,
     TopologyError,
@@ -68,7 +69,7 @@ _EXIT_CODES = (
     (3, (TopologyError,)),
     (4, (InfeasibleConstraintError, DegenerateBasisError)),
     (5, (SingularParameterizationError, EigensolverError, LumpingError,
-         ResourceError)),
+         ResourceError, NonFiniteError)),
 )
 
 
@@ -298,9 +299,25 @@ def cmd_eigen(args) -> int:
 
 def cmd_check(args) -> int:
     surface = _load_surface(args.input)
-    report = surface_check(surface)
-    _write(args.output, json.dumps(report, indent=2, sort_keys=True))
+    # an overflow shows as a non-finite report value, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = surface_check(surface)
+    _write(args.output, _finite_json(report))
     return 0
+
+
+def _finite_json(report: dict) -> str:
+    """``report`` as indented JSON with sorted keys.  NonFiniteError names
+    the first key, in that order, whose value holds NaN or an infinity."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        for key in sorted(report):
+            try:
+                json.dumps(report[key], allow_nan=False)
+            except ValueError:
+                raise NonFiniteError(f"check report value {key!r} is not finite") from None
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

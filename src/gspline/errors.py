@@ -60,3 +60,7 @@ class LumpingError(GSplineError):
 
 class EigensolverError(GSplineError):
     """Generalized eigenvalue iteration failed to converge."""
+
+
+class NonFiniteError(GSplineError):
+    """A computed report value is not a finite number (an overflow, say)."""

@@ -46,9 +46,10 @@ def bernstein_1d(p: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
 
     def padded(q, pad):  # degree-q basis between `pad` zero rows each side
+        k = np.arange(q + 1).reshape((-1,) + (1,) * x.ndim)
+        binom = np.array([comb(q, j) for j in range(q + 1)], dtype=float)
         out = np.zeros((q + 1 + 2 * pad,) + x.shape)
-        for k in range(q + 1):
-            out[pad + k] = comb(q, k) * x**k * (1.0 - x) ** (q - k)
+        out[pad:pad + q + 1] = binom.reshape(k.shape) * x**k * (1.0 - x) ** (q - k)
         return out
 
     lower = padded(p - 1, 1)

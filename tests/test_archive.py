@@ -1,3 +1,4 @@
+import base64
 import functools
 import json
 import re
@@ -12,6 +13,7 @@ from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError
 from gspline.refine import refine_n
 
+import archive_v1
 import netgen
 
 
@@ -19,6 +21,20 @@ import netgen
 def surface(net, levels, variant):
     c0 = build_c0(refine_n(getattr(netgen, net)(), levels)[0])
     return c0 if variant == "c0" else build_g1(c0, variant)
+
+
+def payload_v1(net, levels, variant):
+    """The surface as a format-1 archive payload: coefficients as lists."""
+    return json.loads(archive_v1.surface_to_json(surface(net, levels, variant)))
+
+
+def block(values) -> str:
+    """A format-2 coefficient string."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unblock(text, n_columns) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, n_columns)
 
 
 def assert_bitwise(a, b):
@@ -66,7 +82,23 @@ class TestRoundTrip:
         texts = [surface_to_json(build_g1(c0, "g1r")) for _ in range(2)]
         assert texts[0] == texts[1]
         assert "\n" not in texts[0]
-        assert json.loads(texts[0])["format_version"] == FORMAT_VERSION == 1
+        assert json.loads(texts[0])["format_version"] == FORMAT_VERSION == 2
+
+    @pytest.mark.parametrize("net, levels, variant", CASES)
+    def test_version_1_and_2_texts_load_bitwise_equal(self, net, levels, variant):
+        written = surface(net, levels, variant)
+        v1 = surface_from_json(archive_v1.surface_to_json(written))
+        v2 = surface_from_json(surface_to_json(written))
+        assert_same_surface(v1, written)
+        assert_same_surface(v2, v1)
+
+    def test_coeffs_are_base64_of_little_endian_rows(self):
+        written = surface("val333", 0, "g1r")
+        records = json.loads(surface_to_json(written))["elements"]
+        for record, ext in zip(records, written.extractions):
+            text = record["coeffs"]
+            assert text.isascii() and len(text) % 4 == 0
+            assert_bitwise(unblock(text, (ext.degree + 1) ** 2), ext.coeffs)
 
     def test_absent_rational_flag_means_polynomial(self):
         written = surface("rot44", 0, "g1p")
@@ -91,8 +123,8 @@ class TestFieldTypes:
         message = str(load_error(payload))
         assert "'rational'" in message and "element 2" in message
 
-    @pytest.mark.parametrize("value", [True, 1.0])
-    def test_format_version_must_be_the_integer_1(self, value):
+    @pytest.mark.parametrize("value", [True, 1.0, 2.0, 0, 3, "2", None])
+    def test_format_version_must_be_the_integer_1_or_2(self, value):
         payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
         payload["format_version"] = value
         assert "format version" in str(load_error(payload))
@@ -120,10 +152,11 @@ class TestFieldTypes:
     @pytest.mark.parametrize("value", ["0.5", "1", True, False, None])
     @pytest.mark.parametrize("field", ["coeffs", "net.positions"])
     def test_number_fields_hold_json_numbers(self, field, value, tmp_path, capsys):
-        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
         if field == "coeffs":
+            payload = payload_v1("val33", 0, "c0")
             payload["elements"][2]["coeffs"][1][3] = value
         else:
+            payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
             payload["net"]["positions"][4][1] = value
         message = str(load_error(payload))
         assert repr(field) in message and repr(value) in message
@@ -135,7 +168,7 @@ class TestFieldTypes:
 
     def test_integral_numbers_still_load_as_floats(self):
         written = surface("val33", 0, "c0")
-        payload = json.loads(surface_to_json(written))
+        payload = payload_v1("val33", 0, "c0")
         payload["net"]["positions"] = [[int(x) if x.is_integer() else x for x in row]
                                        for row in payload["net"]["positions"]]
         for record in payload["elements"]:
@@ -146,7 +179,8 @@ class TestFieldTypes:
 
 # One way each for an element record to fail.  A record that cannot be
 # read (wrong type or shape) is reported before any whose values fail a
-# check; within each kind the lowest failing element is named.
+# check; within each kind the lowest failing element is named.  These
+# mutate format-1 records, whose coefficients are lists of rows.
 def _set(field, value):
     return lambda record, n_vertices: record.__setitem__(field, value)
 
@@ -168,10 +202,13 @@ INVALID = {
 }
 
 
-def two_bad_records(lower, higher):
-    payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+def two_bad_records(lower, higher, version=1):
+    if version == 1:
+        payload, kinds = payload_v1("val33", 0, "c0"), {**UNREADABLE, **INVALID}
+    else:
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        kinds = {**UNREADABLE_V2, **INVALID_V2}
     n_vertices = len(payload["net"]["positions"])
-    kinds = {**UNREADABLE, **INVALID}
     kinds[lower](payload["elements"][1], n_vertices)
     kinds[higher](payload["elements"][3], n_vertices)
     payload["elements"].reverse()
@@ -197,3 +234,103 @@ class TestLowestFailingElement:
     @pytest.mark.parametrize("higher", UNREADABLE)
     def test_unreadable_record_comes_first(self, lower, higher):
         assert named_elements(str(load_error(two_bad_records(lower, higher)))) == [3]
+
+
+# The same for format-2 records, whose coefficients are one base64 string.
+def _recoded(edit):
+    """Rewrite a record's coefficient block: ``edit`` maps its rows (an
+    array) to the values to encode."""
+    def mutate(record, n_vertices):
+        rows = unblock(record["coeffs"], (record["degree"] + 1) ** 2).copy()
+        record["coeffs"] = block(edit(rows))
+    return mutate
+
+
+def _spliced(index, text):
+    """Replace the character of a record's coefficient string at ``index``."""
+    def mutate(record, n_vertices):
+        old = record["coeffs"]
+        record["coeffs"] = old[:index] + text + old[index + 1:]
+    return mutate
+
+
+def _put(value):
+    def edit(rows):
+        rows.flat[5] = value
+        return rows
+    return _recoded(edit)
+
+
+UNREADABLE_V2 = {
+    **{kind: UNREADABLE[kind] for kind in
+       ("degree type", "degree value", "rational type", "basis type")},
+    "coeffs cut string": lambda r, n: r.__setitem__("coeffs", r["coeffs"][:-1]),
+    "coeffs one value short": _recoded(lambda rows: rows.ravel()[:-1]),
+    "coeffs one row long": _recoded(lambda rows: np.vstack([rows, rows[:1]])),
+    "coeffs text appended": lambda r, n: r.__setitem__("coeffs", r["coeffs"] + "AAAA"),
+    "coeffs outside alphabet": _spliced(10, "*"),
+    "coeffs padding inside": _spliced(8, "="),
+    "coeffs extra padding": lambda r, n: r.__setitem__(
+        "coeffs", r["coeffs"].rstrip("=")[:-1] + "=" * (r["coeffs"].count("=") + 1)),
+    "coeffs non-ASCII": _spliced(10, "\u00e9"),
+    "coeffs list": lambda r, n: r.__setitem__(
+        "coeffs", unblock(r["coeffs"], (r["degree"] + 1) ** 2).tolist()),
+    "coeffs number": _set("coeffs", 0.5),
+}
+INVALID_V2 = {
+    **{kind: INVALID[kind] for kind in
+       ("basis range", "basis repeated", "rational misplaced")},
+    "coeff NaN bytes": _put(np.nan),
+    "coeff +Inf bytes": _put(np.inf),
+    "coeff -Inf bytes": _put(-np.inf),
+}
+
+
+class TestLowestFailingElementVersion2:
+    @pytest.mark.parametrize("lower", UNREADABLE_V2)
+    @pytest.mark.parametrize("higher", UNREADABLE_V2)
+    def test_unreadable_records(self, lower, higher):
+        payload = two_bad_records(lower, higher, version=2)
+        assert named_elements(str(load_error(payload))) == [1]
+
+    @pytest.mark.parametrize("lower", INVALID_V2)
+    @pytest.mark.parametrize("higher", INVALID_V2)
+    def test_invalid_records(self, lower, higher):
+        payload = two_bad_records(lower, higher, version=2)
+        assert named_elements(str(load_error(payload))) == [1]
+
+    @pytest.mark.parametrize("lower", INVALID_V2)
+    @pytest.mark.parametrize("higher", UNREADABLE_V2)
+    def test_unreadable_record_comes_first(self, lower, higher):
+        payload = two_bad_records(lower, higher, version=2)
+        assert named_elements(str(load_error(payload))) == [3]
+
+    @pytest.mark.parametrize("kind", [*UNREADABLE_V2, *INVALID_V2])
+    def test_exit_2_through_the_cli(self, kind, tmp_path, capsys):
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(two_bad_records(kind, kind, version=2)))
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert named_elements(err["message"]) == [1]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("coeffs cut string", "characters is not the base64"),
+        ("coeffs one value short", "characters is not the base64"),
+        ("coeffs one row long", "characters is not the base64"),
+        ("coeffs text appended", "characters is not the base64"),
+        ("coeffs outside alphabet", "is not ASCII base64"),
+        ("coeffs padding inside", "is not ASCII base64"),
+        ("coeffs non-ASCII", "is not ASCII base64"),
+        ("coeffs extra padding", "bytes does not hold"),
+        ("coeffs list", "must be a base64 string"),
+        ("coeffs number", "must be a base64 string"),
+        ("coeff NaN bytes", "non-finite coefficient"),
+        ("coeff +Inf bytes", "non-finite coefficient"),
+        ("coeff -Inf bytes", "non-finite coefficient"),
+    ])
+    def test_each_coefficient_mutation_fails_its_own_check(self, kind, message):
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        {**UNREADABLE_V2, **INVALID_V2}[kind](payload["elements"][2], 0)
+        error = str(load_error(payload))
+        assert message in error and named_elements(error) == [2]

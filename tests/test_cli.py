@@ -1,6 +1,8 @@
+import base64
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from gspline.errors import FormatError, GSplineError
 from gspline.evaluate import map_point
 from gspline.mesh import load_obj, save_obj
 
+import archive_v1
 import netgen
 
 
@@ -273,6 +276,18 @@ class TestCheck:
         assert report["partition_of_unity_defect"] < 1e-10
         assert report["c2_residual_smooth_edges"] < 1e-9
 
+    def test_overflowing_report_exit_5(self, tmp_path, capsys):
+        # a finite control point so large that the watertightness norm overflows
+        payload = json.loads(surface_to_json(build_c0(netgen.val33())))
+        payload["net"]["positions"][0][0] = 1e308
+        arc, out = tmp_path / "a.json", tmp_path / "check.json"
+        arc.write_text(json.dumps(payload))
+        assert main(["check", str(arc), "-o", str(out)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NonFiniteError",
+                       "message": "check report value 'watertightness' is not finite"}
+        assert not out.exists()
+
 
 class TestBadArchives:
     def test_json_list_exit_2(self, tmp_path, capsys):
@@ -293,20 +308,36 @@ class TestBadArchives:
 
     def test_nonpositive_rational_denominator_exit_4(self, ep_obj, tmp_path,
                                                      capsys):
-        arc = tmp_path / "a.json"
-        main(["build", str(ep_obj), "--variant", "g1r", "-o", str(arc)])
-        payload = json.loads(arc.read_text())
-        record = next(r for r in payload["elements"] if r["rational"])
-        record["coeffs"] = [[-c for c in row] for row in record["coeffs"]]
-        arc.write_text(json.dumps(payload))
+        def negate(payload):
+            record = next(r for r in payload["elements"] if r["rational"])
+            record["coeffs"] = [[-c for c in row] for row in record["coeffs"]]
+
+        arc = self._mutated_archive(ep_obj, tmp_path, negate, version=1)
         assert main(["eigen", str(arc)]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateBasisError"
 
-    def _mutated_archive(self, obj, tmp_path, mutate, variant="g1r"):
+    def test_nonpositive_rational_denominator_in_a_block_exit_4(self, ep_obj,
+                                                                tmp_path, capsys):
+        def negate(payload):
+            record = next(r for r in payload["elements"] if r["rational"])
+            rows = np.frombuffer(base64.b64decode(record["coeffs"]), dtype="<f8")
+            record["coeffs"] = base64.b64encode((-rows).tobytes()).decode("ascii")
+
+        arc = self._mutated_archive(ep_obj, tmp_path, negate)
+        assert main(["eigen", str(arc)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateBasisError"
+
+    def _mutated_archive(self, obj, tmp_path, mutate, variant="g1r", version=2):
+        """An archive built by the CLI, written again by the format-1
+        oracle if ``version`` is 1, with ``mutate`` applied to its JSON."""
         arc = tmp_path / "a.json"
         main(["build", str(obj), "--variant", variant, "-o", str(arc)])
-        payload = json.loads(arc.read_text())
+        text = arc.read_text()
+        if version == 1:
+            text = archive_v1.surface_to_json(surface_from_json(text))
+        payload = json.loads(text)
         mutate(payload)
         arc.write_text(json.dumps(payload))
         return arc
@@ -341,15 +372,22 @@ class TestBadArchives:
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)
 
-    @pytest.mark.parametrize("field", ["coeffs", "positions"])
+    @pytest.mark.parametrize("field", ["coeffs", "positions", "coeff bytes"])
     def test_nonfinite_number_exit_2(self, ep_obj, tmp_path, capsys, field):
         def put_nan(payload):
             if field == "coeffs":
                 payload["elements"][0]["coeffs"][0][0] = float("nan")
+            elif field == "coeff bytes":
+                rows = np.frombuffer(base64.b64decode(payload["elements"][0]["coeffs"]),
+                                     dtype="<f8").copy()
+                rows[0] = np.nan
+                payload["elements"][0]["coeffs"] = base64.b64encode(
+                    rows.tobytes()).decode("ascii")
             else:
                 payload["net"]["positions"][0][0] = float("nan")
 
-        arc = self._mutated_archive(ep_obj, tmp_path, put_nan)
+        arc = self._mutated_archive(ep_obj, tmp_path, put_nan,
+                                    version=1 if field == "coeffs" else 2)
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)
 
@@ -415,7 +453,8 @@ class TestBadArchives:
             else:
                 record["coeffs"][0] = record["coeffs"][0][:-1]
 
-        arc = self._mutated_archive(ep_obj, tmp_path, reshape, "c0")
+        arc = self._mutated_archive(ep_obj, tmp_path, reshape, "c0",
+                                    version=2 if mutation == "degree" else 1)
         capsys.readouterr()
         assert main(["check", str(arc)]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -518,9 +557,10 @@ JSON_VALUES = st.recursive(
 
 
 @functools.cache
-def small_archive(variant):
+def small_archive(variant, version=2):
     c0 = build_c0(netgen.val33())
-    return surface_to_json(c0 if variant == "c0" else build_g1(c0, variant))
+    write = surface_to_json if version == 2 else archive_v1.surface_to_json
+    return write(c0 if variant == "c0" else build_g1(c0, variant))
 
 
 def assert_loads_or_exit_2_or_3(load, data):
@@ -534,9 +574,10 @@ def assert_loads_or_exit_2_or_3(load, data):
 
 class TestMutatedInputs:
     @settings(max_examples=300, deadline=None)
-    @given(variant=st.sampled_from(["c0", "g1r"]), data=st.data())
-    def test_archive_with_one_field_replaced(self, variant, data):
-        payload = json.loads(small_archive(variant))
+    @given(variant=st.sampled_from(["c0", "g1r"]), version=st.sampled_from([1, 2]),
+           data=st.data())
+    def test_archive_with_one_field_replaced(self, variant, version, data):
+        payload = json.loads(small_archive(variant, version))
         # walk down from the root, then replace the node reached
         parent, key, node = None, None, payload
         while (isinstance(node, (dict, list)) and node
@@ -555,9 +596,10 @@ class TestMutatedInputs:
     @given(variant=st.sampled_from(["c0", "g1r"]),
            field=st.sampled_from(["element", "degree", "basis", "net.faces"]),
            value=st.floats().filter(lambda x: not (math.isfinite(x) and x.is_integer())),
-           data=st.data())
-    def test_non_integral_float_in_an_integer_field(self, variant, field, value, data):
-        payload = json.loads(small_archive(variant))
+           version=st.sampled_from([1, 2]), data=st.data())
+    def test_non_integral_float_in_an_integer_field(self, variant, field, value,
+                                                    version, data):
+        payload = json.loads(small_archive(variant, version))
         if field == "net.faces":
             parent = data.draw(st.sampled_from(payload["net"]["faces"]), label="face")
             key = data.draw(st.integers(0, 3), label="corner")
@@ -577,13 +619,48 @@ class TestMutatedInputs:
            | st.integers().map(str),
            data=st.data())
     def test_string_or_boolean_in_a_number_field(self, variant, field, value, data):
-        payload = json.loads(small_archive(variant))
+        # format-1 coefficients are JSON numbers; format 2 holds them in a string
+        payload = json.loads(small_archive(variant, 1 if field == "coeffs" else 2))
         rows = payload["net"]["positions"] if field == "net.positions" else \
             data.draw(st.sampled_from(payload["elements"]), label="record")["coeffs"]
         row = data.draw(st.sampled_from(rows), label="row")
         row[data.draw(st.integers(0, len(row) - 1), label="slot")] = value
         with pytest.raises(FormatError, match=repr(field)):
             surface_from_json(json.dumps(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(["c0", "g1r"]),
+           kind=st.sampled_from(["truncated", "appended", "character", "non-finite",
+                                 "not a string"]),
+           data=st.data())
+    def test_corrupted_coefficient_string(self, variant, kind, data):
+        payload = json.loads(small_archive(variant))
+        record = data.draw(st.sampled_from(payload["elements"]), label="record")
+        text = record["coeffs"]
+        if kind == "truncated":
+            text = text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+        elif kind == "appended":
+            text += data.draw(st.text(min_size=1, max_size=8), label="tail")
+        elif kind == "character":
+            at = data.draw(st.integers(0, len(text.rstrip("=")) - 1), label="at")
+            text = text[:at] + data.draw(st.characters().filter(
+                lambda c: not (c.isascii() and c.isalnum()) and c not in "+/"),
+                label="character") + text[at + 1:]
+        elif kind == "non-finite":
+            bits = np.frombuffer(base64.b64decode(text), dtype="<u8").copy()
+            slot = data.draw(st.integers(0, len(bits) - 1), label="slot")
+            bits[slot] = (data.draw(st.booleans(), label="sign") << 63 | 0x7FF << 52
+                          | data.draw(st.integers(0, 2**52 - 1), label="mantissa"))
+            text = base64.b64encode(bits.astype("<u8").tobytes()).decode("ascii")
+        else:
+            text = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)),
+                             label="value")
+        record["coeffs"] = text
+        with pytest.raises(FormatError) as info:
+            surface_from_json(json.dumps(payload))
+        assert _exit_code(info.value) == 2
+        assert re.findall(r"element (\d+)", str(info.value))[:1] == \
+            [str(record["element"])]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,45 @@ def eval_cubic_grid(coeffs16, xi, eta):
 def eval_quintic_grid(coeffs36, xi, eta):
     b, _, _ = bernstein_eval(5, xi, eta)
     return float(np.dot(coeffs36, b))
+
+
+def bernstein_1d_loop(p, x):
+    """``bernstein_1d`` with its rows built one per loop iteration, as it
+    was written before they became one broadcast over the row index."""
+    x = np.asarray(x, dtype=float)
+
+    def padded(q, pad):
+        out = np.zeros((q + 1 + 2 * pad,) + x.shape)
+        for k in range(q + 1):
+            out[pad + k] = comb(q, k) * x**k * (1.0 - x) ** (q - k)
+        return out
+
+    lower, lower2 = padded(p - 1, 1), padded(p - 2, 2)
+    return (padded(p, 0), p * (lower[:-1] - lower[1:]),
+            p * (p - 1) * (lower2[:-2] - 2 * lower2[1:-1] + lower2[2:]))
+
+
+BERNSTEIN_INPUTS = {
+    "scalar": 0.3, "zero": 0.0, "one": 1.0,
+    "1-D random": np.random.default_rng(5).uniform(size=2000),
+    "1-D grid": np.linspace(0.0, 1.0, 1001),
+    "2-D random": np.random.default_rng(6).uniform(size=(40, 30)),
+    "2-D grid": np.linspace(0.0, 1.0, 1001)[:1000].reshape(25, 40),
+}
+
+
+class TestBernsteinRows:
+    @pytest.mark.parametrize("x", BERNSTEIN_INPUTS.values(), ids=BERNSTEIN_INPUTS)
+    @pytest.mark.parametrize("p", range(6))
+    def test_broadcast_matches_the_row_loop(self, p, x):
+        # With an array of exponents x**2 comes from pow(), where the loop's
+        # scalar exponent squares, so a value may move by 1.1e-16.  The
+        # derivative tables are differences of such rows times p and
+        # p(p-1): they carry it scaled by 2p and 4p(p-1).
+        got, want = bernstein_1d(p, x), bernstein_1d_loop(p, x)
+        for g, w, scale in zip(got, want, (1, 2 * p, 4 * p * (p - 1))):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max(initial=0.0) <= 2.3e-16 * max(scale, 1)
 
 
 class TestBernstein:
