@@ -298,10 +298,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    surface = _load_surface(args.input)
-    # an overflow shows as a non-finite report value, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = surface_check(surface)
+    report = surface_check(_load_surface(args.input))
     _write(args.output, _finite_json(report))
     return 0
 
@@ -388,7 +385,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow surfaces as a typed error (a non-finite check value, a
+        # singular Jacobian), not as a numpy warning ahead of the JSON line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except GSplineError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, InfeasibleConstraintError) and exc.edges:

@@ -59,9 +59,7 @@ from .mesh import (
     CNet,
     ElementClass,
     classify_elements,
-    extraordinary_vertices,
     irregular_basis_vertices,
-    spoke_edges,
 )
 
 P = 5  # irregular elements are bi-quintic
@@ -129,66 +127,47 @@ class NetAnalysis:
     cnet: CNet
     labels: list
     eps: list
-    spokes: set
     irregular_faces: set
     face_cluster: dict  # irregular face -> cluster id
     cluster_rings: dict  # cluster id -> sorted list of irregular faces
 
 
 def analyze_net(cnet: CNet) -> NetAnalysis:
-    labels = classify_elements(cnet)
-    eps = extraordinary_vertices(cnet)
-    irregular = {f for f, lab in enumerate(labels) if lab is ElementClass.IRREGULAR}
-
     # Cluster extraordinary vertices whose one-rings share a face or an
     # edge; every basis function touching a cluster is solved over the
     # cluster's whole one-ring so that all functions on an element see the
     # same equality system (this is what keeps partition of unity exact
-    # for the propagated construction).
-    parent = {ep: ep for ep in eps}
+    # for the propagated construction).  The clusters are the components
+    # of a graph on vertices and faces that links each irregular face
+    # (one with an extraordinary corner) to those corners and to the
+    # irregular faces across its edges; each is named by its smallest EP.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    ep_set = set(eps)
-    face_eps = [
-        [int(v) for v in quad if int(v) in ep_set] for quad in cnet.faces
-    ]
-    for f in range(cnet.n_faces):
-        for i in range(1, len(face_eps[f])):
-            union(face_eps[f][0], face_eps[f][i])
-    for e in range(cnet.n_edges):
-        if cnet.boundary_edge[e]:
-            continue
-        f, g = cnet.edge_faces[e]
-        for x in face_eps[f]:
-            for y in face_eps[g]:
-                union(x, y)
-
-    face_cluster = {}
-    cluster_rings: dict[int, set] = {}
-    for f in irregular:
-        if not face_eps[f]:
-            raise InternalError(f"irregular face {f} has no extraordinary corner")
-        cid = find(face_eps[f][0])
-        face_cluster[f] = cid
-    for ep in eps:
-        cid = find(ep)
-        cluster_rings.setdefault(cid, set()).update(cnet.vertex_faces[ep])
-    cluster_rings = {cid: sorted(fs) for cid, fs in cluster_rings.items()}
+    n_v = cnet.n_vertices
+    eps = np.flatnonzero(cnet.extraordinary)
+    at_ep = cnet.extraordinary[cnet.faces]
+    is_irregular = at_ep.any(axis=1)
+    irregular = np.flatnonzero(is_irregular)
+    f, g = cnet.edge_faces[~cnet.boundary_edge].T
+    across = is_irregular[f] & is_irregular[g]
+    rows = np.concatenate([cnet.faces[at_ep], n_v + f[across]])
+    cols = np.concatenate([n_v + np.nonzero(at_ep)[0], n_v + g[across]])
+    size = n_v + cnet.n_faces
+    _, component = connected_components(
+        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
+        directed=False)
+    named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
+    name = np.full(size, -1)
+    name[named] = eps[smallest]
+    cluster = name[component[n_v + irregular]]
 
     return NetAnalysis(
-        cnet=cnet, labels=labels, eps=eps,
-        spokes=spoke_edges(cnet), irregular_faces=irregular,
-        face_cluster=face_cluster, cluster_rings=cluster_rings,
+        cnet=cnet, labels=classify_elements(cnet), eps=eps.tolist(),
+        irregular_faces=set(irregular.tolist()),
+        face_cluster=dict(zip(irregular.tolist(), cluster.tolist())),
+        cluster_rings={int(c): irregular[cluster == c].tolist()
+                       for c in np.unique(cluster)},
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,12 @@ class VertexClass:
 
 class CNet:
     """Connectivity of a manifold, consistently oriented pure-quad net.
+
+    All adjacency is index arithmetic on the corners ``c = 4 f + s``: a
+    directed side u -> v has the key u n + v, an edge min n + max.  Edge
+    ids follow first appearance in face-major order; ``edge_faces`` holds
+    the face of that appearance and the face across (-1 at the boundary).
+    ``incidence`` is the sparse (n_faces, n_vertices) face-vertex matrix.
 
     Parameters
     ----------
@@ -63,138 +70,133 @@ class CNet:
             raise FormatError("faces must be quadrilaterals")
         if faces.min() < 0 or faces.max() >= n_vertices:
             raise FormatError("face references a vertex that does not exist")
-        for f, quad in enumerate(faces):
-            if len(set(quad)) != 4:
-                raise FormatError(f"face {f} has repeated vertices")
+        ordered = np.sort(faces, axis=1)
+        repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if repeated.size:
+            raise FormatError(f"face {repeated[0]} has repeated vertices")
 
         self.n_vertices = int(n_vertices)
+        self.n_faces = len(faces)
         self.faces = faces
         self.faces.setflags(write=False)
-        self._build_adjacency()
-        self._check_manifold()
+        # corner c = 4 f + s runs the side tail[c] -> head[c] of face f
+        tail, head = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+        twin = self._build_adjacency(tail, head)
+        self._check_fans(tail, twin)
 
     # ------------------------------------------------------------------
     # adjacency
 
-    def _build_adjacency(self) -> None:
-        edge_index: dict[tuple[int, int], int] = {}
-        edge_faces: list[list[int]] = []
-        directed: dict[tuple[int, int], int] = {}
-        face_edges = np.empty_like(self.faces)
+    def _build_adjacency(self, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """Set the adjacency arrays; return each corner's twin, the corner
+        running its side backwards in the face across (-1 at the boundary)."""
+        import scipy.sparse as sp
 
-        for f, quad in enumerate(self.faces):
-            for s in range(4):
-                u, v = int(quad[s]), int(quad[(s + 1) % 4])
-                if (u, v) in directed:
-                    raise TopologyError(
-                        f"directed edge {(u, v)} appears twice; net is "
-                        "non-manifold or inconsistently oriented"
-                    )
-                directed[(u, v)] = f
-                key = (u, v) if u < v else (v, u)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_faces)
-                    edge_index[key] = e
-                    edge_faces.append([])
-                if len(edge_faces[e]) == 2:
-                    raise TopologyError(f"edge {key} is shared by >2 faces")
-                edge_faces[e].append(f)
-                face_edges[f, s] = e
+        n = self.n_vertices
+        sides = tail * n + head
+        self._side_order = np.argsort(sides, kind="stable")
+        self._side_keys = sides[self._side_order]
+        again = self._side_order[1:][self._side_keys[1:] == self._side_keys[:-1]]
+        if again.size:
+            c = again.min()
+            raise TopologyError(
+                f"directed edge {(int(tail[c]), int(head[c]))} appears twice; "
+                "net is non-manifold or inconsistently oriented"
+            )
+        back = head * n + tail
+        at = np.minimum(np.searchsorted(self._side_keys, back), len(back) - 1)
+        twin = np.where(self._side_keys[at] == back, self._side_order[at], -1)
 
-        self.edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
-        self.edge_index = edge_index
-        self.edge_faces = edge_faces
-        self.face_edges = face_edges
-        self._directed = directed
+        # edge ids in order of first appearance; with no side repeated an
+        # edge has at most two corners, the first and its twin
+        keys, first, inverse = np.unique(np.minimum(tail, head) * n
+                                         + np.maximum(tail, head),
+                                         return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        edge_of_key = np.empty_like(by_first)
+        edge_of_key[by_first] = np.arange(len(keys))
+        self.n_edges = len(keys)
+        self.edges = np.stack([keys // n, keys % n], axis=1)[by_first]
+        self.face_edges = edge_of_key[inverse].reshape(-1, 4)
+        starts = first[by_first]
+        # floor division keeps a missing twin at -1
+        self.edge_faces = np.stack([starts, twin[starts]], axis=1) // 4
+        self.boundary_edge = self.edge_faces[:, 1] < 0
 
-        n_e = len(edge_faces)
-        self.boundary_edge = np.array([len(fs) == 1 for fs in edge_faces])
-        for e in range(n_e):
-            if len(edge_faces[e]) == 2 and edge_faces[e][0] == edge_faces[e][1]:
-                raise TopologyError(f"edge {e} bounds the same face twice")
-
-        self.vertex_faces: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for f, quad in enumerate(self.faces):
-            for v in quad:
-                self.vertex_faces[int(v)].append(f)
-
-        self.boundary_vertex = np.zeros(self.n_vertices, dtype=bool)
-        for e, (u, v) in enumerate(self.edges):
-            if self.boundary_edge[e]:
-                self.boundary_vertex[int(u)] = True
-                self.boundary_vertex[int(v)] = True
-
-        self.valence = np.array([len(fs) for fs in self.vertex_faces])
+        self.valence = np.bincount(tail, minlength=n)
+        self.boundary_vertex = np.zeros(n, dtype=bool)
+        self.boundary_vertex[self.edges[self.boundary_edge]] = True
         # interior vertices of valence other than four, boundary ones above two
         self.extraordinary = np.where(self.boundary_vertex, self.valence > 2,
                                       self.valence != 4)
-        self.n_faces = len(self.faces)
-        self.n_edges = n_e
+        n_c = len(tail)
+        self.incidence = sp.csr_matrix(
+            (np.ones(n_c), tail, np.arange(0, n_c + 1, 4)),
+            shape=(self.n_faces, n))
+        return twin
 
-    def _check_manifold(self) -> None:
-        # The faces around a vertex must form one closed cycle (interior)
-        # or one open chain (boundary).
-        for v in range(self.n_vertices):
-            faces = self.vertex_faces[v]
-            if not faces:
+    def _check_fans(self, tail: np.ndarray, twin: np.ndarray) -> None:
+        # The corners at a vertex must form one closed cycle (interior) or
+        # one open chain (boundary).  A corner's successor is the corner at
+        # the same vertex across its outgoing side: the one after its twin.
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        n_c = len(tail)
+        linked = twin >= 0
+        after = twin[linked] - twin[linked] % 4 + (twin[linked] + 1) % 4
+        links = sp.csr_matrix(
+            (np.ones(len(after)), after, np.concatenate([[0], np.cumsum(linked)])),
+            shape=(n_c, n_c))
+        n_fans, fan = connected_components(links, directed=False)
+        fan_vertex = np.empty(n_fans, dtype=int)
+        fan_vertex[fan] = tail
+        fans = np.bincount(fan_vertex, minlength=self.n_vertices)
+        bad = np.flatnonzero(fans != 1)
+        if bad.size:
+            v = bad[0]
+            if fans[v] == 0:
                 raise TopologyError(f"vertex {v} belongs to no face")
-            # Walk the fan via the directed edges leaving v.
-            nxt = {}
-            for f in faces:
-                quad = [int(x) for x in self.faces[f]]
-                s = quad.index(v)
-                out_v = quad[(s + 1) % 4]  # edge (v, out_v) belongs to f
-                in_v = quad[(s - 1) % 4]  # edge (in_v, v) belongs to f
-                nxt[out_v] = in_v  # crossing f links the two edge-ends at v
-            # Count chains in the functional graph on neighbor vertices.
-            starts = set(nxt) - set(nxt.values())
-            if self.boundary_vertex[v]:
-                chains = len(starts)
-                if chains != 1:
-                    raise TopologyError(f"boundary vertex {v} has a split fan")
-                # Follow the single chain; it must visit every face once.
-                seen, cur = 0, next(iter(starts))
-                while cur in nxt:
-                    cur = nxt[cur]
-                    seen += 1
-                if seen != len(faces):
-                    raise TopologyError(f"boundary vertex {v} has a split fan")
-            else:
-                if starts:
-                    raise TopologyError(f"interior vertex {v} has an open fan")
-                cur = next(iter(nxt))
-                seen, node = 0, cur
-                while True:
-                    node = nxt[node]
-                    seen += 1
-                    if node == cur:
-                        break
-                    if seen > len(faces):
-                        raise TopologyError(f"vertex {v} has a split fan")
-                if seen != len(faces):
-                    raise TopologyError(f"interior vertex {v} has a split fan")
+            kind = "boundary" if self.boundary_vertex[v] else "interior"
+            raise TopologyError(f"{kind} vertex {v} has a split fan")
+
+    @cached_property
+    def vertex_faces(self) -> list[np.ndarray]:
+        """Ascending ids of the faces at each vertex."""
+        faces = np.argsort(self.faces.ravel(), kind="stable") // 4
+        return np.split(faces, np.cumsum(self.valence)[:-1])
 
     # ------------------------------------------------------------------
     # queries
 
+    def _corner(self, u: int, v: int) -> int:
+        """The corner whose side runs u -> v, or -1."""
+        n, keys = self.n_vertices, self._side_keys
+        if not (0 <= u < n and 0 <= v < n):
+            return -1
+        key = int(u) * n + int(v)
+        at = int(keys.searchsorted(key))
+        if at == len(keys) or keys[at] != key:
+            return -1
+        return int(self._side_order[at])
+
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[key]
-        except KeyError:
-            raise DomainError(f"no edge between vertices {u} and {v}") from None
+        c = max(self._corner(u, v), self._corner(v, u))
+        if c < 0:
+            raise DomainError(f"no edge between vertices {u} and {v}")
+        return int(self.face_edges.flat[c])
 
     def face_across(self, face: int, edge: int) -> int | None:
         """Face on the other side of ``edge``, or None at the boundary."""
-        fs = self.edge_faces[edge]
-        if len(fs) == 1:
+        f, g = self.edge_faces[edge].tolist()
+        if g < 0:
             return None
-        return fs[0] if fs[1] == face else fs[1]
+        return f if g == face else g
 
     def directed_face(self, u: int, v: int) -> int | None:
         """Face whose counterclockwise loop traverses u -> v, if any."""
-        return self._directed.get((u, v))
+        c = self._corner(u, v)
+        return None if c < 0 else c // 4
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,27 @@ def extraordinary_vertices(cnet: CNet) -> list[int]:
     return np.flatnonzero(cnet.extraordinary).tolist()
 
 
+def _face_rings(cnet: CNet, seeds, m: int) -> list[np.ndarray]:
+    """Face masks of rings 1..m around the vertices ``seeds`` (indices or a
+    mask): ring 1 holds the faces at a seed, ring k the faces sharing a
+    vertex with ring k - 1 that lie in no lower ring."""
+    A = cnet.incidence
+    at_seed = np.zeros(cnet.n_vertices)
+    at_seed[seeds] = 1.0
+    layer = A @ at_seed > 0
+    rings, seen = [layer], layer
+    for _ in range(m - 1):
+        layer = (A @ (A.T @ layer) > 0) & ~seen
+        seen = seen | layer
+        rings.append(layer)
+    return rings
+
+
+def _vertices_on(cnet: CNet, faces: np.ndarray) -> np.ndarray:
+    """Mask of the vertices of the faces where ``faces`` is nonzero."""
+    return cnet.incidence.T @ faces > 0
+
+
 def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:
     """m-ring faces of an extraordinary vertex.
 
@@ -246,16 +269,7 @@ def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:
     """
     if m < 1:
         raise DomainError("ring index must be >= 1 (ring 0 holds no faces)")
-    layer = set(cnet.vertex_faces[ep])
-    seen = set(layer)
-    for _ in range(m - 1):
-        nxt = set()
-        for f in layer:
-            for v in cnet.faces[f]:
-                nxt.update(cnet.vertex_faces[int(v)])
-        layer = nxt - seen
-        seen |= layer
-    return layer
+    return set(np.flatnonzero(_face_rings(cnet, [ep], m)[-1]).tolist())
 
 
 def ring_vertices(cnet: CNet, ep: int, m: int) -> set[int]:
@@ -264,28 +278,19 @@ def ring_vertices(cnet: CNet, ep: int, m: int) -> set[int]:
         raise DomainError("ring index must be >= 0")
     if m == 0:
         return {ep}
-    seen = {ep}
-    out: set[int] = set()
-    for k in range(1, m + 1):
-        out = set()
-        for f in ring_faces(cnet, ep, k):
-            out.update(int(v) for v in cnet.faces[f])
-        out -= seen
-        seen |= out
-    return out
+    *inner, outer = _face_rings(cnet, [ep], m)
+    seen = _vertices_on(cnet, sum(inner, np.zeros(cnet.n_faces)))
+    seen[ep] = True
+    return set(np.flatnonzero(_vertices_on(cnet, outer) & ~seen).tolist())
 
 
 def classify_elements(cnet: CNet) -> list[ElementClass]:
     """Label each face by its smallest ring index over all extraordinary
     vertices: ring 1 -> irregular, ring 2 -> transition, else regular."""
-    labels = [ElementClass.REGULAR] * cnet.n_faces
-    for ep in extraordinary_vertices(cnet):
-        for f in ring_faces(cnet, ep, 1):
-            labels[f] = ElementClass.IRREGULAR
-        for f in ring_faces(cnet, ep, 2):
-            if labels[f] is not ElementClass.IRREGULAR:
-                labels[f] = ElementClass.TRANSITION
-    return labels
+    ring1, ring2 = _face_rings(cnet, cnet.extraordinary, 2)
+    by_ring = np.array([ElementClass.REGULAR, ElementClass.IRREGULAR,
+                        ElementClass.TRANSITION], dtype=object)
+    return by_ring[ring1 + 2 * ring2].tolist()
 
 
 def boundary_neighbours(cnet: CNet) -> np.ndarray:
@@ -319,13 +324,8 @@ def spoke_edges(cnet: CNet) -> set[int]:
 def irregular_basis_vertices(cnet: CNet) -> set[int]:
     """Vertices carrying irregular basis functions: every vertex within
     ring index 2 of some extraordinary vertex."""
-    out: set[int] = set()
-    for ep in extraordinary_vertices(cnet):
-        out.add(ep)
-        for m in (1, 2):
-            for f in ring_faces(cnet, ep, m):
-                out.update(int(v) for v in cnet.faces[f])
-    return out
+    ring1, ring2 = _face_rings(cnet, cnet.extraordinary, 2)
+    return set(np.flatnonzero(_vertices_on(cnet, ring1 | ring2)).tolist())
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError, GSplineError
 from gspline.evaluate import map_point
 from gspline.mesh import load_obj, save_obj
+from gspline.refine import refine
 
 import archive_v1
 import netgen
@@ -287,6 +289,23 @@ class TestCheck:
         assert err == {"error": "NonFiniteError",
                        "message": "check report value 'watertightness' is not finite"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, make, coordinate", [
+        ("quality", netgen.val33, 2),
+        ("eigen", lambda: refine(netgen.rot44()), 0),
+    ])
+    def test_overflowing_point_exit_5_without_warning(self, tmp_path, capsys,
+                                                      command, make, coordinate):
+        payload = json.loads(surface_to_json(build_c0(make())))
+        payload["net"]["positions"][0][coordinate] = 1e308
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(arc)]) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SingularParameterizationError"
 
 
 class TestBadArchives:
