@@ -24,16 +24,23 @@ together: one factorization, one right-hand-side column per function.
 
 Unknowns are numbered from integer slot keys (``slot_keys``: corner
 slots by vertex, side slots by edge position, interior slots per face),
-so elements share the unknowns of their common edges.  ``assemble``
-writes G and F directly from index arrays: a (7, n) block per
-constrained edge, one identity row per pinned unknown and two flat
-index arrays for the 60 fairing differences of each element.
+so elements share the unknowns of their common edges.  The sides of the
+elements are classified from ``cnet.edge_faces`` and each edge's frames
+come from ``evaluate.edge_sides``.  ``assemble`` writes G and F directly
+from index arrays: the seven rows of every constrained edge from one
+stencil table (``_EDGE_STENCIL``) over quarter-turn slot maps, with one
+``np.add.at`` for all edges, one identity row per pinned unknown and two
+flat index arrays for the 60 fairing differences of each element.
 
 ``solve_constrained_ls`` eliminates the pinned unknowns before it
 factors: each identity pin row fixes its unknown, and only the other
 rows, restricted to the free unknowns, go through the rank-revealing SVD,
 with a rank tolerance relative to that reduced matrix.  The reported rank is
-the number of pins plus the rank of the reduced rows.
+the number of pins plus the rank of the reduced rows.  The fairing
+problem in the nullspace is solved from its normal equations when their
+Cholesky factor exists and its diagonal passes the ``PIVOT_MIN`` test, and
+by the minimum-norm ``lstsq`` otherwise.  Only numpy's LAPACK is used:
+scipy links its own OpenBLAS, and mixing the two here was slower.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .evaluate import (
     GSplineSurface,
     edge_frames,
     edge_pair_tables,
-    rotate_grid_index,
+    edge_sides,
 )
 from .extraction import ElementExtraction, degree_elevate_2
 from .mesh import (
@@ -63,6 +70,9 @@ from .mesh import (
 )
 
 P = 5  # irregular elements are bi-quintic
+# The fairing normal equations are solved only when the Cholesky factor's
+# smallest diagonal entry exceeds this fraction of its largest.
+PIVOT_MIN = 1e-2
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,7 @@ class NetAnalysis:
     irregular_faces: set
     face_cluster: dict  # irregular face -> cluster id
     cluster_rings: dict  # cluster id -> sorted list of irregular faces
+    sides: tuple  # (faces, rots) of every edge, from evaluate.edge_sides
 
 
 def analyze_net(cnet: CNet) -> NetAnalysis:
@@ -168,6 +179,7 @@ def analyze_net(cnet: CNet) -> NetAnalysis:
         face_cluster=dict(zip(irregular.tolist(), cluster.tolist())),
         cluster_rings={int(c): irregular[cluster == c].tolist()
                        for c in np.unique(cluster)},
+        sides=edge_sides(cnet),
     )
 
 
@@ -187,6 +199,37 @@ _SIDE_SLOTS = np.array([_SLOT.T[[0, 1]], _SLOT[[P, P - 1]],
 # slot pairs whose coefficient differences the fairing rows preserve
 _FAIR_A = np.concatenate([_SLOT[:P].T.ravel(), _SLOT[:, :P].T.ravel()])
 _FAIR_B = np.concatenate([_SLOT[1:].T.ravel(), _SLOT[:, 1:].T.ravel()])
+
+# stored flat slot of 0-based frame slot (i, j) of an element turned by k
+# quarter turns (``evaluate.rotate_grid_index``), at [k, i, j]
+_ROT_SLOT = np.array([np.rot90(_SLOT, -k) for k in range(4)])
+
+# The seven rows of a constrained edge, one entry per line:
+# (row, side, i, j, c0, c_w1, c_w2) puts c0 + c_w1 omega1 + c_w2 omega2 on
+# 1-based frame slot (i, j) of the right (side 0) or left (side 1)
+# element.  Rows 0-5 are the tangent-plane conditions, row 6 makes the
+# edge curve quartic; entries of a row are summed in the order listed.
+_EDGE_STENCIL = np.array([
+    (0, 1, 2, 1, 5, 0, 0), (0, 0, 1, 1, -10, 10, 0), (0, 0, 2, 1, 0, -10, 0),
+    (0, 0, 1, 2, 5, 0, 0),
+    (1, 1, 2, 2, 5, 0, 0), (1, 0, 2, 1, -10, 10, 0), (1, 0, 3, 1, 0, -8, 0),
+    (1, 0, 1, 1, 0, -2, 0), (1, 0, 2, 2, 5, 0, 0),
+    (2, 1, 2, 3, 5, 0, 0), (2, 0, 3, 1, -10, 0, 0), (2, 0, 5, 1, 0, -5, 0),
+    (2, 0, 4, 1, 0, 4, 0), (2, 0, 6, 1, 0, 1, 0), (2, 0, 2, 1, 0, 0, 1),
+    (2, 0, 1, 1, 0, 0, -1), (2, 0, 3, 2, 5, 0, 0),
+    (3, 1, 2, 4, 5, 0, 0), (3, 0, 4, 1, -10, 0, 0), (3, 0, 6, 1, 0, -1, 0),
+    (3, 0, 5, 1, 0, 1, 0), (3, 0, 3, 1, 0, 0, 4), (3, 0, 2, 1, 0, 0, -5),
+    (3, 0, 1, 1, 0, 0, 1), (3, 0, 4, 2, 5, 0, 0),
+    (4, 1, 2, 5, 5, 0, 0), (4, 0, 5, 1, -10, 0, 10), (4, 0, 4, 1, 0, 0, -8),
+    (4, 0, 6, 1, 0, 0, -2), (4, 0, 5, 2, 5, 0, 0),
+    (5, 1, 2, 6, 5, 0, 0), (5, 0, 6, 1, -10, 0, 10), (5, 0, 5, 1, 0, 0, -10),
+    (5, 0, 6, 2, 5, 0, 0),
+    (6, 0, 1, 1, -1, 0, 0), (6, 0, 2, 1, 5, 0, 0), (6, 0, 3, 1, -10, 0, 0),
+    (6, 0, 4, 1, 10, 0, 0), (6, 0, 5, 1, -5, 0, 0), (6, 0, 6, 1, 1, 0, 0),
+], dtype=float)
+_ST_ROW, _ST_SIDE, _ST_I, _ST_J = (
+    _EDGE_STENCIL[:, :4].astype(int) - [0, 0, 1, 1]).T
+_ST_C0, _ST_W1, _ST_W2 = _EDGE_STENCIL[:, 4:].T
 
 
 def slot_keys(cnet: CNet, face: int) -> np.ndarray:
@@ -278,7 +321,6 @@ class ConstraintProblem:
                 f"basis functions {self.functions} are solved over "
                 "different element sets")
         self.elements = list(element_sets.pop()) if element_sets else []
-        self.element_set = set(self.elements)
 
         # unknowns numbered by first appearance of their slot key, element
         # by element, j then i; grid_nodes[f][i, j] is the unknown of slot
@@ -287,9 +329,10 @@ class ConstraintProblem:
         _, first, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
         nodes = first.argsort().argsort()[inverse.ravel()]
+        self.slot_nodes = nodes.reshape(-1, (P + 1) ** 2)  # row per element
         self.grid_nodes: dict[int, np.ndarray] = {
             f: grid.reshape(P + 1, P + 1, order="F")
-            for f, grid in zip(self.elements, nodes.reshape(-1, (P + 1) ** 2))}
+            for f, grid in zip(self.elements, self.slot_nodes)}
         self.n = first.size
 
         # degree-elevated targets, checked for consistency on shared nodes
@@ -317,26 +360,25 @@ class ConstraintProblem:
         # already vanish there, so both readings coincide.  Domain-boundary
         # sides pin only the trace row (the boundary curve), leaving the
         # cross-derivative free for the constraints at boundary EPs.
-        self.constrained_edges: list[int] = []
-        self.pinned_sides: list[tuple[int, int]] = []
-        self.frozen_sides: list[tuple[int, int]] = []
-        self.boundary_sides: list[tuple[int, int]] = []
-        seen_edges = set()
-        for f in self.elements:
-            for s in range(4):
-                e = int(cnet.face_edges[f][s])
-                other = cnet.face_across(f, e)
-                if other is None:
-                    self.boundary_sides.append((f, s))
-                elif other in self.element_set:
-                    if e not in seen_edges:
-                        seen_edges.add(e)
-                        self.constrained_edges.append(e)
-                elif self.info.labels[other] is ElementClass.IRREGULAR:
-                    self.frozen_sides.append((f, s))
-                else:
-                    self.pinned_sides.append((f, s))
-        self.constrained_edges.sort()
+        els = np.array(self.elements, dtype=int)
+        side_edges = cnet.face_edges[els]
+        pair = cnet.edge_faces[side_edges]
+        other = np.where(pair[..., 0] == els[:, None], pair[..., 1],
+                         pair[..., 0])
+        boundary = other < 0
+        in_set = np.zeros(cnet.n_faces, dtype=bool)
+        in_set[els] = True
+        inside = in_set[other] & ~boundary
+        irregular = cnet.extraordinary[cnet.faces[other]].any(axis=-1)
+
+        def sides(mask):
+            f, s = np.nonzero(mask)
+            return list(zip(els[f].tolist(), s.tolist()))
+
+        self.constrained_edges = np.unique(side_edges[inside]).tolist()
+        self.frozen_sides = sides(~boundary & ~inside & irregular)
+        self.pinned_sides = sides(~boundary & ~inside & ~irregular)
+        self.boundary_sides = sides(boundary)
 
     # -- pieces ---------------------------------------------------------
 
@@ -351,64 +393,12 @@ class ConstraintProblem:
                 grid[..., k] = degree_elevate_2(cubic)
         return grid
 
-    def _node(self, face: int, rot: int, i: int, j: int) -> int:
-        """Unknown index of 1-based frame slot (i, j) of a rotated element."""
-        si, sj = rotate_grid_index(rot, P, i - 1, j - 1)
-        return int(self.grid_nodes[face][si, sj])
-
-    def _edge_block(self, edge: int) -> np.ndarray:
-        """The six tangent-plane rows plus the quartic-boundary row of an
-        edge, as a (7, n) block; their right-hand sides are zero."""
-        cnet = self.c0.cnet
-        geom = edge_geometry(cnet, edge)
-        fr = edge_frames(cnet, edge, v1=geom.v1)
-        if fr.left not in self.element_set or fr.right not in self.element_set:
-            raise InternalError(
-                f"edge {edge} flanked by an element outside the unknown set"
-            )
-        if (self.info.labels[fr.left] is not ElementClass.IRREGULAR
-                or self.info.labels[fr.right] is not ElementClass.IRREGULAR):
-            raise InternalError(
-                f"edge {edge} is not between two irregular elements"
-            )
-        w1, w2 = geom.omega1, geom.omega2
-
-        def r(i, j):
-            return self._node(fr.right, fr.rot_right, i, j)
-
-        def l(i, j):
-            return self._node(fr.left, fr.rot_left, i, j)
-
-        eqs = [
-            [(l(2, 1), 5.0), (r(1, 1), 10 * w1 - 10.0), (r(2, 1), -10 * w1),
-             (r(1, 2), 5.0)],
-            [(l(2, 2), 5.0), (r(2, 1), 10 * w1 - 10.0), (r(3, 1), -8 * w1),
-             (r(1, 1), -2 * w1), (r(2, 2), 5.0)],
-            [(l(2, 3), 5.0), (r(3, 1), -10.0), (r(5, 1), -5 * w1),
-             (r(4, 1), 4 * w1), (r(6, 1), w1), (r(2, 1), w2),
-             (r(1, 1), -w2), (r(3, 2), 5.0)],
-            [(l(2, 4), 5.0), (r(4, 1), -10.0), (r(6, 1), -w1),
-             (r(5, 1), w1), (r(3, 1), 4 * w2), (r(2, 1), -5 * w2),
-             (r(1, 1), w2), (r(4, 2), 5.0)],
-            [(l(2, 5), 5.0), (r(5, 1), 10 * w2 - 10.0), (r(4, 1), -8 * w2),
-             (r(6, 1), -2 * w2), (r(5, 2), 5.0)],
-            [(l(2, 6), 5.0), (r(6, 1), 10 * w2 - 10.0), (r(5, 1), -10 * w2),
-             (r(6, 2), 5.0)],
-            [(r(1, 1), -1.0), (r(2, 1), 5.0), (r(3, 1), -10.0),
-             (r(4, 1), 10.0), (r(5, 1), -5.0), (r(6, 1), 1.0)],
-        ]
-        block = np.zeros((len(eqs), self.n))
-        for row, pairs in zip(block, eqs):
-            for idx, c in pairs:
-                row[idx] += c
-        return block
-
     # -- assembly and solve ----------------------------------------------
 
     def assemble(self) -> ConstraintSystem:
         """Equality rows (seven per constrained edge, then one identity row
         per pinned unknown) and fairing rows (60 per element)."""
-        flat = {f: grid.ravel(order="F") for f, grid in self.grid_nodes.items()}
+        cnet = self.c0.cnet
 
         # Pins: two coefficient layers per side, the trace row alone on
         # domain-boundary sides.  Frozen (zero) pins come first so shared
@@ -418,27 +408,47 @@ class ConstraintProblem:
         for kind, sides, width in (("frozen", self.frozen_sides, 2 * P + 2),
                                    ("pin", self.pinned_sides, 2 * P + 2),
                                    ("trace", self.boundary_sides, P + 1)):
-            for f, s in sides:
-                pins.append(flat[f][_SIDE_SLOTS[s, :width]])
-                tags += [(kind, f, s)] * width
+            if sides:
+                f, s = np.array(sides).T
+                rows = np.searchsorted(self.elements, f)[:, None]
+                pins.append(
+                    self.slot_nodes[rows, _SIDE_SLOTS[s, :width]].ravel())
+                tags += [(kind, *side) for side in sides for _ in range(width)]
         pins = np.concatenate(pins)
         keep = np.sort(np.unique(pins, return_index=True)[1])
         pinned = pins[keep]
         pin_rhs = self.ctilde[pinned]
         pin_rhs[keep < (2 * P + 2) * len(self.frozen_sides)] = 0.0
-        pin_rows = np.zeros((pinned.size, self.n))
-        pin_rows[np.arange(pinned.size), pinned] = 1.0
 
-        edges = self.constrained_edges
-        G = np.vstack([self._edge_block(e) for e in edges] + [pin_rows])
-        g = np.concatenate([np.zeros((7 * len(edges),) + pin_rhs.shape[1:]),
+        # Edge rows from the stencil table, with each edge's frames placing
+        # edge_geometry's v1 at the origin.  edge_sides puts the lower
+        # endpoint there; when v1 is the higher one the two elements swap
+        # sides and each turns a quarter the other way.
+        edges = np.array(self.constrained_edges, dtype=int)
+        geoms = [edge_geometry(cnet, e) for e in self.constrained_edges]
+        faces, rots = (side[edges] for side in self.info.sides)
+        v1 = np.array([geom.v1 for geom in geoms], dtype=int)
+        flip = v1 != cnet.edges[edges].min(axis=1)
+        faces[flip] = faces[flip, ::-1]
+        rots[flip] = (rots[flip, ::-1] + [-1, 1]) % 4
+        w1 = np.array([geom.omega1 for geom in geoms])[:, None]
+        w2 = np.array([geom.omega2 for geom in geoms])[:, None]
+        side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
+        cols = self.slot_nodes[side_rows,
+                               _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
+        n_edge_rows = 7 * edges.size
+        G = np.zeros((n_edge_rows + pinned.size, self.n))
+        # unbuffered, in entry order: repeated slots of a row sum as listed
+        np.add.at(G, (7 * np.arange(edges.size)[:, None] + _ST_ROW, cols),
+                  _ST_C0 + _ST_W1 * w1 + _ST_W2 * w2)
+        G[n_edge_rows + np.arange(pinned.size), pinned] = 1.0
+        g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
                             pin_rhs])
-        tags = [("edge", e) for e in edges for _ in range(7)] + [
-            tags[k] for k in keep]
+        tags = [("edge", e) for e in self.constrained_edges
+                for _ in range(7)] + [tags[k] for k in keep]
 
-        grids = np.array([flat[f] for f in self.elements], dtype=int)
-        a = grids[:, _FAIR_A].ravel()
-        b = grids[:, _FAIR_B].ravel()
+        a = self.slot_nodes[:, _FAIR_A].ravel()
+        b = self.slot_nodes[:, _FAIR_B].ravel()
         F = np.zeros((a.size, self.n))
         F[np.arange(a.size), a] = 1.0
         F[np.arange(a.size), b] = -1.0
@@ -482,7 +492,18 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     nullspace parameterization (Lawson & Hanson, ch. 20), without the
     fairing rows that touch no free unknown.  The reported ``rank`` is
     the number of pinned unknowns plus the rank of the reduced rows,
-    which is the rank of G.  The result is the minimum-norm solution.
+    which is the rank of G.
+
+    The nullspace problem min |B z - r| is solved from the normal
+    equations (B^T B) z = B^T r when ``np.linalg.cholesky(B^T B)``
+    succeeds and the smallest diagonal entry of its factor exceeds
+    ``PIVOT_MIN`` times the largest; B then has full column rank and is
+    well conditioned.  Otherwise (a rank-deficient B, a bad pivot or no
+    free direction) it falls back to ``np.linalg.lstsq``.  Either way the
+    result is the minimum-norm solution: on the Cholesky path z is unique.
+    Each info dict names the path in ``"fairing"``:
+    ``"cholesky"`` or ``"lstsq"``.  Only numpy is called here; scipy's
+    LAPACK runs on a second OpenBLAS and made these small solves slower.
 
     ``g`` and ``f`` are one right-hand side (1-D; returns a vector and one
     info dict) or one column per right-hand side (2-D; returns one column
@@ -532,8 +553,18 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     Z = Vt[rank:].T
     Fr = F[:, free]
     touch = Fr.any(axis=1)
-    z, *_ = np.linalg.lstsq(Fr[touch] @ Z, f[touch] - F[touch] @ c,
-                            rcond=None)
+    B = Fr[touch] @ Z
+    r = f[touch] - F[touch] @ c
+    A = B.T @ B
+    try:
+        d = np.diag(np.linalg.cholesky(A))
+        normal = d.size > 0 and d.min() > PIVOT_MIN * d.max()
+    except np.linalg.LinAlgError:
+        normal = False
+    if normal:
+        z = np.linalg.solve(A, B.T @ r)
+    else:
+        z, *_ = np.linalg.lstsq(B, r, rcond=None)
     c[free] += Z @ z
     final = np.abs(G @ c - g).max(axis=0, initial=0.0)
     if (final > eq_tol * scale).any():
@@ -543,7 +574,8 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
         return c.reshape((-1,) + cols)
     ls_residual = np.linalg.norm(F @ c - f, axis=0)
     infos = [{"rank": pinned.size + rank, "n_equality": int(G.shape[0]),
-              "ls_residual": float(ls), "eq_residual": float(eq)}
+              "ls_residual": float(ls), "eq_residual": float(eq),
+              "fairing": "cholesky" if normal else "lstsq"}
              for ls, eq in zip(ls_residual, final)]
     return c.reshape((-1,) + cols), (infos if cols else infos[0])
 

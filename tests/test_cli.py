@@ -272,6 +272,34 @@ class TestCheck:
         if variant == "g1p":
             assert payload["partition_of_unity_defect"] < 1e-10
 
+    @pytest.mark.parametrize("make, fairing", [(netgen.val33, "cholesky"),
+                                               (netgen.cube, "lstsq")])
+    def test_check_reports_the_fairing_solve(self, tmp_path, make, fairing):
+        obj, arc = tmp_path / "net.obj", tmp_path / "a.json"
+        obj.write_text(save_obj(make()))
+        assert main(["build", str(obj), "--variant", "g1p",
+                     "-o", str(arc)]) == 0
+        out = tmp_path / "check.json"
+        assert main(["check", str(arc), "-o", str(out)]) == 0
+        construction = json.loads(out.read_text())["construction"]
+        assert construction
+        assert {d["fairing"] for d in construction} == {fairing}
+
+    def test_archive_without_fairing_key_loads_and_checks(self, ep_obj,
+                                                          tmp_path):
+        arc = tmp_path / "a.json"
+        main(["build", str(ep_obj), "--variant", "g1r", "-o", str(arc)])
+        payload = json.loads(arc.read_text())
+        for d in payload["diagnostics"]:
+            del d["fairing"]
+        arc.write_text(json.dumps(payload))
+        loaded = surface_from_json(arc.read_text())
+        assert loaded.diagnostics == payload["diagnostics"]
+        out = tmp_path / "check.json"
+        assert main(["check", str(arc), "-o", str(out)]) == 0
+        construction = json.loads(out.read_text())["construction"]
+        assert construction and all("fairing" not in d for d in construction)
+
     def test_surface_check_c0(self):
         surface = build_c0(netgen.rot44())
         report = surface_check(surface)

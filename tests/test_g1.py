@@ -26,6 +26,7 @@ from gspline.evaluate import (
 from gspline.extraction import bernstein_1d, evaluate_basis
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
 
+import edge_block_loop
 import netgen
 from oracles import kkt_solve
 
@@ -93,8 +94,9 @@ class TestEdgeEquations:
         fr = edge_frames(problem.c0.cnet, edge, v1=geom.v1)
         for k in range(1, 7):
             # left frame (1, k) lies on the shared edge as does right (k, 1)
-            assert problem._node(fr.left, fr.rot_left, 1, k) == \
-                problem._node(fr.right, fr.rot_right, k, 1)
+            left = edge_block_loop.node(problem, fr.left, fr.rot_left, 1, k)
+            right = edge_block_loop.node(problem, fr.right, fr.rot_right, k, 1)
+            assert left == right
 
     @pytest.mark.parametrize("make,seed", [(lambda: netgen.fan(5), 0),
                                            (lambda: netgen.fan(3), 1),
@@ -123,8 +125,10 @@ class TestEdgeEquations:
         grid_r = np.empty((6, 6))
         for i in range(1, 7):
             for j in range(1, 7):
-                grid_l[i - 1, j - 1] = c[problem._node(fr.left, fr.rot_left, i, j)]
-                grid_r[i - 1, j - 1] = c[problem._node(fr.right, fr.rot_right, i, j)]
+                grid_l[i - 1, j - 1] = c[edge_block_loop.node(
+                    problem, fr.left, fr.rot_left, i, j)]
+                grid_r[i - 1, j - 1] = c[edge_block_loop.node(
+                    problem, fr.right, fr.rot_right, i, j)]
 
         residual_coeffs = system.G[rows[:6]] @ c - system.g[rows[:6]]
         for v in np.linspace(0, 1, 50):
