@@ -24,23 +24,23 @@ together: one factorization, one right-hand-side column per function.
 
 Unknowns are numbered from integer slot keys (``slot_keys``: corner
 slots by vertex, side slots by edge position, interior slots per face),
-so elements share the unknowns of their common edges.  The sides of the
-elements are classified from ``cnet.edge_faces`` and each edge's frames
-come from ``evaluate.edge_sides``.  ``assemble`` writes G and F directly
-from index arrays: the seven rows of every constrained edge from one
-stencil table (``_EDGE_STENCIL``) over quarter-turn slot maps, with one
-``np.add.at`` for all edges, one identity row per pinned unknown and two
-flat index arrays for the 60 fairing differences of each element.
+so elements share the unknowns of their common edges.  Set-up is a few
+array passes: the extraction rows of the irregular elements, read from
+``c0.groups``, give each function's support and solve set as a row of a
+boolean table over the irregular faces; ``slot_keys`` makes a problem's
+(elements, 36) key table in one call; and one stacked ``degree_elevate_2``
+call elevates the cubic rows of all its (element, function) pairs, as in
+``elevate_irregular``.  ``assemble`` writes G and F from index arrays:
+sides from ``cnet.edge_faces`` and ``evaluate.edge_sides``, the seven
+rows of each constrained edge from one stencil table (``_EDGE_STENCIL``)
+with one ``np.add.at``, an identity row per pinned unknown and the 60
+fairing differences of each element.
 
-``solve_constrained_ls`` eliminates the pinned unknowns before it
-factors: each identity pin row fixes its unknown, and only the other
-rows, restricted to the free unknowns, go through the rank-revealing SVD,
-with a rank tolerance relative to that reduced matrix.  The reported rank is
-the number of pins plus the rank of the reduced rows.  The fairing
-problem in the nullspace is solved from its normal equations when their
-Cholesky factor exists and its diagonal passes the ``PIVOT_MIN`` test, and
-by the minimum-norm ``lstsq`` otherwise.  Only numpy's LAPACK is used:
-scipy links its own OpenBLAS, and mixing the two here was slower.
+``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
+of the other rows over the free unknowns from an SVD, and solves the
+fairing problem in their nullspace, by Cholesky or by ``lstsq``.  Only
+numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing the two
+here was slower.
 """
 
 from __future__ import annotations
@@ -50,29 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleConstraintError,
-    InternalError,
-)
-from .evaluate import (
-    GSplineSurface,
-    edge_frames,
-    edge_pair_tables,
-    edge_sides,
-)
+from .errors import DomainError, InfeasibleConstraintError, InternalError
+from .evaluate import GSplineSurface, edge_frames, edge_pair_tables, edge_sides
 from .extraction import ElementExtraction, degree_elevate_2
-from .mesh import (
-    CNet,
-    ElementClass,
-    classify_elements,
-    irregular_basis_vertices,
-)
+from .mesh import CNet, ElementClass, classify_elements, irregular_basis_vertices
 
 P = 5  # irregular elements are bi-quintic
 # The fairing normal equations are solved only when the Cholesky factor's
 # smallest diagonal entry exceeds this fraction of its largest.
 PIVOT_MIN = 1e-2
+# Relative tolerances of solve_constrained_ls: singular values below RANK_TOL
+# times the largest count as zero, equality residuals above EQ_TOL fail.
+RANK_TOL = 1e-10
+EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ class NetAnalysis:
     labels: list
     eps: list
     irregular_faces: set
-    face_cluster: dict  # irregular face -> cluster id
+    face_cluster: dict  # irregular face (ascending) -> cluster id
     cluster_rings: dict  # cluster id -> sorted list of irregular faces
     sides: tuple  # (faces, rots) of every edge, from evaluate.edge_sides
 
@@ -195,6 +185,8 @@ _SLOT = np.arange((P + 1) ** 2).reshape(P + 1, P + 1, order="F")
 # rows of sides 2 and 3 run against the face loop
 _SIDE_SLOTS = np.array([_SLOT.T[[0, 1]], _SLOT[[P, P - 1]],
                         _SLOT.T[[P, P - 1]], _SLOT[[0, 1]]]).reshape(4, -1)
+# the P - 1 inner slots of each side's trace row, along the face loop
+_SIDE_TRACE = np.concatenate([_SIDE_SLOTS[:2, 1:P], _SIDE_SLOTS[2:, P - 1:0:-1]])
 
 # slot pairs whose coefficient differences the fairing rows preserve
 _FAIR_A = np.concatenate([_SLOT[:P].T.ravel(), _SLOT[:, :P].T.ravel()])
@@ -232,9 +224,10 @@ _ST_ROW, _ST_SIDE, _ST_I, _ST_J = (
 _ST_C0, _ST_W1, _ST_W2 = _EDGE_STENCIL[:, 4:].T
 
 
-def slot_keys(cnet: CNet, face: int) -> np.ndarray:
-    """Globally shared integer identity of each slot of a face's quintic
-    grid, at flat index i + (P + 1) * j for slot (i, j).
+def slot_keys(cnet: CNet, faces) -> np.ndarray:
+    """Globally shared integer identity of each slot of the quintic grids
+    of ``faces``: an (len(faces), 36) int64 table, slot (i, j) at column
+    i + (P + 1) * j.
 
     Corner slots map to the corner vertex id, side slots to
     ``n_vertices + (P - 1) * edge + t - 1`` with t the position along the
@@ -242,15 +235,15 @@ def slot_keys(cnet: CNet, face: int) -> np.ndarray:
     above both.  Adjacent elements therefore share their edge-row
     unknowns, which builds C0 continuity into the constraint systems.
     """
-    loop = cnet.faces[face]
+    faces = np.asarray(faces, dtype=np.int64)
+    loop = cnet.faces[faces]
     n_side = cnet.n_vertices + (P - 1) * cnet.n_edges
-    keys = n_side + (P + 1) ** 2 * face + np.arange((P + 1) ** 2)
-    keys[_SLOT[[0, P, P, 0], [0, 0, P, P]]] = loop
-    t = np.arange(1, P)
-    for s, e in enumerate(cnet.face_edges[face]):
-        slots = _SIDE_SLOTS[s, t if s < 2 else P - t]
-        along = t if loop[s] < loop[(s + 1) % 4] else P - t
-        keys[slots] = cnet.n_vertices + (P - 1) * e + along - 1
+    keys = n_side + (P + 1) ** 2 * faces[:, None] + np.arange((P + 1) ** 2)
+    keys[:, _SLOT[[0, P, P, 0], [0, 0, P, P]]] = loop
+    t = np.arange(1, P)  # slot positions along an edge from its lower endpoint
+    along = np.where((loop < loop[:, [1, 2, 3, 0]])[..., None], t, P - t)
+    keys[:, _SIDE_TRACE] = (cnet.n_vertices - 1 + along
+                            + (P - 1) * cnet.face_edges[faces][..., None])
     return keys
 
 
@@ -269,14 +262,51 @@ class ConstraintSystem:
     tags: list  # provenance per equality row (edge id or pin description)
 
 
+def _clusters(info: NetAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """The irregular faces, ascending, and the cluster of each."""
+    return (np.fromiter(info.face_cluster, np.int64),
+            np.fromiter(info.face_cluster.values(), np.int64))
+
+
+def _irregular_rows(c0: GSplineSurface, faces: np.ndarray):
+    """Element, basis id and cubic coefficients (16,) of every extraction
+    row of ``faces``, by element then row, from ``c0.groups``: the one
+    group of a C0 surface holds them all."""
+    group_of, row_of = c0.group_slots
+    parts = []
+    for i, g in enumerate(c0.groups):
+        rows = row_of[faces[group_of[faces] == i]]
+        parts.append((np.repeat(g.elements[rows], g.mask[rows].sum(axis=1)),
+                      g.basis[rows][g.mask[rows]], g.coeffs[rows][g.mask[rows]]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
+    """The irregular faces (ascending); the face index, basis id and cubic
+    coefficients of their extraction rows; and two (len(functions),
+    len(faces)) tables: each function's support and ``solve_elements``."""
+    faces, cluster = _clusters(info)
+    element, basis, coeffs = _irregular_rows(c0, faces)
+    at = np.searchsorted(faces, element)
+    ids, col = np.unique(functions, return_inverse=True)
+    hit = np.isin(basis, ids, kind="sort")
+    fn = np.searchsorted(ids, basis[hit])
+    support = np.zeros((ids.size, faces.size), dtype=bool)
+    support[fn, at[hit]] = True
+    solved = support
+    if variant == "g1p":  # every face of the cluster rings the support touches
+        names, ring = np.unique(cluster, return_inverse=True)
+        touched = np.zeros((ids.size, names.size), dtype=bool)
+        touched[fn, ring[at[hit]]] = True
+        solved = touched[:, ring]
+    return faces, (at, basis, coeffs), support[col], solved[col]
+
+
 def basis_supports(c0: GSplineSurface, info: NetAnalysis, functions) -> dict:
     """Irregular elements supporting each of ``functions``: id -> set."""
-    out = {int(a): set() for a in functions}
-    for f in info.irregular_faces:
-        for a in c0.extraction(f).basis:
-            if int(a) in out:
-                out[int(a)].add(f)
-    return out
+    ids = np.array(list(functions), dtype=np.int64)
+    faces, _, support, _ = _tables(c0, info, ids, "g1r")
+    return {a: set(faces[row].tolist()) for a, row in zip(ids.tolist(), support)}
 
 
 def solve_elements(info: NetAnalysis, support: set, variant: str) -> list[int]:
@@ -284,8 +314,8 @@ def solve_elements(info: NetAnalysis, support: set, variant: str) -> list[int]:
     union of the cluster rings its support touches (g1p)."""
     if variant == "g1r":
         return sorted(support)
-    return sorted({f for s in support
-                   for f in info.cluster_rings[info.face_cluster[s]]})
+    faces, cluster = _clusters(info)
+    return faces[np.isin(cluster, cluster[np.isin(faces, list(support))])].tolist()
 
 
 class ConstraintProblem:
@@ -306,49 +336,49 @@ class ConstraintProblem:
         if variant not in ("g1p", "g1r"):
             raise DomainError(f"unknown construction variant {variant!r}")
         self.c0 = c0
-        self.functions = [int(a) for a in np.atleast_1d(basisfn)]
-        cols = () if np.ndim(basisfn) == 0 else (len(self.functions),)
+        fns = np.atleast_1d(np.asarray(basisfn, dtype=np.int64))
+        self.functions = fns.tolist()
+        cols = () if np.ndim(basisfn) == 0 else (fns.size,)
         self.variant = variant
         self.info = analysis if analysis is not None else analyze_net(c0.cnet)
         cnet = c0.cnet
 
-        supports = basis_supports(c0, self.info, self.functions)
-        self.supports = [supports[a] for a in self.functions]
-        element_sets = {tuple(solve_elements(self.info, s, variant))
-                        for s in self.supports}
-        if len(element_sets) > 1:
-            raise DomainError(
-                f"basis functions {self.functions} are solved over "
-                "different element sets")
-        self.elements = list(element_sets.pop()) if element_sets else []
+        faces, (at, basis, coeffs), support, solved = _tables(c0, self.info, fns, variant)
+        self.supports = [set(faces[row].tolist()) for row in support]
+        named = f"basis functions {self.functions}"
+        if not solved.any():
+            raise DomainError(f"{named} support no irregular element")
+        if (solved != solved[0]).any():
+            raise DomainError(f"{named} are solved over different element sets")
+        els = faces[solved[0]]
+        self.elements = els.tolist()
 
         # unknowns numbered by first appearance of their slot key, element
         # by element, j then i; grid_nodes[f][i, j] is the unknown of slot
         # (i, j) on element f
-        keys = np.array([slot_keys(cnet, f) for f in self.elements], dtype=int)
-        _, first, inverse = np.unique(keys, return_index=True,
+        _, first, inverse = np.unique(slot_keys(cnet, els), return_index=True,
                                       return_inverse=True)
         nodes = first.argsort().argsort()[inverse.ravel()]
         self.slot_nodes = nodes.reshape(-1, (P + 1) ** 2)  # row per element
-        self.grid_nodes: dict[int, np.ndarray] = {
-            f: grid.reshape(P + 1, P + 1, order="F")
-            for f, grid in zip(self.elements, self.slot_nodes)}
+        self.grid_nodes: dict[int, np.ndarray] = dict(zip(
+            self.elements, self.slot_nodes.reshape(-1, P + 1, P + 1).swapaxes(1, 2)))
         self.n = first.size
 
-        # degree-elevated targets, checked for consistency on shared nodes
-        self.ctilde = np.zeros((self.n,) + cols)
-        have = np.zeros(self.n, dtype=bool)
-        for f in self.elements:
-            idx = self.grid_nodes[f]
-            grid = self._elevated_grid(f).reshape((P + 1, P + 1) + cols)
-            seen = have[idx]
-            if (np.abs(self.ctilde[idx[seen]] - grid[seen]) > 1e-9).any():
-                raise InternalError(
-                    "inconsistent elevated coefficients at a "
-                    f"shared node of element {f}"
-                )
-            self.ctilde[idx[~seen]] = grid[~seen]
-            have[idx] = True
+        # elevated targets from one call on the first cubic row of every
+        # (element, function) pair; each unknown's slots must all agree
+        row, k = np.nonzero(solved[0][at][:, None] & (basis[:, None] == fns))
+        e = np.searchsorted(els, faces[at[row]])
+        _, pair = np.unique(e * fns.size + k, return_index=True)
+        values = np.zeros((els.size, fns.size, (P + 1) ** 2))
+        values[e[pair], k[pair]] = degree_elevate_2(coeffs[row[pair]])
+        values = values.swapaxes(1, 2).reshape(-1, fns.size)  # slot by slot
+        ctilde = values[np.sort(first)]
+        bad = (np.abs(values - ctilde[nodes]) > 1e-9).any(axis=1)
+        if bad.any():
+            raise InternalError(
+                "inconsistent elevated coefficients at a shared node of "
+                f"element {self.elements[bad.argmax() // (P + 1) ** 2]}")
+        self.ctilde = ctilde.reshape((self.n,) + cols)
 
         # Classify the sides of every element.  Edges interior to the
         # unknown set carry tangent-plane equations.  Sides against
@@ -360,15 +390,11 @@ class ConstraintProblem:
         # already vanish there, so both readings coincide.  Domain-boundary
         # sides pin only the trace row (the boundary curve), leaving the
         # cross-derivative free for the constraints at boundary EPs.
-        els = np.array(self.elements, dtype=int)
         side_edges = cnet.face_edges[els]
         pair = cnet.edge_faces[side_edges]
-        other = np.where(pair[..., 0] == els[:, None], pair[..., 1],
-                         pair[..., 0])
+        other = np.where(pair[..., 0] == els[:, None], pair[..., 1], pair[..., 0])
         boundary = other < 0
-        in_set = np.zeros(cnet.n_faces, dtype=bool)
-        in_set[els] = True
-        inside = in_set[other] & ~boundary
+        inside = np.isin(other, els, kind="sort")
         irregular = cnet.extraordinary[cnet.faces[other]].any(axis=-1)
 
         def sides(mask):
@@ -379,19 +405,6 @@ class ConstraintProblem:
         self.frozen_sides = sides(~boundary & ~inside & irregular)
         self.pinned_sides = sides(~boundary & ~inside & ~irregular)
         self.boundary_sides = sides(boundary)
-
-    # -- pieces ---------------------------------------------------------
-
-    def _elevated_grid(self, face: int) -> np.ndarray:
-        """(6, 6, k) elevated coefficients of the k functions on a face."""
-        ext = self.c0.extraction(face)
-        grid = np.zeros((P + 1, P + 1, len(self.functions)))
-        for k, a in enumerate(self.functions):
-            rows = np.flatnonzero(ext.basis == a)
-            if rows.size:
-                cubic = ext.coeffs[rows[0]].reshape(4, 4, order="F")
-                grid[..., k] = degree_elevate_2(cubic)
-        return grid
 
     # -- assembly and solve ----------------------------------------------
 
@@ -478,8 +491,7 @@ class ConstraintProblem:
         return out if self.ctilde.ndim > 1 else out[0]
 
 
-def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
-                         eq_tol: float = 1e-9, return_info: bool = False):
+def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
     """Minimize the fairing residual subject to the equality constraints.
 
     Pins are eliminated first (Lawson & Hanson, ch. 21): an equality row
@@ -487,7 +499,7 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     first such row of an unknown is the one used.  The other rows,
     restricted to the free unknowns with the pinned part moved to the
     right-hand side, go through a rank-revealing SVD whose tolerance
-    ``rank_tol`` is relative to the largest singular value of that
+    ``RANK_TOL`` is relative to the largest singular value of that
     reduced matrix; the least-squares problem is then solved in the
     nullspace parameterization (Lawson & Hanson, ch. 20), without the
     fairing rows that touch no free unknown.  The reported ``rank`` is
@@ -508,7 +520,8 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     ``g`` and ``f`` are one right-hand side (1-D; returns a vector and one
     info dict) or one column per right-hand side (2-D; returns one column
     and one info dict per right-hand side), all sharing one factorization.
-    Residuals are checked on the full G, pin rows included.  Inconsistent
+    Residuals are checked on the full G, pin rows included, against
+    ``EQ_TOL`` times the column's largest |g| (at least 1).  Inconsistent
     constraints of any column raise InfeasibleConstraintError listing that
     column's offending edges, with the rows that pinned the unknowns of
     the offending rows.
@@ -536,11 +549,11 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     Gr = Gr[:, free]
     live = Gr.any(axis=1)  # rows on pinned unknowns only: checked below
     U, s, Vt = np.linalg.svd(Gr[live], full_matrices=True)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     c[free] = Vt[:rank].T @ ((U[:, :rank].T @ gr[live]) / s[:rank, None])
     scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
     eq_residual = np.abs(G @ c - g)
-    bad = eq_residual > eq_tol * scale
+    bad = eq_residual > EQ_TOL * scale
     if bad.any():
         col = int(np.flatnonzero(bad.any(axis=0))[0])
         rows = np.flatnonzero(bad[:, col])
@@ -567,7 +580,7 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
         z, *_ = np.linalg.lstsq(B, r, rcond=None)
     c[free] += Z @ z
     final = np.abs(G @ c - g).max(axis=0, initial=0.0)
-    if (final > eq_tol * scale).any():
+    if (final > EQ_TOL * scale).any():
         raise InfeasibleConstraintError(
             f"constraint residual {final.max():.3e} after solve", edges=[])
     if not return_info:
@@ -586,15 +599,12 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
 
 def elevate_irregular(c0: GSplineSurface):
     """Degree-elevated bi-quintic coefficients of every basis function on
-    every irregular element it supports: dict (basis, element) -> (6, 6)."""
-    info = analyze_net(c0.cnet)
-    out = {}
-    for f in sorted(info.irregular_faces):
-        ext = c0.extraction(f)
-        for row, a in enumerate(ext.basis):
-            cubic = ext.coeffs[row].reshape(4, 4, order="F")
-            out[(int(a), f)] = degree_elevate_2(cubic)
-    return out
+    every irregular element it supports: dict (basis, element) -> (6, 6),
+    element by element in extraction-row order."""
+    irregular = c0.cnet.extraordinary[c0.cnet.faces].any(axis=1)
+    element, basis, coeffs = _irregular_rows(c0, np.flatnonzero(irregular))
+    grids = degree_elevate_2(coeffs.reshape(-1, 4, 4).swapaxes(1, 2))
+    return dict(zip(zip(basis.tolist(), element.tolist()), grids))
 
 
 def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
@@ -609,55 +619,41 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     if variant not in ("g1p", "g1r"):
         raise DomainError(f"unknown construction variant {variant!r}")
     info = analyze_net(c0.cnet)
-    functions = sorted(irregular_basis_vertices(c0.cnet))
-    fn_set = set(functions)
-    for f in info.irregular_faces:
-        extra = set(int(a) for a in c0.extraction(f).basis) - fn_set
-        if extra:
-            raise InternalError(
-                f"regular basis functions {sorted(extra)} supported on "
-                f"irregular element {f}"
-            )
+    functions = np.array(sorted(irregular_basis_vertices(c0.cnet)), dtype=np.int64)
+    faces, (at, basis, _), _, solved = _tables(c0, info, functions, variant)
+    extra = ~np.isin(basis, functions)
+    if extra.any():
+        j = at[extra.argmax()]  # the lowest such element
+        raise InternalError(
+            f"regular basis functions {np.unique(basis[extra & (at == j)]).tolist()}"
+            f" supported on irregular element {faces[j]}")
 
-    # functions solved over the same elements share G and F: one solve
-    # with a column per function
-    groups: dict[tuple, list[int]] = {}
-    for a, support in basis_supports(c0, info, functions).items():
-        key = tuple(solve_elements(info, support, variant))
-        groups.setdefault(key, []).append(a)
-    results = {}
-    for group in groups.values():
-        problem = ConstraintProblem(c0, group, variant, analysis=info)
-        results.update(zip(group, problem.solve()))
-
-    # functions ascend, so every element's rows come in basis-id order
-    per_element: dict[int, list[tuple[int, np.ndarray]]] = {
-        f: [] for f in info.irregular_faces
-    }
-    for a in functions:
-        for f, grid in results[a][0].items():
-            per_element[f].append((a, grid))
-
-    extractions = []
-    for f in range(c0.cnet.n_faces):
-        if info.labels[f] is ElementClass.IRREGULAR:
-            rows = per_element[f]
-            basis = np.array([a for a, _ in rows], dtype=int)
-            coeffs = np.array([grid.reshape(36, order="F") for _, grid in rows])
-            extractions.append(
-                ElementExtraction(element=f, degree=P, basis=basis,
-                                  coeffs=coeffs,
-                                  rational=(variant == "g1r"))
-            )
-        else:
-            old = c0.extraction(f)
-            extractions.append(
-                ElementExtraction(element=f, degree=old.degree,
-                                  basis=old.basis.copy(),
-                                  coeffs=old.coeffs.copy())
-            )
+    # One solve, a column per function, per distinct solve set, in the order
+    # of each set's first function; row slot[a, j] is function a on face j.
+    sets = solved.view(f"V{solved.shape[1]}").ravel()  # each row as one bytes key
+    _, first, group = np.unique(sets, return_index=True, return_inverse=True)
+    face_of, fn = np.nonzero(solved.T)
+    slot = np.zeros(solved.shape, dtype=np.int64)
+    slot[fn, face_of] = np.arange(fn.size)
+    coeffs = np.zeros((fn.size, (P + 1) ** 2))
+    diagnostics = np.empty(functions.size, dtype=object)
+    for g in np.argsort(first):
+        members = np.flatnonzero(group == g)
+        problem = ConstraintProblem(c0, functions[members], variant, analysis=info)
+        grids, diagnostics[members] = zip(*problem.solve())
+        coeffs[slot[members][:, solved[members[0]]]] = np.array(
+            [list(by_face.values()) for by_face in grids]).swapaxes(2, 3).reshape(
+                members.size, -1, (P + 1) ** 2)
+    cut = np.cumsum(solved.sum(axis=0))[:-1]
+    rows = dict(zip(faces.tolist(), zip(np.split(functions[fn], cut),
+                                        np.split(coeffs, cut))))
+    extractions = [
+        ElementExtraction(f, P, *rows[f], rational=(variant == "g1r"))
+        if label is ElementClass.IRREGULAR else
+        ElementExtraction(f, old.degree, old.basis.copy(), old.coeffs.copy())
+        for f, (label, old) in enumerate(zip(info.labels, c0.extractions))]
     surface = GSplineSurface(net=c0.net, extractions=extractions, variant=variant)
-    surface.diagnostics = [results[a][1] for a in functions]
+    surface.diagnostics = diagnostics.tolist()
     return surface
 
 

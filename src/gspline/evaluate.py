@@ -542,25 +542,26 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    pts: list[np.ndarray] = []
-    quads: list[list[int]] = []
-    loops: list[list[int]] = []
-    r = resolution
+    r, n = resolution, surface.cnet.n_faces
     grid = np.arange(r + 1) / r
-    xi, eta = np.tile(grid, r + 1), np.repeat(grid, r + 1)  # xi fastest
-    for e in range(surface.cnet.n_faces):
-        base = (r + 1) * (r + 1) * e
-        pts.append(map_point(surface, e, xi, eta))
-        for j in range(r):
-            for i in range(r):
-                k = base + j * (r + 1) + i
-                quads.append([k, k + 1, k + r + 2, k + r + 1])
-        loop = [base + i for i in range(r)]
-        loop += [base + r + j * (r + 1) for j in range(r)]
-        loop += [base + (r + 1) * (r + 1) - 1 - i for i in range(r)]
-        loop += [base + (r - j) * (r + 1) for j in range(r)]
-        loops.append(loop)
-    return np.concatenate(pts), quads, loops
+    uv = np.stack([np.tile(grid, r + 1), np.repeat(grid, r + 1)], 1)  # xi fastest
+    points = np.empty((n, (r + 1) ** 2, 3))
+
+    def sample(g, rows):
+        sub = ElementGroup(g.degree, g.rational, g.elements[rows], g.basis[rows],
+                           g.mask[rows], g.coeffs[rows])
+        vals, _, _, bad_w = group_table(sub, uv)
+        raise_first(sub, [bad_w])
+        points[sub.elements] = vals.swapaxes(1, 2) @ surface.net.positions[sub.basis]
+
+    step = max(1, 2**25 // (48 * 36 * len(uv)))  # elements per call: tables near 32 MB
+    map_lowest(sample, ((g, slice(s, s + step)) for g in surface.groups
+                        for s in range(0, len(g.elements), step)))
+    t, m = np.arange(r), r + 1
+    base = m * m * np.arange(n)[:, None]
+    quads = (base[:, None] + m * t[:, None] + t).reshape(-1, 1) + [0, 1, m + 1, m]
+    loops = base + np.concatenate([t, r + m * t, m * m - 1 - t, m * (r - t)])
+    return points.reshape(-1, 3), quads.tolist(), loops.tolist()
 
 
 def sampled_mesh_obj(points: np.ndarray, quads) -> str:

@@ -109,13 +109,15 @@ def degree_elevate_2(coeffs) -> np.ndarray:
 
     Accepts a 16-vector (first index fastest) or a (4, 4) grid and returns
     the matching 36-vector or (6, 6) grid representing the same polynomial.
+    Stacks (..., 16) or (..., 4, 4) elevate grid by grid to (..., 36) or
+    (..., 6, 6), each with the same two products as a one-grid call.
     """
     c = np.asarray(coeffs, dtype=float)
-    flat = c.ndim == 1
+    flat = c.shape[-1] == 16
     if flat:
-        c = c.reshape(4, 4, order="F")
+        c = c.reshape(c.shape[:-1] + (4, 4)).swapaxes(-1, -2)
     out = _E35 @ c @ _E35.T
-    return out.reshape(36, order="F") if flat else out
+    return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (36,)) if flat else out
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """``ConstraintProblem`` sides and systems against the loop reference
 ``edge_block_loop``: the stencil-table edge rows, the array side
-classification and the rest of ``assemble`` must be bitwise equal."""
+classification and the rest of ``assemble`` must be bitwise equal.  Its
+set-up (elements, supports, unknown numbering, elevated targets) must be
+bitwise equal to the loop reference ``problem_loop``."""
 
+import numpy as np
 import pytest
 
 from gspline.construct_c0 import build_c0
@@ -10,14 +13,18 @@ from gspline.construct_g1 import (
     analyze_net,
     basis_supports,
     edge_geometry,
+    elevate_irregular,
+    slot_keys,
     solve_elements,
 )
+from gspline.errors import InternalError
 from gspline.evaluate import edge_frames
 from gspline.mesh import irregular_basis_vertices
 from gspline.refine import refine_n
 
 import edge_block_loop
 import netgen
+import problem_loop
 
 NETS = {
     "rot44": netgen.rot44,
@@ -76,3 +83,75 @@ def test_every_quarter_turn_and_both_frame_origins_occur():
     assert seen == {(side, k) for side in ("right", "left") for k in range(4)}
     assert flipped
 
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["g1p", "g1r"])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_setup_equals_the_loop_bitwise(name, level, variant):
+    c0 = build_c0(refine_n(NETS[name](), level)[0])
+    info = analyze_net(c0.cnet)
+    functions = sorted(irregular_basis_vertices(c0.cnet))
+    supports = basis_supports(c0, info, functions)
+    assert supports == problem_loop.basis_supports(c0, info, functions)
+    assert list(supports) == functions
+    for support in supports.values():
+        assert (solve_elements(info, support, variant)
+                == problem_loop.solve_elements(info, support, variant))
+    faces = np.arange(c0.cnet.n_faces)
+    assert bitwise(slot_keys(c0.cnet, faces),
+                   np.array([problem_loop.slot_keys(c0.cnet, f) for f in faces]))
+    found = problems(c0, variant)
+    assert found
+    for problem in found:
+        ref = problem_loop.setup(c0, problem.functions, variant, info)
+        assert problem.elements == ref.elements
+        assert problem.supports == ref.supports
+        assert problem.n == ref.n
+        assert bitwise(problem.slot_nodes, ref.slot_nodes)
+        assert list(problem.grid_nodes) == list(ref.grid_nodes)
+        assert all(bitwise(problem.grid_nodes[f], ref.grid_nodes[f])
+                   for f in ref.grid_nodes)
+        assert bitwise(problem.ctilde, ref.ctilde), problem.functions
+    # one function given as a scalar: 1-D targets
+    a = found[0].functions[0]
+    mine, ref = ConstraintProblem(c0, a, variant), problem_loop.setup(c0, a, variant)
+    assert bitwise(mine.ctilde, ref.ctilde) and mine.ctilde.ndim == 1
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_elevate_irregular_equals_the_loop(name):
+    c0 = build_c0(refine_n(NETS[name](), 1)[0])
+    mine, ref = elevate_irregular(c0), problem_loop.elevate_irregular(c0)
+    assert list(mine) == list(ref)
+    assert all(bitwise(mine[key], ref[key]) for key in ref)
+
+
+@pytest.mark.parametrize("variant", ["g1p", "g1r"])
+@pytest.mark.parametrize("name", ["rot44", "val333", "open_box"])
+def test_inconsistent_shared_node_names_the_same_element(name, variant):
+    """A c0 coefficient moved at an extraordinary corner of one element that
+    another element of the problem shares: the package and the loop raise
+    for the same element.  The problem is found with the loop reference,
+    so ``c0.groups``, which the package reads, is built after the move."""
+    c0 = build_c0(NETS[name]())
+    cnet, info = c0.cnet, analyze_net(c0.cnet)
+    functions = sorted(irregular_basis_vertices(cnet))
+    supports = problem_loop.basis_supports(c0, info, functions)
+    a, f, corner = next(
+        (a, f, k) for a in functions for f in sorted(supports[a])
+        for k in np.flatnonzero(cnet.extraordinary[cnet.faces[f]])
+        if sum(cnet.faces[f][k] in cnet.faces[g] for g in
+               problem_loop.solve_elements(info, supports[a], variant)) > 1)
+    ext = c0.extraction(f)
+    ext.coeffs[np.flatnonzero(ext.basis == a)[0], [0, 3, 15, 12][corner]] += 1e-3
+    assert "groups" not in vars(c0)
+    with pytest.raises(InternalError) as ref:
+        problem_loop.setup(c0, a, variant, info)
+    with pytest.raises(InternalError) as mine:
+        ConstraintProblem(c0, a, variant, analysis=info)
+    assert str(mine.value) == str(ref.value)

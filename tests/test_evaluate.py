@@ -3,7 +3,11 @@ import pytest
 
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
-from gspline.errors import DomainError, SingularParameterizationError
+from gspline.errors import (
+    DegenerateBasisError,
+    DomainError,
+    SingularParameterizationError,
+)
 from gspline.evaluate import (
     bounding_box_diagonal,
     edge_watertightness,
@@ -16,9 +20,29 @@ from gspline.evaluate import (
     sampled_mesh_obj,
 )
 from gspline.mesh import ControlNet, load_obj, spoke_edges
-from gspline.refine import refine
+from gspline.refine import refine, refine_n
 
 import netgen
+
+
+def element_loop_mesh(surface, r):
+    """``sample_bezier_mesh`` as one ``map_point`` and index loop per element."""
+    pts, quads, loops = [], [], []
+    grid = np.arange(r + 1) / r
+    xi, eta = np.tile(grid, r + 1), np.repeat(grid, r + 1)
+    for e in range(surface.cnet.n_faces):
+        base = (r + 1) * (r + 1) * e
+        pts.append(map_point(surface, e, xi, eta))
+        for j in range(r):
+            for i in range(r):
+                k = base + j * (r + 1) + i
+                quads.append([k, k + 1, k + r + 2, k + r + 1])
+        loop = [base + i for i in range(r)]
+        loop += [base + r + j * (r + 1) for j in range(r)]
+        loop += [base + (r + 1) * (r + 1) - 1 - i for i in range(r)]
+        loop += [base + (r - j) * (r + 1) for j in range(r)]
+        loops.append(loop)
+    return np.concatenate(pts), quads, loops
 
 
 class TestMapPoint:
@@ -172,6 +196,30 @@ class TestSampling:
         assert pts.shape == (3 * 25, 3)
         assert len(quads) == 3 * 16
         assert all(len(loop) == 16 for loop in loops)
+
+    @pytest.mark.parametrize("level, resolution", [(1, 3), (1, 8), (3, 8)])
+    def test_bezier_mesh_equals_the_element_loop(self, level, resolution):
+        """Points of one group_table per block of elements against one
+        map_point per element (level 3 spans several blocks); quads and
+        loops against the per-element index loops."""
+        surf = build_g1(build_c0(refine_n(netgen.rot44(), level)[0]), "g1r")
+        pts, quads, loops = sample_bezier_mesh(surf, resolution)
+        ref_pts, ref_quads, ref_loops = element_loop_mesh(surf, resolution)
+        assert quads == ref_quads and loops == ref_loops
+        assert pts.shape == ref_pts.shape
+        assert np.abs(pts - ref_pts).max() <= 1e-14
+
+    def test_bezier_mesh_names_lowest_degenerate_element(self):
+        surf = build_g1(build_c0(refine(netgen.rot44())), "g1r")
+        rational = [ext.element for ext in surf.extractions if ext.rational]
+        for e in (rational[-1], rational[3]):  # negated denominators
+            surf.extraction(e).coeffs *= -1
+        with pytest.raises(DegenerateBasisError) as ref:
+            element_loop_mesh(surf, 3)
+        with pytest.raises(DegenerateBasisError) as mine:
+            sample_bezier_mesh(surf, 3)
+        assert mine.value.element == ref.value.element == rational[3]
+        assert str(mine.value) == str(ref.value)
 
     def test_obj_export_parses_back(self):
         net = netgen.fan(3)

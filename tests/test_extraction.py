@@ -183,6 +183,18 @@ class TestDegreeElevation:
                                        - eval_quintic_grid(quintic, xi, eta)))
         assert worst < 1e-12
 
+    def test_stack_equals_one_call_per_grid(self):
+        """Stacked vectors and grids elevate grid by grid, bitwise as one
+        call each; the flat and grid layouts agree."""
+        rows = np.random.default_rng(5).normal(size=(3, 40, 16))
+        flat = degree_elevate_2(rows)
+        grids = degree_elevate_2(rows.reshape(3, 40, 4, 4).swapaxes(-1, -2))
+        assert flat.shape == (3, 40, 36) and grids.shape == (3, 40, 6, 6)
+        for k in np.ndindex(3, 40):
+            one = degree_elevate_2(rows[k])
+            assert one.tobytes() == flat[k].tobytes()
+            assert one.tobytes() == grids[k].reshape(36, order="F").tobytes()
+
 
 class TestRationalize:
     def test_identity_when_sum_is_one(self):

@@ -25,6 +25,7 @@ from gspline.evaluate import (
 )
 from gspline.extraction import bernstein_1d, evaluate_basis
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
+from gspline.refine import refine
 
 import edge_block_loop
 import netgen
@@ -302,6 +303,18 @@ class TestGroupedSolve:
         c0 = build_c0(netgen.rot44())
         with pytest.raises(DomainError):
             ConstraintProblem(c0, [0, 11], "g1r")
+
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    @pytest.mark.parametrize("ids", [0, 10**6, -1, []], ids=repr)
+    def test_functions_without_irregular_support_rejected(self, ids, variant):
+        """A regular id, ids that are no vertex and no ids at all give no
+        problem to solve: a DomainError naming the ids, at construction."""
+        c0 = build_c0(refine(netgen.rot44()))
+        assert not any(0 in c0.extraction(f).basis
+                       for f in analyze_net(c0.cnet).irregular_faces)
+        with pytest.raises(DomainError, match="support no irregular element") as err:
+            ConstraintProblem(c0, ids, variant)
+        assert str([int(a) for a in np.atleast_1d(ids)]) in str(err.value)
 
 
 class TestElevateIrregular:
