@@ -84,17 +84,20 @@ class GSplineSurface:
     def groups(self) -> list[ElementGroup]:
         """The elements stacked by (degree, rational), built on first use;
         the extractions must not change after that."""
-        groups, exts = [], self.extractions
-        for p, rational in sorted({(x.degree, x.rational) for x in exts}):
-            ids = [e for e, x in enumerate(exts)
-                   if (x.degree, x.rational) == (p, rational)]
-            counts = np.array([exts[e].n_basis for e in ids])
-            mask = np.arange(counts.max()) < counts[:, None]
-            basis = np.zeros(mask.shape, dtype=int)
-            coeffs = np.zeros(mask.shape + ((p + 1) ** 2,))
-            basis[mask] = np.concatenate([exts[e].basis for e in ids])
-            coeffs[mask] = np.concatenate([exts[e].coeffs for e in ids])
-            groups.append(ElementGroup(p, rational, np.array(ids), basis, mask, coeffs))
+        exts = self.extractions
+        basis, coeffs = [x.basis for x in exts], [x.coeffs for x in exts]
+        counts = np.fromiter(map(len, basis), int, len(exts))
+        cls = np.fromiter((2 * x.degree + x.rational for x in exts), int, len(exts))
+        groups = []
+        for c in np.unique(cls).tolist():
+            p, ids = c // 2, np.flatnonzero(cls == c)
+            rows = ids.tolist()
+            mask = np.arange(counts[ids].max()) < counts[ids, None]
+            slot = np.zeros(mask.shape, dtype=int)  # row 0: the zero padding
+            slot[mask] = np.arange(1, mask.sum() + 1)
+            b = np.concatenate([np.zeros(1, dtype=int)] + [basis[e] for e in rows])
+            k = np.concatenate([np.zeros((1, (p + 1) ** 2))] + [coeffs[e] for e in rows])
+            groups.append(ElementGroup(p, bool(c % 2), ids, b[slot], mask, k[slot]))
         return groups
 
     @cached_property

@@ -4,17 +4,20 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from gspline import quality
+from gspline import quality, solve
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import (
     DegenerateBasisError,
+    EigensolverError,
     SingularParameterizationError,
     TopologyError,
 )
 from gspline.evaluate import GSplineSurface
 from gspline.solve import (
+    GalerkinSystem,
     assemble_membrane_eigen,
     assemble_poisson,
     boundary_functions,
@@ -33,6 +36,7 @@ from gspline.solve import (
 from gspline.refine import refine_n
 
 import element_loop
+import geometry_einsum
 import netgen
 from oracles import StructuredPoissonOracle
 
@@ -273,6 +277,16 @@ def rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+@functools.cache
+def rot44_case(level, variant):
+    net, _ = refine_n(netgen.rot44(), level)
+    return build_g1(build_c0(net), variant)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestGroupedEvaluation:
     def test_cases_mix_classes_and_pad_supports(self):
         classes, supports, padded = set(), set(), set()
@@ -286,6 +300,18 @@ class TestGroupedEvaluation:
                 assert (np.diff(g.elements) > 0).all()
         assert {(3, False), (5, False), (5, True)} <= classes
         assert {9, 12, 14, 16, 18} <= supports and {9, 12, 14, 16} <= padded
+
+    @pytest.mark.parametrize("net, variant", GROUPED_CASES)
+    def test_group_rows_are_the_extractions(self, net, variant):
+        surf = grouped_case(net, variant)
+        group_of, row_of = surf.group_slots
+        for ext in surf.extractions:
+            g, r = surf.groups[group_of[ext.element]], row_of[ext.element]
+            n = ext.n_basis
+            assert (g.degree, g.rational) == (ext.degree, ext.rational)
+            assert g.mask[r].sum() == n and g.mask[r, :n].all()
+            assert same_bits(g.basis[r, :n], ext.basis)
+            assert same_bits(g.coeffs[r, :n], ext.coeffs)
 
     @pytest.mark.parametrize("net, variant", GROUPED_CASES)
     def test_assembly_matches_element_loop(self, net, variant):
@@ -331,6 +357,59 @@ class TestGroupedEvaluation:
                     rows = np.abs(ext.coeffs[:, cols]).max(axis=1) > 1e-12
                     expected.update(ext.basis[rows].tolist())
         assert boundary_functions(surf) == expected
+
+
+class TestGeometryAgainstEinsum:
+    """``_group_geometry`` against the frozen einsum version."""
+
+    @pytest.mark.parametrize("case", [*GROUPED_CASES, "rot44 L2 g1r"])
+    def test_group_tables_bitwise_equal(self, case):
+        surf = rot44_case(2, "g1r") if case == "rot44 L2 g1r" else grouped_case(*case)
+        for g in surf.groups:
+            pts = quality.gauss_legendre_2d(g.degree + 1).points
+            ours = solve._group_geometry(surf, g, pts)
+            ref = geometry_einsum.group_geometry(surf, g, pts)
+            for name, a, b in zip(("N", "gp", "x", "|det J|"), ours, ref):
+                assert same_bits(a, b), (case, g.degree, g.rational, name)
+
+    def test_convergence_report_unchanged(self, monkeypatch):
+        ours = convergence_study(netgen.rot44(), "g1r", 3).to_json()
+        monkeypatch.setattr(solve, "_group_geometry", geometry_einsum.group_geometry)
+        assert convergence_study(netgen.rot44(), "g1r", 3).to_json() == ours
+
+
+def eigsh_default(system, k=6):
+    """Eigenvalues from ``eigsh`` factoring K itself (SuperLU's default
+    COLAMD order and partial pivoting), as the solver first called it."""
+    act = system.active
+    K = system.K[act][:, act].tocsc()
+    M = system.M[act][:, act].tocsc()
+    lams, _ = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM", v0=np.ones(K.shape[0]))
+    return np.sort(lams)
+
+
+class TestEigenFactor:
+    @pytest.mark.parametrize("mass", ["consistent", "lumped"])
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_matches_default_eigsh(self, level, variant, mass):
+        system = assemble_membrane_eigen(rot44_case(level, variant), mass)
+        report = solve_generalized_eigen(system)
+        ref = eigsh_default(system)
+        np.testing.assert_allclose(report.eigenvalues, ref, rtol=1e-13, atol=0.0)
+        assert max(report.residuals) < 1e-8
+
+    def test_singular_stiffness_is_an_eigensolver_error(self):
+        n = 8
+        K = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1], format="lil")
+        K[3, :] = 0.0  # an active dof with no stiffness at all
+        K[:, 3] = 0.0
+        system = GalerkinSystem(surface=None, K=K.tocsr(), load=np.zeros(n),
+                                boundary={0, n - 1}, M=sp.identity(n, format="csr"),
+                                mass_kind="consistent")
+        with pytest.raises(EigensolverError, match="shift-invert"):
+            solve_generalized_eigen(system, k=2)
 
 
 def with_bad_elements(surface, singular=(), degenerate=()):
