@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import FormatError
 from .evaluate import GSplineSurface
-from .extraction import SUPPORTED_DEGREES, ElementExtraction
+from .extraction import SUPPORTED_DEGREES
 from .mesh import CNet, ControlNet
 
 FORMAT_VERSION = 2
@@ -57,20 +56,23 @@ def surface_to_json(surface: GSplineSurface) -> str:
             "positions": surface.net.positions.tolist(),
             "faces": surface.cnet.faces.tolist(),
         },
-        "elements": [
-            {
-                "element": int(ext.element),
-                "degree": int(ext.degree),
-                "rational": bool(ext.rational),
-                "basis": ext.basis.tolist(),
-                "coeffs": base64.b64encode(
-                    ext.coeffs.astype("<f8", copy=False).tobytes()).decode("ascii"),
-            }
-            for ext in surface.extractions
-        ],
+        "elements": _records(surface),
         "diagnostics": getattr(surface, "diagnostics", None),
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
+def _records(surface: GSplineSurface) -> list[dict]:
+    """One record per element, in element order, from ``surface.groups``."""
+    records = [None] * surface.cnet.n_faces
+    for g in surface.groups:
+        coeffs = g.coeffs.astype("<f8", copy=False)
+        for e, basis, c, n in zip(g.elements.tolist(), g.basis.tolist(), coeffs,
+                                  g.mask.sum(axis=1).tolist()):
+            records[e] = {"element": e, "degree": g.degree, "rational": g.rational,
+                          "basis": basis[:n],
+                          "coeffs": base64.b64encode(c[:n].tobytes()).decode("ascii")}
+    return records
 
 
 def surface_from_json(text: str) -> GSplineSurface:
@@ -98,7 +100,7 @@ def surface_from_json(text: str) -> GSplineSurface:
         ids = _integers([r["element"] for r in records], "element", 1)
         order = np.argsort(ids, kind="stable")
         ids, records = ids[order], [records[i] for i in order]
-        elements = _read_elements(ids, records, version)
+        rows = _read_elements(ids, records, version)
         variant = payload["variant"]
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
@@ -106,9 +108,9 @@ def surface_from_json(text: str) -> GSplineSurface:
         raise FormatError(
             f"archive field has the wrong type or is out of range: {exc}"
         ) from exc
-    _validate(net, ids, elements, variant)
-    surface = GSplineSurface(net=net, extractions=elements.extractions(),
-                             variant=variant)
+    _validate(net, ids, variant)
+    surface = GSplineSurface.from_rows(net, variant, **rows)
+    _validate_elements(surface)
     surface.diagnostics = diagnostics
     return surface
 
@@ -150,40 +152,7 @@ def _is_int64(x) -> bool:
             or (type(x) is float and x.is_integer() and abs(x) < 2.0**63))
 
 
-@dataclass
-class _Elements:
-    """The element records as arrays, sorted by element id.
-
-    Record i supports ``counts[i]`` basis functions.  ``basis`` holds the
-    basis ids of all records, record after record; ``coeffs[p]`` the
-    coefficient rows of the degree-p records, in the same order.
-    """
-
-    degree: np.ndarray
-    rational: np.ndarray
-    counts: np.ndarray
-    basis: np.ndarray
-    coeffs: dict[int, np.ndarray]
-
-    def extractions(self) -> list[ElementExtraction]:
-        """One extraction per record, record i as element i, its arrays
-        views into these."""
-        basis = np.split(self.basis, np.cumsum(self.counts)[:-1])
-        coeffs = [None] * len(basis)
-        for p, rows in self.coeffs.items():
-            members = np.flatnonzero(self.degree == p)
-            for i, c in zip(members.tolist(),
-                            np.split(rows, np.cumsum(self.counts[members])[:-1])):
-                coeffs[i] = c
-        return [
-            ElementExtraction(element=e, degree=p, rational=rational,
-                              basis=b, coeffs=c)
-            for e, (p, rational, b, c) in enumerate(zip(
-                self.degree.tolist(), self.rational.tolist(), basis, coeffs))
-        ]
-
-
-def _read_elements(ids: np.ndarray, records: list, version: int) -> _Elements:
+def _read_elements(ids: np.ndarray, records: list, version: int) -> dict:
     """``_convert`` over all records (sorted by id) at once.  If that
     fails, the error names the lowest element whose record fails alone."""
     try:
@@ -199,9 +168,10 @@ def _read_elements(ids: np.ndarray, records: list, version: int) -> _Elements:
         raise
 
 
-def _convert(records: list, version: int) -> _Elements:
-    """Each field of the records converted once for all of them: degrees,
-    rational flags, basis ids and, per degree, coefficient rows (format
+def _convert(records: list, version: int) -> dict:
+    """Each field of the records converted once for all of them: the rows
+    of ``GSplineSurface.from_rows``, that is degrees, rational flags, basis
+    counts, basis ids and, per degree, coefficient rows (format
     ``version``).  Raises on a wrong type or shape."""
     degree = _integers([r["degree"] for r in records], "degree", 1)
     unsupported = ~np.isin(degree, SUPPORTED_DEGREES)
@@ -225,11 +195,9 @@ def _convert(records: list, version: int) -> _Elements:
         stacked = _coeff_blocks(coeffs, degree, counts)
     else:
         stacked = _coeff_rows(coeffs, degree, counts)
-    return _Elements(
-        degree=degree, rational=np.array(rational, dtype=bool),
-        counts=counts,
-        basis=_integers(list(chain.from_iterable(basis)), "basis", 1),
-        coeffs=stacked)
+    return dict(degree=degree, rational=np.array(rational, dtype=bool), counts=counts,
+                basis=_integers(list(chain.from_iterable(basis)), "basis", 1),
+                coeffs=stacked)
 
 
 def _coeff_rows(coeffs: list, degree: np.ndarray,
@@ -287,12 +255,9 @@ def _coeff_blocks(coeffs: list, degree: np.ndarray,
     return stacked
 
 
-def _validate(net: ControlNet, ids: np.ndarray, elements: _Elements,
-              variant: str) -> None:
-    """Raise FormatError unless the records describe every face once, with
-    in-range, distinct basis ids, finite numbers, a known variant and rational
-    elements only where the g1r construction makes them (degree 5).  A
-    per-element error names the lowest failing element."""
+def _validate(net: ControlNet, ids: np.ndarray, variant: str) -> None:
+    """Raise FormatError unless the variant is known, the positions are
+    finite and the records describe every face once."""
     if variant not in ("c0", "g1p", "g1r"):
         raise FormatError(f"archive field 'variant' is {variant!r:.60}, "
                           "not one of c0, g1p, g1r")
@@ -303,23 +268,22 @@ def _validate(net: ControlNet, ids: np.ndarray, elements: _Elements,
         raise FormatError(
             f"element ids are not a permutation of 0..{n_faces - 1}")
 
-    n, basis, degree = net.cnet.n_vertices, elements.basis, elements.degree
-    owner = np.repeat(np.arange(n_faces), elements.counts)
-    out_of_range = np.zeros(n_faces, dtype=bool)
-    out_of_range[owner[(basis < 0) | (basis >= n)]] = True
-    by_element = np.lexsort((basis, owner))
-    sorted_owner = owner[by_element]
-    same = (np.diff(basis[by_element]) == 0) & (np.diff(sorted_owner) == 0)
-    repeated = np.zeros(n_faces, dtype=bool)
-    repeated[sorted_owner[1:][same]] = True
-    nonfinite = np.zeros(n_faces, dtype=bool)
-    for p, rows in elements.coeffs.items():
-        members = np.flatnonzero(degree == p)
-        rows_owner = np.repeat(members, elements.counts[members])
-        nonfinite[rows_owner[~np.isfinite(rows).all(axis=1)]] = True
-    misplaced = elements.rational & ((variant != "g1r") | (degree != 5))
 
-    failing = np.array([out_of_range, repeated, nonfinite, misplaced])
+def _validate_elements(surface: GSplineSurface) -> None:
+    """Raise FormatError unless every element has in-range, distinct basis
+    ids and finite coefficients, and is rational only where the g1r
+    construction makes it (degree 5).  The error names the lowest failing
+    element."""
+    n, variant = surface.cnet.n_vertices, surface.variant
+    failing = np.zeros((4, surface.cnet.n_faces), dtype=bool)
+    for g in surface.groups:
+        # unused slots get distinct negative ids: no repeat among them
+        padded = np.where(g.mask, g.basis, -1 - np.arange(g.mask.shape[1]))
+        failing[:3, g.elements] = [
+            (g.mask & ((g.basis < 0) | (g.basis >= n))).any(axis=1),
+            (np.diff(np.sort(padded, axis=1), axis=1) == 0).any(axis=1),
+            ~np.isfinite(g.coeffs).all(axis=(1, 2))]
+        failing[3, g.elements] = g.rational and (variant != "g1r" or g.degree != 5)
     if failing.any():
         e = int(np.argmax(failing.any(axis=0)))
         raise FormatError([
@@ -327,5 +291,5 @@ def _validate(net: ControlNet, ids: np.ndarray, elements: _Elements,
             f"element {e} repeats a basis id",
             f"element {e} has a non-finite coefficient",
             f"element {e} of a {variant} archive "
-            f"cannot be rational at degree {degree[e]}",
+            f"cannot be rational at degree {surface.degree(e)}",
         ][int(np.argmax(failing[:, e]))])

@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteError,
     ResourceError,
     SingularParameterizationError,
+    SingularSystemError,
     TopologyError,
 )
 from .evaluate import (
@@ -68,8 +69,8 @@ _EXIT_CODES = (
     (2, (FormatError, EmptyError, DomainError)),
     (3, (TopologyError,)),
     (4, (InfeasibleConstraintError, DegenerateBasisError)),
-    (5, (SingularParameterizationError, EigensolverError, LumpingError,
-         ResourceError, NonFiniteError)),
+    (5, (SingularParameterizationError, SingularSystemError, EigensolverError,
+         LumpingError, ResourceError, NonFiniteError)),
 )
 
 

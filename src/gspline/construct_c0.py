@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluate import GSplineSurface, edge_jumps
-from .extraction import ElementExtraction
 from .mesh import CNet, ControlNet, boundary_neighbours
 
 # Bezier grid positions 4 j + i of each face's corner s, its face point
@@ -102,13 +101,10 @@ def build_c0(net: ControlNet) -> GSplineSurface:
     owner, basis = np.divmod(keys, cnet.n_vertices)
     coeffs = np.zeros((len(keys), 16))
     coeffs[slot, pos] = S.data
-    bounds = np.searchsorted(owner, np.arange(cnet.n_faces + 1))
-    extractions = [
-        ElementExtraction(element=f, degree=3, basis=basis[a:b],
-                          coeffs=coeffs[a:b])
-        for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    return GSplineSurface(net=net, extractions=extractions, variant="c0")
+    counts = np.bincount(owner, minlength=cnet.n_faces)
+    return GSplineSurface.from_rows(net, "c0", np.full(cnet.n_faces, 3),
+                                    np.zeros(cnet.n_faces, dtype=bool), counts,
+                                    basis, {3: coeffs})
 
 
 def geometry_continuity_residual(surface: GSplineSurface, edge: int,

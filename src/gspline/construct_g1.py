@@ -52,8 +52,8 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, InternalError
 from .evaluate import GSplineSurface, edge_frames, edge_pair_tables, edge_sides
-from .extraction import ElementExtraction, degree_elevate_2
-from .mesh import CNet, ElementClass, classify_elements, irregular_basis_vertices
+from .extraction import degree_elevate_2
+from .mesh import CNet, classify_elements, irregular_basis_vertices
 
 P = 5  # irregular elements are bi-quintic
 # The fairing normal equations are solved only when the Cholesky factor's
@@ -268,10 +268,10 @@ def _clusters(info: NetAnalysis) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter(info.face_cluster.values(), np.int64))
 
 
-def _irregular_rows(c0: GSplineSurface, faces: np.ndarray):
+def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
     """Element, basis id and cubic coefficients (16,) of every extraction
-    row of ``faces``, by element then row, from ``c0.groups``: the one
-    group of a C0 surface holds them all."""
+    row of ``faces`` (ascending), by element then row, from ``c0.groups``:
+    the one group of a C0 surface holds them all."""
     group_of, row_of = c0.group_slots
     parts = []
     for i, g in enumerate(c0.groups):
@@ -286,7 +286,7 @@ def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
     coefficients of their extraction rows; and two (len(functions),
     len(faces)) tables: each function's support and ``solve_elements``."""
     faces, cluster = _clusters(info)
-    element, basis, coeffs = _irregular_rows(c0, faces)
+    element, basis, coeffs = _c0_rows(c0, faces)
     at = np.searchsorted(faces, element)
     ids, col = np.unique(functions, return_inverse=True)
     hit = np.isin(basis, ids, kind="sort")
@@ -602,7 +602,7 @@ def elevate_irregular(c0: GSplineSurface):
     every irregular element it supports: dict (basis, element) -> (6, 6),
     element by element in extraction-row order."""
     irregular = c0.cnet.extraordinary[c0.cnet.faces].any(axis=1)
-    element, basis, coeffs = _irregular_rows(c0, np.flatnonzero(irregular))
+    element, basis, coeffs = _c0_rows(c0, np.flatnonzero(irregular))
     grids = degree_elevate_2(coeffs.reshape(-1, 4, 4).swapaxes(1, 2))
     return dict(zip(zip(basis.tolist(), element.tolist()), grids))
 
@@ -644,15 +644,16 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
         coeffs[slot[members][:, solved[members[0]]]] = np.array(
             [list(by_face.values()) for by_face in grids]).swapaxes(2, 3).reshape(
                 members.size, -1, (P + 1) ** 2)
-    cut = np.cumsum(solved.sum(axis=0))[:-1]
-    rows = dict(zip(faces.tolist(), zip(np.split(functions[fn], cut),
-                                        np.split(coeffs, cut))))
-    extractions = [
-        ElementExtraction(f, P, *rows[f], rational=(variant == "g1r"))
-        if label is ElementClass.IRREGULAR else
-        ElementExtraction(f, old.degree, old.basis.copy(), old.coeffs.copy())
-        for f, (label, old) in enumerate(zip(info.labels, c0.extractions))]
-    surface = GSplineSurface(net=c0.net, extractions=extractions, variant=variant)
+    # the kept C0 rows of the other faces and these, in element order
+    n = c0.cnet.n_faces
+    solved_face = np.isin(np.arange(n), faces)
+    element, kept, cubic = _c0_rows(c0, np.flatnonzero(~solved_face))
+    owner = np.concatenate([element, faces[face_of]])
+    surface = GSplineSurface.from_rows(
+        c0.net, variant, np.where(solved_face, P, 3), solved_face & (variant == "g1r"),
+        np.bincount(owner, minlength=n),
+        np.concatenate([kept, functions[fn]])[np.argsort(owner, kind="stable")],
+        {3: cubic, P: coeffs})
     surface.diagnostics = diagnostics.tolist()
     return surface
 

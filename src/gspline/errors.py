@@ -58,6 +58,10 @@ class LumpingError(GSplineError):
     """Row-sum mass lumping produced a nonpositive diagonal entry."""
 
 
+class SingularSystemError(GSplineError):
+    """A linear system to solve is singular."""
+
+
 class EigensolverError(GSplineError):
     """Generalized eigenvalue iteration failed to converge."""
 

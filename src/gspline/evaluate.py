@@ -6,13 +6,16 @@ edge are glued through per-element frame rotations so that both sides see
 a common edge parameter; that gluing underlies the watertightness and
 continuity diagnostics as well as the tangent-plane constraint assembly.
 
-Whole-surface passes (Galerkin assembly, error norms, shell frames) run
-over ``GSplineSurface.groups``: the elements of one (degree, rational)
-class are evaluated together at points they share, and ``map_groups``
-reports the error of the lowest failing element, as a loop would.  Edge
-diagnostics do the same per (side, rotation, group): ``edge_residuals``
-takes the watertightness and basis-function jumps of many edges at once,
-and the one-edge functions are its single-edge case.
+A surface stores its extraction operators once, as ``GSplineSurface.groups``:
+the elements of each (degree, rational) class stacked into zero-padded
+arrays by ``GSplineSurface.from_rows``.  ``extraction(e)`` is a view of
+element e's group row.  Whole-surface passes (Galerkin assembly, error
+norms, shell frames) evaluate a group's elements together at points they
+share, and ``map_groups`` reports the error of the lowest failing
+element, as a loop would.  Edge diagnostics do the same per (side,
+rotation, group): ``edge_residuals`` takes the watertightness and
+basis-function jumps of many edges at once, and the one-edge functions
+are its single-edge case.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     InternalError,
     SingularParameterizationError,
 )
-from .extraction import ElementExtraction, basis_table, group_table
+from .extraction import SUPPORTED_DEGREES, ElementExtraction, basis_table, group_table
 from .mesh import CNet, ControlNet
 
 DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
@@ -56,49 +59,70 @@ class ElementGroup:
 class GSplineSurface:
     """A control net with one extraction operator per element.
 
-    ``variant`` is one of ``"c0"``, ``"g1p"``, ``"g1r"``.  Degree and the
-    rational flag live on the per-element extractions.
+    ``variant`` is one of ``"c0"``, ``"g1p"``, ``"g1r"``.  ``groups`` is
+    the stored form of the extraction operators: each element is a row of
+    the group of its (degree, rational) class.  ``from_rows`` builds it;
+    ``extraction``, ``extractions`` and ``degree`` read it.
     """
 
     net: ControlNet
-    extractions: list[ElementExtraction]
+    groups: list[ElementGroup]
     variant: str
 
     def __post_init__(self):
         if self.variant not in ("c0", "g1p", "g1r"):
             raise DomainError(f"unknown construction variant {self.variant!r}")
-        if len(self.extractions) != self.net.cnet.n_faces:
+        if sum(len(g.elements) for g in self.groups) != self.net.cnet.n_faces:
             raise InternalError("one extraction required per element")
+
+    @classmethod
+    def from_rows(cls, net: ControlNet, variant: str, degree, rational, counts,
+                  basis: np.ndarray, coeffs: dict) -> GSplineSurface:
+        """The surface whose element e has degree ``degree[e]``, rational
+        flag ``rational[e]`` and ``counts[e]`` basis functions: ``basis``
+        lists the basis ids of all elements, element after element, and
+        ``coeffs[p]`` the coefficient rows of the degree-p elements, in the
+        same order.  Each (degree, rational) class becomes one group."""
+        degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
+        unsupported = degree[~np.isin(degree, SUPPORTED_DEGREES)]
+        if unsupported.size:
+            raise DomainError(f"unsupported degree {unsupported[0]}")
+        if len(basis) != counts.sum() or any(
+                np.shape(coeffs.get(p)) != (counts[degree == p].sum(), (p + 1) ** 2)
+                for p in set(degree.tolist())):
+            raise DomainError("coefficient matrix shape does not match basis list")
+        kind = 2 * degree + np.asarray(rational, dtype=bool)
+        row_kind, row_degree, groups = np.repeat(kind, counts), np.repeat(degree, counts), []
+        for c in np.unique(kind).tolist():
+            p, ids, rows = c // 2, np.flatnonzero(kind == c), row_kind == c
+            mask = np.arange(counts[ids].max()) < counts[ids, None]
+            b, k = np.zeros(mask.shape, dtype=int), np.zeros(mask.shape + ((p + 1) ** 2,))
+            b[mask] = basis[rows]  # the rows of the class, in element order
+            k[mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
+            groups.append(ElementGroup(p, bool(c % 2), ids, b, mask, k))
+        return cls(net, groups, variant)
 
     @property
     def cnet(self) -> CNet:
         return self.net.cnet
 
     def extraction(self, element: int) -> ElementExtraction:
-        return self.extractions[element]
+        """The element's extraction operator, its ``basis`` and ``coeffs``
+        views of the used prefix of its group row: in-place edits of them
+        change ``groups``."""
+        group_of, row_of = self.group_slots
+        g, r = self.groups[group_of[element]], row_of[element]
+        n = int(np.count_nonzero(g.mask[r]))
+        return ElementExtraction(int(element), g.degree, g.basis[r, :n],
+                                 g.coeffs[r, :n], g.rational)
+
+    @property
+    def extractions(self) -> list[ElementExtraction]:
+        """``extraction(e)`` of every element, in element order."""
+        return [self.extraction(e) for e in range(self.cnet.n_faces)]
 
     def degree(self, element: int) -> int:
-        return self.extractions[element].degree
-
-    @cached_property
-    def groups(self) -> list[ElementGroup]:
-        """The elements stacked by (degree, rational), built on first use;
-        the extractions must not change after that."""
-        exts = self.extractions
-        basis, coeffs = [x.basis for x in exts], [x.coeffs for x in exts]
-        counts = np.fromiter(map(len, basis), int, len(exts))
-        cls = np.fromiter((2 * x.degree + x.rational for x in exts), int, len(exts))
-        groups = []
-        for c in np.unique(cls).tolist():
-            p, ids = c // 2, np.flatnonzero(cls == c)
-            rows = ids.tolist()
-            mask = np.arange(counts[ids].max()) < counts[ids, None]
-            slot = np.zeros(mask.shape, dtype=int)  # row 0: the zero padding
-            slot[mask] = np.arange(1, mask.sum() + 1)
-            b = np.concatenate([np.zeros(1, dtype=int)] + [basis[e] for e in rows])
-            k = np.concatenate([np.zeros((1, (p + 1) ** 2))] + [coeffs[e] for e in rows])
-            groups.append(ElementGroup(p, bool(c % 2), ids, b[slot], mask, k[slot]))
-        return groups
+        return self.groups[self.group_slots[0][element]].degree
 
     @cached_property
     def group_slots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,14 @@ parametric index fastest: column k = (p+1)*j + i for coefficient (i, j),
 Every element is one Bezier patch, so every evaluation in the package
 multiplies extraction matrices with the Bernstein table of
 ``bernstein_table`` at a batch of points and applies the quotient rule of
-``rationalize`` on rational elements.  ``basis_table`` does so for one
-element; ``group_table`` for the elements of one (degree, rational) class
-whose matrices are stacked and zero-padded to the group's largest
-support, at points they share (Bezier extraction: Borden, Scott, Evans,
-Hughes, IJNME 87, 2011).  ``bernstein_eval`` and ``evaluate_basis`` are
-single-point forms of the one-element kernel.
+``rationalize`` on rational elements (Bezier extraction: Borden, Scott,
+Evans, Hughes, IJNME 87, 2011).  A surface stores the matrices once, per
+(degree, rational) class of elements, stacked and zero-padded to the
+class's largest support (``evaluate.ElementGroup``).  ``group_table``
+evaluates such a group at points its elements share; ``basis_table`` one
+``ElementExtraction``, one element's matrix and basis ids.
+``bernstein_eval`` and ``evaluate_basis`` are single-point forms of the
+one-element kernel.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ class ElementExtraction:
     ``basis`` lists the supported basis-function (vertex) ids; ``coeffs``
     holds one row of (degree+1)^2 Bernstein coefficients per basis
     function; ``rational`` marks elements evaluated through the rational
-    form (restricted-support construction only).
+    form (restricted-support construction only).  A surface's
+    ``extraction(e)`` makes one whose arrays are views of its stored
+    groups.
     """
 
     element: int
@@ -135,15 +139,6 @@ class ElementExtraction:
     basis: np.ndarray
     coeffs: np.ndarray
     rational: bool = False
-
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=int)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.degree not in SUPPORTED_DEGREES:
-            raise DomainError(f"unsupported degree {self.degree}")
-        n = (self.degree + 1) ** 2
-        if self.coeffs.shape != (len(self.basis), n):
-            raise DomainError("coefficient matrix shape does not match basis list")
 
     @property
     def n_basis(self) -> int:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +32,7 @@ from .errors import (
     LumpingError,
     ResourceError,
     SingularParameterizationError,
+    SingularSystemError,
     TopologyError,
 )
 from .evaluate import GSplineSurface, map_groups, raise_first
@@ -58,8 +61,8 @@ def exact_gradient(x, y):
 
 def element_tables(surface: GSplineSurface, e: int, pts: np.ndarray):
     """``basis_table`` ids, values (n, m) and parametric gradients (n, m, 2)."""
-    vals, grads, _ = basis_table(surface.extraction(e), pts)
-    return surface.extraction(e).basis, vals, grads
+    ext = surface.extraction(e)
+    return (ext.basis, *basis_table(ext, pts)[:2])
 
 
 def _group_geometry(surface, g, pts, checks=()):
@@ -120,9 +123,10 @@ class GalerkinSystem:
     def n(self) -> int:
         return self.K.shape[0]
 
-    @property
+    @cached_property
     def active(self) -> np.ndarray:
-        return np.array(sorted(set(range(self.n)) - self.boundary), dtype=int)
+        """The ids not in ``boundary``, ascending, found on first use."""
+        return np.setdiff1d(np.arange(self.n), np.fromiter(self.boundary, int))
 
 
 def assemble_poisson(surface: GSplineSurface, source=default_source,
@@ -153,7 +157,8 @@ def assemble_poisson(surface: GSplineSurface, source=default_source,
 
 def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
     """Solve with Dirichlet data (default homogeneous); returns all
-    coefficients in the full basis numbering."""
+    coefficients in the full basis numbering.  Raises SingularSystemError
+    if the stiffness of the active functions is singular."""
     n = system.n
     u = np.zeros(n)
     if dirichlet:
@@ -162,7 +167,15 @@ def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
     act = system.active
     rhs = system.load[act] - system.K[act].dot(u)
     Kaa = system.K[act][:, act]
-    u[act] = spla.spsolve(Kaa.tocsc(), rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            u[act] = spla.spsolve(Kaa.tocsc(), rhs)
+        except spla.MatrixRankWarning:
+            u[act] = np.nan
+    if not np.isfinite(u).all():
+        raise SingularSystemError(f"the Poisson system of {act.size} active "
+                                  "functions is singular or not finite")
     return u
 
 

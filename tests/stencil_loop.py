@@ -15,6 +15,8 @@ from gspline.extraction import ElementExtraction
 from gspline.mesh import CNet, ControlNet
 from gspline.refine import _interior_vertex_mask
 
+import extraction_list
+
 Stencil = dict[int, float]
 
 
@@ -157,7 +159,7 @@ def build_c0(net: ControlNet) -> GSplineSurface:
             ElementExtraction(element=f, degree=3, basis=np.array(support),
                               coeffs=coeffs)
         )
-    return GSplineSurface(net=net, extractions=extractions, variant="c0")
+    return extraction_list.surface(net, extractions, "c0")
 
 
 def refine(net: ControlNet) -> ControlNet:

@@ -16,7 +16,6 @@ from gspline.construct_c0 import build_c0, geometry_continuity_residual
 from gspline.construct_g1 import build_g1
 from gspline.errors import DegenerateBasisError, ResourceError
 from gspline.evaluate import (
-    GSplineSurface,
     edge_frames,
     edge_residuals,
     edge_sides,
@@ -27,6 +26,7 @@ from gspline.mesh import ControlNet, CNet
 from gspline.refine import refine, refine_n
 
 import edge_loop
+import extraction_list
 import netgen
 
 
@@ -118,7 +118,7 @@ class TestParityWithEdgeLoop:
         exts = list(surface.extractions)
         e = min(i for i, x in enumerate(exts) if x.rational)
         exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
-        bad = GSplineSurface(net=surface.net, extractions=exts, variant="g1r")
+        bad = extraction_list.surface(surface.net, exts, "g1r")
         raised = []
         for check in (surface_check, edge_loop.surface_check):
             with pytest.raises(DegenerateBasisError) as info:
@@ -136,7 +136,7 @@ class TestParityWithEdgeLoop:
         lo, hi = (rational[i] for i in pair)
         for e in (lo, hi):
             exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
-        bad = GSplineSurface(net=surface.net, extractions=exts, variant="g1r")
+        bad = extraction_list.surface(surface.net, exts, "g1r")
         with pytest.raises(DegenerateBasisError) as info:
             surface_check(bad)
         assert info.value.element == lo
@@ -153,7 +153,7 @@ def nearly_dependent_quad(delta=1e-9):
     coeffs[3] = coeffs[2] * (1.0 + delta)
     coeffs[3, 0] += delta
     ext = ElementExtraction(element=0, degree=3, basis=np.arange(4), coeffs=coeffs)
-    return GSplineSurface(ControlNet(cnet, positions), [ext], "c0")
+    return extraction_list.surface(ControlNet(cnet, positions), [ext], "c0")
 
 
 class TestBoundedCollocation:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspline import cli
+from gspline import cli, solve
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import _exit_code, main, surface_check
 from gspline.construct_c0 import build_c0
@@ -557,6 +557,26 @@ class TestBadNumbers:
         assert main(["poisson", str(ep_obj), "--levels", levels, "--variant", "c0",
                      "-o", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not out.exists()
+
+    def test_singular_poisson_system_exit_5(self, tmp_path, capsys, monkeypatch):
+        assemble = solve.assemble_poisson
+
+        def singular(surface, **kwargs):  # first active dof without stiffness
+            system = assemble(surface, **kwargs)
+            K = system.K.tolil()
+            K[system.active[0], :] = K[:, system.active[0]] = 0.0
+            system.K = K.tocsr()
+            return system
+
+        monkeypatch.setattr(solve, "assemble_poisson", singular)
+        obj, out = tmp_path / "rot44.obj", tmp_path / "conv.json"
+        obj.write_text(save_obj(netgen.rot44()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["poisson", str(obj), "--levels", "1", "--variant", "g1r",
+                         "-o", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "SingularSystemError"
         assert not out.exists()
 
     @pytest.mark.parametrize("k, code", [("0", 2), ("-3", 2), ("8", 0), ("9", 2),

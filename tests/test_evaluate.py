@@ -1,14 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
+from gspline.archive import surface_from_json, surface_to_json
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import (
     DegenerateBasisError,
     DomainError,
+    InternalError,
     SingularParameterizationError,
 )
 from gspline.evaluate import (
+    GSplineSurface,
     bounding_box_diagonal,
     edge_watertightness,
     frame,
@@ -22,6 +27,7 @@ from gspline.evaluate import (
 from gspline.mesh import ControlNet, load_obj, spoke_edges
 from gspline.refine import refine, refine_n
 
+import extraction_list
 import netgen
 
 
@@ -237,3 +243,67 @@ class TestSampling:
     def test_bbox_diagonal(self):
         net = netgen.structured(2, 2)
         assert abs(bounding_box_diagonal(net) - np.sqrt(2.0)) < 1e-14
+
+
+# every net of ``netgen``, for the storage parity test
+STORAGE_NETS = {
+    "structured": lambda: netgen.structured(3, 3, zfun=lambda x, y: x * y),
+    "bumped": lambda: netgen.bumped(netgen.structured(4, 4)),
+    "cube": netgen.cube,
+    "open_box": netgen.open_box,
+    "fan3": lambda: netgen.fan(3),
+    "fan5": lambda: netgen.fan(5),
+    "fan6": lambda: netgen.fan(6),
+    "boundary_ep3": netgen.boundary_ep3,
+    "val33": netgen.val33,
+    "val333": netgen.val333,
+    "rot44": netgen.rot44,
+    "cylinder": netgen.cylinder,
+}
+
+
+@functools.cache
+def stored_c0(name, level):
+    return build_c0(refine_n(STORAGE_NETS[name](), level)[0])
+
+
+def same_groups(a, b):
+    return len(a) == len(b) and all(
+        (x.degree, x.rational) == (y.degree, y.rational)
+        and all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+                for u, v in zip((x.elements, x.basis, x.mask, x.coeffs),
+                                (y.elements, y.basis, y.mask, y.coeffs)))
+        for x, y in zip(a, b))
+
+
+class TestStoredGroups:
+    @pytest.mark.parametrize("variant", ["c0", "g1p", "g1r"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(STORAGE_NETS))
+    def test_groups_match_the_list_restacking(self, name, level, variant):
+        c0 = stored_c0(name, level)
+        surface = c0 if variant == "c0" else build_g1(c0, variant)
+        assert same_groups(extraction_list.groups(surface.extractions), surface.groups)
+        text = surface_to_json(surface)
+        loaded = surface_from_json(text)
+        assert surface_to_json(loaded) == text
+        for e in range(loaded.cnet.n_faces):  # edits through the views
+            loaded.extraction(e).coeffs[:] *= 2.0
+        assert all(np.array_equal(x.coeffs, 2.0 * y.coeffs)
+                   for x, y in zip(loaded.groups, surface.groups, strict=True))
+
+    def test_rows_are_checked(self):
+        net = netgen.structured(2, 1)
+        ext = build_c0(net).extraction(0)
+        good = ([3, 3], [False, False], [ext.n_basis] * 2,
+                np.tile(ext.basis, 2), {3: np.tile(ext.coeffs, (2, 1))})
+        assert GSplineSurface.from_rows(net, "c0", *good).degree(1) == 3
+        with pytest.raises(DomainError, match="unsupported degree 4"):
+            GSplineSurface.from_rows(net, "c0", [3, 4], *good[1:])
+        with pytest.raises(DomainError, match="does not match basis list"):
+            GSplineSurface.from_rows(net, "c0", *good[:4], {3: ext.coeffs})
+        with pytest.raises(DomainError, match="unknown construction variant"):
+            GSplineSurface.from_rows(net, "c1", *good)
+        with pytest.raises(InternalError, match="one extraction required"):
+            GSplineSurface.from_rows(net, "c0", *(x[:1] for x in good[:3]),
+                                     ext.basis, {3: ext.coeffs})

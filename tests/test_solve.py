@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from gspline.errors import (
     DegenerateBasisError,
     EigensolverError,
     SingularParameterizationError,
+    SingularSystemError,
     TopologyError,
 )
-from gspline.evaluate import GSplineSurface
 from gspline.solve import (
     GalerkinSystem,
     assemble_membrane_eigen,
@@ -36,6 +37,7 @@ from gspline.solve import (
 from gspline.refine import refine_n
 
 import element_loop
+import extraction_list
 import geometry_einsum
 import netgen
 from oracles import StructuredPoissonOracle
@@ -412,6 +414,31 @@ class TestEigenFactor:
             solve_generalized_eigen(system, k=2)
 
 
+def without_stiffness(system, a):
+    """``system`` with row and column ``a`` of K zeroed: K singular."""
+    K = system.K.tolil()
+    K[a, :] = 0.0
+    K[:, a] = 0.0
+    return dataclasses.replace(system, K=K.tocsr())
+
+
+class TestPoissonSolve:
+    def test_singular_active_stiffness_is_a_typed_error(self):
+        system = assemble_poisson(rot44_case(1, "g1r"))
+        singular = without_stiffness(system, system.active[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no MatrixRankWarning escapes
+            with pytest.raises(SingularSystemError, match="singular"):
+                solve_poisson(singular)
+            assert np.isfinite(solve_poisson(system)).all()
+
+    def test_active_ids_are_computed_once(self):
+        system = assemble_poisson(rot44_case(1, "g1r"))
+        want = np.array(sorted(set(range(system.n)) - system.boundary), dtype=int)
+        assert system.active is system.active
+        assert same_bits(system.active, want)
+
+
 def with_bad_elements(surface, singular=(), degenerate=()):
     """A copy whose ``singular`` elements have all-zero extraction rows (a
     zero Jacobian, a zero denominator if rational) and whose ``degenerate``
@@ -421,7 +448,7 @@ def with_bad_elements(surface, singular=(), degenerate=()):
         exts[e] = dataclasses.replace(exts[e], coeffs=0.0 * exts[e].coeffs)
     for e in degenerate:
         exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
-    return GSplineSurface(net=surface.net, extractions=exts, variant=surface.variant)
+    return extraction_list.surface(surface.net, exts, surface.variant)
 
 
 def raised(fn, *args):
