@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from . import __version__
 from .archive import surface_from_json, surface_to_json
-from .construct_g1 import g1_residual
+from .construct_g1 import g1_residuals
 from .errors import (
     DegenerateBasisError,
     DomainError,
@@ -41,10 +41,10 @@ from .errors import (
 )
 from .evaluate import (
     GSplineSurface,
+    edge_normal_angles,
     edge_residuals,
     edge_sides,
     map_groups,
-    normal_jump,
     raise_first,
 )
 from .extraction import group_table
@@ -107,8 +107,10 @@ def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
     All interior edges go through one batched ``edge_residuals`` call:
     watertightness everywhere, order-1 jumps between irregular and
     transition elements and order-2 jumps between elements that are not
-    irregular.  Spoke edges (at an extraordinary vertex) are checked one
-    by one with ``g1_residual`` and ``normal_jump`` instead of jumps.
+    irregular.  Spoke edges (at an extraordinary vertex) get the G1
+    residual instead of jumps, from one batched ``g1_residuals`` call,
+    and on G1 variants the normal angle (arctan2 of the normals' cross
+    and dot products) from one ``edge_normal_angles`` call.
     """
     cnet = surface.cnet
     labels = classify_elements(cnet)
@@ -123,14 +125,13 @@ def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
     gap, jump = edge_residuals(surface, faces, rots, orders, jump_samples=samples)
     report: dict = {"variant": surface.variant}
     report["watertightness"] = float(gap.max(initial=0.0))
-    report["g1_residual_spoke_edges"] = max(
-        (g1_residual(surface, e) for e in interior[spoke].tolist()), default=0.0)
+    report["g1_residual_spoke_edges"] = float(
+        g1_residuals(surface, interior[spoke]).max(initial=0.0))
     report["c1_residual_irregular_transition"] = float(jump[orders == 1].max(initial=0.0))
     report["c2_residual_smooth_edges"] = float(jump[orders == 2].max(initial=0.0))
     if surface.variant in ("g1p", "g1r"):
-        report["normal_jump_spoke_edges"] = max(
-            (normal_jump(surface, e, samples=5) for e in interior[spoke].tolist()),
-            default=0.0)
+        report["normal_jump_spoke_edges"] = float(edge_normal_angles(
+            surface, faces[spoke], rots[spoke], samples=5).max(initial=0.0))
 
     pou = 0.0
     wmin, wmax = np.inf, -np.inf

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, InternalError
-from .evaluate import GSplineSurface, edge_frames, edge_pair_tables, edge_sides
+from .evaluate import GSplineSurface, edge_frames, edge_sides, edge_sums
 from .extraction import degree_elevate_2
 from .mesh import CNet, classify_elements, irregular_basis_vertices
 
@@ -87,21 +87,12 @@ class EdgeGeometryData:
     omega2: float
 
 
-def frame_vertex1(cnet: CNet, edge: int) -> int:
-    """Endpoint placed at the frame origin: the extraordinary endpoint if
-    exactly one is extraordinary, otherwise the lower vertex index."""
-    u, v = (int(x) for x in cnet.edges[edge])
-    eu, ev = cnet.extraordinary[u], cnet.extraordinary[v]
-    if eu != ev:
-        return u if eu else v
-    return min(u, v)
-
-
 def edge_geometry(cnet: CNet, edge: int) -> EdgeGeometryData:
-    """Blend weights of an edge from its endpoint valences."""
-    v1 = frame_vertex1(cnet, edge)
-    u, v = (int(x) for x in cnet.edges[edge])
-    v2 = v if v1 == u else u
+    """Blend weights of an edge from its endpoint valences.  The frame
+    origin v1 is the extraordinary endpoint if exactly one is, otherwise
+    the lower vertex index."""
+    u, v = (int(x) for x in cnet.edges[edge])  # u < v
+    v1, v2 = (v, u) if cnet.extraordinary[v] and not cnet.extraordinary[u] else (u, v)
     a1 = 1 if cnet.boundary_vertex[v1] else 2
     a2 = 1 if cnet.boundary_vertex[v2] else 2
     mu1, mu2 = int(cnet.valence[v1]), int(cnet.valence[v2])
@@ -112,10 +103,26 @@ def edge_geometry(cnet: CNet, edge: int) -> EdgeGeometryData:
     )
 
 
-def blend_polynomial(geom: EdgeGeometryData, v) -> np.ndarray:
-    """The quadratic edge blend -2*omega1*(1-v)^2 + 2*omega2*v^2."""
+def blend_polynomial(omega1, omega2, v) -> np.ndarray:
+    """The quadratic edge blend -2*omega1*(1-v)^2 + 2*omega2*v^2; the
+    three arguments broadcast together."""
     v = np.asarray(v, dtype=float)
-    return -2.0 * geom.omega1 * (1.0 - v) ** 2 + 2.0 * geom.omega2 * v**2
+    return -2.0 * omega1 * (1.0 - v) ** 2 + 2.0 * omega2 * v**2
+
+
+def glued_sides(cnet: CNet, sides, edges):
+    """``(faces, rots)`` of ``edges`` from the ``evaluate.edge_sides``
+    arrays ``sides``, glued at ``edge_geometry``'s v1, and their (k, 2)
+    blend weights (omega1, omega2).  ``edge_sides`` glues at the lower
+    endpoint; when v1 is the higher one the two elements swap sides and
+    each turns a quarter the other way."""
+    edges = np.asarray(edges, dtype=int)
+    geoms = [edge_geometry(cnet, e) for e in edges.tolist()]
+    faces, rots = (side[edges] for side in sides)
+    flip = np.array([g.v1 for g in geoms], dtype=int) != cnet.edges[edges, 0]
+    faces[flip] = faces[flip, ::-1]
+    rots[flip] = (rots[flip, ::-1] + [-1, 1]) % 4
+    return faces, rots, np.array([(g.omega1, g.omega2) for g in geoms]).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +200,7 @@ _FAIR_A = np.concatenate([_SLOT[:P].T.ravel(), _SLOT[:, :P].T.ravel()])
 _FAIR_B = np.concatenate([_SLOT[1:].T.ravel(), _SLOT[:, 1:].T.ravel()])
 
 # stored flat slot of 0-based frame slot (i, j) of an element turned by k
-# quarter turns (``evaluate.rotate_grid_index``), at [k, i, j]
+# quarter turns, at [k, i, j]: for k = 1 the stored grid slot (P - j, i)
 _ROT_SLOT = np.array([np.rot90(_SLOT, -k) for k in range(4)])
 
 # The seven rows of a constrained edge, one entry per line:
@@ -433,19 +440,10 @@ class ConstraintProblem:
         pin_rhs = self.ctilde[pinned]
         pin_rhs[keep < (2 * P + 2) * len(self.frozen_sides)] = 0.0
 
-        # Edge rows from the stencil table, with each edge's frames placing
-        # edge_geometry's v1 at the origin.  edge_sides puts the lower
-        # endpoint there; when v1 is the higher one the two elements swap
-        # sides and each turns a quarter the other way.
+        # Edge rows from the stencil table, each edge glued at its v1
         edges = np.array(self.constrained_edges, dtype=int)
-        geoms = [edge_geometry(cnet, e) for e in self.constrained_edges]
-        faces, rots = (side[edges] for side in self.info.sides)
-        v1 = np.array([geom.v1 for geom in geoms], dtype=int)
-        flip = v1 != cnet.edges[edges].min(axis=1)
-        faces[flip] = faces[flip, ::-1]
-        rots[flip] = (rots[flip, ::-1] + [-1, 1]) % 4
-        w1 = np.array([geom.omega1 for geom in geoms])[:, None]
-        w2 = np.array([geom.omega2 for geom in geoms])[:, None]
+        faces, rots, omega = glued_sides(cnet, self.info.sides, edges)
+        w1, w2 = omega[:, :1], omega[:, 1:]
         side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
         cols = self.slot_nodes[side_rows,
                                _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
@@ -662,21 +660,25 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
 # residual diagnostics
 
 
-def g1_residual(surface: GSplineSurface, edge: int, samples: int = 50) -> float:
-    """Max sampled tangent-plane defect of all basis functions at an edge.
-
-    Evaluates the cross-derivative relation with the edge's blend
-    polynomial on both flanking elements (polynomial coefficients, before
-    any rationalization) and normalizes by the largest basis gradient
-    magnitude seen on the edge.
-    """
-    cnet = surface.cnet
-    geom = edge_geometry(cnet, edge)
-    fr = edge_frames(cnet, edge, v1=geom.v1)
+def g1_residuals(surface: GSplineSurface, edges, samples: int = 50) -> np.ndarray:
+    """``g1_residual`` of each of the interior ``edges``, in one
+    ``evaluate.edge_sums`` pass."""
+    faces, rots, omega = glued_sides(surface.cnet, edge_sides(surface.cnet), edges)
     ts = np.linspace(0.0, 1.0, samples)
-    # frame-axis gradients of the polynomial (unrationalized) functions
-    (_, gr, _), (_, gl, _) = edge_pair_tables(surface, fr, ts)
-    res = gl[..., 0] + blend_polynomial(geom, ts) * gr[..., 0] + gr[..., 1]
-    scale = max(float(np.abs(gr).max(initial=0.0)),
-                float(np.abs(gl).max(initial=0.0)))
-    return float(np.abs(res).max(initial=0.0)) / max(scale, 1.0)
+    blend, scale = blend_polynomial(omega[:, :1], omega[:, 1:], ts), np.ones(len(faces))
+
+    def terms(side, rows, sub, vals, d1, d2):  # right (0): blend f_r,x + f_r,y; left: f_l,x
+        scale[rows] = np.maximum(scale[rows], np.abs(d1).max(axis=(1, 2, 3), initial=0.0))
+        return d1[..., 0] if side else blend[rows, None] * d1[..., 0] + d1[..., 1]
+
+    return edge_sums(surface, faces, rots, ts, np.ones(len(faces), dtype=bool), terms,
+                     ts.shape, polynomial=True) / scale
+
+
+def g1_residual(surface: GSplineSurface, edge: int, samples: int = 50) -> float:
+    """Max sampled tangent-plane defect of all basis functions at an edge:
+    |f_l,x + blend f_r,x + f_r,y| with the edge's blend polynomial, in the
+    frame axes of both flanking elements (polynomial coefficients, before
+    any rationalization), over the largest such gradient if above 1."""
+    edge_frames(surface.cnet, edge)  # a DomainError on a boundary edge
+    return float(g1_residuals(surface, [edge], samples)[0])

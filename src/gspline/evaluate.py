@@ -13,9 +13,12 @@ element e's group row.  Whole-surface passes (Galerkin assembly, error
 norms, shell frames) evaluate a group's elements together at points they
 share, and ``map_groups`` reports the error of the lowest failing
 element, as a loop would.  Edge diagnostics do the same per (side,
-rotation, group): ``edge_residuals`` takes the watertightness and
-basis-function jumps of many edges at once, and the one-edge functions
-are its single-edge case.
+rotation, group): ``edge_sums`` sums per-basis-function terms of many
+edges over both sides, for the watertightness and jumps of
+``edge_residuals`` and the G1 residual of ``construct_g1.g1_residuals``;
+``edge_normal_angles`` measures the normal angle, as arctan2 of the
+normals' cross and dot products.  The one-edge functions are the
+single-edge case of these.
 """
 
 from __future__ import annotations
@@ -305,19 +308,6 @@ def rotated_params(k: int, x, y):
             off[1] + (A[1, 0] * x + A[1, 1] * y))
 
 
-def rotate_grid_index(k: int, p: int, i: int, j: int) -> tuple[int, int]:
-    """Stored (i, j) grid slot of frame slot (i, j) on a (p+1)^2 grid."""
-    if k == 0:
-        return i, j
-    if k == 1:
-        return p - j, i
-    if k == 2:
-        return p - i, p - j
-    if k == 3:
-        return j, p - i
-    raise DomainError(f"rotation index {k} out of range")
-
-
 @dataclass(frozen=True)
 class EdgeFrames:
     """The two elements at an interior edge in their gluing frames.
@@ -358,15 +348,6 @@ def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
         v1=v1, v2=v2, left=f_left, right=f_right,
         rot_left=loop_l.index(v1), rot_right=loop_r.index(v1),
     )
-
-
-def edge_side_params(frames: EdgeFrames, t, side: str):
-    """Stored (xi, eta) of edge parameter t on the given side ("left"/"right")."""
-    if side == "right":
-        return rotated_params(frames.rot_right, t, 0.0)
-    if side == "left":
-        return rotated_params(frames.rot_left, 0.0, t)
-    raise DomainError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def edge_sides(cnet: CNet) -> tuple[np.ndarray, np.ndarray]:
@@ -410,18 +391,11 @@ def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
                         g.basis[take], g.mask[take], g.coeffs[take])
 
 
-def _side_tables(sub: ElementGroup, side: int, rot: int, ts):
-    """``group_table`` of a batch at edge parameters ``ts`` on its side
-    (eta = 0 on the right, xi = 0 on the left, in the frame of ``rot``),
-    derivatives along the frame axes with d2 columns (xx, xy, yy).  Raises
-    for the batch's lowest element whose rational denominator is not
-    positive."""
+def _side_points(side: int, rot: int, ts) -> np.ndarray:
+    """Stored (xi, eta), shaped (m, 2), of edge parameters ``ts`` on a side:
+    eta = 0 on the right, xi = 0 on the left, in the frame of ``rot``."""
     zs = np.zeros_like(ts)
-    uv = rotated_params(rot, *((ts, zs) if side == 0 else (zs, ts)))
-    vals, d1, d2, bad_w = group_table(sub, np.stack(uv, axis=1),
-                                      axes=rotation_offset_matrix(rot)[1])
-    raise_first(sub, [bad_w])
-    return vals, d1, d2
+    return np.stack(rotated_params(rot, *((ts, zs) if side == 0 else (zs, ts))), axis=1)
 
 
 def _edge_keys(surface: GSplineSurface, faces, rows) -> np.ndarray:
@@ -454,6 +428,38 @@ def _jump_terms(side: int, order, vals, d1, d2):
     return out
 
 
+def edge_sums(surface: GSplineSurface, faces, rots, ts, summed, terms, shape,
+              polynomial: bool = False) -> np.ndarray:
+    """The max over each edge's basis functions of a sum over its sides.
+
+    One ``group_table`` call per ``_edge_batches`` batch of ``faces`` and
+    ``rots`` at edge parameters ``ts``, with derivatives along the frame
+    axes (d2 columns xx, xy, yy); ``terms(side, rows, sub, vals, d1, d2)``
+    gives a batch's share, (E, n) + ``shape``, summed per (edge, basis
+    function) over the ``summed`` (k,) edges.  Returns the max |sum| of
+    each edge, 0 where not summed.  An element error is raised after every
+    batch has run, for the lowest element, as ``map_groups`` does.
+    """
+    n = surface.cnet.n_vertices
+    keys = _edge_keys(surface, faces, np.flatnonzero(summed))
+    sums = np.zeros((len(keys),) + shape)
+
+    def visit(side, rot, rows, sub):  # a call, so each batch's tables are freed
+        vals, d1, d2, bad_w = group_table(sub, _side_points(side, rot, ts),
+                                          axes=rotation_offset_matrix(rot)[1])
+        raise_first(sub, [bad_w])
+        share, used = terms(side, rows, sub, vals, d1, d2), sub.mask & summed[rows, None]
+        sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += share[used]
+
+    map_lowest(visit, _edge_batches(surface, faces, rots, polynomial))
+    out, edge = np.zeros(len(faces)), keys // n
+    if len(keys):
+        starts = np.flatnonzero(np.r_[True, edge[1:] != edge[:-1]])
+        peak = np.abs(sums, out=sums).max(axis=tuple(range(1, sums.ndim)), initial=0.0)
+        out[edge[starts]] = np.maximum.reduceat(peak, starts)
+    return out
+
+
 def edge_residuals(surface: GSplineSurface, faces, rots, orders,
                    gap_samples: int = 11, jump_samples: int = 20):
     """Watertightness and basis-function jumps of k interior edges.
@@ -465,64 +471,46 @@ def edge_residuals(surface: GSplineSurface, faces, rots, orders,
     jump)``, each (k,): the max distance between the two sides' surface
     points at ``gap_samples`` edge parameters, and the max jump of any
     basis function at ``jump_samples`` (a function missing on one side
-    counts as zero there).  One ``group_table`` call per (side, rotation,
-    group) covers both sample sets; the jumps are summed per (edge,
-    basis function).  An element error is raised after every batch has
-    run, for the lowest element, as ``map_groups`` does.
+    counts as zero there), from one ``edge_sums`` pass over both sample
+    sets.
     """
     faces, rots, orders = np.asarray(faces), np.asarray(rots), np.asarray(orders)
-    k, n = len(faces), surface.cnet.n_vertices
     ts = np.concatenate([np.linspace(0.0, 1.0, gap_samples),
                          np.linspace(0.0, 1.0, jump_samples)])
-    keys = _edge_keys(surface, faces, np.flatnonzero(orders >= 0))
-    points = np.zeros((2, k, gap_samples, 3))
-    sums = np.zeros((len(keys), jump_samples, 2))
+    points = np.zeros((2, len(faces), gap_samples, 3))
 
-    def visit(side, rot, rows, sub):  # a call, so each batch's tables are freed
-        vals, d1, d2 = _side_tables(sub, side, rot, ts)
+    def terms(side, rows, sub, vals, d1, d2):
         points[side, rows] = (vals[..., :gap_samples].swapaxes(1, 2)
                               @ surface.net.positions[sub.basis])
-        used = sub.mask & (orders[rows, None] >= 0)
-        terms = _jump_terms(side, orders[rows],
-                            *(t[:, :, gap_samples:] for t in (vals, d1, d2)))
-        sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += terms[used]
+        return _jump_terms(side, orders[rows],
+                           *(t[:, :, gap_samples:] for t in (vals, d1, d2)))
+
+    jump = edge_sums(surface, faces, rots, ts, orders >= 0, terms, (jump_samples, 2))
+    return np.linalg.norm(points[0] - points[1], axis=-1).max(axis=1, initial=0.0), jump
+
+
+def edge_normal_angles(surface: GSplineSurface, faces, rots,
+                       samples: int = 11) -> np.ndarray:
+    """Max angle (radians) between the two sides' unit normals along k
+    interior edges glued at ``faces``, ``rots``, at the edge parameters
+    ``linspace(0.02, 0.98, samples)``: arctan2(|n_r x n_l|, n_r . n_l),
+    which resolves angles below sqrt(2 eps) as arccos(n_r . n_l) cannot.
+    Raises, for the lowest failing element, the error ``frame`` raises."""
+    faces, rots = np.asarray(faces), np.asarray(rots)
+    ts = np.linspace(0.02, 0.98, samples)
+    normals = np.zeros((2, len(faces), samples, 3))
+
+    def visit(side, rot, rows, sub):
+        normals[side, rows] = group_frames(surface, sub, _side_points(side, rot, ts)).normal
 
     map_lowest(visit, _edge_batches(surface, faces, rots))
-    gap = np.linalg.norm(points[0] - points[1], axis=-1).max(axis=1, initial=0.0)
-    jump = np.zeros(k)
-    if len(keys):
-        edge = keys // n
-        starts = np.flatnonzero(np.r_[True, edge[1:] != edge[:-1]])
-        jump[edge[starts]] = np.maximum.reduceat(
-            np.abs(sums, out=sums).max(axis=(1, 2), initial=0.0), starts)
-    return gap, jump
+    nr, nl = normals
+    return np.arctan2(np.linalg.norm(np.cross(nr, nl), axis=-1),
+                      (nr * nl).sum(axis=-1)).max(axis=1, initial=0.0)
 
 
 def _one_edge(fr: EdgeFrames):
     return np.array([[fr.right, fr.left]]), np.array([[fr.rot_right, fr.rot_left]])
-
-
-def edge_pair_tables(surface: GSplineSurface, fr: EdgeFrames, ts):
-    """Both elements of one edge at edge parameters ``ts``, in the frame
-    axes, from the polynomial (not rationalized) coefficients that
-    ``construct_g1.g1_residual`` measures.
-
-    Returns ``((vals, d1, d2) right, (vals, d1, d2) left)`` whose rows
-    follow the sorted union of the two basis lists; a function missing on
-    one side has zero rows there.
-    """
-    faces, rots = _one_edge(fr)
-    ids = _edge_keys(surface, faces, np.zeros(1, dtype=int))
-    sides = []
-    for side, rot, _, sub in _edge_batches(surface, faces, rots, polynomial=True):
-        rows = np.searchsorted(ids, sub.basis[0, sub.mask[0]])
-        tables = []
-        for table in _side_tables(sub, side, rot, ts):
-            full = np.zeros((len(ids),) + table.shape[2:])
-            full[rows] = table[0, sub.mask[0]]
-            tables.append(full)
-        sides.append(tables)
-    return sides
 
 
 def edge_jumps(surface: GSplineSurface, edge: int, order: int,
@@ -547,13 +535,11 @@ def edge_watertightness(surface: GSplineSurface, edge: int,
 
 
 def normal_jump(surface: GSplineSurface, edge: int, samples: int = 11) -> float:
-    """Max angle (radians) between the two-sided unit normals along an edge."""
-    fr = edge_frames(surface.cnet, edge)
-    ts = np.linspace(0.02, 0.98, samples)
-    nr = frame(surface, fr.right, *edge_side_params(fr, ts, "right")).normal
-    nl = frame(surface, fr.left, *edge_side_params(fr, ts, "left")).normal
-    c = np.clip(np.einsum("mi,mi->m", nr, nl), -1.0, 1.0)
-    return float(np.arccos(c).max(initial=0.0))
+    """Max angle (radians) between the two-sided unit normals along an
+    edge: ``edge_normal_angles`` of one edge."""
+    angle = edge_normal_angles(surface, *_one_edge(edge_frames(surface.cnet, edge)),
+                               samples)
+    return float(angle[0])
 
 
 # ----------------------------------------------------------------------

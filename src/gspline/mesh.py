@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -160,12 +159,6 @@ class CNet:
             kind = "boundary" if self.boundary_vertex[v] else "interior"
             raise TopologyError(f"{kind} vertex {v} has a split fan")
 
-    @cached_property
-    def vertex_faces(self) -> list[np.ndarray]:
-        """Ascending ids of the faces at each vertex."""
-        faces = np.argsort(self.faces.ravel(), kind="stable") // 4
-        return np.split(faces, np.cumsum(self.valence)[:-1])
-
     # ------------------------------------------------------------------
     # queries
 
@@ -179,19 +172,6 @@ class CNet:
         if at == len(keys) or keys[at] != key:
             return -1
         return int(self._side_order[at])
-
-    def edge_id(self, u: int, v: int) -> int:
-        c = max(self._corner(u, v), self._corner(v, u))
-        if c < 0:
-            raise DomainError(f"no edge between vertices {u} and {v}")
-        return int(self.face_edges.flat[c])
-
-    def face_across(self, face: int, edge: int) -> int | None:
-        """Face on the other side of ``edge``, or None at the boundary."""
-        f, g = self.edge_faces[edge].tolist()
-        if g < 0:
-            return None
-        return f if g == face else g
 
     def directed_face(self, u: int, v: int) -> int | None:
         """Face whose counterclockwise loop traverses u -> v, if any."""

@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError
-from .evaluate import GSplineSurface, SurfaceFrame, group_frames, map_groups
+from .evaluate import GSplineSurface, group_frames, map_groups
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ def gauss_lobatto5(a: float, b: float) -> QuadratureRule:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return QuadratureRule(mid + half * _LOBATTO5_X, half * _LOBATTO5_W)
-
-
-def shell_metric_det(fr: SurfaceFrame, zeta: float) -> float:
-    """det(a - 2 zeta b) of the linearized through-thickness metric."""
-    g = fr.metric - 2.0 * zeta * fr.curvature
-    return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
 
 @dataclass

@@ -179,13 +179,6 @@ def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
     return u
 
 
-def galerkin_residual(system: GalerkinSystem, u: np.ndarray) -> float:
-    """Max weak-form residual over active basis functions."""
-    act = system.active
-    r = system.K.dot(u) - system.load
-    return float(np.abs(r[act]).max()) if act.size else 0.0
-
-
 # ----------------------------------------------------------------------
 # errors and convergence
 

@@ -18,9 +18,17 @@ from gspline.construct_g1 import (
     ConstraintSystem,
     edge_geometry,
 )
-from gspline.errors import InternalError
-from gspline.evaluate import edge_frames, rotate_grid_index
+from gspline.errors import DomainError, InternalError
+from gspline.evaluate import edge_frames
 from gspline.mesh import ElementClass
+
+
+def face_across(cnet, face: int, edge: int) -> int | None:
+    """Face on the other side of ``edge``, or None at the boundary."""
+    f, g = cnet.edge_faces[edge].tolist()
+    if g < 0:
+        return None
+    return f if g == face else g
 
 
 def classify_sides(problem: ConstraintProblem):
@@ -33,7 +41,7 @@ def classify_sides(problem: ConstraintProblem):
     for f in problem.elements:
         for s in range(4):
             e = int(cnet.face_edges[f][s])
-            other = cnet.face_across(f, e)
+            other = face_across(cnet, f, e)
             if other is None:
                 boundary_sides.append((f, s))
             elif other in element_set:
@@ -46,6 +54,19 @@ def classify_sides(problem: ConstraintProblem):
                 pinned_sides.append((f, s))
     constrained_edges.sort()
     return constrained_edges, pinned_sides, frozen_sides, boundary_sides
+
+
+def rotate_grid_index(k: int, p: int, i: int, j: int) -> tuple[int, int]:
+    """Stored (i, j) grid slot of frame slot (i, j) on a (p+1)^2 grid."""
+    if k == 0:
+        return i, j
+    if k == 1:
+        return p - j, i
+    if k == 2:
+        return p - i, p - j
+    if k == 3:
+        return j, p - i
+    raise DomainError(f"rotation index {k} out of range")
 
 
 def node(problem: ConstraintProblem, face: int, rot: int, i: int, j: int) -> int:

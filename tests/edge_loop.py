@@ -1,6 +1,8 @@
 """Per-edge reference for the batched ``gspline.cli.surface_check``: one
 ``basis_table`` call per element and edge side, one Python iteration per
-edge, and the dense collocation matrix with its full SVD.
+edge, and the dense collocation matrix with its full SVD.  The edge
+parameters of a side (``edge_side_params``) and the per-element normal
+angle (``normal_jump``) are frozen here.
 """
 
 from dataclasses import replace
@@ -8,16 +10,25 @@ from dataclasses import replace
 import numpy as np
 
 from gspline.construct_g1 import blend_polynomial, edge_geometry
+from gspline.errors import DomainError
 from gspline.evaluate import (
     edge_frames,
-    edge_side_params,
+    frame,
     map_point,
-    normal_jump,
     rotated_params,
     rotation_offset_matrix,
 )
 from gspline.extraction import basis_table
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
+
+
+def edge_side_params(frames, t, side):
+    """Stored (xi, eta) of edge parameter t on the given side ("left"/"right")."""
+    if side == "right":
+        return rotated_params(frames.rot_right, t, 0.0)
+    if side == "left":
+        return rotated_params(frames.rot_left, 0.0, t)
+    raise DomainError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def edge_side_table(ext, rot, frame_pts):
@@ -78,10 +89,22 @@ def g1_residual(surface, edge, samples=50):
     (_, gr, _), (_, gl, _) = edge_pair_tables(
         fr, replace(surface.extraction(fr.right), rational=False),
         replace(surface.extraction(fr.left), rational=False), ts)
-    res = gl[..., 0] + blend_polynomial(geom, ts) * gr[..., 0] + gr[..., 1]
+    blend = blend_polynomial(geom.omega1, geom.omega2, ts)
+    res = gl[..., 0] + blend * gr[..., 0] + gr[..., 1]
     scale = max(float(np.abs(gr).max(initial=0.0)),
                 float(np.abs(gl).max(initial=0.0)))
     return float(np.abs(res).max(initial=0.0)) / max(scale, 1.0)
+
+
+def normal_jump(surface, edge, samples=11):
+    """Max angle between the two sides' unit normals, one ``frame`` call
+    per side, measured as arctan2(|n_r x n_l|, n_r . n_l)."""
+    fr = edge_frames(surface.cnet, edge)
+    ts = np.linspace(0.02, 0.98, samples)
+    nr = frame(surface, fr.right, *edge_side_params(fr, ts, "right")).normal
+    nl = frame(surface, fr.left, *edge_side_params(fr, ts, "left")).normal
+    return float(np.arctan2(np.linalg.norm(np.cross(nr, nl), axis=-1),
+                            np.einsum("mi,mi->m", nr, nl)).max(initial=0.0))
 
 
 def collocation_singular_values(surface):

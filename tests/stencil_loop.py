@@ -38,6 +38,12 @@ def _merge(*parts: tuple[float, Stencil]) -> Stencil:
     return out
 
 
+def _vertex_faces(cnet: CNet) -> list[np.ndarray]:
+    """Ascending ids of the faces at each vertex."""
+    faces = np.argsort(cnet.faces.ravel(), kind="stable") // 4
+    return np.split(faces, np.cumsum(cnet.valence)[:-1])
+
+
 def _vertex_edges(cnet: CNet) -> list[list[int]]:
     """Edges at each vertex in ascending order, from ``cnet.edges``."""
     out: list[list[int]] = [[] for _ in range(cnet.n_vertices)]
@@ -77,7 +83,7 @@ def c0_stencils(cnet: CNet):
             }
         edge_pts.append(pts)
 
-    vertex_edges = _vertex_edges(cnet)
+    vertex_edges, vertex_faces = _vertex_edges(cnet), _vertex_faces(cnet)
     vertex_pts: list[Stencil] = []
     for w in range(cnet.n_vertices):
         if cnet.boundary_vertex[w] and cnet.valence[w] == 1:  # corner
@@ -97,7 +103,7 @@ def c0_stencils(cnet: CNet):
             )
         else:
             parts = [(1.0 / cnet.valence[w], fp_by_vertex(f, w))
-                     for f in cnet.vertex_faces[w]]
+                     for f in vertex_faces[w]]
             vertex_pts.append(_merge(*parts))
     return face_pts, edge_pts, vertex_pts
 
@@ -169,7 +175,7 @@ def refine(net: ControlNet) -> ControlNet:
 
     n_v, n_f, n_e = cnet.n_vertices, cnet.n_faces, cnet.n_edges
     new_pos = np.empty((n_v + n_f + n_e, 3))
-    vertex_edges = _vertex_edges(cnet)
+    vertex_edges, vertex_faces = _vertex_edges(cnet), _vertex_faces(cnet)
 
     # updated old vertices
     for v in range(n_v):
@@ -191,7 +197,7 @@ def refine(net: ControlNet) -> ControlNet:
             for e in vertex_edges[v]:
                 a, b = (int(x) for x in cnet.edges[e])
                 acc = acc + w_edge * pos[b if a == v else a]
-            for f in cnet.vertex_faces[v]:
+            for f in vertex_faces[v]:
                 loop = [int(x) for x in cnet.faces[f]]
                 acc = acc + w_diag * pos[loop[(loop.index(v) + 2) % 4]]
             new_pos[v] = acc

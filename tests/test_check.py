@@ -13,16 +13,22 @@ from gspline import cli
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_singular_values, main, surface_check
 from gspline.construct_c0 import build_c0, geometry_continuity_residual
-from gspline.construct_g1 import build_g1
-from gspline.errors import DegenerateBasisError, ResourceError
+from gspline.construct_g1 import build_g1, g1_residual, g1_residuals
+from gspline.errors import (
+    DegenerateBasisError,
+    ResourceError,
+    SingularParameterizationError,
+)
 from gspline.evaluate import (
     edge_frames,
+    edge_normal_angles,
     edge_residuals,
     edge_sides,
     edge_watertightness,
+    normal_jump,
 )
 from gspline.extraction import ElementExtraction
-from gspline.mesh import ControlNet, CNet
+from gspline.mesh import ControlNet, CNet, spoke_mask
 from gspline.refine import refine, refine_n
 
 import edge_loop
@@ -49,6 +55,12 @@ def case(name):
         return build_c0(netgen.structured(3, 3))
     if name == "cylinder_c0":
         return build_c0(netgen.cylinder(n_theta=32, n_z=3, radius=2.0, height=2.0))
+    if name.startswith("val33_reversed_"):
+        # the vertex ids reversed, so the EP is the higher end of each spoke
+        net = refine(ep_net)
+        n = net.cnet.n_vertices
+        reversed_ids = ControlNet(CNet(n, n - 1 - net.cnet.faces), net.positions[::-1])
+        return built(reversed_ids, name.rsplit("_", 1)[1])
     if name.startswith("val33_refined_"):
         return built(refine(ep_net), name.rsplit("_", 1)[1])
     if name == "rot44_bumped_L2_g1p":
@@ -66,8 +78,12 @@ def loop_report(name):
 
 
 CASES = ["flat_c0", "cylinder_c0", "val33_refined_c0", "val33_refined_g1p",
-         "val33_refined_g1r", "rot44_bumped_L2_g1p", "cylinder_L1_c0",
-         "val333_bumped_L1_g1r"]
+         "val33_refined_g1r", "val33_reversed_g1p", "val33_reversed_g1r",
+         "rot44_bumped_L2_g1p", "cylinder_L1_c0", "val333_bumped_L1_g1r"]
+
+
+def interior_spokes(cnet):
+    return np.flatnonzero(spoke_mask(cnet) & ~cnet.boundary_edge)
 
 
 class TestParityWithEdgeLoop:
@@ -93,6 +109,34 @@ class TestParityWithEdgeLoop:
                                      "c2_residual_smooth_edges",
                                      "rational_weight_range") if report.get(k))
         assert len(kinds) == 4
+        # spoke edges with the EP at the lower vertex id and at the higher
+        ends = set()
+        for name in CASES:
+            cnet = case(name).cnet
+            lo, hi = cnet.extraordinary[cnet.edges[interior_spokes(cnet)]].T
+            ends.update(np.where(lo, "lower", "higher")[lo != hi].tolist())
+        assert ends == {"lower", "higher"}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_spoke_edges_match_the_loop_edge_by_edge(self, name):
+        surface = case(name)
+        spokes = interior_spokes(surface.cnet)
+        faces, rots = (a[spokes] for a in edge_sides(surface.cnet))
+        g1 = g1_residuals(surface, spokes)
+        angle = edge_normal_angles(surface, faces, rots, samples=5)
+        for j, e in enumerate(spokes.tolist()):
+            assert abs(g1[j] - edge_loop.g1_residual(surface, e)) <= 1e-14
+            assert abs(angle[j] - edge_loop.normal_jump(surface, e, samples=5)) <= 1e-14
+            # the one-edge functions: the same kernel on a batch of one
+            assert abs(g1[j] - g1_residual(surface, e)) <= 1e-14
+            assert abs(angle[j] - normal_jump(surface, e, samples=5)) <= 1e-14
+
+    def test_normal_angle_resolves_below_sqrt_eps(self):
+        # arccos of the normals' dot product read 1.5e-8 here: sqrt(2 eps)
+        surface = case("val33_refined_g1p")
+        assert surface_check(surface)["normal_jump_spoke_edges"] < 1e-12
+        for e in interior_spokes(surface.cnet).tolist():
+            assert normal_jump(surface, e) < 1e-12
 
     @pytest.mark.parametrize("name", ["val33_refined_g1r", "val333_bumped_L1_g1r"])
     def test_one_edge_functions_are_the_batched_kernel(self, name):
@@ -122,6 +166,25 @@ class TestParityWithEdgeLoop:
         raised = []
         for check in (surface_check, edge_loop.surface_check):
             with pytest.raises(DegenerateBasisError) as info:
+                check(bad)
+            raised.append(info.value.element)
+        assert raised == [e, e]
+
+    @pytest.mark.parametrize("pick", [min, max])
+    @pytest.mark.parametrize("name", ["val33_refined_g1p", "val33_refined_g1r"])
+    def test_flat_element_at_a_spoke_edge_raises_as_the_loop(self, name, pick):
+        surface = case(name)
+        cnet = surface.cnet
+        e = int(pick(cnet.edge_faces[interior_spokes(cnet)].ravel()))
+        exts = list(surface.extractions)
+        # each row its mean: a constant map, with partition of unity kept
+        c = exts[e].coeffs
+        exts[e] = dataclasses.replace(
+            exts[e], coeffs=np.broadcast_to(c.mean(axis=1, keepdims=True), c.shape))
+        bad = extraction_list.surface(surface.net, exts, surface.variant)
+        raised = []
+        for check in (surface_check, edge_loop.surface_check):
+            with pytest.raises(SingularParameterizationError) as info:
                 check(bad)
             raised.append(info.value.element)
         assert raised == [e, e]

@@ -67,8 +67,9 @@ class TestEdgeGeometry:
     def test_blend_polynomial_endpoints(self):
         net = netgen.fan(3)
         geom = edge_geometry(net.cnet, first_spoke_edge(net.cnet))
-        assert abs(blend_polynomial(geom, 0.0) + 2 * geom.omega1) < 1e-15
-        assert abs(blend_polynomial(geom, 1.0) - 2 * geom.omega2) < 1e-15
+        w1, w2 = geom.omega1, geom.omega2
+        assert abs(blend_polynomial(w1, w2, 0.0) + 2 * w1) < 1e-15
+        assert abs(blend_polynomial(w1, w2, 1.0) - 2 * w2) < 1e-15
 
 
 class TestEdgeEquations:
@@ -138,8 +139,8 @@ class TestEdgeEquations:
             left_dxi = 5.0 * (grid_l[1, :] - grid_l[0, :]) @ bv
             right_deta = 5.0 * (grid_r[:, 1] - grid_r[:, 0]) @ bv
             right_dxi = grid_r[:, 0] @ dbv
-            sampled = left_dxi + float(blend_polynomial(geom, v)) * right_dxi \
-                + right_deta
+            blend = float(blend_polynomial(geom.omega1, geom.omega2, v))
+            sampled = left_dxi + blend * right_dxi + right_deta
             bernstein_form = residual_coeffs @ bv
             assert abs(sampled - bernstein_form) < 1e-12
 

@@ -18,6 +18,7 @@ from gspline.mesh import (
 )
 
 import netgen
+import topology_loop
 
 
 SINGLE_QUAD = b"""
@@ -36,7 +37,7 @@ def brute_force_rings(cnet, ep, m_max):
         for g in range(cnet.n_faces):
             if g != f and set(map(int, quad)) & set(map(int, cnet.faces[g])):
                 touch[f].add(g)
-    dist = {f: 1 for f in cnet.vertex_faces[ep]}
+    dist = {f: 1 for f in np.flatnonzero((cnet.faces == ep).any(axis=1)).tolist()}
     frontier = set(dist)
     d = 1
     while frontier and d < m_max:
@@ -222,7 +223,8 @@ class TestSpokesAndBasis:
         net = netgen.val33()
         cnet = net.cnet
         spokes = spoke_edges(cnet)
-        assert cnet.edge_id(0, 1) in spokes
+        loop = topology_loop.LoopCNet(cnet.n_vertices, cnet.faces)
+        assert loop.edge_id(0, 1) in spokes
         by_ep = [e for v in (0, 1)
                  for e in np.flatnonzero((cnet.edges == v).any(axis=1))]
         assert len(spokes) == len(set(by_ep))

@@ -50,15 +50,19 @@ def assert_same_adjacency(new, old):
     np.testing.assert_array_equal(new.boundary_edge, old.boundary_edge)
     np.testing.assert_array_equal(new.boundary_vertex, old.boundary_vertex)
     np.testing.assert_array_equal(new.extraordinary, old.extraordinary)
-    assert [fs.tolist() for fs in new.vertex_faces] == old.vertex_faces
+    # the loop's vertex_faces, edge_id and face_across in the array form
+    assert [np.flatnonzero((new.faces == v).any(axis=1)).tolist()
+            for v in range(new.n_vertices)] == old.vertex_faces
     for (u, v), e in old.edge_index.items():
-        assert new.edge_id(u, v) == new.edge_id(v, u) == e
+        assert new.edges[e].tolist() == sorted((u, v)) == sorted(old.edges[e].tolist())
     for (u, v), f in old._directed.items():
         assert new.directed_face(u, v) == f
         assert new.directed_face(v, u) == old.directed_face(v, u)
     for f, edges in enumerate(old.face_edges):
         for e in edges:
-            assert new.face_across(f, int(e)) == old.face_across(f, int(e))
+            other = old.face_across(f, int(e))
+            assert sorted(new.edge_faces[e].tolist()) == sorted(
+                [f, -1 if other is None else other])
 
 
 def assert_same_classes(new, old):
@@ -91,7 +95,7 @@ def test_edge_queries_reject_unknown_pairs():
     for u, v in [(0, n), (-1, 0), (n, n + 1), (0, 0)]:
         assert cnet.directed_face(u, v) is None
         with pytest.raises(DomainError, match="no edge"):
-            cnet.edge_id(u, v)
+            loop.LoopCNet(n, cnet.faces).edge_id(u, v)
 
 
 def _cube(v0, offset):
