@@ -63,6 +63,7 @@ from .solve import (
     build_variant,
     convergence_study,
     solve_generalized_eigen,
+    spd_solver,
 )
 
 _EXIT_CODES = (
@@ -100,7 +101,7 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
+def surface_check(surface: GSplineSurface) -> dict:
     """The invariant suite of a surface: continuity residuals, partition
     of unity, watertightness and numerical linear independence.
 
@@ -122,7 +123,7 @@ def surface_check(surface: GSplineSurface, samples: int = 12) -> dict:
     irr, trans = irregular[faces], transition[faces]
     orders = np.select([spoke, (irr & trans[:, ::-1]).any(axis=1), ~irr.any(axis=1)],
                        [-1, 1, 2], -1)
-    gap, jump = edge_residuals(surface, faces, rots, orders, jump_samples=samples)
+    gap, jump = edge_residuals(surface, faces, rots, orders, jump_samples=12)
     report: dict = {"variant": surface.variant}
     report["watertightness"] = float(gap.max(initial=0.0))
     report["g1_residual_spoke_edges"] = float(
@@ -187,22 +188,19 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
 
     They are the square roots of the extreme eigenvalues of the sparse
     n x n Gram matrix A^T A: ARPACK for the largest, shift-invert at zero
-    for the smallest, from one fixed start vector, so the result is
-    deterministic.  The Gram matrix squares the condition number, so
-    below a ratio of ``GRAM_FLOOR`` (or where it is singular) the values
-    come from the dense SVD of A, and a dense A larger than
-    ``DENSE_COLLOCATION_BYTES`` is a ResourceError.
+    with the ``spd_solver`` factor for the smallest, from one fixed start
+    vector, so the result is deterministic.  The Gram matrix squares the
+    condition number, so below a ratio of ``GRAM_FLOOR`` (or where it is
+    singular) the values come from the dense SVD of A, and a dense A larger
+    than ``DENSE_COLLOCATION_BYTES`` is a ResourceError.
     """
     A = _collocation_matrix(surface)
     gram = (A.T @ A).tocsc()
     v0 = np.ones(A.shape[1])
     try:
         (lmax,) = spla.eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        # a fill-reducing ordering for a symmetric matrix
-        lu = spla.splu(gram, permc_spec="MMD_AT_PLUS_A")
         (lmin,) = spla.eigsh(gram, k=1, sigma=0.0, which="LM", v0=v0,
-                             OPinv=spla.LinearOperator(gram.shape, lu.solve),
-                             return_eigenvectors=False)
+                             OPinv=spd_solver(gram), return_eigenvectors=False)
     except (RuntimeError, spla.ArpackError):  # a singular Gram matrix
         lmin = lmax = 0.0
     if lmin > 0.0 and lmin >= GRAM_FLOOR**2 * lmax:

@@ -32,12 +32,14 @@ from .errors import (
     DegenerateBasisError,
     DomainError,
     InternalError,
+    ResourceError,
     SingularParameterizationError,
 )
 from .extraction import SUPPORTED_DEGREES, ElementExtraction, basis_table, group_table
 from .mesh import CNet, ControlNet
 
 DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
+MAX_SAMPLES = 2**22  # sample points of one export, some 560 bytes of peak memory each
 
 
 @dataclass(frozen=True)
@@ -546,6 +548,15 @@ def normal_jump(surface: GSplineSurface, edge: int, samples: int = 11) -> float:
 # sampling
 
 
+def _check_resolution(surface: GSplineSurface, resolution: int) -> None:
+    """Raise unless 1 <= resolution and the (resolution + 1)^2 samples of
+    every element stay within ``MAX_SAMPLES``."""
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
+    if surface.cnet.n_faces * (resolution + 1) ** 2 > MAX_SAMPLES:
+        raise ResourceError(f"more than {MAX_SAMPLES} samples at resolution {resolution}")
+
+
 def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     """Deterministic tensor sampling of every element.
 
@@ -553,8 +564,7 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     connectivity into them, and per-element boundary polyline index loops
     (the Bezier mesh, i.e. the images of the element boundaries).
     """
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    _check_resolution(surface, resolution)
     r, n = resolution, surface.cnet.n_faces
     grid = np.arange(r + 1) / r
     uv = np.stack([np.tile(grid, r + 1), np.repeat(grid, r + 1)], 1)  # xi fastest
@@ -586,8 +596,7 @@ def sampled_mesh_obj(points: np.ndarray, quads) -> str:
 
 def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
     """CSV of sampled frames: position, unit normal, principal curvatures."""
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    _check_resolution(surface, resolution)
     rows = ["element,xi,eta,x,y,z,nx,ny,nz,kappa1,kappa2"]
     r = resolution
     for e in range(surface.cnet.n_faces):

@@ -147,8 +147,8 @@ def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,
     0 < t_lo < t* and t_lo < t_hi < inf; if t* > t_hi, thickness = inf and
     valid_up_to = t_hi.
     """
-    if not (math.isfinite(t_hi) and t_hi > t_lo):
-        raise DomainError(f"need a finite t_hi > t_lo, got [{t_lo}, {t_hi}]")
+    if not (0.0 < t_lo < t_hi and math.isfinite(t_hi)):
+        raise DomainError(f"need 0 < t_lo < t_hi < inf, got [{t_lo}, {t_hi}]")
     frames = _quadrature_frames(surface)
     elements, uv, a, b = frames
     c0 = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
@@ -162,7 +162,7 @@ def min_invalid_thickness(surface: GSplineSurface, t_lo: float = 0.01,
     root[~np.isfinite(root)] = np.inf  # no real root: disc < 0 or c1 = c2 = 0
     i = int(np.abs(root).argmin())
     t_star = 2.0 * abs(float(root[i]))
-    if not 0.0 < t_lo < t_star:
+    if not t_lo < t_star:
         raise DomainError(f"invalid at t_lo = {t_lo} (element {elements[i]})")
     if t_star > t_hi:
         return QualityReport(surface.variant, math.inf, t_hi, None,

@@ -9,16 +9,16 @@ bi-cubic and 6x6 on bi-quintic elements.  Assembly, error norms and element
 sizes run per (degree, rational) group of elements: one Bernstein table per
 group and point set, then one batched product per quantity gives every
 element's Jacobians, physical gradients, Ke, Me, load or error integrals
-(see ``evaluate.map_groups``).  The eigenvalue solve factors the symmetric
-positive definite stiffness once, banded by a reverse Cuthill-McKee order
-and in SuperLU's symmetric mode, for ARPACK's shift-invert iteration.
+(see ``evaluate.map_groups``).  Every sparse symmetric positive definite
+solve, the Poisson system, the eigen shift-invert and the collocation Gram
+matrix of ``gspline check``, goes through ``spd_solver``: one SuperLU factor
+in symmetric mode, banded by a reverse Cuthill-McKee order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -155,6 +155,20 @@ def assemble_poisson(surface: GSplineSurface, source=default_source,
         mass_kind="consistent" if with_mass else None)
 
 
+def spd_solver(A) -> spla.LinearOperator:
+    """Solve with the sparse symmetric positive definite A, on A's own
+    numbering: one SuperLU factor of A in reverse Cuthill-McKee order, with
+    minimum degree on A^T + A and diagonal pivots (symmetric mode).  Raises
+    RuntimeError on an exactly zero pivot."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    lu = spla.splu(A[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    back = np.argsort(order)
+    return spla.LinearOperator(A.shape, lambda b: lu.solve(b[order])[back], dtype=A.dtype)
+
+
 def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
     """Solve with Dirichlet data (default homogeneous); returns all
     coefficients in the full basis numbering.  Raises SingularSystemError
@@ -165,17 +179,15 @@ def solve_poisson(system: GalerkinSystem, dirichlet: dict | None = None):
         for a, val in dirichlet.items():
             u[a] = val
     act = system.active
-    rhs = system.load[act] - system.K[act].dot(u)
-    Kaa = system.K[act][:, act]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
+    if act.size:  # with no active function there is nothing to factor
+        rhs = system.load[act] - system.K[act].dot(u)
         try:
-            u[act] = spla.spsolve(Kaa.tocsc(), rhs)
-        except spla.MatrixRankWarning:
-            u[act] = np.nan
+            u[act] = spd_solver(system.K[act][:, act]).matvec(rhs)
+        except RuntimeError as exc:  # an exactly zero pivot
+            raise SingularSystemError(f"the Poisson system of {act.size} active "
+                                      "functions is singular") from exc
     if not np.isfinite(u).all():
-        raise SingularSystemError(f"the Poisson system of {act.size} active "
-                                  "functions is singular or not finite")
+        raise SingularSystemError("the Poisson solution is not finite")
     return u
 
 
@@ -280,9 +292,7 @@ def build_variant(net, variant: str) -> GSplineSurface:
     return build_g1(c0, variant)
 
 
-def convergence_study(net0, variant: str, levels: int,
-                      source=default_source, exact=exact_solution,
-                      exact_grad=exact_gradient) -> ConvergenceReport:
+def convergence_study(net0, variant: str, levels: int) -> ConvergenceReport:
     """Refine, rebuild from scratch, solve and record errors per level."""
     if levels < 1:
         raise DomainError(f"a convergence study needs >= 1 level, got {levels}")
@@ -294,9 +304,8 @@ def convergence_study(net0, variant: str, levels: int,
         if level > 0:
             net = refine(net)
         surface = build_variant(net, variant)
-        system = assemble_poisson(surface, source=source)
-        u = solve_poisson(system)
-        errs = compute_errors(surface, u, exact=exact, exact_grad=exact_grad)
+        system = assemble_poisson(surface)
+        errs = compute_errors(surface, solve_poisson(system))
         report.levels.append({
             "level": level,
             "n_el": surface.cnet.n_faces,
@@ -350,14 +359,10 @@ def solve_generalized_eigen(system: GalerkinSystem, k: int = 6,
                             residual_tol: float = 1e-8) -> EigenReport:
     """k smallest eigenpairs of K v = lambda M v on the active set.
 
-    The active dofs are taken in reverse Cuthill-McKee order, and K, which
-    is symmetric positive definite, is factored once for the shift-invert
-    iteration: minimum degree on K^T + K with diagonal pivots (SuperLU's
-    symmetric mode).  Neither changes the eigenvalues or the residuals
-    beyond rounding; the eigenvectors are not reported.
+    ARPACK's shift-invert iteration at zero runs on the active numbering,
+    with K, which is symmetric positive definite, factored once by
+    ``spd_solver``.  The eigenvectors are not reported.
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     if system.M is None:
         raise ValueError("system was assembled without a mass matrix")
     act = system.active
@@ -365,14 +370,9 @@ def solve_generalized_eigen(system: GalerkinSystem, k: int = 6,
         raise DomainError(f"k = {k} eigenpairs need 1 <= k < {len(act)}, "
                           "the number of active dofs")
     K, M = (A[act][:, act] for A in (system.K, system.M))
-    band = reverse_cuthill_mckee(K, symmetric_mode=True)
-    K, M = (A[band][:, band].tocsc() for A in (K, M))
-    v0 = np.ones(K.shape[0])
     try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        lams, vecs = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM", v0=v0,
-                                OPinv=spla.LinearOperator(K.shape, lu.solve))
+        lams, vecs = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM",
+                                v0=np.ones(K.shape[0]), OPinv=spd_solver(K))
     except Exception as exc:
         raise EigensolverError(f"shift-invert iteration failed: {exc}") from exc
     order = np.argsort(lams)

@@ -131,6 +131,17 @@ class TestBuild:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("export", ["--sample-obj", "--frames-csv"])
+    def test_sampling_beyond_budget_exit_5(self, tmp_path, capsys, export):
+        obj = tmp_path / "rot44.obj"
+        obj.write_text(save_obj(netgen.rot44()))
+        out = tmp_path / "s.out"
+        code = main(["build", str(obj), "--variant", "c0", "-o", str(tmp_path / "s.json"),
+                     export, str(out), "--resolution", "100000"])
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "ResourceError"
+        assert not out.exists()
+
     def test_obj_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.obj"
         path.write_bytes(SINGLE_QUAD_OBJ.encode() + "# caf\xe9\n".encode("latin-1"))
@@ -197,14 +208,18 @@ class TestQuality:
     @pytest.mark.parametrize("bracket", [["--t-hi", "nan"],
                                          ["--t-hi", "inf"],
                                          ["--t-lo", "0.5", "--t-hi", "0.5"],
-                                         ["--t-lo", "0.5", "--t-hi", "0.1"]])
+                                         ["--t-lo", "0.5", "--t-hi", "0.1"],
+                                         ["--t-lo", "0"],
+                                         ["--t-lo", "-1"]])
     def test_bad_t_hi_exit_2(self, quad_obj, tmp_path, capsys, bracket):
         arc = tmp_path / "a.json"
         main(["build", str(quad_obj), "--variant", "c0", "-o", str(arc)])
         out = tmp_path / "q.json"
         capsys.readouterr()
         assert main(["quality", str(arc), "-o", str(out), *bracket]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "element" not in err["message"]  # the bracket is at fault, no element
         assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gspline import evaluate
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
@@ -10,9 +12,11 @@ from gspline.errors import (
     DegenerateBasisError,
     DomainError,
     InternalError,
+    ResourceError,
     SingularParameterizationError,
 )
 from gspline.evaluate import (
+    MAX_SAMPLES,
     GSplineSurface,
     bounding_box_diagonal,
     edge_watertightness,
@@ -239,6 +243,18 @@ class TestSampling:
         surf = build_c0(netgen.structured(2, 2))
         text = frames_csv(surf, resolution=2)
         assert text.splitlines()[0].startswith("element,xi,eta,x,y,z")
+
+    def test_sample_budget(self):
+        """The default resolution 8 fits rot44 at level 5 (16384 elements),
+        and so does 15, which takes exactly ``MAX_SAMPLES``; 16 fails before
+        anything is sampled."""
+        l5 = SimpleNamespace(cnet=SimpleNamespace(n_faces=16 * 4**5))
+        assert l5.cnet.n_faces * (15 + 1) ** 2 == MAX_SAMPLES
+        for resolution in (8, 15):
+            evaluate._check_resolution(l5, resolution)
+        for sample in (sample_bezier_mesh, frames_csv):
+            with pytest.raises(ResourceError, match="resolution 16"):
+                sample(l5, resolution=16)
 
     def test_bbox_diagonal(self):
         net = netgen.structured(2, 2)

@@ -210,6 +210,13 @@ class TestConvergence:
         for lv_p, lv_c in zip(reports["g1p"].levels, reports["c0"].levels):
             assert lv_p["l2"] <= lv_c["l2"]
 
+    def test_level_without_active_dof(self):
+        """One quad: every function of level 0 is on the boundary, so that
+        level has nothing to factor and the study goes on."""
+        levels = convergence_study(netgen.structured(1, 1), "g1r", 3).levels
+        assert levels[0]["n_dof"] == 0
+        assert levels[2]["l2"] < levels[1]["l2"]
+
     def test_report_serialization(self):
         report = convergence_study(netgen.structured(3, 3), "c0", levels=2)
         assert "orders" in report.to_json()
@@ -432,6 +439,14 @@ class TestPoissonSolve:
             with pytest.raises(SingularSystemError, match="singular"):
                 solve_poisson(singular)
             assert np.isfinite(solve_poisson(system)).all()
+
+    def test_matches_a_general_solver(self):
+        system = assemble_poisson(rot44_case(3, "g1r"))
+        act = system.active
+        u = solve_poisson(system)
+        ref = spla.spsolve(system.K[act][:, act].tocsc(), system.load[act])
+        assert np.abs(u[act] - ref).max() <= 1e-13 * np.abs(u).max()
+        assert not u[sorted(system.boundary)].any()
 
     def test_active_ids_are_computed_once(self):
         system = assemble_poisson(rot44_case(1, "g1r"))
