@@ -164,21 +164,20 @@ def _collocation_matrix(surface: GSplineSurface) -> sp.csr_matrix:
     for the lowest element whose rational denominator is not positive."""
     def entries(g):
         ts = (np.arange(g.degree + 1) + 0.5) / (g.degree + 1)
-        vals, _, _, bad_w = group_table(
-            g, np.stack([np.tile(ts, len(ts)), np.repeat(ts, len(ts))], axis=1))
+        vals, bad_w = group_table(
+            g, np.stack([np.tile(ts, len(ts)), np.repeat(ts, len(ts))], axis=1), order=0)
         raise_first(g, [bad_w])
         E, _, m = vals.shape
         used = np.broadcast_to(g.mask[:, :, None], vals.shape)
         return (np.broadcast_to(np.arange(E * m).reshape(E, 1, m), vals.shape)[used],
-                np.broadcast_to(g.basis[:, :, None], vals.shape)[used], vals[used])
+                np.broadcast_to(g.basis[:, :, None], vals.shape)[used], vals[used], E * m)
 
     parts = map_groups(surface, entries)
-    offsets = np.cumsum([0] + [len(g.elements) * (g.degree + 1) ** 2
-                               for g in surface.groups])
+    offsets = np.cumsum([0] + [rows for *_, rows in parts])
     return sp.csr_matrix(
-        (np.concatenate([v for _, _, v in parts]),
-         (np.concatenate([r + o for (r, _, _), o in zip(parts, offsets)]),
-          np.concatenate([c for _, c, _ in parts]))),
+        (np.concatenate([v for _, _, v, _ in parts]),
+         (np.concatenate([r + o for (r, *_), o in zip(parts, offsets)]),
+          np.concatenate([c for _, c, _, _ in parts]))),
         shape=(offsets[-1], surface.cnet.n_vertices))
 
 

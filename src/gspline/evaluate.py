@@ -10,20 +10,21 @@ A surface stores its extraction operators once, as ``GSplineSurface.groups``:
 the elements of each (degree, rational) class stacked into zero-padded
 arrays by ``GSplineSurface.from_rows``.  ``extraction(e)`` is a view of
 element e's group row.  Whole-surface passes (Galerkin assembly, error
-norms, shell frames) evaluate a group's elements together at points they
-share, and ``map_groups`` reports the error of the lowest failing
+norms, shell frames, sampling) evaluate a group's elements together at
+points they share, in blocks whose tables hold at most ``BLOCK_ENTRIES``
+entries, and ``map_groups`` reports the error of the lowest failing
 element, as a loop would.  Edge diagnostics do the same per (side,
-rotation, group): ``edge_sums`` sums per-basis-function terms of many
-edges over both sides, for the watertightness and jumps of
-``edge_residuals`` and the G1 residual of ``construct_g1.g1_residuals``;
-``edge_normal_angles`` measures the normal angle, as arctan2 of the
-normals' cross and dot products.  The one-edge functions are the
-single-edge case of these.
+rotation, group), in blocks of the same budget: ``edge_sums`` sums
+per-basis-function terms of many edges over both sides, for the
+watertightness and jumps of ``edge_residuals`` and the G1 residual of
+``construct_g1.g1_residuals``; ``edge_normal_angles`` measures the normal
+angle, as arctan2 of the normals' cross and dot products.  The one-edge
+functions are the single-edge case of these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +41,9 @@ from .mesh import CNet, ControlNet
 
 DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
 MAX_SAMPLES = 2**22  # sample points of one export, some 560 bytes of peak memory each
+BLOCK_ENTRIES = 2**18  # E * n * m entries of one table of a block of elements (2 MB)
+MAX_PADDING = 8  # largest ratio of a class's padded coefficient bytes to its rows' ...
+PADDING_FLOOR = 2**26  # ... once the padded bytes pass 64 MB
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,24 @@ class ElementGroup:
     basis: np.ndarray
     mask: np.ndarray
     coeffs: np.ndarray
+
+    def take(self, rows) -> ElementGroup:
+        """The group of the elements at ``rows``, an index array or a slice
+        (whose rows are views)."""
+        return ElementGroup(self.degree, self.rational, self.elements[rows],
+                            self.basis[rows], self.mask[rows], self.coeffs[rows])
+
+    def blocks(self, points: int, count: int | None = None) -> list[slice]:
+        """Consecutive slices that cut ``count`` elements (default all of
+        the group's) into the fewest blocks whose tables at ``points`` points
+        per element hold at most ``BLOCK_ENTRIES`` entries (at least one
+        element each).  The blocks differ in size by at most one element:
+        a small remainder block would take BLAS's small-matrix kernel,
+        whose sums round differently from those of one call over all."""
+        count = len(self.elements) if count is None else count
+        k = -(-count // max(1, BLOCK_ENTRIES // (self.mask.shape[1] * points)))
+        bounds = (np.arange(k + 1) * count // max(k, 1)).tolist()
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -87,7 +109,12 @@ class GSplineSurface:
         flag ``rational[e]`` and ``counts[e]`` basis functions: ``basis``
         lists the basis ids of all elements, element after element, and
         ``coeffs[p]`` the coefficient rows of the degree-p elements, in the
-        same order.  Each (degree, rational) class becomes one group."""
+        same order.  Each (degree, rational) class becomes one group.
+
+        Every element of a class is padded to the class's largest support.
+        A ResourceError is raised, before anything is stacked, for a class
+        whose padded coefficients would take more than ``MAX_PADDING``
+        times the bytes of its rows and more than ``PADDING_FLOOR`` bytes."""
         degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
         unsupported = degree[~np.isin(degree, SUPPORTED_DEGREES)]
         if unsupported.size:
@@ -98,6 +125,16 @@ class GSplineSurface:
             raise DomainError("coefficient matrix shape does not match basis list")
         kind = 2 * degree + np.asarray(rational, dtype=bool)
         row_kind, row_degree, groups = np.repeat(kind, counts), np.repeat(degree, counts), []
+        for c in np.unique(kind).tolist():
+            p, ids = c // 2, np.flatnonzero(kind == c)
+            padded, used = (8 * (p + 1) ** 2 * n for n in (
+                len(ids) * counts[ids].max(), counts[ids].sum()))
+            if padded > max(MAX_PADDING * used, PADDING_FLOOR):
+                wide = int(ids[counts[ids].argmax()])
+                raise ResourceError(
+                    f"element {wide} with {counts[wide]} basis functions pads the "
+                    f"{len(ids)} degree-{p} elements of its class to {padded / 2**20:.0f} MB, "
+                    f"{padded / used:.0f} times the {used / 2**20:.1f} MB of their rows")
         for c in np.unique(kind).tolist():
             p, ids, rows = c // 2, np.flatnonzero(kind == c), row_kind == c
             mask = np.arange(counts[ids].max()) < counts[ids, None]
@@ -139,13 +176,19 @@ class GSplineSurface:
         return group_of, row_of
 
 
-def map_groups(surface: GSplineSurface, fn) -> list:
-    """``[fn(group) for group in surface.groups]``.
+def map_groups(surface: GSplineSurface, fn, points: int | None = None) -> list:
+    """``fn(block)`` for every block of elements of every group, in order.
 
-    An element error from ``fn`` is raised after every group has run: the
-    one of the lowest element, as a loop over the elements would meet it.
+    Each group of ``surface.groups`` runs in blocks of consecutive
+    elements, each an ``ElementGroup`` whose tables at ``points`` points per
+    element (default (degree + 1)^2, one Gauss rule) hold at most
+    ``BLOCK_ENTRIES`` entries, so a pass allocates memory for one block,
+    not for the whole surface.  An element error from ``fn`` is raised
+    after every block has run: the one of the lowest element, as a loop
+    over the elements would meet it.
     """
-    return map_lowest(fn, ((g,) for g in surface.groups))
+    return map_lowest(fn, ((g.take(block),) for g in surface.groups
+                           for block in g.blocks(points or (g.degree + 1) ** 2)))
 
 
 def map_lowest(fn, batches) -> list:
@@ -232,14 +275,22 @@ def group_frames(surface: GSplineSurface, group: ElementGroup, pts) -> SurfaceFr
     Fields are shaped (E, m, ...).  Raises, for the group's first failing
     element, the error ``frame`` raises there.
     """
+    x, J, H, bad_w = _group_maps(surface, group, pts)
+    flat = _flat_tangents(J)
+    raise_first(group, [bad_w, (flat.any(axis=1), lambda i: (
+        _tangent_error(int(group.elements[i]), *pts[flat[i].argmax()])))])
+    return _frame(x, J, H)
+
+
+def _group_maps(surface: GSplineSurface, group: ElementGroup, pts):
+    """``map_point`` with nderiv 2 of every element of a group at the same
+    (m, 2) points, shaped (E, m, 3), (E, m, 3, 2), (E, m, 3, 3), and the
+    ``group_table`` check of the rational denominators."""
     vals, d1, d2, bad_w = group_table(group, pts)
     P = surface.net.positions[group.basis]
     # the products of map_point, one matrix per element and point
     J = (np.moveaxis(d1, 1, -1) @ P[:, None]).swapaxes(-1, -2)
-    flat = _flat_tangents(J)
-    raise_first(group, [bad_w, (flat.any(axis=1), lambda i: (
-        _tangent_error(int(group.elements[i]), *pts[flat[i].argmax()])))])
-    return _frame(vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None])
+    return vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None], bad_w
 
 
 def _flat_tangents(J):
@@ -270,13 +321,18 @@ def _frame(x, J, H) -> SurfaceFrame:
                         curvature=curvature)
 
 
-def principal_curvatures(fr: SurfaceFrame) -> tuple[float, float]:
-    """Eigenvalues of the shape operator a^{-1} b (largest magnitude first)."""
-    shape_op = np.linalg.solve(fr.metric, fr.curvature)
-    k = np.linalg.eigvals(shape_op)
-    k = np.real_if_close(k)
-    order = np.argsort(-np.abs(k))
-    return float(k[order[0]]), float(k[order[1]])
+def principal_curvatures(fr: SurfaceFrame):
+    """Eigenvalues of the shape operator a^{-1} b (largest magnitude first):
+    two floats at one point, two arrays shaped as the points at many.
+
+    Each point's pair is ordered by magnitude as ``np.real_if_close`` would
+    leave it (the real parts where both imaginary parts are below 100 eps,
+    the complex moduli otherwise), and its real parts are returned."""
+    k = np.linalg.eigvals(np.linalg.solve(fr.metric, fr.curvature))
+    real = (np.abs(k.imag) < 100 * np.finfo(float).eps).all(axis=-1, keepdims=True)
+    order = np.argsort(-np.where(real, np.abs(k.real), np.abs(k)), axis=-1)
+    k1, k2 = np.moveaxis(np.take_along_axis(k.real, order, axis=-1), -1, 0)
+    return (float(k1), float(k2)) if k1.ndim == 0 else (k1, k2)
 
 
 # ----------------------------------------------------------------------
@@ -369,15 +425,18 @@ def edge_sides(cnet: CNet) -> tuple[np.ndarray, np.ndarray]:
     return faces, rots
 
 
-def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
-    """The sides of k edges, one batch per (side, rotation, group).
+def _edge_batches(surface: GSplineSurface, faces, rots, points: int,
+                  polynomial=False):
+    """The sides of k edges, in batches per (side, rotation, group).
 
     ``faces`` and ``rots`` are (k, 2) as from ``edge_sides``.  Yields
-    ``(side, rot, rows, sub)``: ``rows`` index the edges whose side
-    element lies in the group and has that rotation, and ``sub`` is the
+    ``(side, rot, rows, sub)``: ``rows`` index edges whose side element
+    lies in the group and has that rotation, and ``sub`` is the
     ``ElementGroup`` of those elements, polynomial (not rationalized) if
-    asked.  ``rows`` run in element order, so ``raise_first`` meets the
-    batch's lowest failing element.
+    asked.  The edges of one (side, rotation, group) run in element order,
+    split into blocks as ``map_groups`` splits a group at ``points`` points
+    per element, so ``raise_first`` meets each block's lowest failing
+    element.
     """
     group_of, row_of = surface.group_slots
     for side in (0, 1):
@@ -385,12 +444,11 @@ def _edge_batches(surface: GSplineSurface, faces, rots, polynomial=False):
         for rot in range(4):
             for i, g in enumerate(surface.groups):
                 rows = np.flatnonzero((r == rot) & (group_of[f] == i))
-                if rows.size:
-                    rows = rows[np.argsort(f[rows], kind="stable")]
-                    take = row_of[f[rows]]
-                    yield side, rot, rows, ElementGroup(
-                        g.degree, g.rational and not polynomial, g.elements[take],
-                        g.basis[take], g.mask[take], g.coeffs[take])
+                rows = rows[np.argsort(f[rows], kind="stable")]
+                for block in g.blocks(points, rows.size):
+                    sub = g.take(row_of[f[rows[block]]])
+                    yield side, rot, rows[block], (
+                        replace(sub, rational=False) if polynomial else sub)
 
 
 def _side_points(side: int, rot: int, ts) -> np.ndarray:
@@ -453,7 +511,7 @@ def edge_sums(surface: GSplineSurface, faces, rots, ts, summed, terms, shape,
         share, used = terms(side, rows, sub, vals, d1, d2), sub.mask & summed[rows, None]
         sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += share[used]
 
-    map_lowest(visit, _edge_batches(surface, faces, rots, polynomial))
+    map_lowest(visit, _edge_batches(surface, faces, rots, len(ts), polynomial))
     out, edge = np.zeros(len(faces)), keys // n
     if len(keys):
         starts = np.flatnonzero(np.r_[True, edge[1:] != edge[:-1]])
@@ -505,7 +563,7 @@ def edge_normal_angles(surface: GSplineSurface, faces, rots,
     def visit(side, rot, rows, sub):
         normals[side, rows] = group_frames(surface, sub, _side_points(side, rot, ts)).normal
 
-    map_lowest(visit, _edge_batches(surface, faces, rots))
+    map_lowest(visit, _edge_batches(surface, faces, rots, samples))
     nr, nl = normals
     return np.arctan2(np.linalg.norm(np.cross(nr, nl), axis=-1),
                       (nr * nl).sum(axis=-1)).max(axis=1, initial=0.0)
@@ -557,6 +615,14 @@ def _check_resolution(surface: GSplineSurface, resolution: int) -> None:
         raise ResourceError(f"more than {MAX_SAMPLES} samples at resolution {resolution}")
 
 
+def _sample_grid(surface: GSplineSurface, resolution: int) -> np.ndarray:
+    """The (resolution + 1)^2 tensor points (xi, eta) of an element, xi
+    fastest, after ``_check_resolution``."""
+    _check_resolution(surface, resolution)
+    grid = np.arange(resolution + 1) / resolution
+    return np.stack([np.tile(grid, resolution + 1), np.repeat(grid, resolution + 1)], 1)
+
+
 def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     """Deterministic tensor sampling of every element.
 
@@ -564,22 +630,16 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     connectivity into them, and per-element boundary polyline index loops
     (the Bezier mesh, i.e. the images of the element boundaries).
     """
-    _check_resolution(surface, resolution)
+    uv = _sample_grid(surface, resolution)
     r, n = resolution, surface.cnet.n_faces
-    grid = np.arange(r + 1) / r
-    uv = np.stack([np.tile(grid, r + 1), np.repeat(grid, r + 1)], 1)  # xi fastest
-    points = np.empty((n, (r + 1) ** 2, 3))
+    points = np.empty((n, len(uv), 3))
 
-    def sample(g, rows):
-        sub = ElementGroup(g.degree, g.rational, g.elements[rows], g.basis[rows],
-                           g.mask[rows], g.coeffs[rows])
-        vals, _, _, bad_w = group_table(sub, uv)
+    def sample(sub):
+        vals, bad_w = group_table(sub, uv, order=0)
         raise_first(sub, [bad_w])
         points[sub.elements] = vals.swapaxes(1, 2) @ surface.net.positions[sub.basis]
 
-    step = max(1, 2**25 // (48 * 36 * len(uv)))  # elements per call: tables near 32 MB
-    map_lowest(sample, ((g, slice(s, s + step)) for g in surface.groups
-                        for s in range(0, len(g.elements), step)))
+    map_groups(surface, sample, len(uv))
     t, m = np.arange(r), r + 1
     base = m * m * np.arange(n)[:, None]
     quads = (base[:, None] + m * t[:, None] + t).reshape(-1, 1) + [0, 1, m + 1, m]
@@ -595,24 +655,35 @@ def sampled_mesh_obj(points: np.ndarray, quads) -> str:
 
 
 def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
-    """CSV of sampled frames: position, unit normal, principal curvatures."""
-    _check_resolution(surface, resolution)
+    """CSV of sampled frames: position, unit normal, principal curvatures.
+
+    One row per tensor point of ``sample_bezier_mesh``, element by element
+    and xi fastest, from ``group_frames``'s products over blocks of
+    elements.  A point with flat tangents, where ``frame`` raises, has no
+    row; a nonpositive rational denominator raises for the lowest element.
+    """
+    uv = _sample_grid(surface, resolution)
+    m = len(uv)
+    table = np.empty((surface.cnet.n_faces * m, 8))
+    kept = np.zeros(surface.cnet.n_faces * m, dtype=bool)
+
+    def sample(sub):
+        x, J, H, bad_w = _group_maps(surface, sub, uv)
+        raise_first(sub, [bad_w])
+        ok = ~_flat_tangents(J)
+        fr = _frame(x[ok], J[ok], H[ok])
+        at = (sub.elements[:, None] * m + np.arange(m))[ok]
+        table[at] = np.column_stack([fr.point, fr.normal, *principal_curvatures(fr)])
+        kept[at] = True
+
+    map_groups(surface, sample, m)
+    uv = uv.tolist()
     rows = ["element,xi,eta,x,y,z,nx,ny,nz,kappa1,kappa2"]
-    r = resolution
-    for e in range(surface.cnet.n_faces):
-        for j in range(r + 1):
-            for i in range(r + 1):
-                xi, eta = i / r, j / r
-                try:
-                    fr = frame(surface, e, xi, eta)
-                except SingularParameterizationError:
-                    continue
-                k1, k2 = principal_curvatures(fr)
-                x, n = fr.point, fr.normal
-                rows.append(
-                    f"{e},{xi:.6f},{eta:.6f},{x[0]:.12g},{x[1]:.12g},{x[2]:.12g},"
-                    f"{n[0]:.12g},{n[1]:.12g},{n[2]:.12g},{k1:.12g},{k2:.12g}"
-                )
+    for i, (x, y, z, nx, ny, nz, k1, k2) in zip(np.flatnonzero(kept).tolist(),
+                                                table[kept].tolist()):
+        xi, eta = uv[i % m]
+        rows.append(f"{i // m},{xi:.6f},{eta:.6f},{x:.12g},{y:.12g},{z:.12g},"
+                    f"{nx:.12g},{ny:.12g},{nz:.12g},{k1:.12g},{k2:.12g}")
     return "\n".join(rows) + "\n"
 
 

@@ -13,8 +13,11 @@ multiplies extraction matrices with the Bernstein table of
 Evans, Hughes, IJNME 87, 2011).  A surface stores the matrices once, per
 (degree, rational) class of elements, stacked and zero-padded to the
 class's largest support (``evaluate.ElementGroup``).  ``group_table``
-evaluates such a group at points its elements share; ``basis_table`` one
-``ElementExtraction``, one element's matrix and basis ids.
+evaluates such a group at points its elements share, building the tables
+only up to the derivative order its caller asks for (the values alone for
+sampling, error grids and collocation; first derivatives for Galerkin
+geometry); ``basis_table`` one ``ElementExtraction``, one element's matrix
+and basis ids.
 ``bernstein_eval`` and ``evaluate_basis`` are single-point forms of the
 one-element kernel.
 """
@@ -163,10 +166,11 @@ def basis_table(ext: ElementExtraction, pts):
     return vals, d1, d2
 
 
-def _polynomial_table(coeffs, p, pts, axes=None):
-    """Extraction rows ``coeffs`` (..., k) times the Bernstein table of pts:
-    shapes (..., m), (..., m, 2), (..., m, 3).  With ``axes`` (2, 2) the
-    derivatives are taken along its columns: d1 @ axes and A^T H A."""
+def _polynomial_table(coeffs, p, pts, axes=None, order=2):
+    """Extraction rows ``coeffs`` (..., k) times the Bernstein table of pts,
+    up to derivative ``order``: shapes (..., m), (..., m, 2), (..., m, 3),
+    the first order + 1 of them.  With ``axes`` (2, 2) the derivatives are
+    taken along its columns: d1 @ axes and A^T H A."""
     b, db, d2b = bernstein_table(p, pts)
     if axes is not None:
         # (A^T H A)_ab from the d2 columns (H_00, H_01, H_11), for ab = 00, 01, 11
@@ -174,21 +178,23 @@ def _polynomial_table(coeffs, p, pts, axes=None):
                             axes[0, a] * axes[1, b] + axes[1, a] * axes[0, b],
                             axes[1, a] * axes[1, b]] for a, b in ((0, 0), (0, 1), (1, 1))])
         db, d2b = db @ axes, d2b @ second.T
-    k, m = b.shape
+    k = b.shape[0]
     flat, lead = coeffs.reshape(-1, k), coeffs.shape[:-1]
-    return ((flat @ b).reshape(lead + (m,)),
-            (flat @ db.reshape(k, 2 * m)).reshape(lead + (m, 2)),
-            (flat @ d2b.reshape(k, 3 * m)).reshape(lead + (m, 3)))
+    return tuple((flat @ t.reshape(k, -1)).reshape(lead + t.shape[1:])
+                 for t in (b, db, d2b)[:order + 1])
 
 
-def group_table(group, pts, axes=None):
+def group_table(group, pts, axes=None, order=2):
     """``basis_table`` of every element of an ``evaluate.ElementGroup`` at the
-    same (m, 2) points: (E, n, m), (E, n, m, 2), (E, n, m, 3), zero in unused
-    slots, and the ``evaluate.raise_first`` check of the elements whose
-    rational denominator is not positive there; those stay unrationalized.
-    ``axes`` (2, 2) turns the derivatives to its columns, as in
-    ``_polynomial_table``; the quotient rule commutes with that."""
-    tables = _polynomial_table(group.coeffs, group.degree, pts, axes)
+    same (m, 2) points, up to derivative ``order`` (0: values, 1: and first
+    derivatives, 2: and second): (E, n, m), (E, n, m, 2), (E, n, m, 3), the
+    first order + 1 of them, zero in unused slots, and the
+    ``evaluate.raise_first`` check of the elements whose rational
+    denominator is not positive there; those stay unrationalized.  Each
+    table is bitwise the one of a call of higher order.  ``axes`` (2, 2)
+    turns the derivatives to its columns, as in ``_polynomial_table``; the
+    quotient rule commutes with that."""
+    tables = _polynomial_table(group.coeffs, group.degree, pts, axes, order)
     wmin = np.full(len(group.elements), np.inf)
     if group.rational:
         wmin = tables[0].sum(axis=1).min(axis=1)
@@ -206,26 +212,32 @@ def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):
     return vals[:, 0], d1[:, 0], d2[:, 0]
 
 
-def rationalize(values, d1, d2, element=None):
+def rationalize(values, *derivatives, element=None):
     """Divide a polynomial basis bundle by its sum, quotient-rule derivatives.
 
-    Takes one point, shapes (n,), (n, 2), (n, 3), or m points, shapes
-    (n, m), (n, m, 2), (n, m, 3), or any further axes after n.  The
-    denominator W is the sum of the values over the n functions; raises
+    Takes the values and, up to the highest derivative order wanted, the
+    first and second derivatives, at one point, shapes (n,), (n, 2),
+    (n, 3), or at m points, shapes (n, m), (n, m, 2), (n, m, 3), or with
+    any further axes after n; returns as many arrays.  The denominator W
+    is the sum of the values over the n functions; raises
     DegenerateBasisError when W <= 0 at any evaluation point.
     """
     values = np.asarray(values, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
     w = values.sum(axis=0)
     if np.any(w <= 0.0):
         raise DegenerateBasisError(
             f"basis denominator {np.min(w)} is not positive", element=element
         )
-    dw = d1.sum(axis=0)
-    d2w = d2.sum(axis=0)
     r = values / w
+    if not derivatives:
+        return (r,)
+    d1 = np.asarray(derivatives[0], dtype=float)
+    dw = d1.sum(axis=0)
     r1 = (d1 - r[..., None] * dw) / w[..., None]
+    if len(derivatives) == 1:
+        return r, r1
+    d2 = np.asarray(derivatives[1], dtype=float)
+    d2w = d2.sum(axis=0)
     r2 = np.empty_like(d2)
     # second derivatives: R_ab = (N_ab - R_a W_b - R_b W_a - R W_ab) / W
     r2[..., 0] = (d2[..., 0] - 2 * r1[..., 0] * dw[..., 0] - r * d2w[..., 0]) / w

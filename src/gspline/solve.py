@@ -6,13 +6,16 @@ drives the convergence study; a membrane eigenvalue problem with
 consistent or row-sum lumped mass matrices mirrors the modal tests.
 Quadrature uses (p+1)^2 Gauss-Legendre points per element, so 4x4 on
 bi-cubic and 6x6 on bi-quintic elements.  Assembly, error norms and element
-sizes run per (degree, rational) group of elements: one Bernstein table per
-group and point set, then one batched product per quantity gives every
-element's Jacobians, physical gradients, Ke, Me, load or error integrals
-(see ``evaluate.map_groups``).  Every sparse symmetric positive definite
-solve, the Poisson system, the eigen shift-invert and the collocation Gram
-matrix of ``gspline check``, goes through ``spd_solver``: one SuperLU factor
-in symmetric mode, banded by a reverse Cuthill-McKee order.
+sizes run per block of elements of one (degree, rational) group, so their
+memory is that of one block (see ``evaluate.map_groups``): one Bernstein
+table per block and point set, built only to the derivative order used,
+then one batched product per quantity gives every element's Jacobians,
+physical gradients, Ke, Me, load or error integrals.  K and M share one CSR
+pattern, ``sparsity_pattern``, and each block adds its entries into it.
+Every sparse symmetric positive definite solve, the Poisson system, the
+eigen shift-invert and the collocation Gram matrix of ``gspline check``,
+goes through ``spd_solver``: one SuperLU factor in symmetric mode, banded
+by a reverse Cuthill-McKee order.
 """
 
 from __future__ import annotations
@@ -71,8 +74,7 @@ def _group_geometry(surface, g, pts, checks=()):
     (E, m).  Raises for the first element with a nonpositive rational
     denominator, a singular Jacobian or a failed later check, in that order.
     """
-    N, dN, d2, bad_w = group_table(g, pts)
-    del d2  # free the unused second derivatives before the gradients
+    N, dN, bad_w = group_table(g, pts, order=1)
     P = surface.net.positions[g.basis][..., :2]
     J = np.einsum("enma,end->emda", dN, P)  # J[e, m, d, a] = dx_d / dxi_a
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -129,29 +131,54 @@ class GalerkinSystem:
         return np.setdiff1d(np.arange(self.n), np.fromiter(self.boundary, int))
 
 
+def sparsity_pattern(surface: GSplineSurface) -> sp.csr_matrix:
+    """The pairs of basis functions that share an element, as a CSR matrix
+    with sorted indices: the structure of B^T B, with B the
+    element-by-basis incidence.  Its data counts the shared elements."""
+    ids = np.concatenate([np.broadcast_to(g.elements[:, None], g.mask.shape)[g.mask]
+                          for g in surface.groups])
+    basis = np.concatenate([g.basis[g.mask] for g in surface.groups])
+    B = sp.csr_matrix((np.ones(len(ids)), (ids, basis)),
+                      shape=(surface.cnet.n_faces, surface.cnet.n_vertices))
+    pattern = (B.T.tocsr() @ B).tocsr()
+    pattern.sort_indices()
+    return pattern
+
+
 def assemble_poisson(surface: GSplineSurface, source=default_source,
                      with_mass: bool = False) -> GalerkinSystem:
-    """Stiffness matrix and load vector of the Poisson model problem."""
-    n = surface.cnet.n_vertices
+    """Stiffness matrix and load vector of the Poisson model problem.
 
-    def blocks(g):  # the used entries of each element's Ke, Me and fe
+    K, and M with ``with_mass``, share one ``indptr``/``indices``, that of
+    ``sparsity_pattern``: each block of elements of ``map_groups`` sums the
+    used entries of its Ke and Me into the pattern's data with
+    ``np.bincount`` and its fe into the load, so the assembly holds one
+    block's element matrices, not the whole surface's triplets."""
+    n = surface.cnet.n_vertices
+    pattern = sparsity_pattern(surface)
+    keys = np.repeat(np.arange(n) * n, np.diff(pattern.indptr)) + pattern.indices
+    K, M, load = np.zeros(pattern.nnz), np.zeros(pattern.nnz if with_mass else 0), np.zeros(n)
+
+    def add(g):  # the used entries of each element's Ke, Me and fe
         rule = gauss_legendre_2d(g.degree + 1)
         N, gp, x, adet = _group_geometry(surface, g, rule.points)
         w = rule.weights * adet
         pair = g.mask[:, :, None] & g.mask[:, None, :]
+        at = np.searchsorted(keys, (g.basis[:, :, None] * n + g.basis[:, None, :])[pair])
         Ke = np.einsum("enmd,ekmd,em->enk", gp, gp, w, optimize=True)
-        Me = np.einsum("enm,ekm,em->enk", N, N, w, optimize=True)[pair] \
-            if with_mass else np.empty(0)
+        K[:] += np.bincount(at, Ke[pair], minlength=pattern.nnz)
+        if with_mass:
+            Me = np.einsum("enm,ekm,em->enk", N, N, w, optimize=True)
+            M[:] += np.bincount(at, Me[pair], minlength=pattern.nnz)
         fe = np.einsum("enm,em->en", N, w * source(x[..., 0], x[..., 1]))
-        return (np.broadcast_to(g.basis[:, :, None], pair.shape)[pair],
-                np.broadcast_to(g.basis[:, None, :], pair.shape)[pair],
-                Ke[pair], Me, g.basis[g.mask], fe[g.mask])
+        np.add.at(load, g.basis[g.mask], fe[g.mask])
 
-    rows, cols, Ke, Me, ids, fe = map(np.concatenate, zip(*map_groups(surface, blocks)))
+    map_groups(surface, add)
+    indices, indptr = pattern.indices, pattern.indptr
     return GalerkinSystem(
-        surface=surface, K=sp.csr_matrix((Ke, (rows, cols)), shape=(n, n)),
-        load=np.bincount(ids, fe, minlength=n), boundary=boundary_functions(surface),
-        M=sp.csr_matrix((Me, (rows, cols)), shape=(n, n)) if with_mass else None,
+        surface=surface, K=sp.csr_matrix((K, indices, indptr), shape=(n, n)),
+        load=load, boundary=boundary_functions(surface),
+        M=sp.csr_matrix((M, indices, indptr), shape=(n, n)) if with_mass else None,
         mass_kind="consistent" if with_mass else None)
 
 
@@ -204,8 +231,7 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
 
     def sums(g):
         rule = gauss_legendre_2d(g.degree + 1)
-        N2, d1, d2, bad_w2 = group_table(g, grid_pts)
-        del d1, d2  # only the values are needed on the grid
+        N2, bad_w2 = group_table(g, grid_pts, order=0)
         N, gp, x, adet = _group_geometry(surface, g, rule.points, [bad_w2])
         w = rule.weights * adet
         ca = np.where(g.mask, coeffs[g.basis], 0.0)
@@ -221,9 +247,9 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
             np.abs(np.einsum("en,enm->em", ca, N2) - ue2).max(initial=0.0),
             np.abs(ue2).max(initial=0.0)])
 
-    per_group = np.array(map_groups(surface, sums))
-    num_l2, den_l2, num_h1g, den_h1g = per_group[:, :4].sum(axis=0).tolist()
-    num_inf, den_inf = per_group[:, 4:].max(axis=0).tolist()
+    per_block = np.array(map_groups(surface, sums, len(grid_pts)))
+    num_l2, den_l2, num_h1g, den_h1g = per_block[:, :4].sum(axis=0).tolist()
+    num_inf, den_inf = per_block[:, 4:].max(axis=0).tolist()
     return {
         "l2": math.sqrt(num_l2 / den_l2) if den_l2 else math.sqrt(num_l2),
         "linf": num_inf / den_inf if den_inf else num_inf,
@@ -235,12 +261,12 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
 def mean_element_size(surface: GSplineSurface) -> float:
     """Mean mapped diagonal length of the Bezier-mesh faces."""
     def diagonals(g):
-        N, _, _, bad_w = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        N, bad_w = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], order=0)
         raise_first(g, [bad_w])
         c = np.einsum("enm,enc->mec", N, surface.net.positions[g.basis])
         return np.linalg.norm(c[1] - c[0], axis=-1) + np.linalg.norm(c[3] - c[2], axis=-1)
 
-    total = float(np.concatenate(map_groups(surface, diagonals)).sum())
+    total = float(np.concatenate(map_groups(surface, diagonals, 4)).sum())
     return 0.5 * total / surface.cnet.n_faces
 
 

@@ -1,6 +1,7 @@
-"""Per-element reference for the grouped evaluation in ``gspline.solve`` and
-``gspline.quality``: one ``basis_table`` call and one Python iteration per
-element, in element order, raising at the first failing element.
+"""Per-element reference for the grouped evaluation in ``gspline.solve``,
+``gspline.quality`` and ``gspline.evaluate.frames_csv``: one ``basis_table``
+call and one Python iteration per element (per point for the frames CSV),
+in element order, raising at the first failing element.
 """
 
 import math
@@ -110,3 +111,35 @@ def quadrature_frames(surface):
         out.append((np.full(len(xi), e), np.stack([xi, eta], axis=1),
                     fr.metric, fr.curvature))
     return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def principal_curvatures(fr):
+    """Eigenvalues of the shape operator a^{-1} b at one point (largest
+    magnitude first)."""
+    shape_op = np.linalg.solve(fr.metric, fr.curvature)
+    k = np.linalg.eigvals(shape_op)
+    k = np.real_if_close(k)
+    order = np.argsort(-np.abs(k))
+    return float(k[order[0]]), float(k[order[1]])
+
+
+def frames_csv(surface, resolution=4):
+    """CSV of sampled frames, one ``frame`` call per point, skipping the
+    points where it raises for flat tangents."""
+    rows = ["element,xi,eta,x,y,z,nx,ny,nz,kappa1,kappa2"]
+    r = resolution
+    for e in range(surface.cnet.n_faces):
+        for j in range(r + 1):
+            for i in range(r + 1):
+                xi, eta = i / r, j / r
+                try:
+                    fr = frame(surface, e, xi, eta)
+                except SingularParameterizationError:
+                    continue
+                k1, k2 = principal_curvatures(fr)
+                x, n = fr.point, fr.normal
+                rows.append(
+                    f"{e},{xi:.6f},{eta:.6f},{x[0]:.12g},{x[1]:.12g},{x[2]:.12g},"
+                    f"{n[0]:.12g},{n[1]:.12g},{n[2]:.12g},{k1:.12g},{k2:.12g}"
+                )
+    return "\n".join(rows) + "\n"

@@ -1,0 +1,392 @@
+"""Analysis passes in bounded memory: ``group_table`` built only to the
+derivative order a caller uses, every pass in element blocks of one table
+budget (``evaluate.BLOCK_ENTRIES``), K and M scattered into one shared CSR
+pattern, the frames CSV on ``group_frames``, and the padded class size of
+``GSplineSurface.from_rows`` bounded."""
+
+import base64
+import dataclasses
+import functools
+import json
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from gspline import evaluate, quality
+from gspline.archive import surface_from_json, surface_to_json
+from gspline.cli import main, surface_check
+from gspline.construct_c0 import build_c0
+from gspline.construct_g1 import build_g1
+from gspline.errors import DegenerateBasisError, ResourceError, SingularParameterizationError
+from gspline.evaluate import (
+    frame,
+    frames_csv,
+    map_groups,
+    principal_curvatures,
+    rotation_offset_matrix,
+)
+from gspline.extraction import group_table, rationalize
+from gspline.mesh import ControlNet
+from gspline.refine import refine_n
+from gspline.solve import (
+    assemble_membrane_eigen,
+    assemble_poisson,
+    compute_errors,
+    mean_element_size,
+    solve_poisson,
+)
+
+import coo_assembly
+import element_loop
+import extraction_list
+import netgen
+
+
+@functools.cache
+def rot44(level, variant):
+    c0 = build_c0(refine_n(netgen.rot44(), level)[0])
+    return c0 if variant == "c0" else build_g1(c0, variant)
+
+
+@functools.cache
+def quad(level, variant):
+    c0 = build_c0(refine_n(netgen.structured(1, 1), level)[0])
+    return c0 if variant == "c0" else build_g1(c0, variant)
+
+
+CASES = [(0, "c0"), (1, "g1p"), (1, "g1r"), (2, "g1r")]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tiny_blocks(monkeypatch, entries=1):
+    """A budget so small that every block holds one element."""
+    monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", entries)
+
+
+def close(a, b, rel=1e-14):
+    """Equal up to rounding: BLAS sums a product of a few rows through
+    another kernel than a large one."""
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= rel * np.abs(b).max()
+
+
+def same_report(a, b, rel=1e-12):
+    assert a.keys() == b.keys()
+    for key, x in a.items():
+        if isinstance(x, float) or (isinstance(x, list) and isinstance(x[0], float)):
+            assert np.allclose(x, b[key], rtol=rel, atol=0.0), key
+        else:
+            assert x == b[key], key
+
+
+class TestDerivativeOrder:
+    @pytest.mark.parametrize("rot", [None, 1, 2])
+    @pytest.mark.parametrize("level, variant", CASES)
+    def test_lower_orders_are_the_leading_tables(self, level, variant, rot):
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, (7, 2))
+        axes = None if rot is None else rotation_offset_matrix(rot)[1]
+        kinds = set()
+        for g in rot44(level, variant).groups:
+            kinds.add(g.rational)
+            *full, (bad, _) = group_table(g, pts, axes)
+            for order in (0, 1, 2):
+                *tables, (bad_k, _) = group_table(g, pts, axes, order=order)
+                assert len(tables) == order + 1
+                assert all(same_bits(a, b) for a, b in zip(tables, full))
+                assert same_bits(bad_k, bad)
+        assert kinds == ({False, True} if variant == "g1r" else {False})
+
+    def test_rationalize_to_each_order(self):
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(0.1, 1.0, (9, 5))
+        d1, d2 = rng.normal(size=(9, 5, 2)), rng.normal(size=(9, 5, 3))
+        full = rationalize(vals, d1, d2)
+        for given in ((vals,), (vals, d1)):
+            got = rationalize(*given)
+            assert len(got) == len(given)
+            assert all(same_bits(a, b) for a, b in zip(got, full))
+
+
+def per_element(surface, points):
+    """Every element's (values, first, second derivative) tables at points,
+    from ``map_groups``, keyed by element."""
+    out = {}
+
+    def visit(sub):
+        vals, d1, d2, _ = group_table(sub, points)
+        for i, e in enumerate(sub.elements.tolist()):
+            out[e] = (vals[i], d1[i], d2[i])
+        return len(sub.elements)
+
+    return out, map_groups(surface, visit, len(points))
+
+
+GRID = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10)),
+                axis=-1).reshape(-1, 2)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("level, variant", [(3, "c0"), (3, "g1r"), (4, "g1p")])
+    def test_blocked_tables_equal_one_call_per_group(self, level, variant):
+        """At the default budget, as ``compute_errors`` cuts its 10 x 10 grid:
+        the values and first derivatives, the tables of the Galerkin passes,
+        are bitwise those of one call over the group.  The 300 columns of
+        the second derivatives can differ in the last bits, since BLAS cuts
+        a larger product into other row ranges."""
+        surf = rot44(level, variant)
+        blocked, sizes = per_element(surf, GRID)
+        assert len(sizes) > len(surf.groups) + 4 and sum(sizes) == surf.cnet.n_faces
+        for g in surf.groups:
+            vals, d1, d2, _ = group_table(g, GRID)
+            for i, e in enumerate(g.elements.tolist()):
+                assert same_bits(blocked[e][0], vals[i]) and same_bits(blocked[e][1], d1[i]), e
+                assert close(blocked[e][2], d2[i]), e
+
+    @pytest.mark.parametrize("level, variant", CASES)
+    def test_one_element_blocks(self, level, variant, monkeypatch):
+        surf = rot44(level, variant)
+        pts = quality.gauss_legendre_2d(4).points
+        tiny_blocks(monkeypatch)
+        blocked, sizes = per_element(surf, pts)
+        assert sizes == [1] * surf.cnet.n_faces
+        for g in surf.groups:
+            whole = group_table(g, pts)[:3]
+            for i, e in enumerate(g.elements.tolist()):
+                assert all(close(a, b[i]) for a, b in zip(blocked[e], whole)), e
+
+    def test_blocks_are_near_equal(self):
+        g = rot44(1, "g1r").groups[0]
+        for count in (0, 1, 5, 48, 49, 1000):
+            for points in (1, 16, 100, 10**6):
+                blocks = g.blocks(points, count)
+                sizes = [b.stop - b.start for b in blocks]
+                assert sum(sizes) == count and blocks == sorted(blocks, key=lambda b: b.start)
+                assert all(size * g.mask.shape[1] * points <= evaluate.BLOCK_ENTRIES
+                           for size in sizes if size > 1)
+                assert not sizes or max(sizes) - min(sizes) <= 1
+
+    def test_blocks_keep_to_the_budget(self):
+        surf = rot44(3, "g1r")
+        blocks = map_groups(surf, lambda sub: (sub.elements, sub.mask.shape[1]), 100)
+        assert np.array_equal(np.concatenate([e for e, _ in blocks]),
+                              np.concatenate([g.elements for g in surf.groups]))
+        assert len(blocks) > len(surf.groups)
+        assert all(len(e) * n * 100 <= evaluate.BLOCK_ENTRIES for e, n in blocks)
+
+    def test_passes_unchanged_by_the_block_size(self, monkeypatch):
+        surf = rot44(2, "g1r")
+        system = assemble_poisson(surf, with_mass=True)
+        u = solve_poisson(system)
+        errs, size = compute_errors(surf, u), mean_element_size(surf)
+        frames = quality._quadrature_frames(surf)
+        tiny_blocks(monkeypatch)
+        small = assemble_poisson(surf, with_mass=True)
+        assert close(small.load, system.load)
+        for a, b in ((small.K, system.K), (small.M, system.M)):
+            assert same_bits(a.indices, b.indices) and same_bits(a.indptr, b.indptr)
+            assert close(a.data, b.data)
+        small_errs = compute_errors(surf, u)
+        assert all(abs(small_errs[k] - errs[k]) <= 1e-15 for k in errs)
+        assert abs(mean_element_size(surf) - size) <= 1e-14 * size
+        assert all(close(a, b) for a, b in zip(quality._quadrature_frames(surf), frames))
+
+    def test_lowest_failing_element_in_a_later_block(self, monkeypatch):
+        """The rational group runs after the cubic one, so its lower failing
+        element sits in a later block than the cubic element's."""
+        surf = rot44(1, "g1r")
+        rational = [e for e, x in enumerate(surf.extractions) if x.rational]
+        cubic = [e for e, x in enumerate(surf.extractions) if not x.rational]
+        d = rational[2]
+        s = min(e for e in cubic if e > d)
+        exts = list(surf.extractions)
+        exts[s] = dataclasses.replace(exts[s], coeffs=0.0 * exts[s].coeffs)
+        exts[d] = dataclasses.replace(exts[d], coeffs=-exts[d].coeffs)
+        bad = extraction_list.surface(surf.net, exts, surf.variant)
+        tiny_blocks(monkeypatch)
+        u = np.zeros(surf.cnet.n_vertices)
+        for fn, args in ((assemble_poisson, ()), (compute_errors, (u,)),
+                         (mean_element_size, ()), (quality._quadrature_frames, ())):
+            with pytest.raises(DegenerateBasisError) as info:
+                fn(bad, *args)
+            assert info.value.element == d, fn
+
+
+@functools.cache
+def archived_check(level, variant):
+    surface = surface_from_json(surface_to_json(rot44(level, variant)))
+    return surface, surface_check(surface)
+
+
+class TestEdgeBlocks:
+    @pytest.mark.parametrize("variant", ["c0", "g1p", "g1r"])
+    def test_check_report_unchanged_by_the_block_size(self, variant, monkeypatch):
+        surface, report = archived_check(1, variant)
+        tiny_blocks(monkeypatch, 16 * 31 * 2)
+        same_report(surface_check(surface), report)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 4), (3, 5), (0, 7)])
+    def test_lowest_failing_element_in_a_later_block(self, pair, monkeypatch):
+        surface, _ = archived_check(1, "g1r")
+        exts = list(surface.extractions)
+        rational = [i for i, x in enumerate(exts) if x.rational]
+        lo, hi = (rational[i] for i in pair)
+        for e in (lo, hi):
+            exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
+        bad = extraction_list.surface(surface.net, exts, "g1r")
+        with pytest.raises(DegenerateBasisError) as whole:
+            surface_check(bad)
+        tiny_blocks(monkeypatch)
+        with pytest.raises(DegenerateBasisError) as blocked:
+            surface_check(bad)
+        assert whole.value.element == blocked.value.element == lo
+
+
+class TestSharedPattern:
+    @pytest.mark.parametrize("level, variant", CASES)
+    def test_pattern_and_entries_match_the_coo_assembly(self, level, variant):
+        surf = rot44(level, variant)
+        system = assemble_poisson(surf, with_mass=True)
+        K, M, load = coo_assembly.assemble(surf)
+        for ours, ref in ((system.K, K), (system.M, M)):
+            assert ref.has_canonical_format
+            assert same_bits(ours.indptr, ref.indptr)
+            assert same_bits(ours.indices, ref.indices)
+            assert np.abs(ours.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        assert same_bits(system.load, load)
+        assert np.shares_memory(system.K.indices, system.M.indices)
+        assert np.shares_memory(system.K.indptr, system.M.indptr)
+
+    def test_without_mass(self):
+        surf = rot44(1, "g1r")
+        system = assemble_poisson(surf)
+        K, _, load = coo_assembly.assemble(surf, with_mass=False)
+        assert system.M is None
+        assert same_bits(system.K.indices, K.indices) and same_bits(system.load, load)
+
+    def test_membrane_assembly_memory(self):
+        """rot44 L4 g1r: 82.7 MB with the whole-surface triplets, about 30 MB
+        in blocks."""
+        surface = rot44(4, "g1r")
+        surface.group_slots  # noqa: B018 - computed before measuring
+        tracemalloc.start()
+        try:
+            system = assemble_membrane_eigen(surface)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6
+        assert system.K.nnz == system.M.nnz > 0
+
+
+def parsed(text):
+    lines = text.splitlines()
+    return lines[0], np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+class TestFramesCsv:
+    @pytest.mark.parametrize("surface", [
+        pytest.param(lambda: rot44(0, "c0"), id="rot44_c0"),
+        pytest.param(lambda: rot44(0, "g1p"), id="rot44_g1p"),
+        pytest.param(lambda: rot44(0, "g1r"), id="rot44_g1r"),
+        pytest.param(lambda: quad(2, "g1r"), id="quad_L2_g1r"),
+        pytest.param(lambda: build_c0(netgen.cylinder(n_theta=8, n_z=2)), id="cylinder_c0"),
+    ])
+    def test_equals_the_point_loop(self, surface):
+        """Same rows and points; the values agree to the last of the 12
+        printed digits (the zeros of a flat normal may change sign)."""
+        surf = surface()
+        head, ours = parsed(frames_csv(surf, 5))
+        ref_head, ref = parsed(element_loop.frames_csv(surf, 5))
+        assert head == ref_head and ours.shape == ref.shape
+        assert np.array_equal(ours[:, :3], ref[:, :3])
+        np.testing.assert_allclose(ours[:, 3:], ref[:, 3:], rtol=1e-11, atol=1e-12)
+
+    def test_flat_points_are_skipped(self):
+        net = netgen.structured(1, 1)
+        pos = np.array(net.positions)
+        pos[1] = pos[0]  # one side of the element collapses to a point
+        surf = build_c0(ControlNet(net.cnet, pos))
+        with pytest.raises(SingularParameterizationError):
+            frame(surf, 0, 0.5, 0.0)
+        head, rows = parsed(frames_csv(surf, 4))
+        ref_head, ref = parsed(element_loop.frames_csv(surf, 4))
+        assert 0 < len(rows) < 25 and np.array_equal(rows[:, :3], ref[:, :3])
+        np.testing.assert_allclose(rows[:, 3:], ref[:, 3:], rtol=1e-11, atol=1e-12)
+
+    def test_lowest_degenerate_element_raises(self, monkeypatch):
+        surf = rot44(1, "g1r")
+        exts = list(surf.extractions)
+        rational = [e for e, x in enumerate(exts) if x.rational]
+        for e in (rational[5], rational[1]):
+            exts[e] = dataclasses.replace(exts[e], coeffs=-exts[e].coeffs)
+        bad = extraction_list.surface(surf.net, exts, "g1r")
+        tiny_blocks(monkeypatch)
+        for fn in (frames_csv, element_loop.frames_csv):
+            with pytest.raises(DegenerateBasisError) as info:
+                fn(bad, 2)
+            assert info.value.element == rational[1]
+
+    def test_batched_principal_curvatures_are_the_pointwise_ones(self):
+        surf = build_c0(netgen.bumped(netgen.cylinder(n_theta=6, n_z=2)))
+        xi, eta = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        for e in range(surf.cnet.n_faces):
+            fr = frame(surf, e, xi, eta)
+            k1, k2 = principal_curvatures(fr)
+            for j in range(xi.size):
+                at = (fr.metric.reshape(-1, 2, 2)[j], fr.curvature.reshape(-1, 2, 2)[j])
+                ref = element_loop.principal_curvatures(SimpleNamespace(
+                    metric=at[0], curvature=at[1]))
+                assert (k1.flat[j], k2.flat[j]) == ref
+
+
+def widened(level=3):
+    """rot44 L3 c0 archive text with element 0 widened to every vertex id,
+    zero rows but for its own."""
+    payload = json.loads(surface_to_json(rot44(level, "c0")))
+    record = payload["elements"][0]
+    n = len(payload["net"]["positions"])
+    rows = np.zeros((n, 16))
+    own = np.frombuffer(base64.b64decode(record["coeffs"]), dtype="<f8").reshape(-1, 16)
+    rows[record["basis"]] = own
+    record["basis"] = list(range(n))
+    record["coeffs"] = base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii")
+    return json.dumps(payload)
+
+
+class TestPaddingBound:
+    def test_widened_element_is_a_resource_error(self, tmp_path):
+        text = widened()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="element 0 with 1089 basis functions"):
+                surface_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # the padded class alone would be 143 MB
+        path = tmp_path / "wide.json"
+        path.write_text(text)
+        assert main(["check", str(path), "-o", str(tmp_path / "out.json")]) == 5
+
+    def test_widened_small_surface_still_loads(self):
+        """Below the 64 MB floor a wide element is only padding."""
+        surface = surface_from_json(widened(level=1))
+        assert surface.groups[0].mask.shape[1] == surface.cnet.n_vertices
+
+    def test_ratio_and_floor(self, monkeypatch):
+        surf = rot44(1, "g1r")
+        args = dict(degree=[x.degree for x in surf.extractions],
+                    rational=[x.rational for x in surf.extractions],
+                    counts=[x.n_basis for x in surf.extractions],
+                    basis=np.concatenate([x.basis for x in surf.extractions]),
+                    coeffs={p: np.concatenate([x.coeffs for x in surf.extractions
+                                               if x.degree == p]) for p in (3, 5)})
+        monkeypatch.setattr(evaluate, "PADDING_FLOOR", 0)
+        evaluate.GSplineSurface.from_rows(surf.net, "g1r", **args)  # within 8 times
+        monkeypatch.setattr(evaluate, "MAX_PADDING", 1)
+        with pytest.raises(ResourceError):
+            evaluate.GSplineSurface.from_rows(surf.net, "g1r", **args)
