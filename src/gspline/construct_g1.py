@@ -24,17 +24,19 @@ together: one factorization, one right-hand-side column per function.
 
 Unknowns are numbered from integer slot keys (``slot_keys``: corner
 slots by vertex, side slots by edge position, interior slots per face),
-so elements share the unknowns of their common edges.  Set-up is a few
-array passes: the extraction rows of the irregular elements, read from
+so elements share the unknowns of their common edges.  Set-up stays in
+arrays from ``analyze_net`` (the irregular faces and their clusters) to
+``GSplineSurface.from_rows``: their extraction rows, read from
 ``c0.groups``, give each function's support and solve set as a row of a
 boolean table over the irregular faces; ``slot_keys`` makes a problem's
-(elements, 36) key table in one call; and one stacked ``degree_elevate_2``
+(elements, 36) key table in one call; one stacked ``degree_elevate_2``
 call elevates the cubic rows of all its (element, function) pairs, as in
 ``elevate_irregular``.  ``assemble`` writes G and F from index arrays:
-sides from ``cnet.edge_faces`` and ``evaluate.edge_sides``, the seven
-rows of each constrained edge from one stencil table (``_EDGE_STENCIL``)
-with one ``np.add.at``, an identity row per pinned unknown and the 60
-fairing differences of each element.
+(element, side) arrays from ``cnet.edge_faces`` and
+``evaluate.edge_sides``, the seven rows of each constrained edge from one
+stencil table (``_EDGE_STENCIL``) with one ``np.add.at``, an identity row
+per pinned unknown and the 60 fairing differences of each element.
+``solve`` gives each function's (elements, 36) rows, stored as they are.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
@@ -53,7 +55,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleConstraintError, InternalError
 from .evaluate import GSplineSurface, edge_frames, edge_sides, edge_sums
 from .extraction import degree_elevate_2
-from .mesh import CNet, classify_elements, irregular_basis_vertices
+from .mesh import CNet, irregular_basis_vertices
 
 P = 5  # irregular elements are bi-quintic
 # The fairing normal equations are solved only when the Cholesky factor's
@@ -131,13 +133,15 @@ def glued_sides(cnet: CNet, sides, edges):
 
 @dataclass
 class NetAnalysis:
+    """Net data shared by all constraint problems of one build: the
+    irregular faces (those with an extraordinary corner), ascending; the
+    extraordinary-vertex cluster of each, named by its smallest EP; and
+    the (faces, rots) arrays of every edge from ``evaluate.edge_sides``."""
+
     cnet: CNet
-    labels: list
-    eps: list
-    irregular_faces: set
-    face_cluster: dict  # irregular face (ascending) -> cluster id
-    cluster_rings: dict  # cluster id -> sorted list of irregular faces
-    sides: tuple  # (faces, rots) of every edge, from evaluate.edge_sides
+    faces: np.ndarray
+    cluster: np.ndarray
+    sides: tuple
 
 
 def analyze_net(cnet: CNet) -> NetAnalysis:
@@ -168,16 +172,8 @@ def analyze_net(cnet: CNet) -> NetAnalysis:
     named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
     name = np.full(size, -1)
     name[named] = eps[smallest]
-    cluster = name[component[n_v + irregular]]
-
-    return NetAnalysis(
-        cnet=cnet, labels=classify_elements(cnet), eps=eps.tolist(),
-        irregular_faces=set(irregular.tolist()),
-        face_cluster=dict(zip(irregular.tolist(), cluster.tolist())),
-        cluster_rings={int(c): irregular[cluster == c].tolist()
-                       for c in np.unique(cluster)},
-        sides=edge_sides(cnet),
-    )
+    return NetAnalysis(cnet, irregular, name[component[n_v + irregular]],
+                       edge_sides(cnet))
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +265,6 @@ class ConstraintSystem:
     tags: list  # provenance per equality row (edge id or pin description)
 
 
-def _clusters(info: NetAnalysis) -> tuple[np.ndarray, np.ndarray]:
-    """The irregular faces, ascending, and the cluster of each."""
-    return (np.fromiter(info.face_cluster, np.int64),
-            np.fromiter(info.face_cluster.values(), np.int64))
-
-
 def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
     """Element, basis id and cubic coefficients (16,) of every extraction
     row of ``faces`` (ascending), by element then row, from ``c0.groups``:
@@ -291,8 +281,10 @@ def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
 def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
     """The irregular faces (ascending); the face index, basis id and cubic
     coefficients of their extraction rows; and two (len(functions),
-    len(faces)) tables: each function's support and ``solve_elements``."""
-    faces, cluster = _clusters(info)
+    len(faces)) tables: each function's support, and the faces it is
+    solved over: its support (g1r) or every face of the clusters its
+    support touches (g1p)."""
+    faces = info.faces
     element, basis, coeffs = _c0_rows(c0, faces)
     at = np.searchsorted(faces, element)
     ids, col = np.unique(functions, return_inverse=True)
@@ -301,28 +293,12 @@ def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
     support = np.zeros((ids.size, faces.size), dtype=bool)
     support[fn, at[hit]] = True
     solved = support
-    if variant == "g1p":  # every face of the cluster rings the support touches
-        names, ring = np.unique(cluster, return_inverse=True)
+    if variant == "g1p":
+        names, ring = np.unique(info.cluster, return_inverse=True)
         touched = np.zeros((ids.size, names.size), dtype=bool)
         touched[fn, ring[at[hit]]] = True
         solved = touched[:, ring]
     return faces, (at, basis, coeffs), support[col], solved[col]
-
-
-def basis_supports(c0: GSplineSurface, info: NetAnalysis, functions) -> dict:
-    """Irregular elements supporting each of ``functions``: id -> set."""
-    ids = np.array(list(functions), dtype=np.int64)
-    faces, _, support, _ = _tables(c0, info, ids, "g1r")
-    return {a: set(faces[row].tolist()) for a, row in zip(ids.tolist(), support)}
-
-
-def solve_elements(info: NetAnalysis, support: set, variant: str) -> list[int]:
-    """Sorted elements a function is solved over: its support (g1r) or the
-    union of the cluster rings its support touches (g1p)."""
-    if variant == "g1r":
-        return sorted(support)
-    faces, cluster = _clusters(info)
-    return faces[np.isin(cluster, cluster[np.isin(faces, list(support))])].tolist()
 
 
 class ConstraintProblem:
@@ -334,6 +310,11 @@ class ConstraintProblem:
     edge set: "g1p" couples every edge between two in-cluster irregular
     elements, "g1r" couples only edges interior to the function's original
     support and pins the rest.
+
+    ``elements`` (the faces solved over) and ``constrained_edges`` are
+    ascending id arrays; ``supports`` are boolean rows over ``info.faces``;
+    ``slot_nodes[r, i + 6 j]`` is the unknown of slot (i, j) of element
+    ``elements[r]``; the three ``*_sides`` are (k, 2) (element, side) arrays.
     """
 
     def __init__(self, c0: GSplineSurface, basisfn, variant: str,
@@ -350,25 +331,21 @@ class ConstraintProblem:
         self.info = analysis if analysis is not None else analyze_net(c0.cnet)
         cnet = c0.cnet
 
-        faces, (at, basis, coeffs), support, solved = _tables(c0, self.info, fns, variant)
-        self.supports = [set(faces[row].tolist()) for row in support]
+        faces, (at, basis, coeffs), self.supports, solved = _tables(
+            c0, self.info, fns, variant)
         named = f"basis functions {self.functions}"
         if not solved.any():
             raise DomainError(f"{named} support no irregular element")
         if (solved != solved[0]).any():
             raise DomainError(f"{named} are solved over different element sets")
-        els = faces[solved[0]]
-        self.elements = els.tolist()
+        self.elements = els = faces[solved[0]]
 
         # unknowns numbered by first appearance of their slot key, element
-        # by element, j then i; grid_nodes[f][i, j] is the unknown of slot
-        # (i, j) on element f
+        # by element, j then i
         _, first, inverse = np.unique(slot_keys(cnet, els), return_index=True,
                                       return_inverse=True)
         nodes = first.argsort().argsort()[inverse.ravel()]
         self.slot_nodes = nodes.reshape(-1, (P + 1) ** 2)  # row per element
-        self.grid_nodes: dict[int, np.ndarray] = dict(zip(
-            self.elements, self.slot_nodes.reshape(-1, P + 1, P + 1).swapaxes(1, 2)))
         self.n = first.size
 
         # elevated targets from one call on the first cubic row of every
@@ -384,7 +361,7 @@ class ConstraintProblem:
         if bad.any():
             raise InternalError(
                 "inconsistent elevated coefficients at a shared node of "
-                f"element {self.elements[bad.argmax() // (P + 1) ** 2]}")
+                f"element {els[bad.argmax() // (P + 1) ** 2]}")
         self.ctilde = ctilde.reshape((self.n,) + cols)
 
         # Classify the sides of every element.  Edges interior to the
@@ -406,9 +383,9 @@ class ConstraintProblem:
 
         def sides(mask):
             f, s = np.nonzero(mask)
-            return list(zip(els[f].tolist(), s.tolist()))
+            return np.column_stack([els[f], s])
 
-        self.constrained_edges = np.unique(side_edges[inside]).tolist()
+        self.constrained_edges = np.unique(side_edges[inside])
         self.frozen_sides = sides(~boundary & ~inside & irregular)
         self.pinned_sides = sides(~boundary & ~inside & ~irregular)
         self.boundary_sides = sides(boundary)
@@ -424,16 +401,13 @@ class ConstraintProblem:
         # domain-boundary sides.  Frozen (zero) pins come first so shared
         # corner slots obey the stronger support-boundary condition; each
         # unknown is pinned once, by its first side.
-        pins, tags = [np.zeros(0, dtype=int)], []
+        pins, tags = [], []
         for kind, sides, width in (("frozen", self.frozen_sides, 2 * P + 2),
                                    ("pin", self.pinned_sides, 2 * P + 2),
                                    ("trace", self.boundary_sides, P + 1)):
-            if sides:
-                f, s = np.array(sides).T
-                rows = np.searchsorted(self.elements, f)[:, None]
-                pins.append(
-                    self.slot_nodes[rows, _SIDE_SLOTS[s, :width]].ravel())
-                tags += [(kind, *side) for side in sides for _ in range(width)]
+            rows = np.searchsorted(self.elements, sides[:, 0])[:, None]
+            pins.append(self.slot_nodes[rows, _SIDE_SLOTS[sides[:, 1], :width]].ravel())
+            tags += [(kind, f, s) for f, s in sides.tolist() for _ in range(width)]
         pins = np.concatenate(pins)
         keep = np.sort(np.unique(pins, return_index=True)[1])
         pinned = pins[keep]
@@ -441,7 +415,7 @@ class ConstraintProblem:
         pin_rhs[keep < (2 * P + 2) * len(self.frozen_sides)] = 0.0
 
         # Edge rows from the stencil table, each edge glued at its v1
-        edges = np.array(self.constrained_edges, dtype=int)
+        edges = self.constrained_edges
         faces, rots, omega = glued_sides(cnet, self.info.sides, edges)
         w1, w2 = omega[:, :1], omega[:, 1:]
         side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
@@ -455,7 +429,7 @@ class ConstraintProblem:
         G[n_edge_rows + np.arange(pinned.size), pinned] = 1.0
         g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
                             pin_rhs])
-        tags = [("edge", e) for e in self.constrained_edges
+        tags = [("edge", e) for e in edges.tolist()
                 for _ in range(7)] + [tags[k] for k in keep]
 
         a = self.slot_nodes[:, _FAIR_A].ravel()
@@ -467,25 +441,18 @@ class ConstraintProblem:
                                 f=self.ctilde[a] - self.ctilde[b], tags=tags)
 
     def solve(self):
-        """``(grids, diag)`` of the function, or a list of them (one per
-        function) when built from a sequence of ids; ``grids`` maps each
-        element to its (6, 6) coefficient grid."""
+        """``(rows, diag)`` of the function, or a list of them (one per
+        function) when built from a sequence of ids; ``rows`` are its
+        (len(elements), 36) coefficients, laid out as ``slot_nodes``."""
         c, infos = solve_constrained_ls(self.assemble(), return_info=True)
-        c = c.reshape(self.n, -1)
-        out = []
         infos = infos if self.ctilde.ndim > 1 else [infos]
-        for k, (a, support, diag) in enumerate(
-                zip(self.functions, self.supports, infos)):
-            grids = {f: c[self.grid_nodes[f], k] for f in self.elements}
-            diag.update(
-                basis=a,
-                n_unknowns=self.n,
-                n_constrained_edges=len(self.constrained_edges),
-                n_pinned_sides=len(self.pinned_sides),
-                support_before=len(support),
-                support_after=len(self.elements),
-            )
-            out.append((grids, diag))
+        for a, support, diag in zip(self.functions, self.supports, infos):
+            diag.update(basis=a, n_unknowns=self.n,
+                        n_constrained_edges=len(self.constrained_edges),
+                        n_pinned_sides=len(self.pinned_sides),
+                        support_before=int(support.sum()),
+                        support_after=len(self.elements))
+        out = list(zip(np.moveaxis(c.reshape(self.n, -1)[self.slot_nodes], -1, 0), infos))
         return out if self.ctilde.ndim > 1 else out[0]
 
 
@@ -638,10 +605,8 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     for g in np.argsort(first):
         members = np.flatnonzero(group == g)
         problem = ConstraintProblem(c0, functions[members], variant, analysis=info)
-        grids, diagnostics[members] = zip(*problem.solve())
-        coeffs[slot[members][:, solved[members[0]]]] = np.array(
-            [list(by_face.values()) for by_face in grids]).swapaxes(2, 3).reshape(
-                members.size, -1, (P + 1) ** 2)
+        rows, diagnostics[members] = zip(*problem.solve())
+        coeffs[slot[members][:, solved[members[0]]]] = rows
     # the kept C0 rows of the other faces and these, in element order
     n = c0.cnet.n_faces
     solved_face = np.isin(np.arange(n), faces)

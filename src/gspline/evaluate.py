@@ -239,6 +239,8 @@ def map_point(surface: GSplineSurface, element: int, xi, eta, nderiv: int = 0):
     may be scalars or arrays; arrays broadcast against each other and
     their shape leads every output.
     """
+    if nderiv not in (0, 1, 2):
+        raise DomainError("nderiv must be 0, 1 or 2")
     ext = surface.extraction(element)
     xi, eta = np.broadcast_arrays(xi, eta)
     vals, d1, d2 = basis_table(ext, np.stack([xi.ravel(), eta.ravel()], 1))
@@ -679,8 +681,9 @@ def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
     map_groups(surface, sample, m)
     uv = uv.tolist()
     rows = ["element,xi,eta,x,y,z,nx,ny,nz,kappa1,kappa2"]
+    # + 0.0 turns -0.0, whose sign depends on the summation path, into 0.0
     for i, (x, y, z, nx, ny, nz, k1, k2) in zip(np.flatnonzero(kept).tolist(),
-                                                table[kept].tolist()):
+                                                (table[kept] + 0.0).tolist()):
         xi, eta = uv[i % m]
         rows.append(f"{i // m},{xi:.6f},{eta:.6f},{x:.12g},{y:.12g},{z:.12g},"
                     f"{nx:.12g},{ny:.12g},{nz:.12g},{k1:.12g},{k2:.12g}")

@@ -4,7 +4,9 @@ scalar ``face_across`` calls, every frame slot of a constrained edge
 resolved through a scalar ``node`` lookup and each edge's seven rows
 written one coefficient at a time into a (7, n) block, then the pin rows
 and the fairing rows as ``assemble`` wrote them before its edge blocks
-came from stencil tables.  The package must produce bitwise-equal systems.
+came from stencil tables.  Element classes come from
+``mesh.classify_elements``, not from the package's net analysis.  The
+package must produce bitwise-equal systems.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from gspline.construct_g1 import (
 )
 from gspline.errors import DomainError, InternalError
 from gspline.evaluate import edge_frames
-from gspline.mesh import ElementClass
+from gspline.mesh import ElementClass, classify_elements
 
 
 def face_across(cnet, face: int, edge: int) -> int | None:
@@ -33,12 +35,14 @@ def face_across(cnet, face: int, edge: int) -> int | None:
 
 def classify_sides(problem: ConstraintProblem):
     """``(constrained_edges, pinned_sides, frozen_sides, boundary_sides)``
-    of a problem's elements."""
+    of a problem's elements, as lists of edge ids and (element, side)."""
     cnet = problem.c0.cnet
-    element_set = set(problem.elements)
+    labels = classify_elements(cnet)
+    elements = problem.elements.tolist()
+    element_set = set(elements)
     constrained_edges, pinned_sides, frozen_sides, boundary_sides = [], [], [], []
     seen_edges = set()
-    for f in problem.elements:
+    for f in elements:
         for s in range(4):
             e = int(cnet.face_edges[f][s])
             other = face_across(cnet, f, e)
@@ -48,7 +52,7 @@ def classify_sides(problem: ConstraintProblem):
                 if e not in seen_edges:
                     seen_edges.add(e)
                     constrained_edges.append(e)
-            elif problem.info.labels[other] is ElementClass.IRREGULAR:
+            elif labels[other] is ElementClass.IRREGULAR:
                 frozen_sides.append((f, s))
             else:
                 pinned_sides.append((f, s))
@@ -72,7 +76,8 @@ def rotate_grid_index(k: int, p: int, i: int, j: int) -> tuple[int, int]:
 def node(problem: ConstraintProblem, face: int, rot: int, i: int, j: int) -> int:
     """Unknown index of 1-based frame slot (i, j) of a rotated element."""
     si, sj = rotate_grid_index(rot, P, i - 1, j - 1)
-    return int(problem.grid_nodes[face][si, sj])
+    row = problem.elements.tolist().index(face)
+    return int(problem.slot_nodes[row, si + (P + 1) * sj])
 
 
 def edge_block(problem: ConstraintProblem, edge: int) -> np.ndarray:
@@ -81,13 +86,14 @@ def edge_block(problem: ConstraintProblem, edge: int) -> np.ndarray:
     cnet = problem.c0.cnet
     geom = edge_geometry(cnet, edge)
     fr = edge_frames(cnet, edge, v1=geom.v1)
-    element_set = set(problem.elements)
+    element_set = set(problem.elements.tolist())
     if fr.left not in element_set or fr.right not in element_set:
         raise InternalError(
             f"edge {edge} flanked by an element outside the unknown set"
         )
-    if (problem.info.labels[fr.left] is not ElementClass.IRREGULAR
-            or problem.info.labels[fr.right] is not ElementClass.IRREGULAR):
+    labels = classify_elements(cnet)
+    if (labels[fr.left] is not ElementClass.IRREGULAR
+            or labels[fr.right] is not ElementClass.IRREGULAR):
         raise InternalError(
             f"edge {edge} is not between two irregular elements"
         )
@@ -127,13 +133,13 @@ def edge_block(problem: ConstraintProblem, edge: int) -> np.ndarray:
 def assemble(problem: ConstraintProblem) -> ConstraintSystem:
     """Equality rows (seven per constrained edge, then one identity row
     per pinned unknown) and fairing rows (60 per element)."""
-    flat = {f: grid.ravel(order="F") for f, grid in problem.grid_nodes.items()}
+    flat = dict(zip(problem.elements.tolist(), problem.slot_nodes))
 
     pins, tags = [np.zeros(0, dtype=int)], []
     for kind, sides, width in (("frozen", problem.frozen_sides, 2 * P + 2),
                                ("pin", problem.pinned_sides, 2 * P + 2),
                                ("trace", problem.boundary_sides, P + 1)):
-        for f, s in sides:
+        for f, s in sides.tolist():
             pins.append(flat[f][_SIDE_SLOTS[s, :width]])
             tags += [(kind, f, s)] * width
     pins = np.concatenate(pins)
@@ -144,14 +150,14 @@ def assemble(problem: ConstraintProblem) -> ConstraintSystem:
     pin_rows = np.zeros((pinned.size, problem.n))
     pin_rows[np.arange(pinned.size), pinned] = 1.0
 
-    edges = problem.constrained_edges
+    edges = problem.constrained_edges.tolist()
     G = np.vstack([edge_block(problem, e) for e in edges] + [pin_rows])
     g = np.concatenate([np.zeros((7 * len(edges),) + pin_rhs.shape[1:]),
                         pin_rhs])
     tags = [("edge", e) for e in edges for _ in range(7)] + [
         tags[k] for k in keep]
 
-    grids = np.array([flat[f] for f in problem.elements], dtype=int)
+    grids = np.array([flat[f] for f in problem.elements.tolist()], dtype=int)
     a = grids[:, _FAIR_A].ravel()
     b = grids[:, _FAIR_B].ravel()
     F = np.zeros((a.size, problem.n))

@@ -1,21 +1,24 @@
 """Loop-based reference for the set-up half of ``ConstraintProblem`` in
 ``gspline.construct_g1``: slot keys built face by face with a per-side
-loop, supports from a loop over the irregular faces, each function's
-element set from its own ``solve_elements`` call, and the elevated
+loop, supports from a loop over the faces with an extraordinary corner,
+each function's element set from its own ``solve_elements`` call on the
+union-find clusters of ``topology_loop.clusters``, and the elevated
 targets written element by element, each element's cubic rows elevated
 one ``degree_elevate_2`` call at a time and checked against the values
 already on its shared nodes.  ``elevate_irregular`` is the same per-row
-loop over every irregular element.  The package must give bitwise-equal
-tables and raise the same ``InternalError``.
+loop over every irregular element.  Nothing here reads the package's net
+analysis.  The package must give bitwise-equal tables and raise the same
+``InternalError``.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from gspline.construct_g1 import analyze_net
 from gspline.errors import DomainError, InternalError
 from gspline.extraction import degree_elevate_2
+
+import topology_loop
 
 P = 5
 _SLOT = np.arange((P + 1) ** 2).reshape(P + 1, P + 1, order="F")
@@ -37,22 +40,34 @@ def slot_keys(cnet, face: int) -> np.ndarray:
     return keys
 
 
-def basis_supports(c0, info, functions) -> dict:
+def irregular_faces(cnet) -> list[int]:
+    """Faces with an extraordinary corner, ascending."""
+    return [f for f in range(cnet.n_faces)
+            if any(cnet.extraordinary[v] for v in cnet.faces[f])]
+
+
+def clusters(cnet) -> tuple[dict, dict]:
+    """``topology_loop.clusters`` of the net's loop-built twin."""
+    return topology_loop.clusters(topology_loop.LoopCNet(cnet.n_vertices, cnet.faces))
+
+
+def basis_supports(c0, functions) -> dict:
     """Irregular elements supporting each of ``functions``: id -> set."""
     out = {int(a): set() for a in functions}
-    for f in info.irregular_faces:
+    for f in irregular_faces(c0.cnet):
         for a in c0.extraction(f).basis:
             if int(a) in out:
                 out[int(a)].add(f)
     return out
 
 
-def solve_elements(info, support: set, variant: str) -> list[int]:
-    """Sorted support (g1r) or union of the touched cluster rings (g1p)."""
+def solve_elements(rings, support: set, variant: str) -> list[int]:
+    """Sorted support (g1r) or union of the touched cluster rings (g1p);
+    ``rings`` is the ``(face_cluster, cluster_rings)`` of ``clusters``."""
     if variant == "g1r":
         return sorted(support)
-    return sorted({f for s in support
-                   for f in info.cluster_rings[info.face_cluster[s]]})
+    face_cluster, cluster_rings = rings
+    return sorted({f for s in support for f in cluster_rings[face_cluster[s]]})
 
 
 def elevated_grid(c0, functions, face: int) -> np.ndarray:
@@ -67,18 +82,19 @@ def elevated_grid(c0, functions, face: int) -> np.ndarray:
     return grid
 
 
-def setup(c0, basisfn, variant: str, analysis=None) -> SimpleNamespace:
+def setup(c0, basisfn, variant: str, rings=None) -> SimpleNamespace:
     """``elements``, ``supports``, ``slot_nodes``, ``grid_nodes``, ``n``
     and ``ctilde`` of the problem ``ConstraintProblem(c0, basisfn,
-    variant)``, computed by loops."""
+    variant)``, computed by loops; ``rings`` is ``clusters(c0.cnet)``,
+    computed here if not given."""
     functions = [int(a) for a in np.atleast_1d(basisfn)]
     cols = () if np.ndim(basisfn) == 0 else (len(functions),)
-    info = analysis if analysis is not None else analyze_net(c0.cnet)
     cnet = c0.cnet
+    rings = rings if rings is not None else clusters(cnet)
 
-    found = basis_supports(c0, info, functions)
+    found = basis_supports(c0, functions)
     supports = [found[a] for a in functions]
-    element_sets = {tuple(solve_elements(info, s, variant)) for s in supports}
+    element_sets = {tuple(solve_elements(rings, s, variant)) for s in supports}
     if len(element_sets) > 1:
         raise DomainError(
             f"basis functions {functions} are solved over "
@@ -114,9 +130,8 @@ def setup(c0, basisfn, variant: str, analysis=None) -> SimpleNamespace:
 
 def elevate_irregular(c0) -> dict:
     """(basis, element) -> (6, 6) elevated grid, element by element."""
-    info = analyze_net(c0.cnet)
     out = {}
-    for f in sorted(info.irregular_faces):
+    for f in irregular_faces(c0.cnet):
         ext = c0.extraction(f)
         for row, a in enumerate(ext.basis):
             cubic = ext.coeffs[row].reshape(4, 4, order="F")

@@ -305,6 +305,15 @@ class TestFramesCsv:
         assert np.array_equal(ours[:, :3], ref[:, :3])
         np.testing.assert_allclose(ours[:, 3:], ref[:, 3:], rtol=1e-11, atol=1e-12)
 
+    def test_no_negative_zero(self):
+        """Planar points have zero normal components whose sign depends on
+        the summation path; no field is written as -0."""
+        text = frames_csv(rot44(0, "c0"), 8)
+        lines = text.splitlines()[1:]
+        assert len(lines) == 16 * 81
+        assert not any(field.startswith("-0") and float(field) == 0.0
+                       for line in lines for field in line.split(","))
+
     def test_flat_points_are_skipped(self):
         net = netgen.structured(1, 1)
         pos = np.array(net.positions)

@@ -2,7 +2,8 @@
 ``edge_block_loop``: the stencil-table edge rows, the array side
 classification and the rest of ``assemble`` must be bitwise equal.  Its
 set-up (elements, supports, unknown numbering, elevated targets) must be
-bitwise equal to the loop reference ``problem_loop``."""
+bitwise equal to the loop reference ``problem_loop``, whose supports and
+clusters come from loops over the net, not from ``analyze_net``."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ import pytest
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import (
     ConstraintProblem,
+    _tables,
     analyze_net,
-    basis_supports,
     edge_geometry,
     elevate_irregular,
     slot_keys,
-    solve_elements,
 )
 from gspline.errors import InternalError
 from gspline.evaluate import edge_frames
@@ -42,9 +42,8 @@ def problems(c0, variant):
     info = analyze_net(c0.cnet)
     functions = sorted(irregular_basis_vertices(c0.cnet))
     groups = {}
-    for a, support in basis_supports(c0, info, functions).items():
-        groups.setdefault(tuple(solve_elements(info, support, variant)),
-                          []).append(a)
+    for a, row in zip(functions, _tables(c0, info, functions, variant)[3]):
+        groups.setdefault(row.tobytes(), []).append(a)
     return [ConstraintProblem(c0, group, variant, analysis=info)
             for group in groups.values()]
 
@@ -57,9 +56,13 @@ def test_systems_equal_the_loop_bitwise(name, level, variant):
     found = problems(c0, variant)
     assert found
     for problem in found:
-        assert edge_block_loop.classify_sides(problem) == (
-            problem.constrained_edges, problem.pinned_sides,
-            problem.frozen_sides, problem.boundary_sides)
+        edges, *sides = edge_block_loop.classify_sides(problem)
+        assert problem.constrained_edges.dtype.kind == "i"
+        assert problem.constrained_edges.tolist() == edges
+        for mine, ref in zip((problem.pinned_sides, problem.frozen_sides,
+                              problem.boundary_sides), sides):
+            assert mine.shape == (len(ref), 2) and mine.dtype.kind == "i"
+            assert list(map(tuple, mine.tolist())) == ref
         mine, ref = problem.assemble(), edge_block_loop.assemble(problem)
         for key in ("G", "g", "F", "f"):
             a, b = getattr(mine, key), getattr(ref, key)
@@ -76,7 +79,7 @@ def test_every_quarter_turn_and_both_frame_origins_occur():
         c0 = build_c0(NETS[name]())
         for problem in problems(c0, "g1p"):
             cnet = c0.cnet
-            for e in problem.constrained_edges:
+            for e in problem.constrained_edges.tolist():
                 fr = edge_frames(cnet, e, v1=edge_geometry(cnet, e).v1)
                 seen |= {("right", fr.rot_right), ("left", fr.rot_left)}
                 flipped |= fr.v1 != min(cnet.edges[e])
@@ -94,28 +97,29 @@ def bitwise(a, b):
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_setup_equals_the_loop_bitwise(name, level, variant):
     c0 = build_c0(refine_n(NETS[name](), level)[0])
-    info = analyze_net(c0.cnet)
+    info, rings = analyze_net(c0.cnet), problem_loop.clusters(c0.cnet)
     functions = sorted(irregular_basis_vertices(c0.cnet))
-    supports = basis_supports(c0, info, functions)
-    assert supports == problem_loop.basis_supports(c0, info, functions)
-    assert list(supports) == functions
-    for support in supports.values():
-        assert (solve_elements(info, support, variant)
-                == problem_loop.solve_elements(info, support, variant))
+    faces, _, support, solved = _tables(c0, info, functions, variant)
+    assert faces.tolist() == problem_loop.irregular_faces(c0.cnet)
+    supports = problem_loop.basis_supports(c0, functions)
+    assert [set(faces[row].tolist()) for row in support] == list(supports.values())
+    assert [faces[row].tolist() for row in solved] == [
+        problem_loop.solve_elements(rings, s, variant) for s in supports.values()]
     faces = np.arange(c0.cnet.n_faces)
     assert bitwise(slot_keys(c0.cnet, faces),
                    np.array([problem_loop.slot_keys(c0.cnet, f) for f in faces]))
     found = problems(c0, variant)
     assert found
     for problem in found:
-        ref = problem_loop.setup(c0, problem.functions, variant, info)
-        assert problem.elements == ref.elements
-        assert problem.supports == ref.supports
+        ref = problem_loop.setup(c0, problem.functions, variant, rings)
+        assert problem.elements.tolist() == ref.elements
+        assert problem.supports.shape == (len(ref.supports), info.faces.size)
+        assert [set(info.faces[row].tolist()) for row in problem.supports] == ref.supports
         assert problem.n == ref.n
         assert bitwise(problem.slot_nodes, ref.slot_nodes)
-        assert list(problem.grid_nodes) == list(ref.grid_nodes)
-        assert all(bitwise(problem.grid_nodes[f], ref.grid_nodes[f])
-                   for f in ref.grid_nodes)
+        # slot_nodes[r, i + 6 j] is the unknown of grid slot (i, j)
+        assert all(bitwise(problem.slot_nodes[r].reshape(6, 6, order="F"), ref.grid_nodes[f])
+                   for r, f in enumerate(ref.elements))
         assert bitwise(problem.ctilde, ref.ctilde), problem.functions
     # one function given as a scalar: 1-D targets
     a = found[0].functions[0]
@@ -139,20 +143,20 @@ def test_inconsistent_shared_node_names_the_same_element(name, variant):
     for the same element.  The move is made through ``c0.extraction(f)``,
     whose arrays are views of ``c0.groups``, which the package reads."""
     c0 = build_c0(NETS[name]())
-    cnet, info = c0.cnet, analyze_net(c0.cnet)
+    cnet, info, rings = c0.cnet, analyze_net(c0.cnet), problem_loop.clusters(c0.cnet)
     functions = sorted(irregular_basis_vertices(cnet))
-    supports = problem_loop.basis_supports(c0, info, functions)
+    supports = problem_loop.basis_supports(c0, functions)
     a, f, corner = next(
         (a, f, k) for a in functions for f in sorted(supports[a])
         for k in np.flatnonzero(cnet.extraordinary[cnet.faces[f]])
         if sum(cnet.faces[f][k] in cnet.faces[g] for g in
-               problem_loop.solve_elements(info, supports[a], variant)) > 1)
+               problem_loop.solve_elements(rings, supports[a], variant)) > 1)
     ext = c0.extraction(f)
     ext.coeffs[np.flatnonzero(ext.basis == a)[0], [0, 3, 15, 12][corner]] += 1e-3
     group_of, row_of = c0.group_slots
     assert np.shares_memory(ext.coeffs, c0.groups[group_of[f]].coeffs[row_of[f]])
     with pytest.raises(InternalError) as ref:
-        problem_loop.setup(c0, a, variant, info)
+        problem_loop.setup(c0, a, variant, rings)
     with pytest.raises(InternalError) as mine:
         ConstraintProblem(c0, a, variant, analysis=info)
     assert str(mine.value) == str(ref.value)

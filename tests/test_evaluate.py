@@ -89,6 +89,12 @@ class TestMapPoint:
         with pytest.raises(DomainError):
             map_point(surf, 0, np.array([0.2, np.nan]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("nderiv", [-1, 3, 1.5])
+    def test_unsupported_derivative_order(self, nderiv):
+        surf = build_c0(netgen.structured(2, 2))
+        with pytest.raises(DomainError, match="nderiv"):
+            map_point(surf, 0, 0.5, 0.5, nderiv=nderiv)
+
     @pytest.mark.parametrize("variant", ["c0", "g1r"])
     def test_arrays_match_scalar_calls(self, variant):
         net = netgen.bumped(netgen.val33(), amplitude=0.3)

@@ -74,9 +74,13 @@ def assert_same_classes(new, old):
             assert ring_vertices(new, ep, m) == loop.ring_vertices(old, ep, m)
     info = analyze_net(new)
     face_cluster, cluster_rings = loop.clusters(old)
-    assert info.face_cluster == face_cluster
-    assert info.cluster_rings == cluster_rings
-    assert list(info.cluster_rings) == list(cluster_rings)
+    assert info.faces.dtype.kind == info.cluster.dtype.kind == "i"
+    assert info.faces.tolist() == sorted(face_cluster)
+    assert info.cluster.tolist() == [face_cluster[f] for f in sorted(face_cluster)]
+    # each cluster's faces are the one-rings of its extraordinary vertices
+    assert sorted(cluster_rings) == np.unique(info.cluster).tolist()
+    for c, ring in cluster_rings.items():
+        assert info.faces[info.cluster == c].tolist() == ring
 
 
 @pytest.mark.parametrize("levels", [0, 1, 2])

@@ -203,9 +203,11 @@ def irregular_basis_vertices(cnet) -> set[int]:
 
 
 def clusters(cnet) -> tuple[dict, dict]:
-    """``(face_cluster, cluster_rings)`` of ``construct_g1.analyze_net``:
-    extraordinary vertices whose one-rings share a face or an edge are
-    merged by union-find; a cluster is named by its smallest vertex."""
+    """The clusters of ``construct_g1.analyze_net`` as dicts: irregular
+    face -> cluster (``face_cluster``) and cluster -> its sorted faces
+    (``cluster_rings``).  Extraordinary vertices whose one-rings share a
+    face or an edge are merged by union-find; a cluster is named by its
+    smallest vertex."""
     labels = classify_elements(cnet)
     eps = extraordinary_vertices(cnet)
     irregular = {f for f, lab in enumerate(labels) if lab is ElementClass.IRREGULAR}
