@@ -4,10 +4,11 @@ Subcommands cover the pipeline: ``build`` a surface archive from an OBJ
 control net, ``refine`` nets or archives, ``quality`` for the
 minimum-invalid-thickness report, ``poisson`` for the convergence study,
 ``eigen`` for membrane eigenvalues and ``check`` for the invariant
-diagnostics of an archive.  All commands are deterministic for identical
-inputs; errors exit with machine-readable JSON on stderr (exit codes:
-2 input format, 3 topology, 4 construction infeasible, 5 numeric or an
-unexpected exception).
+diagnostics of an archive, whose collocation Gram matrix comes from
+``solve.assemble_pattern`` on the pattern of K.  All commands are
+deterministic for identical inputs; errors exit with machine-readable
+JSON on stderr (exit codes: 2 input format, 3 topology, 4 construction
+infeasible, 5 numeric or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import __version__
@@ -60,6 +60,7 @@ from .quality import min_invalid_thickness
 from .refine import refine_n
 from .solve import (
     assemble_membrane_eigen,
+    assemble_pattern,
     build_variant,
     convergence_study,
     solve_generalized_eigen,
@@ -157,28 +158,22 @@ GRAM_FLOOR = 1e-7  # least sqrt(lambda_min / lambda_max) the Gram matrix resolve
 DENSE_COLLOCATION_BYTES = 2**28  # largest dense collocation matrix below the floor
 
 
-def _collocation_matrix(surface: GSplineSurface) -> sp.csr_matrix:
-    """The sparse basis collocation matrix A: one row per interior tensor
-    point ((arange(p+1) + 1/2) / (p+1), xi fastest) of each element, the
-    groups one after another, and one column per basis function.  Raises
-    for the lowest element whose rational denominator is not positive."""
-    def entries(g):
-        ts = (np.arange(g.degree + 1) + 0.5) / (g.degree + 1)
-        vals, bad_w = group_table(
-            g, np.stack([np.tile(ts, len(ts)), np.repeat(ts, len(ts))], axis=1), order=0)
-        raise_first(g, [bad_w])
-        E, _, m = vals.shape
-        used = np.broadcast_to(g.mask[:, :, None], vals.shape)
-        return (np.broadcast_to(np.arange(E * m).reshape(E, 1, m), vals.shape)[used],
-                np.broadcast_to(g.basis[:, :, None], vals.shape)[used], vals[used], E * m)
+def _collocation_values(g) -> np.ndarray:
+    """Values (E, n, m) of a block's basis at its elements' interior tensor
+    points, xi fastest.  Raises for the lowest nonpositive denominator."""
+    ts = (np.arange(g.degree + 1) + 0.5) / (g.degree + 1)
+    vals, bad_w = group_table(
+        g, np.stack([np.tile(ts, len(ts)), np.repeat(ts, len(ts))], axis=1), order=0)
+    raise_first(g, [bad_w])
+    return vals
 
-    parts = map_groups(surface, entries)
-    offsets = np.cumsum([0] + [rows for *_, rows in parts])
-    return sp.csr_matrix(
-        (np.concatenate([v for _, _, v, _ in parts]),
-         (np.concatenate([r + o for (r, *_), o in zip(parts, offsets)]),
-          np.concatenate([c for _, c, _, _ in parts]))),
-        shape=(offsets[-1], surface.cnet.n_vertices))
+
+def collocation_gram(surface: GSplineSurface):
+    """The Gram matrix A^T A = sum_e V_e V_e^T of the collocation matrix A
+    (one row per interior tensor point of each element, one column per
+    basis function), by ``assemble_pattern`` on the pattern of K and M."""
+    return assemble_pattern(surface, lambda g: [
+        (vals := _collocation_values(g)) @ vals.transpose(0, 2, 1)])[0]
 
 
 def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
@@ -193,9 +188,8 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
     singular) the values come from the dense SVD of A, and a dense A larger
     than ``DENSE_COLLOCATION_BYTES`` is a ResourceError.
     """
-    A = _collocation_matrix(surface)
-    gram = (A.T @ A).tocsc()
-    v0 = np.ones(A.shape[1])
+    gram = collocation_gram(surface)
+    v0 = np.ones(gram.shape[0])
     try:
         (lmax,) = spla.eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)
         (lmin,) = spla.eigsh(gram, k=1, sigma=0.0, which="LM", v0=v0,
@@ -204,11 +198,21 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
         lmin = lmax = 0.0
     if lmin > 0.0 and lmin >= GRAM_FLOOR**2 * lmax:
         return np.sqrt([lmax, lmin])
-    if A.shape[0] * A.shape[1] * 8 > DENSE_COLLOCATION_BYTES:
-        raise ResourceError(
-            f"collocation ratio below {GRAM_FLOOR:g} needs a dense {A.shape[0]} x "
-            f"{A.shape[1]} matrix, more than {DENSE_COLLOCATION_BYTES} bytes")
-    return np.linalg.svd(A.toarray(), compute_uv=False)[[0, -1]]
+    n = gram.shape[0]
+    rows = sum(len(g.elements) * (g.degree + 1) ** 2 for g in surface.groups)
+    if rows * n * 8 > DENSE_COLLOCATION_BYTES:  # checked before allocating
+        raise ResourceError(f"collocation ratio below {GRAM_FLOOR:g} needs a dense "
+                            f"{rows} x {n} matrix, over {DENSE_COLLOCATION_BYTES} bytes")
+
+    def dense_rows(g):  # the block's rows of A, element by element
+        vals = _collocation_values(g)
+        block = np.zeros((len(vals), vals.shape[2], n))
+        e, k = np.nonzero(g.mask)
+        block[e, :, g.basis[e, k]] = vals[e, k]
+        return block.reshape(-1, n)
+
+    A = np.concatenate(map_groups(surface, dense_rows))
+    return np.linalg.svd(A, compute_uv=False)[[0, -1]]
 
 
 # ----------------------------------------------------------------------

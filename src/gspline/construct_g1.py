@@ -40,7 +40,8 @@ per pinned unknown and the 60 fairing differences of each element.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
-fairing problem in their nullspace, by Cholesky or by ``lstsq``.  Only
+fairing problem in their nullspace, by Cholesky or by ``lstsq``; the
+``lstsq`` fallback returns the solution nearest the C0 target.  Only
 numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing the two
 here was slower.
 """
@@ -255,7 +256,8 @@ class ConstraintSystem:
     """Assembled equality (G, g) and fairing (F, f) pairs of one solve.
 
     ``g`` and ``f`` hold one right-hand side (1-D) or one column per basis
-    function solved over the same element set (2-D).
+    function solved over the same element set (2-D), and ``ctilde``, when
+    given, the C0 target of the same shape as the solution.
     """
 
     G: np.ndarray
@@ -263,6 +265,7 @@ class ConstraintSystem:
     F: np.ndarray
     f: np.ndarray
     tags: list  # provenance per equality row (edge id or pin description)
+    ctilde: np.ndarray | None = None
 
 
 def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
@@ -437,8 +440,8 @@ class ConstraintProblem:
         F = np.zeros((a.size, self.n))
         F[np.arange(a.size), a] = 1.0
         F[np.arange(a.size), b] = -1.0
-        return ConstraintSystem(G=G, g=g, F=F,
-                                f=self.ctilde[a] - self.ctilde[b], tags=tags)
+        return ConstraintSystem(G=G, g=g, F=F, f=self.ctilde[a] - self.ctilde[b],
+                                tags=tags, ctilde=self.ctilde)
 
     def solve(self):
         """``(rows, diag)`` of the function, or a list of them (one per
@@ -476,8 +479,12 @@ def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
     succeeds and the smallest diagonal entry of its factor exceeds
     ``PIVOT_MIN`` times the largest; B then has full column rank and is
     well conditioned.  Otherwise (a rank-deficient B, a bad pivot or no
-    free direction) it falls back to ``np.linalg.lstsq``.  Either way the
-    result is the minimum-norm solution: on the Cholesky path z is unique.
+    free direction) it falls back to ``np.linalg.lstsq`` and returns the
+    minimizer nearest the C0 target ``ctilde`` (the minimum-norm one
+    without it): z = z~ + lstsq(B, r - B z~), z~ = Z^T (ctilde - c)[free]
+    for the particular solution c.  On nets that pin nothing (the closed
+    cube) constants lie in the null space, and only the target's shift
+    keeps the basis summing to one.  On the Cholesky path z is unique.
     Each info dict names the path in ``"fairing"``:
     ``"cholesky"`` or ``"lstsq"``.  Only numpy is called here; scipy's
     LAPACK runs on a second OpenBLAS and made these small solves slower.
@@ -541,8 +548,10 @@ def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
         normal = False
     if normal:
         z = np.linalg.solve(A, B.T @ r)
-    else:
-        z, *_ = np.linalg.lstsq(B, r, rcond=None)
+    else:  # the minimizer nearest the C0 target (z~ = 0 without one)
+        target = c if system.ctilde is None else system.ctilde.reshape(c.shape)
+        zt = Z.T @ (target - c)[free]
+        z = zt + np.linalg.lstsq(B, r - B @ zt, rcond=None)[0]
     c[free] += Z @ z
     final = np.abs(G @ c - g).max(axis=0, initial=0.0)
     if (final > EQ_TOL * scale).any():

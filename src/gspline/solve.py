@@ -10,12 +10,11 @@ sizes run per block of elements of one (degree, rational) group, so their
 memory is that of one block (see ``evaluate.map_groups``): one Bernstein
 table per block and point set, built only to the derivative order used,
 then one batched product per quantity gives every element's Jacobians,
-physical gradients, Ke, Me, load or error integrals.  K and M share one CSR
-pattern, ``sparsity_pattern``, and each block adds its entries into it.
-Every sparse symmetric positive definite solve, the Poisson system, the
-eigen shift-invert and the collocation Gram matrix of ``gspline check``,
-goes through ``spd_solver``: one SuperLU factor in symmetric mode, banded
-by a reverse Cuthill-McKee order.
+physical gradients, Ke, Me, load or error integrals.  K, M and the
+collocation Gram matrix of ``gspline check`` are summed block by block into
+one CSR pattern by ``assemble_pattern``, and every sparse symmetric
+positive definite solve of them goes through ``spd_solver``: one SuperLU
+factor in symmetric mode, banded by a reverse Cuthill-McKee order.
 """
 
 from __future__ import annotations
@@ -131,55 +130,58 @@ class GalerkinSystem:
         return np.setdiff1d(np.arange(self.n), np.fromiter(self.boundary, int))
 
 
-def sparsity_pattern(surface: GSplineSurface) -> sp.csr_matrix:
-    """The pairs of basis functions that share an element, as a CSR matrix
-    with sorted indices: the structure of B^T B, with B the
-    element-by-basis incidence.  Its data counts the shared elements."""
+def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
+    """One CSR matrix per (E, n, n) array that ``element_matrices(block)``
+    returns for each block of ``map_groups``, all on one pattern with sorted
+    indices: that of B^T B, with B the element-by-basis incidence.  Each
+    block sums the used entries of its element matrices into the data with
+    ``np.bincount``, so no whole-surface triplet list is built."""
+    n = surface.cnet.n_vertices
     ids = np.concatenate([np.broadcast_to(g.elements[:, None], g.mask.shape)[g.mask]
                           for g in surface.groups])
     basis = np.concatenate([g.basis[g.mask] for g in surface.groups])
-    B = sp.csr_matrix((np.ones(len(ids)), (ids, basis)),
-                      shape=(surface.cnet.n_faces, surface.cnet.n_vertices))
+    B = sp.csr_matrix((np.ones(len(ids)), (ids, basis)), shape=(surface.cnet.n_faces, n))
     pattern = (B.T.tocsr() @ B).tocsr()
     pattern.sort_indices()
-    return pattern
+    keys = np.repeat(np.arange(n) * n, np.diff(pattern.indptr)) + pattern.indices
+    sums: list = []
+
+    def add(g):
+        pair = g.mask[:, :, None] & g.mask[:, None, :]
+        at = np.searchsorted(keys, (g.basis[:, :, None] * n + g.basis[:, None, :])[pair])
+        mats = element_matrices(g)
+        if not sums:
+            sums.extend(np.zeros(pattern.nnz) for _ in mats)
+        for total, Ae in zip(sums, mats):
+            total += np.bincount(at, Ae[pair], minlength=pattern.nnz)
+
+    map_groups(surface, add)
+    return [sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+            for data in sums]
 
 
 def assemble_poisson(surface: GSplineSurface, source=default_source,
                      with_mass: bool = False) -> GalerkinSystem:
-    """Stiffness matrix and load vector of the Poisson model problem.
+    """Stiffness matrix and load vector of the Poisson model problem: K,
+    and M with ``with_mass``, from one ``assemble_pattern`` call, so they
+    share its pattern arrays; each block adds its fe into the load."""
+    load = np.zeros(surface.cnet.n_vertices)
 
-    K, and M with ``with_mass``, share one ``indptr``/``indices``, that of
-    ``sparsity_pattern``: each block of elements of ``map_groups`` sums the
-    used entries of its Ke and Me into the pattern's data with
-    ``np.bincount`` and its fe into the load, so the assembly holds one
-    block's element matrices, not the whole surface's triplets."""
-    n = surface.cnet.n_vertices
-    pattern = sparsity_pattern(surface)
-    keys = np.repeat(np.arange(n) * n, np.diff(pattern.indptr)) + pattern.indices
-    K, M, load = np.zeros(pattern.nnz), np.zeros(pattern.nnz if with_mass else 0), np.zeros(n)
-
-    def add(g):  # the used entries of each element's Ke, Me and fe
+    def element_matrices(g):  # each element's Ke (and Me); its fe into the load
         rule = gauss_legendre_2d(g.degree + 1)
         N, gp, x, adet = _group_geometry(surface, g, rule.points)
         w = rule.weights * adet
-        pair = g.mask[:, :, None] & g.mask[:, None, :]
-        at = np.searchsorted(keys, (g.basis[:, :, None] * n + g.basis[:, None, :])[pair])
-        Ke = np.einsum("enmd,ekmd,em->enk", gp, gp, w, optimize=True)
-        K[:] += np.bincount(at, Ke[pair], minlength=pattern.nnz)
-        if with_mass:
-            Me = np.einsum("enm,ekm,em->enk", N, N, w, optimize=True)
-            M[:] += np.bincount(at, Me[pair], minlength=pattern.nnz)
         fe = np.einsum("enm,em->en", N, w * source(x[..., 0], x[..., 1]))
         np.add.at(load, g.basis[g.mask], fe[g.mask])
+        Ke = np.einsum("enmd,ekmd,em->enk", gp, gp, w, optimize=True)
+        if not with_mass:
+            return (Ke,)
+        return Ke, np.einsum("enm,ekm,em->enk", N, N, w, optimize=True)
 
-    map_groups(surface, add)
-    indices, indptr = pattern.indices, pattern.indptr
+    K, *M = assemble_pattern(surface, element_matrices)
     return GalerkinSystem(
-        surface=surface, K=sp.csr_matrix((K, indices, indptr), shape=(n, n)),
-        load=load, boundary=boundary_functions(surface),
-        M=sp.csr_matrix((M, indices, indptr), shape=(n, n)) if with_mass else None,
-        mass_kind="consistent" if with_mass else None)
+        surface=surface, K=K, load=load, boundary=boundary_functions(surface),
+        M=M[0] if M else None, mass_kind="consistent" if M else None)
 
 
 def spd_solver(A) -> spla.LinearOperator:
@@ -350,7 +352,7 @@ def assemble_membrane_eigen(surface: GSplineSurface,
                             mass_kind: str = "consistent") -> GalerkinSystem:
     """Stiffness and mass matrices of the Dirichlet membrane problem."""
     if mass_kind not in ("consistent", "lumped"):
-        raise ValueError(f"unknown mass kind {mass_kind!r}")
+        raise DomainError(f"unknown mass kind {mass_kind!r}")
     system = assemble_poisson(surface, with_mass=True)
     if mass_kind == "lumped":
         diag = np.asarray(system.M.sum(axis=1)).ravel()
@@ -390,7 +392,7 @@ def solve_generalized_eigen(system: GalerkinSystem, k: int = 6,
     ``spd_solver``.  The eigenvectors are not reported.
     """
     if system.M is None:
-        raise ValueError("system was assembled without a mass matrix")
+        raise DomainError("system was assembled without a mass matrix")
     act = system.active
     if not 1 <= k < len(act):
         raise DomainError(f"k = {k} eigenpairs need 1 <= k < {len(act)}, "

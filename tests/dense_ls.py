@@ -17,7 +17,9 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
 
     Redundant equality rows are removed by a rank-revealing SVD; the
     least-squares problem is then solved in the nullspace
-    parameterization (Lawson & Hanson, ch. 20).  ``g`` and ``f`` are one
+    parameterization (Lawson & Hanson, ch. 20).  Of its minimizers, the
+    one nearest the C0 target ``ctilde`` is returned (the minimum-norm one
+    without a target), as in the package.  ``g`` and ``f`` are one
     right-hand side (1-D; returns a vector and one info dict) or one
     column per right-hand side (2-D; returns one column and one info dict
     per right-hand side), all sharing one factorization of G and F.
@@ -45,8 +47,10 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
             f"equality constraints inconsistent (max residual "
             f"{eq_residual[:, col].max():.3e})", edges=edges)
     Z = Vt[rank:].T
-    z, *_ = np.linalg.lstsq(F @ Z, f - F @ cp, rcond=None)
-    c = cp + Z @ z
+    target = cp if system.ctilde is None else system.ctilde.reshape(cp.shape)
+    zt = Z.T @ (target - cp)
+    z, *_ = np.linalg.lstsq(F @ Z, f - F @ (cp + Z @ zt), rcond=None)
+    c = cp + Z @ (zt + z)
     final = np.abs(G @ c - g).max(axis=0, initial=0.0)
     if (final > eq_tol * scale).any():
         raise InfeasibleConstraintError(

@@ -107,8 +107,9 @@ def normal_jump(surface, edge, samples=11):
                             np.einsum("mi,mi->m", nr, nl)).max(initial=0.0))
 
 
-def collocation_singular_values(surface):
-    """All singular values of the dense collocation matrix."""
+def collocation_matrix(surface):
+    """The dense collocation matrix, element by element: one row per
+    interior tensor point, one column per basis function."""
     n = surface.cnet.n_vertices
     rows = []
     for e in range(surface.cnet.n_faces):
@@ -120,7 +121,12 @@ def collocation_singular_values(surface):
         block = np.zeros((pts.shape[0], n))
         block[:, ext.basis] = vals.T
         rows.append(block)
-    return np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return np.vstack(rows)
+
+
+def collocation_singular_values(surface):
+    """All singular values of the dense collocation matrix."""
+    return np.linalg.svd(collocation_matrix(surface), compute_uv=False)
 
 
 def surface_check(surface, samples=12):

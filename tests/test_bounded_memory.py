@@ -1,8 +1,8 @@
 """Analysis passes in bounded memory: ``group_table`` built only to the
 derivative order a caller uses, every pass in element blocks of one table
-budget (``evaluate.BLOCK_ENTRIES``), K and M scattered into one shared CSR
-pattern, the frames CSV on ``group_frames``, and the padded class size of
-``GSplineSurface.from_rows`` bounded."""
+budget (``evaluate.BLOCK_ENTRIES``), K, M and the collocation Gram matrix
+scattered into one CSR pattern, the frames CSV on ``group_frames``, and
+the padded class size of ``GSplineSurface.from_rows`` bounded."""
 
 import base64
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 
 from gspline import evaluate, quality
 from gspline.archive import surface_from_json, surface_to_json
-from gspline.cli import main, surface_check
+from gspline.cli import collocation_gram, main, surface_check
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import DegenerateBasisError, ResourceError, SingularParameterizationError
@@ -39,6 +39,7 @@ from gspline.solve import (
 )
 
 import coo_assembly
+import edge_loop
 import element_loop
 import extraction_list
 import netgen
@@ -259,6 +260,14 @@ class TestSharedPattern:
         assert same_bits(system.load, load)
         assert np.shares_memory(system.K.indices, system.M.indices)
         assert np.shares_memory(system.K.indptr, system.M.indptr)
+        # the collocation Gram matrix of ``check``, against A^T A of the
+        # dense collocation rows built element by element
+        gram = collocation_gram(surf)
+        assert same_bits(gram.indptr, K.indptr)
+        assert same_bits(gram.indices, K.indices)
+        A = edge_loop.collocation_matrix(surf)
+        ref = A.T @ A
+        assert np.abs(gram.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_without_mass(self):
         surf = rot44(1, "g1r")

@@ -1,6 +1,7 @@
-"""The batched invariant check against the per-edge loop of ``edge_loop``,
-and the bounded collocation ratio: sparse Gram matrix, dense fallback
-below its floor, ``ResourceError`` above the byte cap."""
+"""The batched invariant check against the per-edge loop of ``edge_loop``;
+the bounded collocation ratio: the Gram matrix on the pattern of K, the
+dense fallback below its floor, ``ResourceError`` above the byte cap; and
+the closed cube, whose G1 bases sum to one."""
 
 import dataclasses
 import functools
@@ -235,6 +236,9 @@ class TestBoundedCollocation:
             assert smin / smax > cli.GRAM_FLOOR
 
     def test_memory_is_bounded_by_the_gram_matrix(self):
+        """rot44 L3 g1r: 16.9 MB with a sparse collocation matrix and its
+        A^T A product, about 8 MB with the Gram scattered into the pattern
+        of K, against 145.5 MB of dense collocation rows."""
         surface = built(refine_n(netgen.rot44(), 3)[0], "g1r")
         surface.groups  # stacked before measuring, as any other pass does
         rows = sum((x.degree + 1) ** 2 for x in surface.extractions)
@@ -246,8 +250,18 @@ class TestBoundedCollocation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < dense_bytes / 4
+        assert peak < dense_bytes / 12
         assert 0.0 < smin < smax
+
+    def test_dense_fallback_matches_the_element_rows(self, monkeypatch):
+        """With the floor at 1 every ratio takes the dense SVD: its block
+        rows, written group by group, give the per-element loop's values."""
+        monkeypatch.setattr(cli, "GRAM_FLOOR", 1.0)
+        surface = case("val33_refined_g1r")
+        assert len(surface.groups) > 1
+        dense = edge_loop.collocation_singular_values(surface)
+        np.testing.assert_allclose(collocation_singular_values(surface),
+                                   [dense.max(), dense.min()], rtol=1e-13)
 
     def test_below_the_floor_falls_back_to_the_dense_svd(self):
         surface = nearly_dependent_quad()
@@ -268,3 +282,20 @@ class TestBoundedCollocation:
         path = tmp_path / "quad.json"
         path.write_text(surface_to_json(surface))
         assert main(["check", str(path), "-o", str(tmp_path / "out.json")]) == 5
+
+
+class TestClosedCube:
+    """The all-EP cube pins no coefficient, so constants lie in the null
+    space of its G1 and fairing rows.  The ``lstsq`` fallback returns the
+    minimizer nearest the C0 target, so the G1 bases sum to one, and the
+    ratio comes from the Gram matrix, not from the dense fallback."""
+
+    @pytest.mark.parametrize("level, variant", [(0, "g1p"), (0, "g1r"), (1, "g1p")])
+    def test_basis_sums_to_one_and_is_independent(self, level, variant, monkeypatch):
+        monkeypatch.setattr(cli, "DENSE_COLLOCATION_BYTES", 0)
+        report = surface_check(archived(netgen.cube(), level, variant))
+        assert "lstsq" in {d["fairing"] for d in report["construction"]}
+        assert report["collocation_sv_ratio"] > 1e-8
+        assert report["partition_of_unity_defect"] < 1e-10
+        if variant == "g1r":
+            assert np.abs(np.subtract(report["rational_weight_range"], 1.0)).max() < 1e-10

@@ -122,3 +122,18 @@ def test_fully_determined_system_takes_lstsq(lstsq_calls):
     c, info = solve_constrained_ls(system, return_info=True)
     np.testing.assert_allclose(G @ c, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
     assert info["fairing"] == "lstsq" and info["rank"] == 3
+
+
+@pytest.mark.parametrize("ctilde, want", [(None, 0.0), (np.array([1.0, 2.0, 3.0, 5.0]), 2.75)])
+def test_fallback_returns_the_minimizer_nearest_the_target(ctilde, want, lstsq_calls):
+    """Constants satisfy the equality row and zero the fairing differences,
+    so every constant is a minimizer: the fallback returns the one nearest
+    the C0 target (its mean), and without a target the minimum-norm zero."""
+    F = np.eye(4)[:3] - np.eye(4)[1:]
+    G = np.array([[1.0, -1.0, 0.0, 0.0]])
+    system = ConstraintSystem(G=G, g=np.zeros(1), F=F, f=np.zeros(3),
+                              tags=[("edge", 0)], ctilde=ctilde)
+    c, info = solve_constrained_ls(system, return_info=True)
+    assert info["fairing"] == "lstsq" and lstsq_calls
+    np.testing.assert_allclose(c, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dense_ls.solve_constrained_ls(system), want, rtol=0, atol=1e-14)

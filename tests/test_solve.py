@@ -12,6 +12,7 @@ from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import (
     DegenerateBasisError,
+    DomainError,
     EigensolverError,
     SingularParameterizationError,
     SingularSystemError,
@@ -268,6 +269,16 @@ class TestEigen:
         report = solve_generalized_eigen(system, k=2)
         assert "eigenvalues" in report.to_json()
         assert report.to_csv().startswith("mode,")
+
+    def test_unknown_mass_kind_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown mass kind 'diagonal'"):
+            assemble_membrane_eigen(build_c0(netgen.structured(2, 2)), "diagonal")
+
+    def test_system_without_mass_is_a_domain_error(self):
+        system = assemble_poisson(build_c0(netgen.structured(2, 2)))
+        assert system.M is None
+        with pytest.raises(DomainError, match="without a mass matrix"):
+            solve_generalized_eigen(system, k=1)
 
 
 # -- grouped evaluation against the per-element loop of element_loop.py ----
