@@ -256,13 +256,11 @@ def _coeff_blocks(coeffs: list, degree: np.ndarray,
 
 
 def _validate(net: ControlNet, ids: np.ndarray, variant: str) -> None:
-    """Raise FormatError unless the variant is known, the positions are
-    finite and the records describe every face once."""
+    """Raise FormatError unless the variant is known and the records
+    describe every face once (``ControlNet`` checks the positions)."""
     if variant not in ("c0", "g1p", "g1r"):
         raise FormatError(f"archive field 'variant' is {variant!r:.60}, "
                           "not one of c0, g1p, g1r")
-    if not np.isfinite(net.positions).all():
-        raise FormatError("archive has a non-finite control point position")
     n_faces = net.cnet.n_faces
     if not np.array_equal(ids, np.arange(n_faces)):
         raise FormatError(

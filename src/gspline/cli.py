@@ -6,9 +6,10 @@ minimum-invalid-thickness report, ``poisson`` for the convergence study,
 ``eigen`` for membrane eigenvalues and ``check`` for the invariant
 diagnostics of an archive, whose collocation Gram matrix comes from
 ``solve.assemble_pattern`` on the pattern of K.  All commands are
-deterministic for identical inputs; errors exit with machine-readable
-JSON on stderr (exit codes: 2 input format, 3 topology, 4 construction
-infeasible, 5 numeric or an unexpected exception).
+deterministic for identical inputs; errors, a malformed argument
+included, exit with one machine-readable JSON line on stderr (exit codes:
+2 input format, 3 topology, 4 construction infeasible, 5 numeric or an
+unexpected exception).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .evaluate import (
     map_groups,
     raise_first,
 )
-from .extraction import group_table
+from .extraction import bezier_points, group_table
 from .mesh import (
     ControlNet,
     ElementClass,
@@ -224,9 +225,8 @@ def cmd_build(args) -> int:
     surface = build_variant(net, args.variant)
     _write(args.output, surface_to_json(surface))
     if args.bezier:
-        from .extraction import bezier_points_record
-
-        records = [bezier_points_record(ext, surface.net.positions)
+        records = [{"element": int(ext.element), "degree": int(ext.degree),
+                    "points": bezier_points(ext, surface.net.positions).tolist()}
                    for ext in surface.extractions]
         _write(args.bezier, json.dumps(records, indent=1, sort_keys=True))
     if args.sample_obj:
@@ -320,8 +320,13 @@ def _finite_json(report: dict) -> str:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed argument: a JSON line, exit 2
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gspline",
         description="Smooth spline surfaces on unstructured quad control nets",
     )
@@ -385,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # an overflow surfaces as a typed error (a non-finite check value, a
         # singular Jacobian), not as a numpy warning ahead of the JSON line
         with np.errstate(over="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ functions are the single-edge case of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     ResourceError,
     SingularParameterizationError,
 )
-from .extraction import SUPPORTED_DEGREES, ElementExtraction, basis_table, group_table
+from .extraction import SUPPORTED_DEGREES, ElementExtraction, group_table, stacked_points
 from .mesh import CNet, ControlNet
 
 DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
@@ -241,18 +241,12 @@ def map_point(surface: GSplineSurface, element: int, xi, eta, nderiv: int = 0):
     """
     if nderiv not in (0, 1, 2):
         raise DomainError("nderiv must be 0, 1 or 2")
-    ext = surface.extraction(element)
-    xi, eta = np.broadcast_arrays(xi, eta)
-    vals, d1, d2 = basis_table(ext, np.stack([xi.ravel(), eta.ravel()], 1))
-    P = surface.net.positions[ext.basis]
-    x = (vals.T @ P).reshape(xi.shape + (3,))
-    if nderiv == 0:
-        return x
-    J = (np.moveaxis(d1, 0, -1) @ P).swapaxes(-1, -2).reshape(xi.shape + (3, 2))
-    if nderiv == 1:
-        return x, J
-    H = (np.moveaxis(d2, 0, -1) @ P).reshape(xi.shape + (3, 3))
-    return x, J, H
+    group = surface.extraction(element).group
+    pts, shape = stacked_points(xi, eta)
+    *maps, bad_w = _group_maps(surface, group, pts)
+    raise_first(group, [bad_w])
+    x, J, H = (m[0].reshape(shape + m.shape[2:]) for m in maps)
+    return (x, (x, J), (x, J, H))[nderiv]
 
 
 def frame(surface: GSplineSurface, element: int, xi, eta) -> SurfaceFrame:
@@ -263,34 +257,38 @@ def frame(surface: GSplineSurface, element: int, xi, eta) -> SurfaceFrame:
     linearly dependent relative to ``DEGENERATE_TOL`` (scaled by the
     tangent size).
     """
-    x, J, H = map_point(surface, element, xi, eta, nderiv=2)
-    bad = np.flatnonzero(_flat_tangents(J))
-    if bad.size:
-        raise _tangent_error(element, *(np.broadcast_to(c, J.shape[:-2]).flat[bad[0]]
-                                        for c in (xi, eta)))
-    return _frame(x, J, H)
+    pts, shape = stacked_points(xi, eta)
+    fr = group_frames(surface, surface.extraction(element).group, pts)
+    rows = (getattr(fr, f.name) for f in fields(fr))
+    return SurfaceFrame(*(a[0].reshape(shape + a.shape[2:]) for a in rows))
 
 
 def group_frames(surface: GSplineSurface, group: ElementGroup, pts) -> SurfaceFrame:
-    """``frame`` of every element of a group at the same (m, 2) points.
+    """``frame`` of every element of a group at the same (m, 2) points, the
+    kernel of ``frame``, which passes an element's one-row group.
 
-    Fields are shaped (E, m, ...).  Raises, for the group's first failing
-    element, the error ``frame`` raises there.
+    Fields are shaped (E, m, ...).  Raises for the group's lowest failing
+    element: a nonpositive denominator, or its first flat point.
     """
     x, J, H, bad_w = _group_maps(surface, group, pts)
     flat = _flat_tangents(J)
-    raise_first(group, [bad_w, (flat.any(axis=1), lambda i: (
-        _tangent_error(int(group.elements[i]), *pts[flat[i].argmax()])))])
+
+    def tangent_error(i):
+        e, uv = int(group.elements[i]), tuple(float(c) for c in pts[flat[i].argmax()])
+        return SingularParameterizationError(
+            f"degenerate tangents at element {e}, ({uv[0]}, {uv[1]})", element=e, uv=uv)
+
+    raise_first(group, [bad_w, (flat.any(axis=1), tangent_error)])
     return _frame(x, J, H)
 
 
 def _group_maps(surface: GSplineSurface, group: ElementGroup, pts):
-    """``map_point`` with nderiv 2 of every element of a group at the same
-    (m, 2) points, shaped (E, m, 3), (E, m, 3, 2), (E, m, 3, 3), and the
-    ``group_table`` check of the rational denominators."""
+    """The geometric map x, J, H of ``map_point`` of every element of a group
+    at the same (m, 2) points, shaped (E, m, 3), (E, m, 3, 2), (E, m, 3, 3),
+    and the ``group_table`` check of the rational denominators."""
     vals, d1, d2, bad_w = group_table(group, pts)
     P = surface.net.positions[group.basis]
-    # the products of map_point, one matrix per element and point
+    # one matrix product per element and point
     J = (np.moveaxis(d1, 1, -1) @ P[:, None]).swapaxes(-1, -2)
     return vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None], bad_w
 
@@ -302,13 +300,6 @@ def _flat_tangents(J):
     scale = np.maximum(np.linalg.norm(a1, axis=-1) * np.linalg.norm(a2, axis=-1),
                        DEGENERATE_TOL)
     return np.linalg.norm(np.cross(a1, a2), axis=-1) <= DEGENERATE_TOL * scale
-
-
-def _tangent_error(element, xi, eta):
-    uv = (float(xi), float(eta))
-    return SingularParameterizationError(
-        f"degenerate tangents at element {element}, ({uv[0]}, {uv[1]})",
-        element=element, uv=uv)
 
 
 def _frame(x, J, H) -> SurfaceFrame:

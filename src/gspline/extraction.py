@@ -12,14 +12,12 @@ multiplies extraction matrices with the Bernstein table of
 ``rationalize`` on rational elements (Bezier extraction: Borden, Scott,
 Evans, Hughes, IJNME 87, 2011).  A surface stores the matrices once, per
 (degree, rational) class of elements, stacked and zero-padded to the
-class's largest support (``evaluate.ElementGroup``).  ``group_table``
-evaluates such a group at points its elements share, building the tables
-only up to the derivative order its caller asks for (the values alone for
-sampling, error grids and collocation; first derivatives for Galerkin
-geometry); ``basis_table`` one ``ElementExtraction``, one element's matrix
-and basis ids.
-``bernstein_eval`` and ``evaluate_basis`` are single-point forms of the
-one-element kernel.
+class's largest support (``evaluate.ElementGroup``).  ``group_table``, the
+one evaluation kernel, evaluates such a group at points its elements
+share, building the tables only up to the derivative order its caller
+asks for (the values alone for sampling, error grids and collocation;
+first derivatives for Galerkin geometry).  One element is the one-row
+group ``ElementExtraction.group``, as in ``evaluate_basis``.
 """
 
 from __future__ import annotations
@@ -151,19 +149,21 @@ class ElementExtraction:
         """Bernstein coefficients of the denominator (column sums)."""
         return self.coeffs.sum(axis=0)
 
+    @property
+    def group(self):
+        """The element as a one-row ``evaluate.ElementGroup``, unpadded."""
+        from .evaluate import ElementGroup
 
-def basis_table(ext: ElementExtraction, pts):
-    """Values and first/second partials of an element's basis functions.
+        return ElementGroup(self.degree, self.rational, np.array([self.element]),
+                            self.basis[None], np.ones((1, self.n_basis), bool),
+                            self.coeffs[None])
 
-    The one element kernel: the extraction matrix times the Bernstein
-    table of ``pts`` (an (m, 2) array), followed by the quotient rule on
-    rational elements.  Returns ``(vals, d1, d2)`` shaped (n, m),
-    (n, m, 2), (n, m, 3) with n the number of supported functions.
-    """
-    vals, d1, d2 = _polynomial_table(ext.coeffs, ext.degree, pts)
-    if ext.rational:
-        return rationalize(vals, d1, d2, element=ext.element)
-    return vals, d1, d2
+
+def stacked_points(xi, eta) -> tuple[np.ndarray, tuple]:
+    """Scalars or arrays ``xi`` and ``eta`` broadcast together: the (m, 2)
+    points, in C order, and their shape."""
+    xi, eta = np.broadcast_arrays(xi, eta)
+    return np.stack([xi.ravel(), eta.ravel()], 1), xi.shape
 
 
 def _polynomial_table(coeffs, p, pts, axes=None, order=2):
@@ -185,9 +185,10 @@ def _polynomial_table(coeffs, p, pts, axes=None, order=2):
 
 
 def group_table(group, pts, axes=None, order=2):
-    """``basis_table`` of every element of an ``evaluate.ElementGroup`` at the
-    same (m, 2) points, up to derivative ``order`` (0: values, 1: and first
-    derivatives, 2: and second): (E, n, m), (E, n, m, 2), (E, n, m, 3), the
+    """Values and first/second partials of the basis functions of every
+    element of an ``evaluate.ElementGroup`` at the same (m, 2) points, up to
+    derivative ``order`` (0: values, 1: and first derivatives, 2: and
+    second): (E, n, m), (E, n, m, 2), (E, n, m, 3), the
     first order + 1 of them, zero in unused slots, and the
     ``evaluate.raise_first`` check of the elements whose rational
     denominator is not positive there; those stay unrationalized.  Each
@@ -199,20 +200,27 @@ def group_table(group, pts, axes=None, order=2):
     if group.rational:
         wmin = tables[0].sum(axis=1).min(axis=1)
         ok = wmin > 0.0
-        quotients = rationalize(*(np.moveaxis(t[ok], 1, 0) for t in tables))
+        quotients = rationalize(*(t[ok].swapaxes(0, 1) for t in tables))
         for t, q in zip(tables, quotients):
-            t[ok] = np.moveaxis(q, 0, 1)
+            t[ok] = q.swapaxes(0, 1)
     return (*tables, (wmin <= 0.0, lambda i: DegenerateBasisError(
         f"basis denominator {wmin[i]} is not positive", element=int(group.elements[i]))))
 
 
-def evaluate_basis(ext: ElementExtraction, xi: float, eta: float):
-    """``basis_table`` at one point: shapes (n,), (n, 2), (n, 3)."""
-    vals, d1, d2 = basis_table(ext, [[xi, eta]])
-    return vals[:, 0], d1[:, 0], d2[:, 0]
+def evaluate_basis(ext: ElementExtraction, xi, eta):
+    """``group_table`` of the element's one-row ``group`` at scalars or
+    arrays ``xi`` and ``eta`` that broadcast together to shape s: values,
+    first and second partials shaped (n,) + s, (n,) + s + (2,), (n,) + s +
+    (3,) for its n functions.  Raises DegenerateBasisError where the
+    element's rational denominator is not positive."""
+    pts, shape = stacked_points(xi, eta)
+    *tables, (bad_w, error) = group_table(ext.group, pts)
+    if bad_w[0]:
+        raise error(0)
+    return tuple(t[0].reshape(t.shape[1:2] + shape + t.shape[3:]) for t in tables)
 
 
-def rationalize(values, *derivatives, element=None):
+def rationalize(values, *derivatives):
     """Divide a polynomial basis bundle by its sum, quotient-rule derivatives.
 
     Takes the values and, up to the highest derivative order wanted, the
@@ -225,9 +233,7 @@ def rationalize(values, *derivatives, element=None):
     values = np.asarray(values, dtype=float)
     w = values.sum(axis=0)
     if np.any(w <= 0.0):
-        raise DegenerateBasisError(
-            f"basis denominator {np.min(w)} is not positive", element=element
-        )
+        raise DegenerateBasisError(f"basis denominator {np.min(w)} is not positive")
     r = values / w
     if not derivatives:
         return (r,)
@@ -250,12 +256,3 @@ def rationalize(values, *derivatives, element=None):
 def bezier_points(ext: ElementExtraction, positions: np.ndarray) -> np.ndarray:
     """Bezier control points B = C^T P of the element, shape ((p+1)^2, 3)."""
     return ext.coeffs.T @ positions[ext.basis]
-
-
-def bezier_points_record(ext: ElementExtraction, positions: np.ndarray) -> dict:
-    """JSON-ready per-element Bezier control point record."""
-    return {
-        "element": int(ext.element),
-        "degree": int(ext.degree),
-        "points": bezier_points(ext, positions).tolist(),
-    }

@@ -38,7 +38,7 @@ from .errors import (
     TopologyError,
 )
 from .evaluate import GSplineSurface, map_groups, raise_first
-from .extraction import basis_table, group_table
+from .extraction import evaluate_basis, group_table
 from .quality import gauss_legendre_2d
 from .refine import refine
 
@@ -62,9 +62,10 @@ def exact_gradient(x, y):
 
 
 def element_tables(surface: GSplineSurface, e: int, pts: np.ndarray):
-    """``basis_table`` ids, values (n, m) and parametric gradients (n, m, 2)."""
+    """Basis ids, values (n, m) and parametric gradients (n, m, 2) of
+    element e at (m, 2) points, from ``evaluate_basis``."""
     ext = surface.extraction(e)
-    return (ext.basis, *basis_table(ext, pts)[:2])
+    return (ext.basis, *evaluate_basis(ext, *np.transpose(pts))[:2])
 
 
 def _group_geometry(surface, g, pts, checks=()):

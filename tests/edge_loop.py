@@ -1,8 +1,9 @@
 """Per-edge reference for the batched ``gspline.cli.surface_check``: one
-``basis_table`` call per element and edge side, one Python iteration per
-edge, and the dense collocation matrix with its full SVD.  The edge
-parameters of a side (``edge_side_params``) and the per-element normal
-angle (``normal_jump``) are frozen here.
+``element_loop`` call (``basis_table``, ``map_point`` or ``frame``) per
+element and edge side, one Python iteration per edge, and the dense
+collocation matrix with its full SVD.  The edge parameters of a side
+(``edge_side_params``) and the per-element normal angle (``normal_jump``)
+are frozen here.
 """
 
 from dataclasses import replace
@@ -13,13 +14,12 @@ from gspline.construct_g1 import blend_polynomial, edge_geometry
 from gspline.errors import DomainError
 from gspline.evaluate import (
     edge_frames,
-    frame,
-    map_point,
     rotated_params,
     rotation_offset_matrix,
 )
-from gspline.extraction import basis_table
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
+
+from element_loop import basis_table, frame, map_point
 
 
 def edge_side_params(frames, t, side):

@@ -1,19 +1,77 @@
 """Per-element reference for the grouped evaluation in ``gspline.solve``,
 ``gspline.quality`` and ``gspline.evaluate.frames_csv``: one ``basis_table``
 call and one Python iteration per element (per point for the frames CSV),
-in element order, raising at the first failing element.
+in element order, raising at the first failing element.  ``basis_table``
+is the extraction matrix times ``bernstein_table``, then the quotient rule;
+``map_point`` and ``frame`` are built on it.  All three are written apart
+from the package's grouped kernel.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from gspline.errors import SingularParameterizationError
-from gspline.evaluate import frame, map_point
-from gspline.extraction import basis_table
+from gspline.errors import DegenerateBasisError, SingularParameterizationError
+from gspline.evaluate import DEGENERATE_TOL
+from gspline.extraction import bernstein_table, rationalize
 from gspline.quality import gauss_legendre
 from gspline.solve import default_source, exact_gradient, exact_solution
+
+
+def basis_table(ext, pts):
+    """Values and first/second partials (n, m), (n, m, 2), (n, m, 3) of an
+    element's basis functions at (m, 2) points."""
+    k = (ext.degree + 1) ** 2
+    tables = [(ext.coeffs @ t.reshape(k, -1)).reshape((-1,) + t.shape[1:])
+              for t in bernstein_table(ext.degree, pts)]
+    if not ext.rational:
+        return tuple(tables)
+    try:
+        return rationalize(*tables)
+    except DegenerateBasisError as exc:
+        exc.element = ext.element
+        raise
+
+
+def _maps(surface, e, xi, eta):
+    """x (..., 3), J (..., 3, 2) and H (..., 3, 3) of element e at the
+    broadcast points (xi, eta)."""
+    ext = surface.extraction(e)
+    xi, eta = np.broadcast_arrays(xi, eta)
+    vals, d1, d2 = basis_table(ext, np.stack([xi.ravel(), eta.ravel()], 1))
+    P = surface.net.positions[ext.basis]
+    x = (vals.T @ P).reshape(xi.shape + (3,))
+    J = (np.moveaxis(d1, 0, -1) @ P).swapaxes(-1, -2).reshape(xi.shape + (3, 2))
+    H = (np.moveaxis(d2, 0, -1) @ P).reshape(xi.shape + (3, 3))
+    return x, J, H
+
+
+def map_point(surface, e, xi, eta):
+    """Points (..., 3) of element e at the broadcast points (xi, eta)."""
+    return _maps(surface, e, xi, eta)[0]
+
+
+def frame(surface, e, xi, eta):
+    """Point, unit normal, metric and curvature of element e at the
+    broadcast points (xi, eta); raises SingularParameterizationError at the
+    first point, in C order, whose tangents are flat."""
+    x, J, H = _maps(surface, e, xi, eta)
+    a1, a2 = J[..., 0], J[..., 1]
+    cross = np.cross(a1, a2)
+    size = np.linalg.norm(cross, axis=-1)
+    scale = np.maximum(np.linalg.norm(a1, axis=-1) * np.linalg.norm(a2, axis=-1),
+                       DEGENERATE_TOL)
+    flat = np.flatnonzero(size <= DEGENERATE_TOL * scale)
+    if flat.size:
+        uv = tuple(float(np.broadcast_to(c, size.shape).flat[flat[0]]) for c in (xi, eta))
+        raise SingularParameterizationError(
+            f"degenerate tangents at element {e}, ({uv[0]}, {uv[1]})", element=e, uv=uv)
+    n = cross / size[..., None]
+    b = np.einsum("...ci,...i->...c", H, n)  # (b11, b12, b22)
+    return SimpleNamespace(point=x, normal=n, metric=J.swapaxes(-1, -2) @ J,
+                           curvature=b[..., [0, 1, 1, 2]].reshape(b.shape[:-1] + (2, 2)))
 
 
 def quad_points(p):

@@ -17,6 +17,7 @@ from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError, GSplineError
 from gspline.evaluate import map_point
+from gspline.extraction import bezier_points
 from gspline.mesh import load_obj, save_obj
 from gspline.refine import refine
 
@@ -122,6 +123,24 @@ class TestBuild:
         assert obj.read_text().startswith("v ")
         assert csv.read_text().startswith("element,")
 
+    def test_bezier_records_of_two_groups_in_element_order(self, tmp_path):
+        # rot44 g1r: polynomial cubics and rational quintics, whose group
+        # elements interleave in element order
+        obj = tmp_path / "rot44.obj"
+        obj.write_text(save_obj(netgen.rot44()))
+        out, bez = tmp_path / "s.json", tmp_path / "bezier.json"
+        assert main(["build", str(obj), "--variant", "g1r", "-o", str(out),
+                     "--bezier", str(bez)]) == 0
+        surface = surface_from_json(out.read_text())
+        assert {(g.degree, g.rational) for g in surface.groups} == {(3, False), (5, True)}
+        records = json.loads(bez.read_text())
+        assert [r["element"] for r in records] == list(range(surface.cnet.n_faces))
+        for e, r in enumerate(records):
+            ext = surface.extraction(e)
+            assert r["degree"] == ext.degree
+            points = bezier_points(ext, surface.net.positions)
+            assert np.array(r["points"]).tobytes() == points.tobytes()
+
     def test_frames_csv_zero_resolution_exit_2(self, quad_obj, tmp_path,
                                                capsys):
         code = main(["build", str(quad_obj), "--variant", "c0",
@@ -158,6 +177,41 @@ class TestBuild:
                      str(tmp_path / "out.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "a.json", "-k", "abc"],
+        ["build", "x.obj"],
+        [],
+        ["nonsense"],
+    ])
+    def test_malformed_argument_exit_2_with_one_json_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert json.loads(lines[0])["error"] == "FormatError"
+
+    @pytest.mark.parametrize("flag", ["--version", "-h"])
+    def test_version_and_help_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "missing.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+
+    def test_report_goes_to_stdout_without_output(self, quad_obj, tmp_path, capsys):
+        arc = tmp_path / "q.json"
+        assert main(["build", str(quad_obj), "--variant", "c0", "-o", str(arc)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(arc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["variant"] == "c0"
 
 
 class TestRefine:
@@ -352,6 +406,13 @@ class TestCheck:
 
 
 class TestBadArchives:
+    def test_not_json_exit_2(self, tmp_path, capsys):
+        arc = tmp_path / "text.json"
+        arc.write_text("not an archive")
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and "not valid JSON" in err["message"]
+
     def test_json_list_exit_2(self, tmp_path, capsys):
         arc = tmp_path / "list.json"
         arc.write_text("[]")

@@ -8,7 +8,6 @@ from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.extraction import (
     ElementExtraction,
-    basis_table,
     bernstein_1d,
     bernstein_eval,
     bernstein_table,
@@ -246,11 +245,11 @@ class TestRationalize:
         ext = ElementExtraction(0, 5, np.arange(6), coeffs, rational=True)
         h = 1e-6
         pts = rng.uniform(0.1, 0.9, size=(5, 2))
-        _, _, r2 = basis_table(ext, pts)
-        _, r1_xp, _ = basis_table(ext, pts + [h, 0.0])
-        _, r1_xm, _ = basis_table(ext, pts - [h, 0.0])
-        _, r1_ep, _ = basis_table(ext, pts + [0.0, h])
-        _, r1_em, _ = basis_table(ext, pts - [0.0, h])
+        _, _, r2 = evaluate_basis(ext, *pts.T)
+        _, r1_xp, _ = evaluate_basis(ext, *(pts + [h, 0.0]).T)
+        _, r1_xm, _ = evaluate_basis(ext, *(pts - [h, 0.0]).T)
+        _, r1_ep, _ = evaluate_basis(ext, *(pts + [0.0, h]).T)
+        _, r1_em, _ = evaluate_basis(ext, *(pts - [0.0, h]).T)
         fd_x = (r1_xp - r1_xm) / (2 * h)  # d/dxi of (R_xi, R_eta)
         fd_e = (r1_ep - r1_em) / (2 * h)  # d/deta of (R_xi, R_eta)
         scale = max(1.0, np.abs(r2).max())
@@ -264,10 +263,10 @@ class TestRationalize:
         coeffs = np.full((2, 16), 0.5)
         coeffs[:, 15] = -0.5
         ext = ElementExtraction(3, 3, np.arange(2), coeffs, rational=True)
-        vals, _, _ = basis_table(ext, np.array([[0.0, 0.0], [0.5, 0.5]]))
+        vals, _, _ = evaluate_basis(ext, [0.0, 0.5], [0.0, 0.5])
         np.testing.assert_allclose(vals.sum(axis=0), 1.0, atol=1e-14)
         with pytest.raises(DegenerateBasisError) as info:
-            basis_table(ext, np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]))
+            evaluate_basis(ext, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
         assert info.value.element == 3
 
 
@@ -281,7 +280,7 @@ class TestBasisTable:
         pts = np.vstack([rng.uniform(0, 1, size=(7, 2)),
                          [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
         for ext in surf.extractions:
-            vals, d1, d2 = basis_table(ext, pts)
+            vals, d1, d2 = evaluate_basis(ext, *pts.T)
             assert vals.shape == (ext.n_basis, len(pts))
             assert d1.shape == (ext.n_basis, len(pts), 2)
             assert d2.shape == (ext.n_basis, len(pts), 3)
@@ -290,3 +289,10 @@ class TestBasisTable:
                 assert np.abs(vals[:, m] - v).max() <= 1e-14
                 assert np.abs(d1[:, m] - g).max() <= 1e-14
                 assert np.abs(d2[:, m] - h).max() <= 1e-14
+            # a (2, 3) array of xi against a scalar eta: the point shape
+            # follows the basis axis
+            grid = evaluate_basis(ext, pts[:6, 0].reshape(2, 3), 0.25)
+            n = ext.n_basis
+            assert [t.shape for t in grid] == [(n, 2, 3), (n, 2, 3, 2), (n, 2, 3, 3)]
+            for t, one in zip(grid, evaluate_basis(ext, pts[5, 0], 0.25)):
+                assert np.abs(t[:, 1, 2] - one).max() <= 1e-14
