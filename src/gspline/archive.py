@@ -57,7 +57,7 @@ def surface_to_json(surface: GSplineSurface) -> str:
             "faces": surface.cnet.faces.tolist(),
         },
         "elements": _records(surface),
-        "diagnostics": getattr(surface, "diagnostics", None),
+        "diagnostics": surface.diagnostics,
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
@@ -109,9 +109,8 @@ def surface_from_json(text: str) -> GSplineSurface:
             f"archive field has the wrong type or is out of range: {exc}"
         ) from exc
     _validate(net, ids, variant)
-    surface = GSplineSurface.from_rows(net, variant, **rows)
+    surface = GSplineSurface.from_rows(net, variant, **rows, diagnostics=diagnostics)
     _validate_elements(surface)
-    surface.diagnostics = diagnostics
     return surface
 
 

@@ -44,7 +44,7 @@ from .evaluate import (
     GSplineSurface,
     edge_normal_angles,
     edge_residuals,
-    edge_sides,
+    glued_frames,
     map_groups,
     raise_first,
 )
@@ -121,7 +121,7 @@ def surface_check(surface: GSplineSurface) -> dict:
     transition = np.array([c is ElementClass.TRANSITION for c in labels])
     interior = np.flatnonzero(~cnet.boundary_edge)
     spoke = spoke_mask(cnet)[interior]
-    faces, rots = (a[interior] for a in edge_sides(cnet))
+    faces, rots = glued_frames(cnet, interior)
     irr, trans = irregular[faces], transition[faces]
     orders = np.select([spoke, (irr & trans[:, ::-1]).any(axis=1), ~irr.any(axis=1)],
                        [-1, 1, 2], -1)
@@ -150,7 +150,7 @@ def surface_check(surface: GSplineSurface) -> dict:
 
     smax, smin = collocation_singular_values(surface)
     report["collocation_sv_ratio"] = float(smin / smax)
-    if getattr(surface, "diagnostics", None):
+    if surface.diagnostics:
         report["construction"] = surface.diagnostics
     return report
 

@@ -33,7 +33,7 @@ boolean table over the irregular faces; ``slot_keys`` makes a problem's
 call elevates the cubic rows of all its (element, function) pairs, as in
 ``elevate_irregular``.  ``assemble`` writes G and F from index arrays:
 (element, side) arrays from ``cnet.edge_faces`` and
-``evaluate.edge_sides``, the seven rows of each constrained edge from one
+``evaluate.glued_frames``, the seven rows of each constrained edge from one
 stencil table (``_EDGE_STENCIL``) with one ``np.add.at``, an identity row
 per pinned unknown and the 60 fairing differences of each element.
 ``solve`` gives each function's (elements, 36) rows, stored as they are.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, InternalError
-from .evaluate import GSplineSurface, edge_frames, edge_sides, edge_sums
+from .evaluate import GSplineSurface, edge_frames, edge_sums, glued_frames
 from .extraction import degree_elevate_2
 from .mesh import CNet, irregular_basis_vertices
 
@@ -113,18 +113,12 @@ def blend_polynomial(omega1, omega2, v) -> np.ndarray:
     return -2.0 * omega1 * (1.0 - v) ** 2 + 2.0 * omega2 * v**2
 
 
-def glued_sides(cnet: CNet, sides, edges):
-    """``(faces, rots)`` of ``edges`` from the ``evaluate.edge_sides``
-    arrays ``sides``, glued at ``edge_geometry``'s v1, and their (k, 2)
-    blend weights (omega1, omega2).  ``edge_sides`` glues at the lower
-    endpoint; when v1 is the higher one the two elements swap sides and
-    each turns a quarter the other way."""
-    edges = np.asarray(edges, dtype=int)
-    geoms = [edge_geometry(cnet, e) for e in edges.tolist()]
-    faces, rots = (side[edges] for side in sides)
-    flip = np.array([g.v1 for g in geoms], dtype=int) != cnet.edges[edges, 0]
-    faces[flip] = faces[flip, ::-1]
-    rots[flip] = (rots[flip, ::-1] + [-1, 1]) % 4
+def glued_sides(cnet: CNet, edges):
+    """``evaluate.glued_frames`` of ``edges``, each glued at
+    ``edge_geometry``'s v1, and their (k, 2) blend weights (omega1,
+    omega2)."""
+    geoms = [edge_geometry(cnet, e) for e in np.asarray(edges, dtype=int).tolist()]
+    faces, rots = glued_frames(cnet, edges, [g.v1 for g in geoms])
     return faces, rots, np.array([(g.omega1, g.omega2) for g in geoms]).reshape(-1, 2)
 
 
@@ -135,14 +129,12 @@ def glued_sides(cnet: CNet, sides, edges):
 @dataclass
 class NetAnalysis:
     """Net data shared by all constraint problems of one build: the
-    irregular faces (those with an extraordinary corner), ascending; the
-    extraordinary-vertex cluster of each, named by its smallest EP; and
-    the (faces, rots) arrays of every edge from ``evaluate.edge_sides``."""
+    irregular faces (those with an extraordinary corner), ascending, and
+    the extraordinary-vertex cluster of each, named by its smallest EP."""
 
     cnet: CNet
     faces: np.ndarray
     cluster: np.ndarray
-    sides: tuple
 
 
 def analyze_net(cnet: CNet) -> NetAnalysis:
@@ -173,8 +165,7 @@ def analyze_net(cnet: CNet) -> NetAnalysis:
     named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
     name = np.full(size, -1)
     name[named] = eps[smallest]
-    return NetAnalysis(cnet, irregular, name[component[n_v + irregular]],
-                       edge_sides(cnet))
+    return NetAnalysis(cnet, irregular, name[component[n_v + irregular]])
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +410,7 @@ class ConstraintProblem:
 
         # Edge rows from the stencil table, each edge glued at its v1
         edges = self.constrained_edges
-        faces, rots, omega = glued_sides(cnet, self.info.sides, edges)
+        faces, rots, omega = glued_sides(cnet, edges)
         w1, w2 = omega[:, :1], omega[:, 1:]
         side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
         cols = self.slot_nodes[side_rows,
@@ -621,13 +612,11 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     solved_face = np.isin(np.arange(n), faces)
     element, kept, cubic = _c0_rows(c0, np.flatnonzero(~solved_face))
     owner = np.concatenate([element, faces[face_of]])
-    surface = GSplineSurface.from_rows(
+    return GSplineSurface.from_rows(
         c0.net, variant, np.where(solved_face, P, 3), solved_face & (variant == "g1r"),
         np.bincount(owner, minlength=n),
         np.concatenate([kept, functions[fn]])[np.argsort(owner, kind="stable")],
-        {3: cubic, P: coeffs})
-    surface.diagnostics = diagnostics.tolist()
-    return surface
+        {3: cubic, P: coeffs}, diagnostics.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +626,7 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
 def g1_residuals(surface: GSplineSurface, edges, samples: int = 50) -> np.ndarray:
     """``g1_residual`` of each of the interior ``edges``, in one
     ``evaluate.edge_sums`` pass."""
-    faces, rots, omega = glued_sides(surface.cnet, edge_sides(surface.cnet), edges)
+    faces, rots, omega = glued_sides(surface.cnet, edges)
     ts = np.linspace(0.0, 1.0, samples)
     blend, scale = blend_polynomial(omega[:, :1], omega[:, 1:], ts), np.ones(len(faces))
 

@@ -5,6 +5,8 @@ the element's extraction providing the basis.  Two elements meeting at an
 edge are glued through per-element frame rotations so that both sides see
 a common edge parameter; that gluing underlies the watertightness and
 continuity diagnostics as well as the tangent-plane constraint assembly.
+Every gluing is rows of the net's cached ``CNet.sides`` arrays, turned to
+the chosen frame origin by ``glued_frames``; ``edge_frames`` is one row.
 
 A surface stores its extraction operators once, as ``GSplineSurface.groups``:
 the elements of each (degree, rational) class stacked into zero-padded
@@ -90,11 +92,14 @@ class GSplineSurface:
     the stored form of the extraction operators: each element is a row of
     the group of its (degree, rational) class.  ``from_rows`` builds it;
     ``extraction``, ``extractions`` and ``degree`` read it.
+    ``diagnostics`` lists the G1 construction's per-function records
+    (None on a C0 surface).
     """
 
     net: ControlNet
     groups: list[ElementGroup]
     variant: str
+    diagnostics: list | None = None
 
     def __post_init__(self):
         if self.variant not in ("c0", "g1p", "g1r"):
@@ -104,12 +109,13 @@ class GSplineSurface:
 
     @classmethod
     def from_rows(cls, net: ControlNet, variant: str, degree, rational, counts,
-                  basis: np.ndarray, coeffs: dict) -> GSplineSurface:
+                  basis: np.ndarray, coeffs: dict, diagnostics=None) -> GSplineSurface:
         """The surface whose element e has degree ``degree[e]``, rational
         flag ``rational[e]`` and ``counts[e]`` basis functions: ``basis``
         lists the basis ids of all elements, element after element, and
         ``coeffs[p]`` the coefficient rows of the degree-p elements, in the
-        same order.  Each (degree, rational) class becomes one group.
+        same order.  Each (degree, rational) class becomes one group;
+        ``diagnostics`` is stored as given.
 
         Every element of a class is padded to the class's largest support.
         A ResourceError is raised, before anything is stacked, for a class
@@ -142,7 +148,7 @@ class GSplineSurface:
             b[mask] = basis[rows]  # the rows of the class, in element order
             k[mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
             groups.append(ElementGroup(p, bool(c % 2), ids, b, mask, k))
-        return cls(net, groups, variant)
+        return cls(net, groups, variant, diagnostics)
 
     @property
     def cnet(self) -> CNet:
@@ -243,10 +249,10 @@ def map_point(surface: GSplineSurface, element: int, xi, eta, nderiv: int = 0):
         raise DomainError("nderiv must be 0, 1 or 2")
     group = surface.extraction(element).group
     pts, shape = stacked_points(xi, eta)
-    *maps, bad_w = _group_maps(surface, group, pts)
+    *maps, bad_w = _group_maps(surface, group, pts, nderiv)
     raise_first(group, [bad_w])
-    x, J, H = (m[0].reshape(shape + m.shape[2:]) for m in maps)
-    return (x, (x, J), (x, J, H))[nderiv]
+    out = tuple(m[0].reshape(shape + m.shape[2:]) for m in maps)
+    return out if nderiv else out[0]
 
 
 def frame(surface: GSplineSurface, element: int, xi, eta) -> SurfaceFrame:
@@ -282,15 +288,18 @@ def group_frames(surface: GSplineSurface, group: ElementGroup, pts) -> SurfaceFr
     return _frame(x, J, H)
 
 
-def _group_maps(surface: GSplineSurface, group: ElementGroup, pts):
+def _group_maps(surface: GSplineSurface, group: ElementGroup, pts, order: int = 2):
     """The geometric map x, J, H of ``map_point`` of every element of a group
     at the same (m, 2) points, shaped (E, m, 3), (E, m, 3, 2), (E, m, 3, 3),
-    and the ``group_table`` check of the rational denominators."""
-    vals, d1, d2, bad_w = group_table(group, pts)
+    the first ``order`` + 1 of them, and the ``group_table`` check of the
+    rational denominators."""
+    vals, *ds, bad_w = group_table(group, pts, order=order)
     P = surface.net.positions[group.basis]
     # one matrix product per element and point
-    J = (np.moveaxis(d1, 1, -1) @ P[:, None]).swapaxes(-1, -2)
-    return vals.swapaxes(1, 2) @ P, J, np.moveaxis(d2, 1, -1) @ P[:, None], bad_w
+    maps = [vals.swapaxes(1, 2) @ P] + [np.moveaxis(d, 1, -1) @ P[:, None] for d in ds]
+    if order:
+        maps[1] = maps[1].swapaxes(-1, -2)  # J's columns are the partials
+    return (*maps, bad_w)
 
 
 def _flat_tangents(J):
@@ -377,8 +386,23 @@ class EdgeFrames:
     rot_right: int
 
 
+def glued_frames(cnet: CNet, edges, v1=None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``edges`` (k,) of ``cnet.sides``, writable, each edge glued
+    at its endpoint ``v1`` (k,), by default the lower one: column 0 holds
+    the right element (its loop runs v1 -> v2) and its quarter-turn index,
+    column 1 the left one.  Where v1 is the higher endpoint the two
+    elements swap sides and each turns a quarter the other way."""
+    edges = np.asarray(edges, dtype=int)
+    faces, rots = (a[edges] for a in cnet.sides)
+    if v1 is not None:
+        flip = np.asarray(v1, dtype=int) != cnet.edges[edges, 0]
+        faces[flip] = faces[flip, ::-1]
+        rots[flip] = (rots[flip, ::-1] + [-1, 1]) % 4
+    return faces, rots
+
+
 def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
-    """Gluing frames of an interior edge.
+    """Gluing frames of an interior edge: its row of ``glued_frames``.
 
     ``v1`` selects the edge endpoint placed at the shared frame origin;
     by default the lower vertex index.
@@ -389,40 +413,17 @@ def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
     v2 = v if v1 == u else u
     if {v1, v2} != {u, v}:
         raise DomainError(f"vertex {v1} is not an endpoint of edge {edge}")
-    f_right = cnet.directed_face(v1, v2)
-    f_left = cnet.directed_face(v2, v1)
-    if f_right is None or f_left is None:
+    if cnet.boundary_edge[edge]:
         raise DomainError(f"edge {edge} is a boundary edge")
-    loop_r = [int(x) for x in cnet.faces[f_right]]
-    loop_l = [int(x) for x in cnet.faces[f_left]]
-    return EdgeFrames(
-        v1=v1, v2=v2, left=f_left, right=f_right,
-        rot_left=loop_l.index(v1), rot_right=loop_r.index(v1),
-    )
-
-
-def edge_sides(cnet: CNet) -> tuple[np.ndarray, np.ndarray]:
-    """``edge_frames`` of every edge as arrays.
-
-    Returns ``(faces, rots)``, each (n_edges, 2): column 0 holds the right
-    element (its loop runs from the lower vertex to the higher) and its
-    quarter-turn index, column 1 the left one; -1 on the missing side of
-    a boundary edge.
-    """
-    forward = cnet.faces < np.roll(cnet.faces, -1, axis=1)
-    faces = np.full((cnet.n_edges, 2), -1)
-    rots = np.full((cnet.n_edges, 2), -1)
-    for side, (f, s) in enumerate((np.nonzero(forward), np.nonzero(~forward))):
-        faces[cnet.face_edges[f, s], side] = f
-        rots[cnet.face_edges[f, s], side] = (s + side) % 4
-    return faces, rots
+    faces, rots = glued_frames(cnet, [edge], [v1])  # (right, left) columns
+    return EdgeFrames(v1, v2, *faces[0, ::-1].tolist(), *rots[0, ::-1].tolist())
 
 
 def _edge_batches(surface: GSplineSurface, faces, rots, points: int,
                   polynomial=False):
     """The sides of k edges, in batches per (side, rotation, group).
 
-    ``faces`` and ``rots`` are (k, 2) as from ``edge_sides``.  Yields
+    ``faces`` and ``rots`` are (k, 2) as from ``glued_frames``.  Yields
     ``(side, rot, rows, sub)``: ``rows`` index edges whose side element
     lies in the group and has that rotation, and ``sub`` is the
     ``ElementGroup`` of those elements, polynomial (not rationalized) if
@@ -517,7 +518,7 @@ def edge_residuals(surface: GSplineSurface, faces, rots, orders,
                    gap_samples: int = 11, jump_samples: int = 20):
     """Watertightness and basis-function jumps of k interior edges.
 
-    ``faces`` and ``rots`` are (k, 2) gluing frames as from ``edge_sides``;
+    ``faces`` and ``rots`` are (k, 2) gluing frames as from ``glued_frames``;
     ``orders`` (k,) the jump order of each edge: 0 compares traces, 1 the
     transversal derivative in the glued chart, 2 the transversal and
     mixed second derivatives, and -1 measures no jump.  Returns ``(gap,

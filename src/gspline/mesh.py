@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,8 @@ class CNet:
     directed side u -> v has the key u n + v, an edge min n + max.  Edge
     ids follow first appearance in face-major order; ``edge_faces`` holds
     the face of that appearance and the face across (-1 at the boundary).
-    ``incidence`` is the sparse (n_faces, n_vertices) face-vertex matrix.
+    ``incidence`` is the sparse (n_faces, n_vertices) face-vertex matrix,
+    and ``sides`` the gluing frames of every edge.
 
     Parameters
     ----------
@@ -93,9 +95,9 @@ class CNet:
 
         n = self.n_vertices
         sides = tail * n + head
-        self._side_order = np.argsort(sides, kind="stable")
-        self._side_keys = sides[self._side_order]
-        again = self._side_order[1:][self._side_keys[1:] == self._side_keys[:-1]]
+        order = np.argsort(sides, kind="stable")
+        keys = sides[order]
+        again = order[1:][keys[1:] == keys[:-1]]
         if again.size:
             c = again.min()
             raise TopologyError(
@@ -103,8 +105,8 @@ class CNet:
                 "net is non-manifold or inconsistently oriented"
             )
         back = head * n + tail
-        at = np.minimum(np.searchsorted(self._side_keys, back), len(back) - 1)
-        twin = np.where(self._side_keys[at] == back, self._side_order[at], -1)
+        at = np.minimum(np.searchsorted(keys, back), len(back) - 1)
+        twin = np.where(keys[at] == back, order[at], -1)
 
         # edge ids in order of first appearance; with no side repeated an
         # edge has at most two corners, the first and its twin
@@ -160,23 +162,27 @@ class CNet:
             raise TopologyError(f"{kind} vertex {v} has a split fan")
 
     # ------------------------------------------------------------------
-    # queries
+    # gluing
 
-    def _corner(self, u: int, v: int) -> int:
-        """The corner whose side runs u -> v, or -1."""
-        n, keys = self.n_vertices, self._side_keys
-        if not (0 <= u < n and 0 <= v < n):
-            return -1
-        key = int(u) * n + int(v)
-        at = int(keys.searchsorted(key))
-        if at == len(keys) or keys[at] != key:
-            return -1
-        return int(self._side_order[at])
+    @cached_property
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two elements at every edge in their gluing frames, read-only.
 
-    def directed_face(self, u: int, v: int) -> int | None:
-        """Face whose counterclockwise loop traverses u -> v, if any."""
-        c = self._corner(u, v)
-        return None if c < 0 else c // 4
+        Returns ``(faces, rots)``, each (n_edges, 2): column 0 holds the
+        right element, whose loop runs from the lower vertex to the higher,
+        column 1 the left one; ``rots`` the quarter-turn index of each, the
+        position of the lower vertex in its loop.  -1 on the missing side
+        of a boundary edge.
+        """
+        forward = self.faces < np.roll(self.faces, -1, axis=1)
+        faces = np.full((self.n_edges, 2), -1)
+        rots = np.full((self.n_edges, 2), -1)
+        for side, (f, s) in enumerate((np.nonzero(forward), np.nonzero(~forward))):
+            faces[self.face_edges[f, s], side] = f
+            rots[self.face_edges[f, s], side] = (s + side) % 4
+        for a in (faces, rots):
+            a.setflags(write=False)
+        return faces, rots
 
 
 @dataclass(frozen=True)

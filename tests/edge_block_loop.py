@@ -5,8 +5,9 @@ resolved through a scalar ``node`` lookup and each edge's seven rows
 written one coefficient at a time into a (7, n) block, then the pin rows
 and the fairing rows as ``assemble`` wrote them before its edge blocks
 came from stencil tables.  Element classes come from
-``mesh.classify_elements``, not from the package's net analysis.  The
-package must produce bitwise-equal systems.
+``mesh.classify_elements``, not from the package's net analysis, and each
+edge's gluing from ``topology_loop.edge_frames``.  The package must
+produce bitwise-equal systems.
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ from gspline.construct_g1 import (
     edge_geometry,
 )
 from gspline.errors import DomainError, InternalError
-from gspline.evaluate import edge_frames
 from gspline.mesh import ElementClass, classify_elements
+
+from topology_loop import edge_frames
 
 
 def face_across(cnet, face: int, edge: int) -> int | None:

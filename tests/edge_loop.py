@@ -1,7 +1,8 @@
 """Per-edge reference for the batched ``gspline.cli.surface_check``: one
 ``element_loop`` call (``basis_table``, ``map_point`` or ``frame``) per
 element and edge side, one Python iteration per edge, and the dense
-collocation matrix with its full SVD.  The edge parameters of a side
+collocation matrix with its full SVD.  Each edge is glued by
+``topology_loop.edge_frames``.  The edge parameters of a side
 (``edge_side_params``) and the per-element normal angle (``normal_jump``)
 are frozen here.
 """
@@ -12,14 +13,11 @@ import numpy as np
 
 from gspline.construct_g1 import blend_polynomial, edge_geometry
 from gspline.errors import DomainError
-from gspline.evaluate import (
-    edge_frames,
-    rotated_params,
-    rotation_offset_matrix,
-)
+from gspline.evaluate import rotated_params, rotation_offset_matrix
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
 
 from element_loop import basis_table, frame, map_point
+from topology_loop import edge_frames
 
 
 def edge_side_params(frames, t, side):
@@ -172,6 +170,6 @@ def surface_check(surface, samples=12):
 
     sv = collocation_singular_values(surface)
     report["collocation_sv_ratio"] = float(sv.min() / sv.max())
-    if getattr(surface, "diagnostics", None):
+    if surface.diagnostics:
         report["construction"] = surface.diagnostics
     return report

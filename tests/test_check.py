@@ -1,5 +1,7 @@
 """The batched invariant check against the per-edge loop of ``edge_loop``;
-the bounded collocation ratio: the Gram matrix on the pattern of K, the
+the gluing of ``edge_frames`` and ``glued_frames`` against the loop net's
+directed sides, and the errors of the one-edge functions; the bounded
+collocation ratio: the Gram matrix on the pattern of K, the
 dense fallback below its floor, ``ResourceError`` above the byte cap; and
 the closed cube, whose G1 bases sum to one."""
 
@@ -17,15 +19,17 @@ from gspline.construct_c0 import build_c0, geometry_continuity_residual
 from gspline.construct_g1 import build_g1, g1_residual, g1_residuals
 from gspline.errors import (
     DegenerateBasisError,
+    DomainError,
     ResourceError,
     SingularParameterizationError,
 )
 from gspline.evaluate import (
     edge_frames,
+    edge_jumps,
     edge_normal_angles,
     edge_residuals,
-    edge_sides,
     edge_watertightness,
+    glued_frames,
     normal_jump,
 )
 from gspline.extraction import ElementExtraction
@@ -35,6 +39,7 @@ from gspline.refine import refine, refine_n
 import edge_loop
 import extraction_list
 import netgen
+import topology_loop
 
 
 def built(net, variant):
@@ -122,7 +127,7 @@ class TestParityWithEdgeLoop:
     def test_spoke_edges_match_the_loop_edge_by_edge(self, name):
         surface = case(name)
         spokes = interior_spokes(surface.cnet)
-        faces, rots = (a[spokes] for a in edge_sides(surface.cnet))
+        faces, rots = glued_frames(surface.cnet, spokes)
         g1 = g1_residuals(surface, spokes)
         angle = edge_normal_angles(surface, faces, rots, samples=5)
         for j, e in enumerate(spokes.tolist()):
@@ -144,12 +149,12 @@ class TestParityWithEdgeLoop:
         surface = case(name)
         cnet = surface.cnet
         interior = np.flatnonzero(~cnet.boundary_edge)
-        faces, rots = (a[interior] for a in edge_sides(cnet))
+        faces, rots = glued_frames(cnet, interior)
         for order in (0, 1, 2):
             gap, jump = edge_residuals(surface, faces, rots,
                                        np.full(len(interior), order))
             for j, e in enumerate(interior.tolist()):
-                fr = edge_frames(cnet, e)
+                fr = topology_loop.edge_frames(cnet, e)
                 assert (faces[j].tolist(), rots[j].tolist()) == (
                     [fr.right, fr.left], [fr.rot_right, fr.rot_left])
                 # the same kernel at other sample sets: equal up to rounding
@@ -206,6 +211,63 @@ class TestParityWithEdgeLoop:
         assert info.value.element == lo
         with pytest.raises(DegenerateBasisError):
             edge_loop.surface_check(bad)
+
+
+class TestEdgeFrames:
+    """Every gluing is rows of ``CNet.sides``; the reference is the loop
+    net's dict of directed sides."""
+
+    @pytest.mark.parametrize("name", ["val33_reversed_g1p", "val333_bumped_L1_g1r",
+                                      "cylinder_L1_c0"])
+    def test_both_frame_origins_match_the_loop(self, name):
+        cnet = case(name).cnet
+        interior = np.flatnonzero(~cnet.boundary_edge)
+        for ends in cnet.edges[interior].T:  # glued at the lower, then the higher
+            faces, rots = glued_frames(cnet, interior, ends)
+            for j, (e, v1) in enumerate(zip(interior.tolist(), ends.tolist())):
+                fr = topology_loop.edge_frames(cnet, e, v1)
+                assert edge_frames(cnet, e, v1) == fr
+                assert (faces[j].tolist(), rots[j].tolist()) == (
+                    [fr.right, fr.left], [fr.rot_right, fr.rot_left])
+
+    def test_glued_frames_are_copies_of_the_cached_sides(self):
+        cnet = netgen.val33().cnet
+        before = [a.copy() for a in cnet.sides]
+        for a in glued_frames(cnet, np.arange(cnet.n_edges), cnet.edges[:, 1]):
+            a[:] = 7
+        for a, b in zip(cnet.sides, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_a_vertex_off_the_edge_is_not_an_endpoint(self):
+        surface = fan5_g1p()
+        cnet = surface.cnet
+        inner = int(np.flatnonzero(~cnet.boundary_edge)[0])
+        outer = int(np.flatnonzero(cnet.boundary_edge)[0])
+        for e in (inner, outer):  # the endpoint check comes before the boundary one
+            off = next(v for v in range(cnet.n_vertices) if v not in cnet.edges[e])
+            for call in (lambda: edge_frames(cnet, e, off),
+                         lambda: topology_loop.edge_frames(cnet, e, off),
+                         lambda: edge_jumps(surface, e, 1, v1=off)):
+                with pytest.raises(DomainError,
+                                   match=f"^vertex {off} is not an endpoint of edge {e}$"):
+                    call()
+
+    @pytest.mark.parametrize("call", [
+        lambda s, e: edge_frames(s.cnet, e),
+        lambda s, e: edge_frames(s.cnet, e, int(s.cnet.edges[e, 1])),
+        lambda s, e: topology_loop.edge_frames(s.cnet, e),
+        edge_watertightness, normal_jump, g1_residual,
+        *(lambda s, e, k=k: edge_jumps(s, e, k) for k in (0, 1, 2))])
+    def test_a_boundary_edge_raises(self, call):
+        surface = fan5_g1p()
+        for e in np.flatnonzero(surface.cnet.boundary_edge).tolist():
+            with pytest.raises(DomainError, match=f"^edge {e} is a boundary edge$"):
+                call(surface, e)
+
+
+@functools.cache
+def fan5_g1p():
+    return built(netgen.fan(5), "g1p")
 
 
 def nearly_dependent_quad(delta=1e-9):

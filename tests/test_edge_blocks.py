@@ -18,13 +18,13 @@ from gspline.construct_g1 import (
     slot_keys,
 )
 from gspline.errors import InternalError
-from gspline.evaluate import edge_frames
 from gspline.mesh import irregular_basis_vertices
 from gspline.refine import refine_n
 
 import edge_block_loop
 import netgen
 import problem_loop
+from topology_loop import edge_frames
 
 NETS = {
     "rot44": netgen.rot44,

@@ -118,6 +118,20 @@ class TestMapPoint:
                 np.testing.assert_allclose(fr.curvature[m], fm.curvature,
                                            atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["c0", "g1r"])
+    def test_lower_orders_are_the_leading_outputs_bitwise(self, variant):
+        # nderiv 0 and 1 build tables only to their own order
+        c0 = build_c0(netgen.bumped(netgen.rot44(), amplitude=0.3))
+        surf = c0 if variant == "c0" else build_g1(c0, variant)
+        xi, eta = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 7))
+        for f in range(surf.cnet.n_faces):
+            full = map_point(surf, f, xi, eta, nderiv=2)
+            lower = [map_point(surf, f, xi, eta, nderiv=0),
+                     *map_point(surf, f, xi, eta, nderiv=1)]
+            assert [a.shape for a in lower] == [(7, 9, 3), (7, 9, 3), (7, 9, 3, 2)]
+            for a, b in zip(lower, [full[0], *full[:2]]):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestFrame:
     def test_flat_plate_zero_curvature(self):

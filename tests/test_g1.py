@@ -18,7 +18,6 @@ from gspline.construct_g1 import (
 )
 from gspline.errors import DomainError, InfeasibleConstraintError
 from gspline.evaluate import (
-    edge_frames,
     edge_watertightness,
     map_point,
     bounding_box_diagonal,
@@ -30,6 +29,7 @@ from gspline.refine import refine
 import edge_block_loop
 import netgen
 from oracles import kkt_solve
+from topology_loop import edge_frames
 
 
 def first_spoke_edge(cnet):

@@ -55,9 +55,18 @@ def assert_same_adjacency(new, old):
             for v in range(new.n_vertices)] == old.vertex_faces
     for (u, v), e in old.edge_index.items():
         assert new.edges[e].tolist() == sorted((u, v)) == sorted(old.edges[e].tolist())
+    # sides: the face running each directed side, in the column of its
+    # direction (lower -> higher first), at the lower vertex's corner
+    faces, rots = new.sides
     for (u, v), f in old._directed.items():
-        assert new.directed_face(u, v) == f
-        assert new.directed_face(v, u) == old.directed_face(v, u)
+        e, lo = old.edge_index[min(u, v), max(u, v)], min(u, v)
+        assert faces[e, int(u > v)] == f
+        assert rots[e, int(u > v)] == old.faces[f].tolist().index(lo)
+    assert np.count_nonzero(faces >= 0) == len(old._directed)
+    np.testing.assert_array_equal(faces < 0, rots < 0)
+    for a in (faces, rots):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
     for f, edges in enumerate(old.face_edges):
         for e in edges:
             other = old.face_across(f, int(e))
@@ -97,7 +106,6 @@ def test_edge_queries_reject_unknown_pairs():
     cnet = netgen.val33().cnet
     n = cnet.n_vertices
     for u, v in [(0, n), (-1, 0), (n, n + 1), (0, 0)]:
-        assert cnet.directed_face(u, v) is None
         with pytest.raises(DomainError, match="no edge"):
             loop.LoopCNet(n, cnet.faces).edge_id(u, v)
 

@@ -1,13 +1,17 @@
-"""Dict- and loop-based reference for the net topology in ``gspline.mesh``
-and the extraordinary-vertex clustering of ``gspline.construct_g1``:
-adjacency built corner by corner in dicts and lists, a fan walk per vertex,
-rings grown one extraordinary vertex at a time and a union-find over the
-extraordinary vertices.
+"""Dict- and loop-based reference for the net topology in ``gspline.mesh``,
+the extraordinary-vertex clustering of ``gspline.construct_g1`` and the
+edge gluing of ``gspline.evaluate``: adjacency built corner by corner in
+dicts and lists, a fan walk per vertex, rings grown one extraordinary
+vertex at a time, a union-find over the extraordinary vertices, and each
+gluing frame found in the dict of directed sides.
 """
+
+import weakref
 
 import numpy as np
 
 from gspline.errors import DomainError, EmptyError, FormatError, InternalError, TopologyError
+from gspline.evaluate import EdgeFrames
 from gspline.mesh import ElementClass
 
 
@@ -144,6 +148,35 @@ class LoopCNet:
 
     def directed_face(self, u: int, v: int) -> int | None:
         return self._directed.get((u, v))
+
+
+_LOOP_NETS = weakref.WeakKeyDictionary()
+
+
+def loop_net(cnet) -> LoopCNet:
+    """The ``LoopCNet`` of a package net's faces, built once per net."""
+    if cnet not in _LOOP_NETS:
+        _LOOP_NETS[cnet] = LoopCNet(cnet.n_vertices, cnet.faces)
+    return _LOOP_NETS[cnet]
+
+
+def edge_frames(cnet, edge: int, v1: int | None = None) -> EdgeFrames:
+    """Reference for ``evaluate.edge_frames``: the faces that run v1 -> v2
+    (right) and v2 -> v1 (left) looked up in ``loop_net``'s directed
+    sides, each quarter turn the position of v1 in that face's loop."""
+    loop = loop_net(cnet)
+    u, v = (int(x) for x in loop.edges[edge])
+    if v1 is None:
+        v1 = min(u, v)
+    v2 = v if v1 == u else u
+    if {v1, v2} != {u, v}:
+        raise DomainError(f"vertex {v1} is not an endpoint of edge {edge}")
+    right, left = loop.directed_face(v1, v2), loop.directed_face(v2, v1)
+    if right is None or left is None:
+        raise DomainError(f"edge {edge} is a boundary edge")
+    return EdgeFrames(v1=v1, v2=v2, left=left, right=right,
+                      rot_left=loop.faces[left].tolist().index(v1),
+                      rot_right=loop.faces[right].tolist().index(v1))
 
 
 def extraordinary_vertices(cnet) -> list[int]:
