@@ -51,8 +51,6 @@ from .evaluate import (
 from .extraction import bezier_points, group_table
 from .mesh import (
     ControlNet,
-    ElementClass,
-    classify_elements,
     load_obj,
     save_obj,
     spoke_mask,
@@ -116,13 +114,10 @@ def surface_check(surface: GSplineSurface) -> dict:
     and dot products) from one ``edge_normal_angles`` call.
     """
     cnet = surface.cnet
-    labels = classify_elements(cnet)
-    irregular = np.array([c is ElementClass.IRREGULAR for c in labels])
-    transition = np.array([c is ElementClass.TRANSITION for c in labels])
     interior = np.flatnonzero(~cnet.boundary_edge)
     spoke = spoke_mask(cnet)[interior]
     faces, rots = glued_frames(cnet, interior)
-    irr, trans = irregular[faces], transition[faces]
+    irr, trans = cnet.rings[faces] == 1, cnet.rings[faces] == 2
     orders = np.select([spoke, (irr & trans[:, ::-1]).any(axis=1), ~irr.any(axis=1)],
                        [-1, 1, 2], -1)
     gap, jump = edge_residuals(surface, faces, rots, orders, jump_samples=12)

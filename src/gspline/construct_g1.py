@@ -25,18 +25,19 @@ together: one factorization, one right-hand-side column per function.
 Unknowns are numbered from integer slot keys (``slot_keys``: corner
 slots by vertex, side slots by edge position, interior slots per face),
 so elements share the unknowns of their common edges.  Set-up stays in
-arrays from ``analyze_net`` (the irregular faces and their clusters) to
-``GSplineSurface.from_rows``: their extraction rows, read from
-``c0.groups``, give each function's support and solve set as a row of a
-boolean table over the irregular faces; ``slot_keys`` makes a problem's
-(elements, 36) key table in one call; one stacked ``degree_elevate_2``
-call elevates the cubic rows of all its (element, function) pairs, as in
-``elevate_irregular``.  ``assemble`` writes G and F from index arrays:
-(element, side) arrays from ``cnet.edge_faces`` and
-``evaluate.glued_frames``, the seven rows of each constrained edge from one
-stencil table (``_EDGE_STENCIL``) with one ``np.add.at``, an identity row
-per pinned unknown and the 60 fairing differences of each element.
-``solve`` gives each function's (elements, 36) rows, stored as they are.
+arrays from ``CNet.rings`` and ``CNet.clusters`` (the irregular faces
+and their clusters) to ``GSplineSurface.from_rows``: their extraction
+rows, read from ``c0.groups``, give each function's support and solve
+set as a row of a boolean table over the irregular faces; ``slot_keys``
+makes a problem's (elements, 36) key table in one call; one stacked
+``degree_elevate_2`` call elevates the cubic rows of all its (element,
+function) pairs, as in ``elevate_irregular``.  ``assemble`` writes G
+and F from index arrays: (element, side) arrays from ``cnet.edge_faces``
+and ``evaluate.glued_frames``, the seven rows of each constrained edge
+from one stencil table (``_EDGE_STENCIL``) with one ``np.add.at``, an
+identity row per pinned unknown and the 60 fairing differences of each
+element.  ``solve`` gives each function's (elements, 36) rows, stored as
+they are.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
@@ -123,49 +124,15 @@ def glued_sides(cnet: CNet, edges):
 
 
 # ----------------------------------------------------------------------
-# per-net analysis shared by all basis-function solves
+# irregular faces and their clusters
 
 
-@dataclass
-class NetAnalysis:
-    """Net data shared by all constraint problems of one build: the
-    irregular faces (those with an extraordinary corner), ascending, and
-    the extraordinary-vertex cluster of each, named by its smallest EP."""
-
-    cnet: CNet
-    faces: np.ndarray
-    cluster: np.ndarray
-
-
-def analyze_net(cnet: CNet) -> NetAnalysis:
-    # Cluster extraordinary vertices whose one-rings share a face or an
-    # edge; every basis function touching a cluster is solved over the
-    # cluster's whole one-ring so that all functions on an element see the
-    # same equality system (this is what keeps partition of unity exact
-    # for the propagated construction).  The clusters are the components
-    # of a graph on vertices and faces that links each irregular face
-    # (one with an extraordinary corner) to those corners and to the
-    # irregular faces across its edges; each is named by its smallest EP.
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    n_v = cnet.n_vertices
-    eps = np.flatnonzero(cnet.extraordinary)
-    at_ep = cnet.extraordinary[cnet.faces]
-    is_irregular = at_ep.any(axis=1)
-    irregular = np.flatnonzero(is_irregular)
-    f, g = cnet.edge_faces[~cnet.boundary_edge].T
-    across = is_irregular[f] & is_irregular[g]
-    rows = np.concatenate([cnet.faces[at_ep], n_v + f[across]])
-    cols = np.concatenate([n_v + np.nonzero(at_ep)[0], n_v + g[across]])
-    size = n_v + cnet.n_faces
-    _, component = connected_components(
-        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
-        directed=False)
-    named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
-    name = np.full(size, -1)
-    name[named] = eps[smallest]
-    return NetAnalysis(cnet, irregular, name[component[n_v + irregular]])
+def analyze_net(cnet: CNet) -> tuple[np.ndarray, np.ndarray]:
+    """The irregular faces, ascending, and their ``CNet.clusters``.  g1p
+    solves a function over every cluster it touches, so all functions on
+    an element see one equality system and sum to one exactly."""
+    faces = np.flatnonzero(cnet.rings == 1)
+    return faces, cnet.clusters[faces]
 
 
 # ----------------------------------------------------------------------
@@ -272,13 +239,13 @@ def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
+def _tables(c0: GSplineSurface, functions, variant: str):
     """The irregular faces (ascending); the face index, basis id and cubic
     coefficients of their extraction rows; and two (len(functions),
     len(faces)) tables: each function's support, and the faces it is
     solved over: its support (g1r) or every face of the clusters its
     support touches (g1p)."""
-    faces = info.faces
+    faces, cluster = analyze_net(c0.cnet)
     element, basis, coeffs = _c0_rows(c0, faces)
     at = np.searchsorted(faces, element)
     ids, col = np.unique(functions, return_inverse=True)
@@ -288,7 +255,7 @@ def _tables(c0: GSplineSurface, info: NetAnalysis, functions, variant: str):
     support[fn, at[hit]] = True
     solved = support
     if variant == "g1p":
-        names, ring = np.unique(info.cluster, return_inverse=True)
+        names, ring = np.unique(cluster, return_inverse=True)
         touched = np.zeros((ids.size, names.size), dtype=bool)
         touched[fn, ring[at[hit]]] = True
         solved = touched[:, ring]
@@ -306,13 +273,13 @@ class ConstraintProblem:
     support and pins the rest.
 
     ``elements`` (the faces solved over) and ``constrained_edges`` are
-    ascending id arrays; ``supports`` are boolean rows over ``info.faces``;
-    ``slot_nodes[r, i + 6 j]`` is the unknown of slot (i, j) of element
-    ``elements[r]``; the three ``*_sides`` are (k, 2) (element, side) arrays.
+    ascending id arrays; ``supports`` are boolean rows over the irregular
+    faces; ``slot_nodes[r, i + 6 j]`` is the unknown of slot (i, j) of
+    element ``elements[r]``; the three ``*_sides`` are (k, 2) (element,
+    side) arrays.
     """
 
-    def __init__(self, c0: GSplineSurface, basisfn, variant: str,
-                 analysis: NetAnalysis | None = None):
+    def __init__(self, c0: GSplineSurface, basisfn, variant: str):
         if c0.variant != "c0":
             raise DomainError("constraint problems start from a C0 surface")
         if variant not in ("g1p", "g1r"):
@@ -322,11 +289,9 @@ class ConstraintProblem:
         self.functions = fns.tolist()
         cols = () if np.ndim(basisfn) == 0 else (fns.size,)
         self.variant = variant
-        self.info = analysis if analysis is not None else analyze_net(c0.cnet)
         cnet = c0.cnet
 
-        faces, (at, basis, coeffs), self.supports, solved = _tables(
-            c0, self.info, fns, variant)
+        faces, (at, basis, coeffs), self.supports, solved = _tables(c0, fns, variant)
         named = f"basis functions {self.functions}"
         if not solved.any():
             raise DomainError(f"{named} support no irregular element")
@@ -373,7 +338,7 @@ class ConstraintProblem:
         other = np.where(pair[..., 0] == els[:, None], pair[..., 1], pair[..., 0])
         boundary = other < 0
         inside = np.isin(other, els, kind="sort")
-        irregular = cnet.extraordinary[cnet.faces[other]].any(axis=-1)
+        irregular = cnet.rings[other] == 1
 
         def sides(mask):
             f, s = np.nonzero(mask)
@@ -566,8 +531,7 @@ def elevate_irregular(c0: GSplineSurface):
     """Degree-elevated bi-quintic coefficients of every basis function on
     every irregular element it supports: dict (basis, element) -> (6, 6),
     element by element in extraction-row order."""
-    irregular = c0.cnet.extraordinary[c0.cnet.faces].any(axis=1)
-    element, basis, coeffs = _c0_rows(c0, np.flatnonzero(irregular))
+    element, basis, coeffs = _c0_rows(c0, np.flatnonzero(c0.cnet.rings == 1))
     grids = degree_elevate_2(coeffs.reshape(-1, 4, 4).swapaxes(1, 2))
     return dict(zip(zip(basis.tolist(), element.tolist()), grids))
 
@@ -583,9 +547,8 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
         raise DomainError("build_g1 expects the preliminary C0 surface")
     if variant not in ("g1p", "g1r"):
         raise DomainError(f"unknown construction variant {variant!r}")
-    info = analyze_net(c0.cnet)
     functions = np.array(sorted(irregular_basis_vertices(c0.cnet)), dtype=np.int64)
-    faces, (at, basis, _), _, solved = _tables(c0, info, functions, variant)
+    faces, (at, basis, _), _, solved = _tables(c0, functions, variant)
     extra = ~np.isin(basis, functions)
     if extra.any():
         j = at[extra.argmax()]  # the lowest such element
@@ -604,17 +567,16 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     diagnostics = np.empty(functions.size, dtype=object)
     for g in np.argsort(first):
         members = np.flatnonzero(group == g)
-        problem = ConstraintProblem(c0, functions[members], variant, analysis=info)
+        problem = ConstraintProblem(c0, functions[members], variant)
         rows, diagnostics[members] = zip(*problem.solve())
         coeffs[slot[members][:, solved[members[0]]]] = rows
     # the kept C0 rows of the other faces and these, in element order
-    n = c0.cnet.n_faces
-    solved_face = np.isin(np.arange(n), faces)
+    solved_face = c0.cnet.rings == 1
     element, kept, cubic = _c0_rows(c0, np.flatnonzero(~solved_face))
     owner = np.concatenate([element, faces[face_of]])
     return GSplineSurface.from_rows(
         c0.net, variant, np.where(solved_face, P, 3), solved_face & (variant == "g1r"),
-        np.bincount(owner, minlength=n),
+        np.bincount(owner, minlength=c0.cnet.n_faces),
         np.concatenate([kept, functions[fn]])[np.argsort(owner, kind="stable")],
         {3: cubic, P: coeffs}, diagnostics.tolist())
 

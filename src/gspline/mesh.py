@@ -3,9 +3,9 @@
 A C-net is pure-quad connectivity: vertices, counterclockwise 4-tuples of
 vertex indices as faces, and the derived edge/vertex adjacency.  A control
 net pairs a C-net with one 3D control point per vertex.  Vertices are
-classified into regular and extraordinary ones; faces into regular,
-transition and irregular elements according to their breadth-first ring
-distance from extraordinary vertices.
+classified into regular and extraordinary ones; faces, once per net, into
+irregular, transition and regular elements by their ring distance from
+extraordinary vertices (``CNet.rings``) and into EP clusters (``CNet.clusters``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class CNet:
     ids follow first appearance in face-major order; ``edge_faces`` holds
     the face of that appearance and the face across (-1 at the boundary).
     ``incidence`` is the sparse (n_faces, n_vertices) face-vertex matrix,
-    and ``sides`` the gluing frames of every edge.
+    ``sides`` the gluing frames of every edge, and ``rings`` and
+    ``clusters`` the classification of every face.
 
     Parameters
     ----------
@@ -184,6 +185,48 @@ class CNet:
             a.setflags(write=False)
         return faces, rots
 
+    # ------------------------------------------------------------------
+    # classification
+
+    @cached_property
+    def rings(self) -> np.ndarray:
+        """(n_faces,) ring of every face around the extraordinary vertices,
+        read-only: 1 on irregular faces (an extraordinary corner), 2 on
+        transition faces (a vertex shared with an irregular face), else 0."""
+        ring1, ring2 = _face_rings(self, self.extraordinary, 2)
+        rings = ring1 + 2 * ring2
+        rings.setflags(write=False)
+        return rings
+
+    @cached_property
+    def clusters(self) -> np.ndarray:
+        """(n_faces,) EP cluster of every irregular face, -1 elsewhere,
+        read-only.  EPs whose one-rings share a face or an edge form one
+        cluster, named by its smallest EP: a component of the graph linking
+        each irregular face to its EP corners and the irregular faces across
+        its edges."""
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        n_v = self.n_vertices
+        eps = np.flatnonzero(self.extraordinary)
+        at_ep = self.extraordinary[self.faces]
+        irregular = self.rings == 1
+        f, g = self.edge_faces[~self.boundary_edge].T
+        across = irregular[f] & irregular[g]
+        rows = np.concatenate([self.faces[at_ep], n_v + f[across]])
+        cols = np.concatenate([n_v + np.nonzero(at_ep)[0], n_v + g[across]])
+        size = n_v + self.n_faces
+        _, component = connected_components(
+            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
+            directed=False)
+        named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
+        name = np.full(size, -1)
+        name[named] = eps[smallest]
+        clusters = name[component[n_v:]]  # a face off the graph has no EP
+        clusters.setflags(write=False)
+        return clusters
+
 
 @dataclass(frozen=True)
 class ControlNet:
@@ -271,12 +314,11 @@ def ring_vertices(cnet: CNet, ep: int, m: int) -> set[int]:
 
 
 def classify_elements(cnet: CNet) -> list[ElementClass]:
-    """Label each face by its smallest ring index over all extraordinary
-    vertices: ring 1 -> irregular, ring 2 -> transition, else regular."""
-    ring1, ring2 = _face_rings(cnet, cnet.extraordinary, 2)
+    """``CNet.rings`` as labels: ring 1 -> irregular, ring 2 -> transition,
+    else regular."""
     by_ring = np.array([ElementClass.REGULAR, ElementClass.IRREGULAR,
                         ElementClass.TRANSITION], dtype=object)
-    return by_ring[ring1 + 2 * ring2].tolist()
+    return by_ring[cnet.rings].tolist()
 
 
 def boundary_neighbours(cnet: CNet) -> np.ndarray:
@@ -310,8 +352,7 @@ def spoke_edges(cnet: CNet) -> set[int]:
 def irregular_basis_vertices(cnet: CNet) -> set[int]:
     """Vertices carrying irregular basis functions: every vertex within
     ring index 2 of some extraordinary vertex."""
-    ring1, ring2 = _face_rings(cnet, cnet.extraordinary, 2)
-    return set(np.flatnonzero(_vertices_on(cnet, ring1 | ring2)).tolist())
+    return set(np.flatnonzero(_vertices_on(cnet, cnet.rings > 0)).tolist())
 
 
 # ----------------------------------------------------------------------

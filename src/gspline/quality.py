@@ -108,7 +108,7 @@ def _fiber_dets(frames, zetas: np.ndarray) -> np.ndarray:
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
-def is_valid_at_thickness(surface: GSplineSurface, t: float, frames=None):
+def is_valid_at_thickness(surface: GSplineSurface, t: float):
     """Check det g > 0 at every surface point and Lobatto fiber.
 
     Returns ``(valid, failure)`` where failure describes the first
@@ -117,7 +117,7 @@ def is_valid_at_thickness(surface: GSplineSurface, t: float, frames=None):
     """
     if t <= 0.0:
         raise DomainError("thickness must be positive")
-    frames = frames if frames is not None else _quadrature_frames(surface)
+    frames = _quadrature_frames(surface)
     zetas = gauss_lobatto5(-0.5 * t, 0.5 * t).points
     dets = _fiber_dets(frames, zetas)
     bad = np.flatnonzero(dets <= 0.0)

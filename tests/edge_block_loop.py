@@ -5,9 +5,9 @@ resolved through a scalar ``node`` lookup and each edge's seven rows
 written one coefficient at a time into a (7, n) block, then the pin rows
 and the fairing rows as ``assemble`` wrote them before its edge blocks
 came from stencil tables.  Element classes come from
-``mesh.classify_elements``, not from the package's net analysis, and each
-edge's gluing from ``topology_loop.edge_frames``.  The package must
-produce bitwise-equal systems.
+``topology_loop.classify_elements``, not from the package's net
+classification, and each edge's gluing from ``topology_loop.edge_frames``.
+The package must produce bitwise-equal systems.
 """
 
 import numpy as np
@@ -22,9 +22,9 @@ from gspline.construct_g1 import (
     edge_geometry,
 )
 from gspline.errors import DomainError, InternalError
-from gspline.mesh import ElementClass, classify_elements
+from gspline.mesh import ElementClass
 
-from topology_loop import edge_frames
+from topology_loop import classify_elements, edge_frames, loop_net
 
 
 def face_across(cnet, face: int, edge: int) -> int | None:
@@ -39,7 +39,7 @@ def classify_sides(problem: ConstraintProblem):
     """``(constrained_edges, pinned_sides, frozen_sides, boundary_sides)``
     of a problem's elements, as lists of edge ids and (element, side)."""
     cnet = problem.c0.cnet
-    labels = classify_elements(cnet)
+    labels = classify_elements(loop_net(cnet))
     elements = problem.elements.tolist()
     element_set = set(elements)
     constrained_edges, pinned_sides, frozen_sides, boundary_sides = [], [], [], []
@@ -93,7 +93,7 @@ def edge_block(problem: ConstraintProblem, edge: int) -> np.ndarray:
         raise InternalError(
             f"edge {edge} flanked by an element outside the unknown set"
         )
-    labels = classify_elements(cnet)
+    labels = classify_elements(loop_net(cnet))
     if (labels[fr.left] is not ElementClass.IRREGULAR
             or labels[fr.right] is not ElementClass.IRREGULAR):
         raise InternalError(

@@ -2,7 +2,8 @@
 ``element_loop`` call (``basis_table``, ``map_point`` or ``frame``) per
 element and edge side, one Python iteration per edge, and the dense
 collocation matrix with its full SVD.  Each edge is glued by
-``topology_loop.edge_frames``.  The edge parameters of a side
+``topology_loop.edge_frames`` and each element classed by
+``topology_loop.classify_elements``.  The edge parameters of a side
 (``edge_side_params``) and the per-element normal angle (``normal_jump``)
 are frozen here.
 """
@@ -14,10 +15,10 @@ import numpy as np
 from gspline.construct_g1 import blend_polynomial, edge_geometry
 from gspline.errors import DomainError
 from gspline.evaluate import rotated_params, rotation_offset_matrix
-from gspline.mesh import ElementClass, classify_elements, spoke_edges
+from gspline.mesh import ElementClass, spoke_edges
 
 from element_loop import basis_table, frame, map_point
-from topology_loop import edge_frames
+from topology_loop import classify_elements, edge_frames, loop_net
 
 
 def edge_side_params(frames, t, side):
@@ -130,7 +131,7 @@ def collocation_singular_values(surface):
 def surface_check(surface, samples=12):
     """The invariant report of ``gspline.cli.surface_check``, edge by edge."""
     cnet = surface.cnet
-    labels = classify_elements(cnet)
+    labels = classify_elements(loop_net(cnet))
     spokes = spoke_edges(cnet)
     report = {"variant": surface.variant}
     watertight = c1_interface = c2_regular = g1_spoke = normal_kink = 0.0

@@ -12,7 +12,6 @@ from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import (
     ConstraintProblem,
     _tables,
-    analyze_net,
     edge_geometry,
     elevate_irregular,
     slot_keys,
@@ -39,13 +38,11 @@ NETS = {
 
 def problems(c0, variant):
     """One problem per element set, as ``build_g1`` groups them."""
-    info = analyze_net(c0.cnet)
     functions = sorted(irregular_basis_vertices(c0.cnet))
     groups = {}
-    for a, row in zip(functions, _tables(c0, info, functions, variant)[3]):
+    for a, row in zip(functions, _tables(c0, functions, variant)[3]):
         groups.setdefault(row.tobytes(), []).append(a)
-    return [ConstraintProblem(c0, group, variant, analysis=info)
-            for group in groups.values()]
+    return [ConstraintProblem(c0, group, variant) for group in groups.values()]
 
 
 @pytest.mark.parametrize("variant", ["g1p", "g1r"])
@@ -97,13 +94,13 @@ def bitwise(a, b):
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_setup_equals_the_loop_bitwise(name, level, variant):
     c0 = build_c0(refine_n(NETS[name](), level)[0])
-    info, rings = analyze_net(c0.cnet), problem_loop.clusters(c0.cnet)
+    rings = problem_loop.clusters(c0.cnet)
     functions = sorted(irregular_basis_vertices(c0.cnet))
-    faces, _, support, solved = _tables(c0, info, functions, variant)
-    assert faces.tolist() == problem_loop.irregular_faces(c0.cnet)
+    irregular, _, support, solved = _tables(c0, functions, variant)
+    assert irregular.tolist() == problem_loop.irregular_faces(c0.cnet)
     supports = problem_loop.basis_supports(c0, functions)
-    assert [set(faces[row].tolist()) for row in support] == list(supports.values())
-    assert [faces[row].tolist() for row in solved] == [
+    assert [set(irregular[row].tolist()) for row in support] == list(supports.values())
+    assert [irregular[row].tolist() for row in solved] == [
         problem_loop.solve_elements(rings, s, variant) for s in supports.values()]
     faces = np.arange(c0.cnet.n_faces)
     assert bitwise(slot_keys(c0.cnet, faces),
@@ -113,8 +110,8 @@ def test_setup_equals_the_loop_bitwise(name, level, variant):
     for problem in found:
         ref = problem_loop.setup(c0, problem.functions, variant, rings)
         assert problem.elements.tolist() == ref.elements
-        assert problem.supports.shape == (len(ref.supports), info.faces.size)
-        assert [set(info.faces[row].tolist()) for row in problem.supports] == ref.supports
+        assert problem.supports.shape == (len(ref.supports), irregular.size)
+        assert [set(irregular[row].tolist()) for row in problem.supports] == ref.supports
         assert problem.n == ref.n
         assert bitwise(problem.slot_nodes, ref.slot_nodes)
         # slot_nodes[r, i + 6 j] is the unknown of grid slot (i, j)
@@ -143,7 +140,7 @@ def test_inconsistent_shared_node_names_the_same_element(name, variant):
     for the same element.  The move is made through ``c0.extraction(f)``,
     whose arrays are views of ``c0.groups``, which the package reads."""
     c0 = build_c0(NETS[name]())
-    cnet, info, rings = c0.cnet, analyze_net(c0.cnet), problem_loop.clusters(c0.cnet)
+    cnet, rings = c0.cnet, problem_loop.clusters(c0.cnet)
     functions = sorted(irregular_basis_vertices(cnet))
     supports = problem_loop.basis_supports(c0, functions)
     a, f, corner = next(
@@ -158,5 +155,5 @@ def test_inconsistent_shared_node_names_the_same_element(name, variant):
     with pytest.raises(InternalError) as ref:
         problem_loop.setup(c0, a, variant, rings)
     with pytest.raises(InternalError) as mine:
-        ConstraintProblem(c0, a, variant, analysis=info)
+        ConstraintProblem(c0, a, variant)
     assert str(mine.value) == str(ref.value)

@@ -312,7 +312,7 @@ class TestGroupedSolve:
         problem to solve: a DomainError naming the ids, at construction."""
         c0 = build_c0(refine(netgen.rot44()))
         assert not any(0 in c0.extraction(f).basis
-                       for f in analyze_net(c0.cnet).faces.tolist())
+                       for f in analyze_net(c0.cnet)[0].tolist())
         with pytest.raises(DomainError, match="support no irregular element") as err:
             ConstraintProblem(c0, ids, variant)
         assert str([int(a) for a in np.atleast_1d(ids)]) in str(err.value)

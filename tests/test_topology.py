@@ -1,15 +1,21 @@
-"""Net topology of ``gspline.mesh`` and the extraordinary-vertex clusters of
-``gspline.construct_g1`` against the loop-based reference in
-``topology_loop.py``, on every test net, its refinements, the topology
-error cases and a seeded corpus of broken nets."""
+"""Net topology of ``gspline.mesh``, its cached face classes and
+extraordinary-vertex clusters, and ``gspline.construct_g1.analyze_net``
+against the loop-based reference in ``topology_loop.py``, on every test
+net, its refinements, the topology error cases and a seeded corpus of
+broken nets.  Each class array is computed once per net."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
-from gspline.construct_g1 import analyze_net
+from gspline import mesh
+from gspline.cli import surface_check
+from gspline.construct_c0 import build_c0
+from gspline.construct_g1 import ConstraintProblem, analyze_net, build_g1
 from gspline.errors import DomainError, FormatError, GSplineError, TopologyError
 from gspline.mesh import (
     CNet,
+    ElementClass,
     classify_elements,
     irregular_basis_vertices,
     ring_faces,
@@ -81,15 +87,27 @@ def assert_same_classes(new, old):
         for m in (1, 2, 3):
             assert ring_faces(new, ep, m) == loop.ring_faces(old, ep, m)
             assert ring_vertices(new, ep, m) == loop.ring_vertices(old, ep, m)
-    info = analyze_net(new)
     face_cluster, cluster_rings = loop.clusters(old)
-    assert info.faces.dtype.kind == info.cluster.dtype.kind == "i"
-    assert info.faces.tolist() == sorted(face_cluster)
-    assert info.cluster.tolist() == [face_cluster[f] for f in sorted(face_cluster)]
+    # the cached arrays: ring 1 irregular, 2 transition, 0 regular; the
+    # cluster of each irregular face, -1 on the others
+    ring = {ElementClass.IRREGULAR: 1, ElementClass.TRANSITION: 2,
+            ElementClass.REGULAR: 0}
+    assert new.rings.tolist() == [ring[c] for c in loop.classify_elements(old)]
+    assert new.clusters.tolist() == [face_cluster.get(f, -1)
+                                     for f in range(new.n_faces)]
+    for a in (new.rings, new.clusters):
+        assert a.shape == (new.n_faces,) and a.dtype.kind == "i"
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert new.rings is new.rings and new.clusters is new.clusters
+    faces, cluster = analyze_net(new)
+    assert faces.dtype.kind == cluster.dtype.kind == "i"
+    assert faces.tolist() == sorted(face_cluster)
+    assert cluster.tolist() == [face_cluster[f] for f in sorted(face_cluster)]
     # each cluster's faces are the one-rings of its extraordinary vertices
-    assert sorted(cluster_rings) == np.unique(info.cluster).tolist()
-    for c, ring in cluster_rings.items():
-        assert info.faces[info.cluster == c].tolist() == ring
+    assert sorted(cluster_rings) == np.unique(cluster).tolist()
+    for c, faces_of in cluster_rings.items():
+        assert faces[cluster == c].tolist() == faces_of
 
 
 @pytest.mark.parametrize("levels", [0, 1, 2])
@@ -100,6 +118,51 @@ def test_matches_loop_reference(name, levels):
     new, old = CNet(n, faces), loop.LoopCNet(n, faces)
     assert_same_adjacency(new, old)
     assert_same_classes(new, old)
+
+
+@pytest.mark.parametrize("name", ["structured", "cylinder"])
+def test_net_without_extraordinary_vertices(name):
+    """No EP: every face regular, no cluster, no irregular face."""
+    cnet = NETS[name]().cnet
+    assert not cnet.extraordinary.any()
+    assert (cnet.rings == 0).all() and (cnet.clusters == -1).all()
+    faces, cluster = analyze_net(cnet)
+    assert faces.size == cluster.size == 0
+
+
+def _counting(monkeypatch):
+    """Count the ring and cluster passes: ``mesh._face_rings`` and
+    ``csgraph.connected_components`` calls from now on."""
+    calls = {"rings": 0, "clusters": 0}
+    for key, owner, name in (("rings", mesh, "_face_rings"),
+                             ("clusters", csgraph, "connected_components")):
+        def counted(*args, _fn=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["g1p", "g1r"])
+def test_build_and_check_classify_once(monkeypatch, variant):
+    """A G1 build and its check read one ring and one cluster pass of the
+    net; the net's own fan check runs before counting starts."""
+    net = refine_n(netgen.val333(), 1)[0]
+    calls = _counting(monkeypatch)
+    surface_check(build_g1(build_c0(net), variant))
+    assert calls == {"rings": 1, "clusters": 1}
+
+
+@pytest.mark.parametrize("variant", ["g1p", "g1r"])
+def test_constraint_problems_share_the_clusters(monkeypatch, variant):
+    """Problems built one by one, with nothing shared by the caller, add no
+    cluster pass after the first."""
+    c0 = build_c0(netgen.rot44())
+    functions = sorted(irregular_basis_vertices(c0.cnet))
+    calls = _counting(monkeypatch)
+    for a in functions[:6]:
+        ConstraintProblem(c0, a, variant)
+    assert calls["clusters"] == 1
 
 
 def test_edge_queries_reject_unknown_pairs():
