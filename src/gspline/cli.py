@@ -26,19 +26,11 @@ from . import __version__
 from .archive import surface_from_json, surface_to_json
 from .construct_g1 import g1_residuals
 from .errors import (
-    DegenerateBasisError,
-    DomainError,
-    EigensolverError,
-    EmptyError,
     FormatError,
     GSplineError,
     InfeasibleConstraintError,
-    LumpingError,
     NonFiniteError,
     ResourceError,
-    SingularParameterizationError,
-    SingularSystemError,
-    TopologyError,
 )
 from .evaluate import (
     GSplineSurface,
@@ -65,22 +57,6 @@ from .solve import (
     solve_generalized_eigen,
     spd_solver,
 )
-
-_EXIT_CODES = (
-    (2, (FormatError, EmptyError, DomainError)),
-    (3, (TopologyError,)),
-    (4, (InfeasibleConstraintError, DegenerateBasisError)),
-    (5, (SingularParameterizationError, SingularSystemError, EigensolverError,
-         LumpingError, ResourceError, NonFiniteError)),
-)
-
-
-def _exit_code(exc: GSplineError) -> int:
-    for code, kinds in _EXIT_CODES:
-        if isinstance(exc, kinds):
-            return code
-    return 5
-
 
 def _load_net(path: str) -> ControlNet:
     return load_obj(Path(path).read_bytes())
@@ -396,7 +372,7 @@ def main(argv=None) -> int:
         if isinstance(exc, InfeasibleConstraintError) and exc.edges:
             payload["edges"] = exc.edges
         sys.stderr.write(json.dumps(payload) + "\n")
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)})
                          + "\n")

@@ -27,7 +27,7 @@ slots by vertex, side slots by edge position, interior slots per face),
 so elements share the unknowns of their common edges.  Set-up stays in
 arrays from ``CNet.rings`` and ``CNet.clusters`` (the irregular faces
 and their clusters) to ``GSplineSurface.from_rows``: their extraction
-rows, read from ``c0.groups``, give each function's support and solve
+rows, read through ``c0.select``, give each function's support and solve
 set as a row of a boolean table over the irregular faces; ``slot_keys``
 makes a problem's (elements, 36) key table in one call; one stacked
 ``degree_elevate_2`` call elevates the cubic rows of all its (element,
@@ -228,15 +228,13 @@ class ConstraintSystem:
 
 def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
     """Element, basis id and cubic coefficients (16,) of every extraction
-    row of ``faces`` (ascending), by element then row, from ``c0.groups``:
-    the one group of a C0 surface holds them all."""
-    group_of, row_of = c0.group_slots
-    parts = []
-    for i, g in enumerate(c0.groups):
-        rows = row_of[faces[group_of[faces] == i]]
-        parts.append((np.repeat(g.elements[rows], g.mask[rows].sum(axis=1)),
-                      g.basis[rows][g.mask[rows]], g.coeffs[rows][g.mask[rows]]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    row of ``faces`` (ascending), by element then row, from the
+    ``c0.select`` blocks: the one group of a C0 surface holds them all.
+    No faces give empty arrays of those shapes."""
+    subs = [sub for _, sub in c0.select(faces)] or [c0.groups[0].take(slice(0))]
+    return tuple(np.concatenate(p) for p in zip(*(
+        (np.repeat(s.elements, s.mask.sum(axis=1)), s.basis[s.mask], s.coeffs[s.mask])
+        for s in subs)))
 
 
 def _tables(c0: GSplineSurface, functions, variant: str):

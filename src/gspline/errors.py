@@ -2,11 +2,17 @@
 
 
 class GSplineError(Exception):
-    """Base class for all gspline errors."""
+    """Base class for all gspline errors.  ``exit_code`` is the command
+    line's exit status for the error: 2 input format, 3 topology, 4
+    construction infeasible, 5 numeric or any other."""
+
+    exit_code = 5
 
 
 class FormatError(GSplineError):
     """Malformed input data (non-quad faces, unparsable OBJ records, ...)."""
+
+    exit_code = 2
 
 
 class EmptyError(FormatError):
@@ -16,9 +22,13 @@ class EmptyError(FormatError):
 class TopologyError(GSplineError):
     """Connectivity is not a consistently oriented manifold quad net."""
 
+    exit_code = 3
+
 
 class DomainError(GSplineError):
     """Argument outside the domain of an operation."""
+
+    exit_code = 2
 
 
 class InternalError(GSplineError):
@@ -28,6 +38,8 @@ class InternalError(GSplineError):
 class DegenerateBasisError(GSplineError):
     """Rational basis denominator is nonpositive at an evaluation point."""
 
+    exit_code = 4
+
     def __init__(self, message, element=None):
         super().__init__(message)
         self.element = element
@@ -35,6 +47,8 @@ class DegenerateBasisError(GSplineError):
 
 class InfeasibleConstraintError(GSplineError):
     """Equality constraints of a basis-function solve are inconsistent."""
+
+    exit_code = 4
 
     def __init__(self, message, edges=()):
         super().__init__(message)

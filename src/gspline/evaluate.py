@@ -11,12 +11,14 @@ the chosen frame origin by ``glued_frames``; ``edge_frames`` is one row.
 A surface stores its extraction operators once, as ``GSplineSurface.groups``:
 the elements of each (degree, rational) class stacked into zero-padded
 arrays by ``GSplineSurface.from_rows``.  ``extraction(e)`` is a view of
-element e's group row.  Whole-surface passes (Galerkin assembly, error
-norms, shell frames, sampling) evaluate a group's elements together at
-points they share, in blocks whose tables hold at most ``BLOCK_ENTRIES``
-entries, and ``map_groups`` reports the error of the lowest failing
-element, as a loop would.  Edge diagnostics do the same per (side,
-rotation, group), in blocks of the same budget: ``edge_sums`` sums
+element e's group row.  ``GSplineSurface.select`` is the one walk that
+picks elements out of the groups: all of them or those of a face list,
+group by group in ascending element order, in blocks whose tables hold at
+most ``BLOCK_ENTRIES`` entries.  Whole-surface passes (Galerkin assembly,
+error norms, shell frames, sampling) evaluate its blocks at points their
+elements share, and ``map_groups`` reports the error of the lowest
+failing element, as a loop would.  Edge diagnostics select the elements
+of each (side, rotation) the same way: ``edge_sums`` sums
 per-basis-function terms of many edges over both sides, for the
 watertightness and jumps of ``edge_residuals`` and the G1 residual of
 ``construct_g1.g1_residuals``; ``edge_normal_angles`` measures the normal
@@ -91,7 +93,8 @@ class GSplineSurface:
     ``variant`` is one of ``"c0"``, ``"g1p"``, ``"g1r"``.  ``groups`` is
     the stored form of the extraction operators: each element is a row of
     the group of its (degree, rational) class.  ``from_rows`` builds it;
-    ``extraction``, ``extractions`` and ``degree`` read it.
+    ``select`` walks it, and ``extraction``, ``extractions`` and ``degree``
+    read one element.
     ``diagnostics`` lists the G1 construction's per-function records
     (None on a C0 surface).
     """
@@ -181,20 +184,35 @@ class GSplineSurface:
             group_of[g.elements], row_of[g.elements] = i, np.arange(len(g.elements))
         return group_of, row_of
 
+    def select(self, faces=None, points: int | None = None):
+        """The elements ``faces`` (k,), in any order and repeats allowed, or
+        by default every element, group by group in blocks.
+
+        Yields ``(at, sub)``: ``sub`` is the ``ElementGroup`` of the
+        elements ``faces[at]`` (``at`` are element ids without ``faces``),
+        in ascending element order within each group, stable for repeats.
+        Each group's elements run in the ``ElementGroup.blocks`` of
+        ``points`` points per element (default (degree + 1)^2, one Gauss
+        rule), so a pass allocates memory for one block, not for the whole
+        surface.  Without ``faces`` the blocks are views of ``groups``."""
+        if faces is not None:
+            faces = np.asarray(faces, dtype=int)
+            group_of, row_of = self.group_slots
+            order = np.argsort(faces, kind="stable")
+            in_group = group_of[faces[order]]
+        for i, g in enumerate(self.groups):
+            at = g.elements if faces is None else order[in_group == i]
+            for block in g.blocks(points or (g.degree + 1) ** 2, len(at)):
+                yield at[block], g.take(block if faces is None else row_of[faces[at[block]]])
+
 
 def map_groups(surface: GSplineSurface, fn, points: int | None = None) -> list:
-    """``fn(block)`` for every block of elements of every group, in order.
-
-    Each group of ``surface.groups`` runs in blocks of consecutive
-    elements, each an ``ElementGroup`` whose tables at ``points`` points per
-    element (default (degree + 1)^2, one Gauss rule) hold at most
-    ``BLOCK_ENTRIES`` entries, so a pass allocates memory for one block,
-    not for the whole surface.  An element error from ``fn`` is raised
-    after every block has run: the one of the lowest element, as a loop
-    over the elements would meet it.
+    """``fn(block)`` for every block of ``surface.select(points=points)``,
+    in order.  An element error from ``fn`` is raised after every block has
+    run: the one of the lowest element, as a loop over the elements would
+    meet it.
     """
-    return map_lowest(fn, ((g.take(block),) for g in surface.groups
-                           for block in g.blocks(points or (g.degree + 1) ** 2)))
+    return map_lowest(fn, ((sub,) for _, sub in surface.select(points=points)))
 
 
 def map_lowest(fn, batches) -> list:
@@ -425,24 +443,15 @@ def _edge_batches(surface: GSplineSurface, faces, rots, points: int,
 
     ``faces`` and ``rots`` are (k, 2) as from ``glued_frames``.  Yields
     ``(side, rot, rows, sub)``: ``rows`` index edges whose side element
-    lies in the group and has that rotation, and ``sub`` is the
-    ``ElementGroup`` of those elements, polynomial (not rationalized) if
-    asked.  The edges of one (side, rotation, group) run in element order,
-    split into blocks as ``map_groups`` splits a group at ``points`` points
-    per element, so ``raise_first`` meets each block's lowest failing
-    element.
+    has that rotation, and ``sub`` is a ``GSplineSurface.select`` block of
+    those elements at ``points`` points per element, polynomial (not
+    rationalized) if asked, so ``raise_first`` meets each block's lowest
+    failing element.
     """
-    group_of, row_of = surface.group_slots
-    for side in (0, 1):
-        f, r = faces[:, side], rots[:, side]
-        for rot in range(4):
-            for i, g in enumerate(surface.groups):
-                rows = np.flatnonzero((r == rot) & (group_of[f] == i))
-                rows = rows[np.argsort(f[rows], kind="stable")]
-                for block in g.blocks(points, rows.size):
-                    sub = g.take(row_of[f[rows[block]]])
-                    yield side, rot, rows[block], (
-                        replace(sub, rational=False) if polynomial else sub)
+    for side, rot in np.ndindex(2, 4):
+        rows = np.flatnonzero(rots[:, side] == rot)
+        for at, sub in surface.select(faces[rows, side], points):
+            yield side, rot, rows[at], replace(sub, rational=False) if polynomial else sub
 
 
 def _side_points(side: int, rot: int, ts) -> np.ndarray:
@@ -450,20 +459,6 @@ def _side_points(side: int, rot: int, ts) -> np.ndarray:
     eta = 0 on the right, xi = 0 on the left, in the frame of ``rot``."""
     zs = np.zeros_like(ts)
     return np.stack(rotated_params(rot, *((ts, zs) if side == 0 else (zs, ts))), axis=1)
-
-
-def _edge_keys(surface: GSplineSurface, faces, rows) -> np.ndarray:
-    """Sorted (edge, basis function) keys, edge row * n_vertices + basis
-    id, of both sides of the edges ``rows``."""
-    group_of, row_of = surface.group_slots
-    keys = [np.empty(0, dtype=int)]
-    for f in faces[rows].T:
-        for i, g in enumerate(surface.groups):
-            on = group_of[f] == i
-            take = row_of[f[on]]
-            keys.append((rows[on, None] * surface.cnet.n_vertices
-                         + g.basis[take])[g.mask[take]])
-    return np.unique(np.concatenate(keys))
 
 
 def _jump_terms(side: int, order, vals, d1, d2):
@@ -491,11 +486,15 @@ def edge_sums(surface: GSplineSurface, faces, rots, ts, summed, terms, shape,
     axes (d2 columns xx, xy, yy); ``terms(side, rows, sub, vals, d1, d2)``
     gives a batch's share, (E, n) + ``shape``, summed per (edge, basis
     function) over the ``summed`` (k,) edges.  Returns the max |sum| of
-    each edge, 0 where not summed.  An element error is raised after every
-    batch has run, for the lowest element, as ``map_groups`` does.
+    each edge, 0 where not summed.  The sorted (edge, basis function) keys
+    come from a first walk of the same batches.  An element error is raised
+    after every batch has run, for the lowest element, as ``map_groups``
+    does.
     """
     n = surface.cnet.n_vertices
-    keys = _edge_keys(surface, faces, np.flatnonzero(summed))
+    keys = np.unique(np.concatenate([np.empty(0, dtype=int)] + [
+        (rows[:, None] * n + sub.basis)[sub.mask & summed[rows, None]]
+        for _, _, rows, sub in _edge_batches(surface, faces, rots, len(ts))]))
     sums = np.zeros((len(keys),) + shape)
 
     def visit(side, rot, rows, sub):  # a call, so each batch's tables are freed

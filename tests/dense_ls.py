@@ -2,7 +2,12 @@
 rank-revealing SVD of the whole equality matrix G, identity pin rows
 included, then the least-squares fairing problem in its null space
 (Lawson & Hanson, ch. 20).  The package eliminates pinned unknowns before
-it factors; this copy does not, so the two can be compared.
+it factors; this copy does not, so the two can be compared.  Each row of
+G and g is scaled to unit norm before the SVD, because unit pin rows next
+to much longer edge rows cost the unscaled SVD digits the package keeps:
+on the once-refined g1r cube, single-threaded, the two differed by 7.1e-14
+unscaled and differ by at most 6.6e-15 over all parity nets scaled.  The
+residual and infeasibility checks use the unscaled G and g.
 """
 
 import numpy as np
@@ -32,9 +37,11 @@ def solve_constrained_ls(system: ConstraintSystem, rank_tol: float = 1e-10,
     f = f.reshape(F.shape[0], -1)
     g = np.asarray(system.g, dtype=float).reshape(G.shape[0], f.shape[1])
 
-    U, s, Vt = np.linalg.svd(G, full_matrices=True)
+    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    U, s, Vt = np.linalg.svd(G / norms, full_matrices=True)
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    cp = Vt[:rank].T @ ((U[:, :rank].T @ g) / s[:rank, None])
+    cp = Vt[:rank].T @ ((U[:, :rank].T @ (g / norms)) / s[:rank, None])
     scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
     eq_residual = np.abs(G @ cp - g)
     bad = eq_residual > eq_tol * scale

@@ -7,12 +7,18 @@ is the code that stacked them from a list of ``ElementExtraction``s
 before, element by element; the stored groups must equal it bitwise.
 ``surface`` builds a surface from such a list (element e the e-th
 extraction) through ``from_rows``, for tests that make or edit
-extractions by hand.
+extractions by hand; ``lumping_breaker`` is one such surface.
 """
+
+import dataclasses
 
 import numpy as np
 
+from gspline.construct_c0 import build_c0
 from gspline.evaluate import ElementGroup, GSplineSurface
+from gspline.mesh import ControlNet
+
+import netgen
 
 
 def groups(exts) -> list[ElementGroup]:
@@ -41,3 +47,17 @@ def surface(net, exts, variant) -> GSplineSurface:
         np.concatenate([x.basis for x in exts]),
         {p: np.concatenate([x.coeffs for x in exts if x.degree == p])
          for p in set(degree)})
+
+
+def lumping_breaker() -> GSplineSurface:
+    """The C0 surface of ``netgen.structured(4, 4)`` shifted so that its
+    centre vertex sits at the origin, with that vertex's extraction rows
+    negated: the geometry stays, because its control point is zero, but
+    its row of the lumped mass sums to a negative number."""
+    grid = netgen.structured(4, 4)
+    net = ControlNet(grid.cnet, grid.positions - [0.5, 0.5, 0.0])
+    centre = int(np.flatnonzero((net.positions == 0.0).all(axis=1))[0])
+    exts = [dataclasses.replace(x, coeffs=np.where((x.basis == centre)[:, None],
+                                                   -x.coeffs, x.coeffs))
+            for x in build_c0(net).extractions]
+    return surface(net, exts, "c0")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gspline.archive import FORMAT_VERSION, surface_from_json, surface_to_json
-from gspline.cli import _exit_code, main
+from gspline.cli import main
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError
@@ -111,7 +111,7 @@ class TestRoundTrip:
 def load_error(payload) -> FormatError:
     with pytest.raises(FormatError) as info:
         surface_from_json(json.dumps(payload))
-    assert _exit_code(info.value) == 2
+    assert info.value.exit_code == 2
     return info.value
 
 

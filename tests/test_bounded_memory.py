@@ -1,8 +1,9 @@
 """Analysis passes in bounded memory: ``group_table`` built only to the
-derivative order a caller uses, every pass in element blocks of one table
-budget (``evaluate.BLOCK_ENTRIES``), K, M and the collocation Gram matrix
-scattered into one CSR pattern, the frames CSV on ``group_frames``, and
-the padded class size of ``GSplineSurface.from_rows`` bounded."""
+derivative order a caller uses, every pass in the element blocks of
+``GSplineSurface.select`` at one table budget (``evaluate.BLOCK_ENTRIES``),
+K, M and the collocation Gram matrix scattered into one CSR pattern, the
+frames CSV on ``group_frames``, and the padded class size of
+``GSplineSurface.from_rows`` bounded."""
 
 import base64
 import dataclasses
@@ -18,7 +19,7 @@ from gspline import evaluate, quality
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_gram, main, surface_check
 from gspline.construct_c0 import build_c0
-from gspline.construct_g1 import build_g1
+from gspline.construct_g1 import _c0_rows, build_g1
 from gspline.errors import DegenerateBasisError, ResourceError, SingularParameterizationError
 from gspline.evaluate import (
     frame,
@@ -214,6 +215,48 @@ class TestBlocks:
             with pytest.raises(DegenerateBasisError) as info:
                 fn(bad, *args)
             assert info.value.element == d, fn
+
+
+class TestSelect:
+    @pytest.mark.parametrize("points", [None, 100])
+    def test_unsorted_faces_with_repeats(self, points):
+        surf = rot44(3, "g1r")
+        faces = np.random.default_rng(5).integers(0, surf.cnet.n_faces, 3 * surf.cnet.n_faces)
+        walked = list(surf.select(faces, points))
+        assert len(walked) > len(surf.groups)
+        for g in surf.groups:
+            ats = [at for at, sub in walked if (sub.degree, sub.rational) == (g.degree, g.rational)]
+            at = np.concatenate(ats)
+            assert (np.lexsort((at, faces[at])) == np.arange(at.size)).all()
+            assert np.isin(faces[at], g.elements).all()
+        for at, sub in walked:
+            assert same_bits(sub.elements, faces[at])
+            assert len(at) == 1 or len(at) * sub.mask.shape[1] * (
+                points or (sub.degree + 1) ** 2) <= evaluate.BLOCK_ENTRIES
+            for i, e in enumerate(sub.elements.tolist()):
+                ext = surf.extraction(e)
+                assert same_bits(sub.basis[i, :ext.n_basis], ext.basis)
+                assert same_bits(sub.coeffs[i, :ext.n_basis], ext.coeffs)
+        assert same_bits(np.sort(np.concatenate([at for at, _ in walked])),
+                         np.arange(faces.size))
+
+    def test_no_faces(self):
+        c0 = rot44(1, "c0")
+        assert list(rot44(1, "g1r").select(np.array([], dtype=int))) == []
+        element, basis, coeffs = _c0_rows(c0, np.array([], dtype=int))
+        assert (element.shape, basis.shape, coeffs.shape) == ((0,), (0,), (0, 16))
+
+    def test_every_element_as_views(self):
+        surf = rot44(3, "g1r")
+        walked = list(surf.select(points=100))
+        for g in surf.groups:
+            subs = [(at, sub) for at, sub in walked if sub.degree == g.degree
+                    and sub.rational == g.rational]
+            assert same_bits(np.concatenate([at for at, _ in subs]), g.elements)
+            for at, sub in subs:
+                assert same_bits(at, sub.elements)
+                assert all(np.shares_memory(getattr(sub, k), getattr(g, k))
+                           for k in ("elements", "basis", "mask", "coeffs"))
 
 
 @functools.cache

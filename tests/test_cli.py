@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspline import cli, solve
+from gspline import cli, errors, solve
 from gspline.archive import surface_from_json, surface_to_json
-from gspline.cli import _exit_code, main, surface_check
+from gspline.cli import main, surface_check
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError, GSplineError
@@ -22,6 +22,7 @@ from gspline.mesh import load_obj, save_obj
 from gspline.refine import refine
 
 import archive_v1
+import extraction_list
 import netgen
 
 
@@ -324,6 +325,15 @@ class TestPoissonAndEigen:
         assert main(["eigen", str(arc), "-k", "2", "--mass", "lumped",
                      "-o", str(out)]) == 0
         assert json.loads(out.read_text())["mass"] == "lumped"
+
+    def test_negative_lumped_row_exit_5(self, tmp_path, capsys):
+        arc = tmp_path / "broken.json"
+        arc.write_text(surface_to_json(extraction_list.lumping_breaker()))
+        out = tmp_path / "eig.json"
+        assert main(["eigen", str(arc), "--mass", "lumped", "-o", str(out)]) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "LumpingError"
+        assert not out.exists()
 
 
 class TestCheck:
@@ -686,6 +696,33 @@ class TestUnexpectedException:
         assert err == {"error": "RuntimeError", "message": "not a GSplineError"}
 
 
+EXIT_CODES = {"GSplineError": 5, "FormatError": 2, "EmptyError": 2, "DomainError": 2,
+              "TopologyError": 3, "InfeasibleConstraintError": 4,
+              "DegenerateBasisError": 4, "InternalError": 5,
+              "SingularParameterizationError": 5, "ResourceError": 5, "LumpingError": 5,
+              "SingularSystemError": 5, "EigensolverError": 5, "NonFiniteError": 5}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_main_exits_with_the_error_types_code(name, ep_obj, tmp_path, capsys,
+                                              monkeypatch):
+    kind = getattr(errors, name)
+
+    def failing(args):
+        raise kind("failed")
+
+    monkeypatch.setattr(cli, "cmd_build", failing)
+    assert main(["build", str(ep_obj), "--variant", "c0",
+                 "-o", str(tmp_path / "a.json")]) == kind.exit_code == EXIT_CODES[name]
+    assert json.loads(capsys.readouterr().err)["error"] == name
+
+
+def test_every_error_type_has_its_code_listed():
+    kinds = {k for k, v in vars(errors).items()
+             if isinstance(v, type) and issubclass(v, GSplineError)}
+    assert kinds == set(EXIT_CODES)
+
+
 # -- property tests over mutated inputs -----------------------------------
 
 JSON_LEAVES = (
@@ -712,7 +749,7 @@ def assert_loads_or_exit_2_or_3(load, data):
     try:
         load(data)
     except GSplineError as exc:
-        assert _exit_code(exc) in (2, 3), repr(exc)
+        assert exc.exit_code in (2, 3), repr(exc)
 
 
 class TestMutatedInputs:
@@ -801,7 +838,7 @@ class TestMutatedInputs:
         record["coeffs"] = text
         with pytest.raises(FormatError) as info:
             surface_from_json(json.dumps(payload))
-        assert _exit_code(info.value) == 2
+        assert info.value.exit_code == 2
         assert re.findall(r"element (\d+)", str(info.value))[:1] == \
             [str(record["element"])]
 

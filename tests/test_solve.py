@@ -14,6 +14,7 @@ from gspline.errors import (
     DegenerateBasisError,
     DomainError,
     EigensolverError,
+    LumpingError,
     SingularParameterizationError,
     SingularSystemError,
     TopologyError,
@@ -269,6 +270,12 @@ class TestEigen:
         report = solve_generalized_eigen(system, k=2)
         assert "eigenvalues" in report.to_json()
         assert report.to_csv().startswith("mode,")
+
+    def test_negative_lumped_row_is_a_lumping_error(self):
+        surface = extraction_list.lumping_breaker()
+        assert assemble_membrane_eigen(surface, "consistent").M.nnz
+        with pytest.raises(LumpingError, match="nonpositive mass entry"):
+            assemble_membrane_eigen(surface, "lumped")
 
     def test_unknown_mass_kind_is_a_domain_error(self):
         with pytest.raises(DomainError, match="unknown mass kind 'diagonal'"):
