@@ -44,6 +44,7 @@ from .extraction import bezier_points, group_table
 from .mesh import (
     ControlNet,
     load_obj,
+    obj_text,
     save_obj,
     spoke_mask,
 )
@@ -201,10 +202,10 @@ def cmd_build(args) -> int:
                    for ext in surface.extractions]
         _write(args.bezier, json.dumps(records, indent=1, sort_keys=True))
     if args.sample_obj:
-        from .evaluate import sample_bezier_mesh, sampled_mesh_obj
+        from .evaluate import sample_bezier_mesh
 
         pts, quads, _ = sample_bezier_mesh(surface, resolution=args.resolution)
-        _write(args.sample_obj, sampled_mesh_obj(pts, quads))
+        _write(args.sample_obj, obj_text(pts, quads))
     if args.frames_csv:
         from .evaluate import frames_csv
 

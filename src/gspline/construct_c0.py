@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .evaluate import GSplineSurface, edge_jumps
 from .mesh import CNet, ControlNet, boundary_neighbours
 
@@ -109,12 +108,8 @@ def build_c0(net: ControlNet) -> GSplineSurface:
 
 def geometry_continuity_residual(surface: GSplineSurface, edge: int,
                                  order: int, samples: int = 20) -> float:
-    """Max sampled jump of basis values/derivatives across an interior edge.
-
-    Order 0 measures the trace jump, 1 the transversal first-derivative
-    jump and 2 the second-derivative jumps, all in the glued two-element
-    chart.  Boundary edges are rejected.
-    """
-    if surface.cnet.boundary_edge[edge]:
-        raise DomainError(f"edge {edge} is a boundary edge")
+    """Max sampled jump of basis values/derivatives across an interior edge,
+    by ``evaluate.edge_jumps``: order 0 the trace jump, 1 the transversal
+    first-derivative jump and 2 the second-derivative jumps, all in the
+    glued two-element chart.  Boundary edges are rejected."""
     return edge_jumps(surface, edge, order, samples=samples)

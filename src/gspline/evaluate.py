@@ -19,8 +19,9 @@ error norms, shell frames, sampling) evaluate its blocks at points their
 elements share, and ``map_groups`` reports the error of the lowest
 failing element, as a loop would.  Edge diagnostics select the elements
 of each (side, rotation) the same way: ``edge_sums`` sums
-per-basis-function terms of many edges over both sides, for the
-watertightness and jumps of ``edge_residuals`` and the G1 residual of
+per-basis-function terms of many edges over both sides, in one walk on
+the pattern of ``GSplineSurface.incidence``, for the watertightness and
+jumps of ``edge_residuals`` and the G1 residual of
 ``construct_g1.g1_residuals``; ``edge_normal_angles`` measures the normal
 angle, as arctan2 of the normals' cross and dot products.  The one-edge
 functions are the single-edge case of these.
@@ -94,7 +95,8 @@ class GSplineSurface:
     the stored form of the extraction operators: each element is a row of
     the group of its (degree, rational) class.  ``from_rows`` builds it;
     ``select`` walks it, and ``extraction``, ``extractions`` and ``degree``
-    read one element.
+    read one element (a DomainError for an id outside 0..n_faces - 1).
+    ``incidence`` gives the pattern of every per-basis-function sum.
     ``diagnostics`` lists the G1 construction's per-function records
     (None on a C0 surface).
     """
@@ -161,8 +163,7 @@ class GSplineSurface:
         """The element's extraction operator, its ``basis`` and ``coeffs``
         views of the used prefix of its group row: in-place edits of them
         change ``groups``."""
-        group_of, row_of = self.group_slots
-        g, r = self.groups[group_of[element]], row_of[element]
+        g, r = self._slot(element)
         n = int(np.count_nonzero(g.mask[r]))
         return ElementExtraction(int(element), g.degree, g.basis[r, :n],
                                  g.coeffs[r, :n], g.rational)
@@ -173,16 +174,37 @@ class GSplineSurface:
         return [self.extraction(e) for e in range(self.cnet.n_faces)]
 
     def degree(self, element: int) -> int:
-        return self.groups[self.group_slots[0][element]].degree
+        return self._slot(element)[0].degree
+
+    def _slot(self, element: int) -> tuple[ElementGroup, int]:
+        group_of, row_of = self.group_slots
+        if not 0 <= element < len(group_of):
+            raise DomainError(f"element {element} out of range 0..{len(group_of) - 1}")
+        return self.groups[group_of[element]], row_of[element]
 
     @cached_property
     def group_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Index in ``groups`` and row there of every element."""
-        group_of = np.empty(self.cnet.n_faces, dtype=int)
-        row_of = np.empty(self.cnet.n_faces, dtype=int)
+        group_of, row_of = np.empty((2, self.cnet.n_faces), dtype=int)
         for i, g in enumerate(self.groups):
             group_of[g.elements], row_of[g.elements] = i, np.arange(len(g.elements))
         return group_of, row_of
+
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """The element-by-basis incidence B, read-only (n_faces, n_vertices)
+        CSR with sorted indices: B[e, a] = 1 where element e lists basis
+        function a.  Only basis ids are read, so coefficient edits keep it."""
+        import scipy.sparse as sp
+
+        rows = [(np.repeat(g.elements, g.mask.sum(1)), g.basis[g.mask]) for g in self.groups]
+        ids, basis = (np.concatenate(a) for a in zip(*rows))
+        B = sp.csr_matrix((np.ones(len(ids)), (ids, basis)),
+                          shape=(self.cnet.n_faces, self.cnet.n_vertices))
+        B.sort_indices()
+        for a in (B.data, B.indices, B.indptr):
+            a.flags.writeable = False
+        return B
 
     def select(self, faces=None, points: int | None = None):
         """The elements ``faces`` (k,), in any order and repeats allowed, or
@@ -204,6 +226,12 @@ class GSplineSurface:
             at = g.elements if faces is None else order[in_group == i]
             for block in g.blocks(points or (g.degree + 1) ** 2, len(at)):
                 yield at[block], g.take(block if faces is None else row_of[faces[at[block]]])
+
+
+def pattern_keys(A) -> np.ndarray:
+    """Keys row * n_cols + col of CSR matrix A's entries, ascending; sorts A's indices."""
+    A.sort_indices()
+    return np.repeat(np.arange(A.shape[0]) * A.shape[1], np.diff(A.indptr)) + A.indices
 
 
 def map_groups(surface: GSplineSurface, fn, points: int | None = None) -> list:
@@ -365,15 +393,11 @@ def rotation_offset_matrix(k: int) -> tuple[np.ndarray, np.ndarray]:
     stored = offset + A @ frame, with frame corner (0,0) at stored loop
     corner k and the frame axes following the counterclockwise loop.
     """
-    if k == 0:
-        return np.zeros(2), np.eye(2)
-    if k == 1:
-        return np.array([1.0, 0.0]), np.array([[0.0, -1.0], [1.0, 0.0]])
-    if k == 2:
-        return np.array([1.0, 1.0]), np.array([[-1.0, 0.0], [0.0, -1.0]])
-    if k == 3:
-        return np.array([0.0, 1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])
-    raise DomainError(f"rotation index {k} out of range")
+    if k not in (0, 1, 2, 3):
+        raise DomainError(f"rotation index {k} out of range")
+    c, s = [(1, 0), (0, 1), (-1, 0), (0, -1)][k]  # A turns by k quarter turns
+    offset = np.array([(0, 0), (1, 0), (1, 1), (0, 1)][k], float)
+    return offset, np.array([[c, -s], [s, c]], float)
 
 
 def rotated_params(k: int, x, y):
@@ -425,12 +449,12 @@ def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
     ``v1`` selects the edge endpoint placed at the shared frame origin;
     by default the lower vertex index.
     """
-    u, v = (int(x) for x in cnet.edges[edge])
-    if v1 is None:
-        v1 = min(u, v)
-    v2 = v if v1 == u else u
-    if {v1, v2} != {u, v}:
+    if not 0 <= edge < cnet.n_edges:
+        raise DomainError(f"edge {edge} out of range 0..{cnet.n_edges - 1}")
+    u, v = (int(x) for x in cnet.edges[edge])  # u < v
+    if v1 is not None and v1 not in (u, v):
         raise DomainError(f"vertex {v1} is not an endpoint of edge {edge}")
+    v1, v2 = (v, u) if v1 == v else (u, v)
     if cnet.boundary_edge[edge]:
         raise DomainError(f"edge {edge} is a boundary edge")
     faces, rots = glued_frames(cnet, [edge], [v1])  # (right, left) columns
@@ -467,12 +491,9 @@ def _jump_terms(side: int, order, vals, d1, d2):
     coordinate w is eta on the right and -xi on the left."""
     out = np.zeros(vals.shape + (2,))
     o0, o1, o2 = (order == k for k in range(3))
-    if side == 0:
-        out[o0, ..., 0], out[o1, ..., 0], out[o2, ..., 0] = (
-            vals[o0], d1[o1, ..., 1], d2[o2, ..., 2])
-    else:
-        out[o0, ..., 0], out[o1, ..., 0], out[o2, ..., 0] = (
-            -vals[o0], d1[o1, ..., 0], -d2[o2, ..., 0])
+    sign, w1, ww = (1.0, 1, 2) if side == 0 else (-1.0, 0, 0)  # d1, d2 columns of w
+    out[o0, ..., 0], out[o1, ..., 0], out[o2, ..., 0] = (
+        sign * vals[o0], d1[o1, ..., w1], sign * d2[o2, ..., ww])
     out[o2, ..., 1] = d2[o2, ..., 1]
     return out
 
@@ -486,15 +507,18 @@ def edge_sums(surface: GSplineSurface, faces, rots, ts, summed, terms, shape,
     axes (d2 columns xx, xy, yy); ``terms(side, rows, sub, vals, d1, d2)``
     gives a batch's share, (E, n) + ``shape``, summed per (edge, basis
     function) over the ``summed`` (k,) edges.  Returns the max |sum| of
-    each edge, 0 where not summed.  The sorted (edge, basis function) keys
-    come from a first walk of the same batches.  An element error is raised
-    after every batch has run, for the lowest element, as ``map_groups``
-    does.
+    each edge, 0 where not summed.  The (edge, basis function) slots are
+    the pattern of S B, with S the (k, n_faces) edge-by-element matrix of
+    the summed edges' two sides and B ``surface.incidence``; the batches
+    are walked once.  An element error is raised after every batch has run,
+    for the lowest element, as ``map_groups`` does.
     """
-    n = surface.cnet.n_vertices
-    keys = np.unique(np.concatenate([np.empty(0, dtype=int)] + [
-        (rows[:, None] * n + sub.basis)[sub.mask & summed[rows, None]]
-        for _, _, rows, sub in _edge_batches(surface, faces, rots, len(ts))]))
+    import scipy.sparse as sp
+
+    n, edges = surface.cnet.n_vertices, np.flatnonzero(summed)
+    S = sp.csr_matrix((np.ones(2 * len(edges)), (np.repeat(edges, 2), faces[edges].ravel())),
+                      shape=(len(faces), surface.cnet.n_faces))
+    keys = pattern_keys(pattern := S @ surface.incidence)
     sums = np.zeros((len(keys),) + shape)
 
     def visit(side, rot, rows, sub):  # a call, so each batch's tables are freed
@@ -505,11 +529,9 @@ def edge_sums(surface: GSplineSurface, faces, rots, ts, summed, terms, shape,
         sums[np.searchsorted(keys, (rows[:, None] * n + sub.basis)[used])] += share[used]
 
     map_lowest(visit, _edge_batches(surface, faces, rots, len(ts), polynomial))
-    out, edge = np.zeros(len(faces)), keys // n
-    if len(keys):
-        starts = np.flatnonzero(np.r_[True, edge[1:] != edge[:-1]])
-        peak = np.abs(sums, out=sums).max(axis=tuple(range(1, sums.ndim)), initial=0.0)
-        out[edge[starts]] = np.maximum.reduceat(peak, starts)
+    out, filled = np.zeros(len(faces)), np.diff(pattern.indptr) > 0
+    peak = np.abs(sums, out=sums).max(axis=tuple(range(1, sums.ndim)), initial=0.0)
+    out[filled] = np.maximum.reduceat(peak, pattern.indptr[:-1][filled])
     return out
 
 
@@ -640,13 +662,6 @@ def sample_bezier_mesh(surface: GSplineSurface, resolution: int = 8):
     return points.reshape(-1, 3), quads.tolist(), loops.tolist()
 
 
-def sampled_mesh_obj(points: np.ndarray, quads) -> str:
-    """OBJ text for a sampled surface mesh."""
-    lines = [f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in points]
-    lines += ["f " + " ".join(str(i + 1) for i in q) for q in quads]
-    return "\n".join(lines) + "\n"
-
-
 def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
     """CSV of sampled frames: position, unit normal, principal curvatures.
 
@@ -682,6 +697,4 @@ def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
 
 
 def bounding_box_diagonal(net: ControlNet) -> float:
-    lo = net.positions.min(axis=0)
-    hi = net.positions.max(axis=0)
-    return float(np.linalg.norm(hi - lo))
+    return float(np.linalg.norm(np.ptp(net.positions, axis=0)))

@@ -93,15 +93,10 @@ def bernstein_table(p: int, pts):
 
 
 def elevation_matrix(p: int) -> np.ndarray:
-    """Bezier degree-elevation matrix from degree p to p+1, shape (p+2, p+1)."""
-    E = np.zeros((p + 2, p + 1))
-    for k in range(p + 2):
-        a = k / (p + 1)
-        if k - 1 >= 0:
-            E[k, k - 1] += a
-        if k <= p:
-            E[k, k] += 1.0 - a
-    return E
+    """Bezier degree-elevation matrix from degree p to p+1, shape (p+2, p+1):
+    row k takes k / (p+1) of coefficient k-1 and the rest of coefficient k."""
+    a = np.arange(p + 2)[:, None] / (p + 1)
+    return np.eye(p + 2, p + 1, -1) * a + np.eye(p + 2, p + 1) * (1.0 - a)
 
 
 _E35 = elevation_matrix(4) @ elevation_matrix(3)  # cubic -> quintic, (6, 4)

@@ -409,10 +409,12 @@ def load_obj(data: bytes | str) -> ControlNet:
 
 
 def save_obj(net: ControlNet) -> str:
-    """Serialize a control net as OBJ text, positions at 17 significant digits."""
-    lines = []
-    for p in net.positions:
-        lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    for quad in net.cnet.faces:
-        lines.append("f " + " ".join(str(int(v) + 1) for v in quad))
+    """Serialize a control net as OBJ text: ``obj_text`` of its net."""
+    return obj_text(net.positions, net.cnet.faces)
+
+
+def obj_text(points, quads) -> str:
+    """OBJ text of (n, 3) points, at 17 significant digits, and 0-based quads."""
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in np.asarray(points).tolist()]
+    lines += ["f " + " ".join(str(i + 1) for i in q) for q in np.asarray(quads).tolist()]
     return "\n".join(lines) + "\n"

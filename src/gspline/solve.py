@@ -12,9 +12,10 @@ table per block and point set, built only to the derivative order used,
 then one batched product per quantity gives every element's Jacobians,
 physical gradients, Ke, Me, load or error integrals.  K, M and the
 collocation Gram matrix of ``gspline check`` are summed block by block into
-one CSR pattern by ``assemble_pattern``, and every sparse symmetric
-positive definite solve of them goes through ``spd_solver``: one SuperLU
-factor in symmetric mode, banded by a reverse Cuthill-McKee order.
+one CSR pattern by ``assemble_pattern``: that of B^T B, with B the cached
+element-by-basis incidence ``GSplineSurface.incidence``.  Every sparse
+symmetric positive definite solve of them goes through ``spd_solver``: one
+SuperLU factor in symmetric mode, banded by a reverse Cuthill-McKee order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     SingularSystemError,
     TopologyError,
 )
-from .evaluate import GSplineSurface, map_groups, raise_first
+from .evaluate import GSplineSurface, map_groups, pattern_keys, raise_first
 from .extraction import evaluate_basis, group_table
 from .quality import gauss_legendre_2d
 from .refine import refine
@@ -134,17 +135,11 @@ class GalerkinSystem:
 def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
     """One CSR matrix per (E, n, n) array that ``element_matrices(block)``
     returns for each block of ``map_groups``, all on one pattern with sorted
-    indices: that of B^T B, with B the element-by-basis incidence.  Each
-    block sums the used entries of its element matrices into the data with
+    indices: that of B^T B, with B ``surface.incidence``.  Each block sums
+    the used entries of its element matrices into the data with
     ``np.bincount``, so no whole-surface triplet list is built."""
-    n = surface.cnet.n_vertices
-    ids = np.concatenate([np.broadcast_to(g.elements[:, None], g.mask.shape)[g.mask]
-                          for g in surface.groups])
-    basis = np.concatenate([g.basis[g.mask] for g in surface.groups])
-    B = sp.csr_matrix((np.ones(len(ids)), (ids, basis)), shape=(surface.cnet.n_faces, n))
-    pattern = (B.T.tocsr() @ B).tocsr()
-    pattern.sort_indices()
-    keys = np.repeat(np.arange(n) * n, np.diff(pattern.indptr)) + pattern.indices
+    n, B = surface.cnet.n_vertices, surface.incidence
+    keys = pattern_keys(pattern := B.T.tocsr() @ B)
     sums: list = []
 
     def add(g):
@@ -316,9 +311,7 @@ def build_variant(net, variant: str) -> GSplineSurface:
     from .construct_g1 import build_g1
 
     c0 = build_c0(net)
-    if variant == "c0":
-        return c0
-    return build_g1(c0, variant)
+    return c0 if variant == "c0" else build_g1(c0, variant)
 
 
 def convergence_study(net0, variant: str, levels: int) -> ConvergenceReport:

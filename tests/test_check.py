@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gspline import cli
+from gspline import cli, evaluate
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_singular_values, main, surface_check
 from gspline.construct_c0 import build_c0, geometry_continuity_residual
@@ -143,6 +143,40 @@ class TestParityWithEdgeLoop:
         assert surface_check(surface)["normal_jump_spoke_edges"] < 1e-12
         for e in interior_spokes(surface.cnet).tolist():
             assert normal_jump(surface, e) < 1e-12
+
+    def test_edge_sums_walk_the_batches_once(self, monkeypatch):
+        surface = case("val333_bumped_L1_g1r")
+        interior = np.flatnonzero(~surface.cnet.boundary_edge)
+        faces, rots = glued_frames(surface.cnet, interior)
+        calls = []
+        select = evaluate.GSplineSurface.select
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate.GSplineSurface, "select", counted)
+        edge_residuals(surface, faces, rots, np.full(len(interior), 1))
+        assert len(calls) == 8  # one per (side, rotation)
+        calls.clear()
+        g1_residuals(surface, interior_spokes(surface.cnet))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_unsummed_edges_are_zero_and_the_rest_unchanged(self, name):
+        # the batches run the same with or without an edge's sums, so every
+        # summed edge keeps its value bit for bit
+        surface = case(name)
+        interior = np.flatnonzero(~surface.cnet.boundary_edge)
+        faces, rots = glued_frames(surface.cnet, interior)
+        orders = np.arange(len(interior)) % 3
+        gap, jump = edge_residuals(surface, faces, rots, orders)
+        off = np.zeros(len(interior), dtype=bool)
+        off[::4] = off[-1] = True
+        got_gap, got_jump = edge_residuals(surface, faces, rots, np.where(off, -1, orders))
+        assert np.array_equal(got_gap, gap)
+        assert (got_jump[off] == 0.0).all() and (jump[off] > 0.0).any()
+        assert np.array_equal(got_jump[~off], jump[~off])
 
     @pytest.mark.parametrize("name", ["val33_refined_g1r", "val333_bumped_L1_g1r"])
     def test_one_edge_functions_are_the_batched_kernel(self, name):

@@ -19,6 +19,7 @@ from gspline.evaluate import (
     MAX_SAMPLES,
     GSplineSurface,
     bounding_box_diagonal,
+    edge_frames,
     edge_watertightness,
     frame,
     frames_csv,
@@ -26,9 +27,8 @@ from gspline.evaluate import (
     normal_jump,
     principal_curvatures,
     sample_bezier_mesh,
-    sampled_mesh_obj,
 )
-from gspline.mesh import ControlNet, load_obj, spoke_edges
+from gspline.mesh import ControlNet, load_obj, obj_text, spoke_edges
 from gspline.refine import refine, refine_n
 
 import extraction_list
@@ -88,6 +88,21 @@ class TestMapPoint:
         surf = build_c0(netgen.structured(2, 2))
         with pytest.raises(DomainError):
             map_point(surf, 0, np.array([0.2, np.nan]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("call, what, count", [
+        (lambda s, i: map_point(s, i, 0.5, 0.5), "element", lambda c: c.n_faces),
+        (lambda s, i: frame(s, i, 0.5, 0.5), "element", lambda c: c.n_faces),
+        (lambda s, i: s.degree(i), "element", lambda c: c.n_faces),
+        (lambda s, i: edge_frames(s.cnet, i), "edge", lambda c: c.n_edges)],
+        ids=["map_point", "frame", "degree", "edge_frames"])
+    @pytest.mark.parametrize("past_end", [False, True], ids=["minus_one", "n"])
+    def test_an_id_out_of_range_raises(self, call, what, count, past_end):
+        # -1 would read the last element (or edge) through numpy's indexing
+        surf = build_c0(netgen.rot44())
+        n = count(surf.cnet)
+        i = n if past_end else -1
+        with pytest.raises(DomainError, match=f"^{what} {i} out of range 0..{n - 1}$"):
+            call(surf, i)
 
     @pytest.mark.parametrize("nderiv", [-1, 3, 1.5])
     def test_unsupported_derivative_order(self, nderiv):
@@ -255,7 +270,7 @@ class TestSampling:
         net = netgen.fan(3)
         surf = build_c0(net)
         pts, quads, _ = sample_bezier_mesh(surf, resolution=2)
-        text = sampled_mesh_obj(pts, quads)
+        text = obj_text(pts, quads)
         back = load_obj(text.encode())
         assert back.cnet.n_faces == len(quads)
 
