@@ -24,20 +24,21 @@ together: one factorization, one right-hand-side column per function.
 
 Unknowns are numbered from integer slot keys (``slot_keys``: corner
 slots by vertex, side slots by edge position, interior slots per face),
-so elements share the unknowns of their common edges.  Set-up stays in
-arrays from ``CNet.rings`` and ``CNet.clusters`` (the irregular faces
-and their clusters) to ``GSplineSurface.from_rows``: their extraction
-rows, read through ``c0.select``, give each function's support and solve
-set as a row of a boolean table over the irregular faces; ``slot_keys``
-makes a problem's (elements, 36) key table in one call; one stacked
-``degree_elevate_2`` call elevates the cubic rows of all its (element,
-function) pairs, as in ``elevate_irregular``.  ``assemble`` writes G
-and F from index arrays: (element, side) arrays from ``cnet.edge_faces``
-and ``evaluate.glued_frames``, the seven rows of each constrained edge
-from one stencil table (``_EDGE_STENCIL``) with one ``np.add.at``, an
-identity row per pinned unknown and the 60 fairing differences of each
-element.  ``solve`` gives each function's (elements, 36) rows, stored as
-they are.
+so elements share the unknowns of their common edges.  Whatever the
+problems of one build share is made once, in arrays, by
+``build_tables``: the irregular faces (``CNet.rings``, ``CNet.clusters``)
+and their extraction rows from one ``c0.select`` walk, elevated by one
+stacked ``degree_elevate_2`` call; each function's support and solve set
+as a row of a boolean table over the irregular faces; the slot keys of
+every irregular face and the face across each of its sides; and
+``glued_sides`` of every edge between two irregular faces.  Each
+``ConstraintProblem`` takes its rows of these tables (a standalone one
+makes the tables of its own functions) and numbers its own unknowns.
+``assemble`` writes G and F from index arrays: the seven rows of each
+constrained edge from one stencil table (``_EDGE_STENCIL``) with one
+``np.add.at``, an identity row per pinned unknown and the 60 fairing
+differences of each element.  ``solve`` gives each function's (elements,
+36) rows, stored as they are.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
@@ -117,10 +118,16 @@ def blend_polynomial(omega1, omega2, v) -> np.ndarray:
 def glued_sides(cnet: CNet, edges):
     """``evaluate.glued_frames`` of ``edges``, each glued at
     ``edge_geometry``'s v1, and their (k, 2) blend weights (omega1,
-    omega2)."""
-    geoms = [edge_geometry(cnet, e) for e in np.asarray(edges, dtype=int).tolist()]
-    faces, rots = glued_frames(cnet, edges, [g.v1 for g in geoms])
-    return faces, rots, np.array([(g.omega1, g.omega2) for g in geoms]).reshape(-1, 2)
+    omega2): ``math.cos`` of ``edge_geometry``, one call per (a, mu)."""
+    edges = np.asarray(edges, dtype=int)
+    u, v = cnet.edges[edges].T  # u < v
+    v1 = np.where(cnet.extraordinary[v] & ~cnet.extraordinary[u], v, u)
+    ends = np.column_stack([v1, u + v - v1])
+    a, mu = np.where(cnet.boundary_vertex[ends], 1, 2), cnet.valence[ends]
+    cos = np.array([[math.cos(k * math.pi / m) for m in range(1, mu.max(initial=0) + 1)]
+                    for k in (1, 2)])
+    faces, rots = glued_frames(cnet, edges, v1)
+    return faces, rots, cos[a - 1, mu - 1]
 
 
 # ----------------------------------------------------------------------
@@ -226,29 +233,67 @@ class ConstraintSystem:
     ctilde: np.ndarray | None = None
 
 
-def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
+def _c0_rows(c0: GSplineSurface, faces=None):
     """Element, basis id and cubic coefficients (16,) of every extraction
-    row of ``faces`` (ascending), by element then row, from the
-    ``c0.select`` blocks: the one group of a C0 surface holds them all.
-    No faces give empty arrays of those shapes."""
+    row of ``faces`` (ascending; default every element), by element then
+    row, from the ``c0.select`` blocks: the one group of a C0 surface holds
+    them all.  No faces give empty arrays of those shapes."""
     subs = [sub for _, sub in c0.select(faces)] or [c0.groups[0].take(slice(0))]
     return tuple(np.concatenate(p) for p in zip(*(
         (np.repeat(s.elements, s.mask.sum(axis=1)), s.basis[s.mask], s.coeffs[s.mask])
         for s in subs)))
 
 
-def _tables(c0: GSplineSurface, functions, variant: str):
-    """The irregular faces (ascending); the face index, basis id and cubic
-    coefficients of their extraction rows; and two (len(functions),
-    len(faces)) tables: each function's support, and the faces it is
-    solved over: its support (g1r) or every face of the clusters its
-    support touches (g1p)."""
-    faces, cluster = analyze_net(c0.cnet)
-    element, basis, coeffs = _c0_rows(c0, faces)
-    at = np.searchsorted(faces, element)
-    ids, col = np.unique(functions, return_inverse=True)
-    hit = np.isin(basis, ids, kind="sort")
-    fn = np.searchsorted(ids, basis[hit])
+@dataclass(frozen=True)
+class BuildTables:
+    """What the constraint problems of one G1 build share, made once by
+    ``build_tables``; each problem takes its rows.
+
+    ``faces`` are the irregular faces, ascending.  ``rows`` holds, for
+    every extraction row of theirs (by face, then row), the index of its
+    face in ``faces``, its basis id and its cubic coefficients elevated
+    to bi-quintic (36,); ``kept`` the element, basis id and cubic
+    coefficients (16,) of the rows of all other faces.  ``support`` and
+    ``solved`` are (len(functions), len(faces)) tables over the ascending
+    ``functions``: each function's support, and the faces it is solved
+    over: its support (g1r) or every face of the clusters its support
+    touches (g1p).  ``keys`` is ``slot_keys`` of ``faces``.
+    ``side_edges[r, s]`` is the edge of side s of ``faces[r]``, and
+    ``across[r, s]`` the index in ``faces`` of the irregular face across
+    it, ``TRANSITION`` across any other face and ``BOUNDARY`` on the
+    domain boundary.  ``glued`` is (edges, faces, rots, omega): every edge
+    between two irregular faces, ascending, and its ``glued_sides`` rows.
+    """
+
+    TRANSITION = -1
+    BOUNDARY = -2
+
+    variant: str
+    faces: np.ndarray
+    rows: tuple
+    kept: tuple
+    functions: np.ndarray
+    support: np.ndarray
+    solved: np.ndarray
+    keys: np.ndarray
+    side_edges: np.ndarray
+    across: np.ndarray
+    glued: tuple
+
+
+def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
+    """The ``BuildTables`` of the basis ``functions`` of ``c0`` in
+    ``variant``: one ``_c0_rows``, one ``slot_keys``, one
+    ``degree_elevate_2`` and one ``glued_sides`` call."""
+    cnet = c0.cnet
+    faces, cluster = analyze_net(cnet)
+    element, basis, coeffs = _c0_rows(c0)
+    irregular = cnet.rings[element] == 1
+    at = np.searchsorted(faces, element[irregular])
+    basis_at = basis[irregular]
+    ids = np.unique(np.asarray(functions, dtype=np.int64))
+    hit = np.isin(basis_at, ids, kind="sort")
+    fn = np.searchsorted(ids, basis_at[hit])
     support = np.zeros((ids.size, faces.size), dtype=bool)
     support[fn, at[hit]] = True
     solved = support
@@ -256,8 +301,21 @@ def _tables(c0: GSplineSurface, functions, variant: str):
         names, ring = np.unique(cluster, return_inverse=True)
         touched = np.zeros((ids.size, names.size), dtype=bool)
         touched[fn, ring[at[hit]]] = True
-        solved = touched[:, ring]
-    return faces, (at, basis, coeffs), support[col], solved[col]
+        solved = np.ascontiguousarray(touched[:, ring])
+
+    side_edges = cnet.face_edges[faces]
+    pair = cnet.edge_faces[side_edges]
+    other = np.where(pair[..., 0] == faces[:, None], pair[..., 1], pair[..., 0])
+    across = np.where(other < 0, BuildTables.BOUNDARY,
+                      np.where(cnet.rings[other] == 1, np.searchsorted(faces, other),
+                               BuildTables.TRANSITION))
+    between = np.unique(side_edges[across >= 0])
+    return BuildTables(
+        variant, faces,
+        (at, basis_at, degree_elevate_2(coeffs[irregular])),
+        (element[~irregular], basis[~irregular], coeffs[~irregular]),
+        ids, support, solved, slot_keys(cnet, faces), side_edges, across,
+        (between, *glued_sides(cnet, between)))
 
 
 class ConstraintProblem:
@@ -265,10 +323,13 @@ class ConstraintProblem:
     or of several functions solved over the same element set.
 
     ``basisfn`` is one id (1-D targets and right-hand sides) or a sequence
-    of ids (one column per function).  ``variant`` selects the constrained
-    edge set: "g1p" couples every edge between two in-cluster irregular
-    elements, "g1r" couples only edges interior to the function's original
-    support and pins the rest.
+    of ids (one column per function); ids are integers.  ``variant``
+    selects the constrained edge set: "g1p" couples every edge between two
+    in-cluster irregular elements, "g1r" couples only edges interior to the
+    function's original support and pins the rest.  ``tables`` are the
+    ``build_tables`` of ``c0`` in ``variant`` over functions that include
+    these (by default those of these functions alone); the problem takes
+    its rows of them and numbers its own unknowns.
 
     ``elements`` (the faces solved over) and ``constrained_edges`` are
     ascending id arrays; ``supports`` are boolean rows over the irregular
@@ -277,41 +338,53 @@ class ConstraintProblem:
     side) arrays.
     """
 
-    def __init__(self, c0: GSplineSurface, basisfn, variant: str):
+    def __init__(self, c0: GSplineSurface, basisfn, variant: str,
+                 tables: BuildTables | None = None):
         if c0.variant != "c0":
             raise DomainError("constraint problems start from a C0 surface")
         if variant not in ("g1p", "g1r"):
             raise DomainError(f"unknown construction variant {variant!r}")
+        fns = np.atleast_1d(np.asarray(basisfn))
+        if fns.size and fns.dtype.kind not in "iu":
+            raise DomainError(f"basis function ids must be integers, not {basisfn!r}")
+        fns = fns.astype(np.int64)
         self.c0 = c0
-        fns = np.atleast_1d(np.asarray(basisfn, dtype=np.int64))
         self.functions = fns.tolist()
         cols = () if np.ndim(basisfn) == 0 else (fns.size,)
         self.variant = variant
-        cnet = c0.cnet
-
-        faces, (at, basis, coeffs), self.supports, solved = _tables(c0, fns, variant)
         named = f"basis functions {self.functions}"
+
+        self.tables = t = build_tables(c0, fns, variant) if tables is None else tables
+        held = np.searchsorted(t.functions, fns)  # rows of the function tables
+        if (t.variant != variant or (held == t.functions.size).any()
+                or (t.functions[held] != fns).any()):
+            raise DomainError(f"the build tables do not hold {variant} {named}")
+        self.supports, solved = t.support[held], t.solved[held]
         if not solved.any():
             raise DomainError(f"{named} support no irregular element")
         if (solved != solved[0]).any():
             raise DomainError(f"{named} are solved over different element sets")
-        self.elements = els = faces[solved[0]]
+        mine = np.flatnonzero(solved[0])  # rows of the face tables
+        self.elements = els = t.faces[mine]
 
         # unknowns numbered by first appearance of their slot key, element
         # by element, j then i
-        _, first, inverse = np.unique(slot_keys(cnet, els), return_index=True,
+        _, first, inverse = np.unique(t.keys[mine], return_index=True,
                                       return_inverse=True)
         nodes = first.argsort().argsort()[inverse.ravel()]
         self.slot_nodes = nodes.reshape(-1, (P + 1) ** 2)  # row per element
         self.n = first.size
 
-        # elevated targets from one call on the first cubic row of every
-        # (element, function) pair; each unknown's slots must all agree
-        row, k = np.nonzero(solved[0][at][:, None] & (basis[:, None] == fns))
-        e = np.searchsorted(els, faces[at[row]])
+        # elevated targets from the first cubic row of every (element,
+        # function) pair; each unknown's slots must all agree
+        at, basis, elevated = t.rows
+        rows = np.flatnonzero(solved[0][at])
+        row, k = np.nonzero(basis[rows, None] == fns)
+        row = rows[row]
+        e = np.searchsorted(mine, at[row])
         _, pair = np.unique(e * fns.size + k, return_index=True)
         values = np.zeros((els.size, fns.size, (P + 1) ** 2))
-        values[e[pair], k[pair]] = degree_elevate_2(coeffs[row[pair]])
+        values[e[pair], k[pair]] = elevated[row[pair]]
         values = values.swapaxes(1, 2).reshape(-1, fns.size)  # slot by slot
         ctilde = values[np.sort(first)]
         bad = (np.abs(values - ctilde[nodes]) > 1e-9).any(axis=1)
@@ -331,29 +404,24 @@ class ConstraintProblem:
         # already vanish there, so both readings coincide.  Domain-boundary
         # sides pin only the trace row (the boundary curve), leaving the
         # cross-derivative free for the constraints at boundary EPs.
-        side_edges = cnet.face_edges[els]
-        pair = cnet.edge_faces[side_edges]
-        other = np.where(pair[..., 0] == els[:, None], pair[..., 1], pair[..., 0])
-        boundary = other < 0
-        inside = np.isin(other, els, kind="sort")
-        irregular = cnet.rings[other] == 1
+        across = t.across[mine]
+        # TRANSITION and BOUNDARY read the two appended False
+        inside = np.append(solved[0], [False, False])[across]
 
         def sides(mask):
             f, s = np.nonzero(mask)
             return np.column_stack([els[f], s])
 
-        self.constrained_edges = np.unique(side_edges[inside])
-        self.frozen_sides = sides(~boundary & ~inside & irregular)
-        self.pinned_sides = sides(~boundary & ~inside & ~irregular)
-        self.boundary_sides = sides(boundary)
+        self.constrained_edges = np.unique(t.side_edges[mine][inside])
+        self.frozen_sides = sides((across >= 0) & ~inside)
+        self.pinned_sides = sides(across == t.TRANSITION)
+        self.boundary_sides = sides(across == t.BOUNDARY)
 
     # -- assembly and solve ----------------------------------------------
 
     def assemble(self) -> ConstraintSystem:
         """Equality rows (seven per constrained edge, then one identity row
         per pinned unknown) and fairing rows (60 per element)."""
-        cnet = self.c0.cnet
-
         # Pins: two coefficient layers per side, the trace row alone on
         # domain-boundary sides.  Frozen (zero) pins come first so shared
         # corner slots obey the stronger support-boundary condition; each
@@ -373,7 +441,8 @@ class ConstraintProblem:
 
         # Edge rows from the stencil table, each edge glued at its v1
         edges = self.constrained_edges
-        faces, rots, omega = glued_sides(cnet, edges)
+        between, *glued = self.tables.glued
+        faces, rots, omega = (a[np.searchsorted(between, edges)] for a in glued)
         w1, w2 = omega[:, :1], omega[:, 1:]
         side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
         cols = self.slot_nodes[side_rows,
@@ -529,9 +598,10 @@ def elevate_irregular(c0: GSplineSurface):
     """Degree-elevated bi-quintic coefficients of every basis function on
     every irregular element it supports: dict (basis, element) -> (6, 6),
     element by element in extraction-row order."""
-    element, basis, coeffs = _c0_rows(c0, np.flatnonzero(c0.cnet.rings == 1))
-    grids = degree_elevate_2(coeffs.reshape(-1, 4, 4).swapaxes(1, 2))
-    return dict(zip(zip(basis.tolist(), element.tolist()), grids))
+    tables = build_tables(c0, [], "g1r")  # no function tables needed
+    at, basis, elevated = tables.rows
+    grids = elevated.reshape(-1, P + 1, P + 1).swapaxes(1, 2)
+    return dict(zip(zip(basis.tolist(), tables.faces[at].tolist()), grids))
 
 
 def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
@@ -546,7 +616,8 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     if variant not in ("g1p", "g1r"):
         raise DomainError(f"unknown construction variant {variant!r}")
     functions = np.array(sorted(irregular_basis_vertices(c0.cnet)), dtype=np.int64)
-    faces, (at, basis, _), _, solved = _tables(c0, functions, variant)
+    tables = build_tables(c0, functions, variant)
+    faces, (at, basis, _), solved = tables.faces, tables.rows, tables.solved
     extra = ~np.isin(basis, functions)
     if extra.any():
         j = at[extra.argmax()]  # the lowest such element
@@ -565,12 +636,12 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     diagnostics = np.empty(functions.size, dtype=object)
     for g in np.argsort(first):
         members = np.flatnonzero(group == g)
-        problem = ConstraintProblem(c0, functions[members], variant)
+        problem = ConstraintProblem(c0, functions[members], variant, tables)
         rows, diagnostics[members] = zip(*problem.solve())
         coeffs[slot[members][:, solved[members[0]]]] = rows
     # the kept C0 rows of the other faces and these, in element order
     solved_face = c0.cnet.rings == 1
-    element, kept, cubic = _c0_rows(c0, np.flatnonzero(~solved_face))
+    element, kept, cubic = tables.kept
     owner = np.concatenate([element, faces[face_of]])
     return GSplineSurface.from_rows(
         c0.net, variant, np.where(solved_face, P, 3), solved_face & (variant == "g1r"),

@@ -87,6 +87,16 @@ class ElementGroup:
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def checked_id(value, n: int, what: str) -> int:
+    """``value`` as an id in 0..n - 1, or a DomainError: Python and numpy
+    integers pass, bools and floats (integral ones too) do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} {value!r} is not an integer id")
+    if not 0 <= value < n:
+        raise DomainError(f"{what} {value} out of range 0..{n - 1}")
+    return int(value)
+
+
 @dataclass
 class GSplineSurface:
     """A control net with one extraction operator per element.
@@ -95,7 +105,8 @@ class GSplineSurface:
     the stored form of the extraction operators: each element is a row of
     the group of its (degree, rational) class.  ``from_rows`` builds it;
     ``select`` walks it, and ``extraction``, ``extractions`` and ``degree``
-    read one element (a DomainError for an id outside 0..n_faces - 1).
+    read one element (a DomainError for anything but an integer id in
+    0..n_faces - 1, as ``checked_id``).
     ``incidence`` gives the pattern of every per-basis-function sum.
     ``diagnostics`` lists the G1 construction's per-function records
     (None on a C0 surface).
@@ -178,8 +189,7 @@ class GSplineSurface:
 
     def _slot(self, element: int) -> tuple[ElementGroup, int]:
         group_of, row_of = self.group_slots
-        if not 0 <= element < len(group_of):
-            raise DomainError(f"element {element} out of range 0..{len(group_of) - 1}")
+        element = checked_id(element, len(group_of), "element")
         return self.groups[group_of[element]], row_of[element]
 
     @cached_property
@@ -449,8 +459,7 @@ def edge_frames(cnet: CNet, edge: int, v1: int | None = None) -> EdgeFrames:
     ``v1`` selects the edge endpoint placed at the shared frame origin;
     by default the lower vertex index.
     """
-    if not 0 <= edge < cnet.n_edges:
-        raise DomainError(f"edge {edge} out of range 0..{cnet.n_edges - 1}")
+    edge = checked_id(edge, cnet.n_edges, "edge")
     u, v = (int(x) for x in cnet.edges[edge])  # u < v
     if v1 is not None and v1 not in (u, v):
         raise DomainError(f"vertex {v1} is not an endpoint of edge {edge}")

@@ -11,7 +11,7 @@ import pytest
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import (
     ConstraintProblem,
-    _tables,
+    build_tables,
     edge_geometry,
     elevate_irregular,
     slot_keys,
@@ -40,7 +40,7 @@ def problems(c0, variant):
     """One problem per element set, as ``build_g1`` groups them."""
     functions = sorted(irregular_basis_vertices(c0.cnet))
     groups = {}
-    for a, row in zip(functions, _tables(c0, functions, variant)[3]):
+    for a, row in zip(functions, build_tables(c0, functions, variant).solved):
         groups.setdefault(row.tobytes(), []).append(a)
     return [ConstraintProblem(c0, group, variant) for group in groups.values()]
 
@@ -96,7 +96,8 @@ def test_setup_equals_the_loop_bitwise(name, level, variant):
     c0 = build_c0(refine_n(NETS[name](), level)[0])
     rings = problem_loop.clusters(c0.cnet)
     functions = sorted(irregular_basis_vertices(c0.cnet))
-    irregular, _, support, solved = _tables(c0, functions, variant)
+    tables = build_tables(c0, functions, variant)
+    irregular, support, solved = tables.faces, tables.support, tables.solved
     assert irregular.tolist() == problem_loop.irregular_faces(c0.cnet)
     supports = problem_loop.basis_supports(c0, functions)
     assert [set(irregular[row].tolist()) for row in support] == list(supports.values())

@@ -104,6 +104,29 @@ class TestMapPoint:
         with pytest.raises(DomainError, match=f"^{what} {i} out of range 0..{n - 1}$"):
             call(surf, i)
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda s, i: map_point(s, i, 0.5, 0.5), "element"),
+        (lambda s, i: frame(s, i, 0.5, 0.5), "element"),
+        (lambda s, i: s.degree(i), "element"),
+        (lambda s, i: s.extraction(i), "element"),
+        (lambda s, i: edge_frames(s.cnet, i), "edge")],
+        ids=["map_point", "frame", "degree", "extraction", "edge_frames"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(2.0), np.bool_(True), "2"],
+                             ids=["half", "integral_float", "True", "float64", "bool_", "str"])
+    def test_an_id_that_is_not_an_integer_raises(self, call, what, bad):
+        # 1.5 and 2.0 used to reach numpy's indexing, True to read id 1
+        surf = build_c0(netgen.rot44())
+        with pytest.raises(DomainError, match=f"^{what} .* is not an integer id$"):
+            call(surf, bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_ids_read_the_same_element(self, kind):
+        surf = build_c0(netgen.rot44())
+        assert np.array_equal(map_point(surf, kind(5), 0.3, 0.6), map_point(surf, 5, 0.3, 0.6))
+        assert surf.extraction(kind(5)).element == 5
+        e = int(np.flatnonzero(~surf.cnet.boundary_edge)[0])
+        assert edge_frames(surf.cnet, kind(e)) == edge_frames(surf.cnet, e)
+
     @pytest.mark.parametrize("nderiv", [-1, 3, 1.5])
     def test_unsupported_derivative_order(self, nderiv):
         surf = build_c0(netgen.structured(2, 2))
