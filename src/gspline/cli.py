@@ -72,10 +72,16 @@ def _load_surface(path: str) -> GSplineSurface:
 
 
 def _write(path: str | None, text: str) -> None:
+    """``text``, then a newline unless it ends in one: two writes, so a
+    large archive is not copied to append one character."""
+    end = "" if text.endswith("\n") else "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        with open(path, "w") as out:
+            out.write(text)
+            out.write(end)
 
 
 def surface_check(surface: GSplineSurface) -> dict:

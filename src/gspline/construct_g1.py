@@ -34,23 +34,31 @@ every irregular face and the face across each of its sides; and
 ``glued_sides`` of every edge between two irregular faces.  Each
 ``ConstraintProblem`` takes its rows of these tables (a standalone one
 makes the tables of its own functions) and numbers its own unknowns.
-``assemble`` writes G and F from index arrays: the seven rows of each
+``system`` writes G from index arrays, the seven rows of each
 constrained edge from one stencil table (``_EDGE_STENCIL``) with one
-``np.add.at``, an identity row per pinned unknown and the 60 fairing
-differences of each element.  ``solve`` gives each function's (elements,
-36) rows, stored as they are.
+``np.add.at`` and an identity row per pinned unknown, and keeps what
+it knows: the pinned unknowns, and the 60 fairing differences of each
+element as slot pairs (a, b), F c = c[a] - c[b], with no dense F.
+``assemble`` is the dense view of the same parts, F and the per-row
+tags included.  ``solve`` gives each function's (elements, 36) rows,
+stored as they are.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
 fairing problem in their nullspace, by Cholesky or by ``lstsq``; the
-``lstsq`` fallback returns the solution nearest the C0 target.  Only
-numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing the two
-here was slower.
+``lstsq`` fallback returns the solution nearest the C0 target.  A
+problem's system hands it the pins and the pairs; a dense
+``ConstraintSystem``, any G and F, has its pins found in G and its
+fairing block cut from F, and both then take the same steps, bitwise.
+Only numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing
+the two here was slower.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +239,84 @@ class ConstraintSystem:
     f: np.ndarray
     tags: list  # provenance per equality row (edge id or pin description)
     ctilde: np.ndarray | None = None
+
+    def pins(self):
+        """The pinned unknowns (ascending), the row that pins each (its
+        first single-entry row) and a mask of the other rows."""
+        G = self.G
+        single = np.flatnonzero(np.count_nonzero(G, axis=1) == 1)
+        pinned, first = np.unique(np.argmax(G[single] != 0, axis=1),
+                                  return_index=True)
+        rest = np.ones(G.shape[0], dtype=bool)
+        rest[single[first]] = False
+        return pinned, single[first], rest
+
+    def fairing(self, free):
+        """``(touch, times, block)`` over the ``free`` unknowns: the mask of
+        the fairing rows that touch one, ``times(x, rows)`` = F[rows] x and
+        ``block(Z)`` = F[touch][:, free] Z."""
+        F = self.F
+        Fr = F[:, free]
+        touch = Fr.any(axis=1)
+        return touch, lambda x, rows=slice(None): F[rows] @ x, lambda Z: Fr[touch] @ Z
+
+
+@dataclass
+class ProblemSystem:
+    """A ``ConstraintProblem``'s system as it is built.
+
+    ``G`` and ``g`` are those of ``ConstraintSystem``: the edge rows, then
+    one identity row per pinned unknown.  ``pinned`` are the pinned
+    unknowns, ascending, and ``pin_rows`` the identity row of each.
+    Fairing row i is the slot pair (a[i], b[i]): F c = c[a] - c[b].  The
+    dense ``F`` and the ``tags`` are made when first read, which the solve
+    does only to raise.
+    """
+
+    G: np.ndarray
+    g: np.ndarray
+    pinned: np.ndarray
+    pin_rows: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    f: np.ndarray
+    ctilde: np.ndarray
+    make_tags: Callable[[], list]
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        F = np.zeros((self.a.size, self.G.shape[1]))
+        F[np.arange(self.a.size), self.a] = 1.0
+        F[np.arange(self.a.size), self.b] = -1.0
+        return F
+
+    @functools.cached_property
+    def tags(self) -> list:
+        return self.make_tags()
+
+    def pins(self):
+        """``ConstraintSystem.pins``: the identity rows, which come last."""
+        return self.pinned, self.pin_rows, slice(0, self.G.shape[0] - self.pinned.size)
+
+    def fairing(self, free):
+        """``ConstraintSystem.fairing`` from the slot pairs: each fairing
+        row holds one +1 and one -1, so F x is exactly x[a] - x[b] (the
+        + 0.0 makes the -0 of (-0) - (+0) the +0 of a BLAS sum) and F_U Z
+        is the same on Z padded with a zero row per pinned unknown."""
+        a, b = self.a, self.b
+        touch = free[a] | free[b]
+
+        def times(x, rows=slice(None)):
+            out = x[a[rows]] - x[b[rows]]
+            out += 0.0
+            return out
+
+        def block(Z):
+            padded = np.zeros((free.size, Z.shape[1]))
+            padded[free] = Z
+            return times(padded, touch)
+
+        return touch, times, block
 
 
 def _c0_rows(c0: GSplineSurface, faces=None):
@@ -419,21 +505,18 @@ class ConstraintProblem:
 
     # -- assembly and solve ----------------------------------------------
 
-    def assemble(self) -> ConstraintSystem:
+    def system(self) -> ProblemSystem:
         """Equality rows (seven per constrained edge, then one identity row
-        per pinned unknown) and fairing rows (60 per element)."""
+        per pinned unknown), the pinned unknowns and the fairing pairs (60
+        per element), as ``solve_constrained_ls`` reads them."""
         # Pins: two coefficient layers per side, the trace row alone on
         # domain-boundary sides.  Frozen (zero) pins come first so shared
         # corner slots obey the stronger support-boundary condition; each
         # unknown is pinned once, by its first side.
-        pins, tags = [], []
-        for kind, sides, width in (("frozen", self.frozen_sides, 2 * P + 2),
-                                   ("pin", self.pinned_sides, 2 * P + 2),
-                                   ("trace", self.boundary_sides, P + 1)):
-            rows = np.searchsorted(self.elements, sides[:, 0])[:, None]
-            pins.append(self.slot_nodes[rows, _SIDE_SLOTS[sides[:, 1], :width]].ravel())
-            tags += [(kind, f, s) for f, s in sides.tolist() for _ in range(width)]
-        pins = np.concatenate(pins)
+        pins = np.concatenate([
+            self.slot_nodes[np.searchsorted(self.elements, sides[:, 0])[:, None],
+                            _SIDE_SLOTS[sides[:, 1], :width]].ravel()
+            for _, sides, width in self._pin_sides()])
         keep = np.sort(np.unique(pins, return_index=True)[1])
         pinned = pins[keep]
         pin_rhs = self.ctilde[pinned]
@@ -455,22 +538,44 @@ class ConstraintProblem:
         G[n_edge_rows + np.arange(pinned.size), pinned] = 1.0
         g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
                             pin_rhs])
-        tags = [("edge", e) for e in edges.tolist()
-                for _ in range(7)] + [tags[k] for k in keep]
 
         a = self.slot_nodes[:, _FAIR_A].ravel()
         b = self.slot_nodes[:, _FAIR_B].ravel()
-        F = np.zeros((a.size, self.n))
-        F[np.arange(a.size), a] = 1.0
-        F[np.arange(a.size), b] = -1.0
-        return ConstraintSystem(G=G, g=g, F=F, f=self.ctilde[a] - self.ctilde[b],
-                                tags=tags, ctilde=self.ctilde)
+        order = pinned.argsort()
+        return ProblemSystem(G=G, g=g, pinned=pinned[order],
+                             pin_rows=n_edge_rows + order, a=a, b=b,
+                             f=self.ctilde[a] - self.ctilde[b], ctilde=self.ctilde,
+                             make_tags=functools.partial(self._tags, keep))
+
+    def _pin_sides(self):
+        """(tag, sides, pinned slots per side) of the three pin kinds, in
+        pinning order."""
+        return (("frozen", self.frozen_sides, 2 * P + 2),
+                ("pin", self.pinned_sides, 2 * P + 2),
+                ("trace", self.boundary_sides, P + 1))
+
+    def _tags(self, keep):
+        """The provenance of each equality row: ``("edge", e)``, or the
+        pin kind and (element, side) of the side that pinned the unknown;
+        ``keep`` indexes the side slots that pin, in pin row order."""
+        tags = [(kind, f, s) for kind, sides, width in self._pin_sides()
+                for f, s in sides.tolist() for _ in range(width)]
+        return [("edge", e) for e in self.constrained_edges.tolist()
+                for _ in range(7)] + [tags[k] for k in keep.tolist()]
+
+    def assemble(self) -> ConstraintSystem:
+        """The dense view of ``system``: equality rows (seven per
+        constrained edge, then one identity row per pinned unknown) and
+        fairing rows (60 per element)."""
+        s = self.system()
+        return ConstraintSystem(G=s.G, g=s.g, F=s.F, f=s.f, tags=s.tags,
+                                ctilde=s.ctilde)
 
     def solve(self):
         """``(rows, diag)`` of the function, or a list of them (one per
         function) when built from a sequence of ids; ``rows`` are its
         (len(elements), 36) coefficients, laid out as ``slot_nodes``."""
-        c, infos = solve_constrained_ls(self.assemble(), return_info=True)
+        c, infos = solve_constrained_ls(self.system(), return_info=True)
         infos = infos if self.ctilde.ndim > 1 else [infos]
         for a, support, diag in zip(self.functions, self.supports, infos):
             diag.update(basis=a, n_unknowns=self.n,
@@ -482,20 +587,30 @@ class ConstraintProblem:
         return out if self.ctilde.ndim > 1 else out[0]
 
 
-def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
+def solve_constrained_ls(system: ConstraintSystem | ProblemSystem,
+                         return_info: bool = False):
     """Minimize the fairing residual subject to the equality constraints.
 
-    Pins are eliminated first (Lawson & Hanson, ch. 21): an equality row
-    with a single nonzero entry a c_j = g_i fixes c_j = g_i / a, and the
-    first such row of an unknown is the one used.  The other rows,
-    restricted to the free unknowns with the pinned part moved to the
-    right-hand side, go through a rank-revealing SVD whose tolerance
-    ``RANK_TOL`` is relative to the largest singular value of that
-    reduced matrix; the least-squares problem is then solved in the
-    nullspace parameterization (Lawson & Hanson, ch. 20), without the
-    fairing rows that touch no free unknown.  The reported ``rank`` is
-    the number of pinned unknowns plus the rank of the reduced rows,
-    which is the rank of G.
+    ``system`` is a dense ``ConstraintSystem``, any G and F, or the
+    ``ProblemSystem`` of a ``ConstraintProblem``, which names its pins
+    and gives its fairing rows as slot pairs, with no dense F.  A
+    problem's ``system()`` and its dense view ``assemble()`` solve to
+    the same bits.
+
+    Pins are eliminated first (Lawson & Hanson, ch. 21): ``system.pins()``
+    names the pinned unknowns, the row that pins each and the other rows.
+    A dense system finds them in G: an equality row with a single nonzero
+    entry a c_j = g_i fixes c_j = g_i / a, and the first such row of an
+    unknown is the one used.  A problem's are its identity rows, and no
+    edge row has a single entry.  The other rows, restricted to the free
+    unknowns with the pinned part moved to the right-hand side, go
+    through a rank-revealing SVD whose tolerance ``RANK_TOL`` is relative
+    to the largest singular value of that reduced matrix; the
+    least-squares problem is then solved in the nullspace
+    parameterization (Lawson & Hanson, ch. 20), without the fairing rows
+    that touch no free unknown (``system.fairing``).  The reported
+    ``rank`` is the number of pinned unknowns plus the rank of the
+    reduced rows, which is the rank of G.
 
     The nullspace problem min |B z - r| is solved from the normal
     equations (B^T B) z = B^T r when ``np.linalg.cholesky(B^T B)``
@@ -519,26 +634,20 @@ def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
     ``EQ_TOL`` times the column's largest |g| (at least 1).  Inconsistent
     constraints of any column raise InfeasibleConstraintError listing that
     column's offending edges, with the rows that pinned the unknowns of
-    the offending rows.
+    the offending rows; only then are the ``tags`` read.
     """
-    G, F = system.G, system.F
+    G = system.G
     f = np.asarray(system.f, dtype=float)
     cols = f.shape[1:]
-    f = f.reshape(F.shape[0], -1)
+    f = f.reshape(f.shape[0], -1)
     g = np.asarray(system.g, dtype=float).reshape(G.shape[0], f.shape[1])
 
-    # the first single-entry row of each unknown pins it
-    single = np.flatnonzero(np.count_nonzero(G, axis=1) == 1)
-    pinned, first = np.unique(np.argmax(G[single] != 0, axis=1),
-                              return_index=True)
-    pin_rows = single[first]
+    pinned, pin_rows, rest = system.pins()
     free = np.ones(G.shape[1], dtype=bool)
     free[pinned] = False
     c = np.zeros((G.shape[1], f.shape[1]))
     c[pinned] = g[pin_rows] / G[pin_rows, pinned][:, None]
 
-    rest = np.ones(G.shape[0], dtype=bool)
-    rest[pin_rows] = False
     Gr = G[rest]
     gr = g[rest] - Gr @ c
     Gr = Gr[:, free]
@@ -559,10 +668,9 @@ def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
             f"equality constraints inconsistent (max residual "
             f"{eq_residual[:, col].max():.3e})", edges=edges)
     Z = Vt[rank:].T
-    Fr = F[:, free]
-    touch = Fr.any(axis=1)
-    B = Fr[touch] @ Z
-    r = f[touch] - F[touch] @ c
+    touch, times, block = system.fairing(free)
+    B = block(Z)
+    r = f[touch] - times(c, touch)
     A = B.T @ B
     try:
         d = np.diag(np.linalg.cholesky(A))
@@ -582,7 +690,7 @@ def solve_constrained_ls(system: ConstraintSystem, return_info: bool = False):
             f"constraint residual {final.max():.3e} after solve", edges=[])
     if not return_info:
         return c.reshape((-1,) + cols)
-    ls_residual = np.linalg.norm(F @ c - f, axis=0)
+    ls_residual = np.linalg.norm(times(c) - f, axis=0)
     infos = [{"rank": pinned.size + rank, "n_equality": int(G.shape[0]),
               "ls_residual": float(ls), "eq_residual": float(eq),
               "fairing": "cholesky" if normal else "lstsq"}

@@ -2,8 +2,9 @@
 derivative order a caller uses, every pass in the element blocks of
 ``GSplineSurface.select`` at one table budget (``evaluate.BLOCK_ENTRIES``),
 K, M and the collocation Gram matrix scattered into one CSR pattern, the
-frames CSV on ``group_frames``, and the padded class size of
-``GSplineSurface.from_rows`` bounded."""
+frames CSV on ``group_frames``, the padded class size of
+``GSplineSurface.from_rows`` bounded, and ``build_g1`` without a dense
+fairing matrix."""
 
 import base64
 import dataclasses
@@ -332,6 +333,25 @@ class TestSharedPattern:
             tracemalloc.stop()
         assert peak < 45e6
         assert system.K.nnz == system.M.nnz > 0
+
+
+class TestG1BuildMemory:
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    def test_no_dense_fairing_matrix(self, variant):
+        """rot44 L1: with a dense F per solve the build peaked at 3.8 (g1p)
+        and 3.2 (g1r) times the bytes of its largest system's F, 60 E x n
+        doubles; the fairing pairs take it to 1.8 and 1.3 times."""
+        c0 = rot44(1, "c0")
+        build_g1(c0, variant)  # the surface's lazy tables, before measuring
+        tracemalloc.start()
+        try:
+            surface = build_g1(c0, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_f = max(60 * d["support_after"] * d["n_unknowns"] * 8
+                      for d in surface.diagnostics)
+        assert peak < 2.5 * dense_f
 
 
 def parsed(text):

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -857,3 +858,27 @@ class TestMutatedInputs:
             label="token value")
         text = "\n".join(" ".join(line) for line in lines) + "\n"
         assert_loads_or_exit_2_or_3(load_obj, text.encode("utf-8", "surrogatepass"))
+
+
+@pytest.mark.parametrize("text", ["", "{}", "{}\n", "a\nb", "a\n\n"])
+def test_write_ends_in_one_newline(text, tmp_path, capsys):
+    want = text if text.endswith("\n") else text + "\n"
+    path = tmp_path / "out.txt"
+    cli._write(str(path), text)
+    assert path.read_bytes() == want.encode()
+    cli._write(None, text)
+    cli._write("-", text)
+    assert capsys.readouterr().out == 2 * want
+
+
+def test_write_does_not_copy_the_text(tmp_path):
+    """Appending the newline to a 4 MB text made a second 4 MB string."""
+    text = "0123456789abcdef" * 2**18
+    tracemalloc.start()
+    try:
+        cli._write(str(tmp_path / "big.txt"), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
+    assert (tmp_path / "big.txt").read_text() == text + "\n"
