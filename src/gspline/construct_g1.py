@@ -34,22 +34,22 @@ every irregular face and the face across each of its sides; and
 ``glued_sides`` of every edge between two irregular faces.  Each
 ``ConstraintProblem`` takes its rows of these tables (a standalone one
 makes the tables of its own functions) and numbers its own unknowns.
-``system`` writes G from index arrays, the seven rows of each
-constrained edge from one stencil table (``_EDGE_STENCIL``) with one
-``np.add.at`` and an identity row per pinned unknown, and keeps what
-it knows: the pinned unknowns, and the 60 fairing differences of each
-element as slot pairs (a, b), F c = c[a] - c[b], with no dense F.
-``assemble`` is the dense view of the same parts, F and the per-row
-tags included.  ``solve`` gives each function's (elements, 36) rows,
-stored as they are.
+It then writes G from index arrays, the seven rows of each constrained
+edge from one stencil table (``_EDGE_STENCIL``) with one ``np.add.at``
+and an identity row per pinned unknown, and keeps what it knows: the
+pinned unknowns, and the 60 fairing differences of each element as slot
+pairs (a, b), F c = c[a] - c[b], with no dense F.  ``assemble`` is the
+dense view of the same parts, F and the per-row tags included.
+``solve`` gives each function's (elements, 36) rows, stored as they
+are.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
 fairing problem in their nullspace, by Cholesky or by ``lstsq``; the
 ``lstsq`` fallback returns the solution nearest the C0 target.  A
-problem's system hands it the pins and the pairs; a dense
-``ConstraintSystem``, any G and F, has its pins found in G and its
-fairing block cut from F, and both then take the same steps, bitwise.
+problem hands it its pins and its pairs; a dense ``ConstraintSystem``,
+any G and F, has its pins found in G and its fairing block cut from F,
+and both then take the same steps, bitwise.
 Only numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing
 the two here was slower.
 """
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,73 +260,13 @@ class ConstraintSystem:
         return touch, lambda x, rows=slice(None): F[rows] @ x, lambda Z: Fr[touch] @ Z
 
 
-@dataclass
-class ProblemSystem:
-    """A ``ConstraintProblem``'s system as it is built.
-
-    ``G`` and ``g`` are those of ``ConstraintSystem``: the edge rows, then
-    one identity row per pinned unknown.  ``pinned`` are the pinned
-    unknowns, ascending, and ``pin_rows`` the identity row of each.
-    Fairing row i is the slot pair (a[i], b[i]): F c = c[a] - c[b].  The
-    dense ``F`` and the ``tags`` are made when first read, which the solve
-    does only to raise.
-    """
-
-    G: np.ndarray
-    g: np.ndarray
-    pinned: np.ndarray
-    pin_rows: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    f: np.ndarray
-    ctilde: np.ndarray
-    make_tags: Callable[[], list]
-
-    @functools.cached_property
-    def F(self) -> np.ndarray:
-        F = np.zeros((self.a.size, self.G.shape[1]))
-        F[np.arange(self.a.size), self.a] = 1.0
-        F[np.arange(self.a.size), self.b] = -1.0
-        return F
-
-    @functools.cached_property
-    def tags(self) -> list:
-        return self.make_tags()
-
-    def pins(self):
-        """``ConstraintSystem.pins``: the identity rows, which come last."""
-        return self.pinned, self.pin_rows, slice(0, self.G.shape[0] - self.pinned.size)
-
-    def fairing(self, free):
-        """``ConstraintSystem.fairing`` from the slot pairs: each fairing
-        row holds one +1 and one -1, so F x is exactly x[a] - x[b] (the
-        + 0.0 makes the -0 of (-0) - (+0) the +0 of a BLAS sum) and F_U Z
-        is the same on Z padded with a zero row per pinned unknown."""
-        a, b = self.a, self.b
-        touch = free[a] | free[b]
-
-        def times(x, rows=slice(None)):
-            out = x[a[rows]] - x[b[rows]]
-            out += 0.0
-            return out
-
-        def block(Z):
-            padded = np.zeros((free.size, Z.shape[1]))
-            padded[free] = Z
-            return times(padded, touch)
-
-        return touch, times, block
-
-
-def _c0_rows(c0: GSplineSurface, faces=None):
+def _c0_rows(c0: GSplineSurface):
     """Element, basis id and cubic coefficients (16,) of every extraction
-    row of ``faces`` (ascending; default every element), by element then
-    row, from the ``c0.select`` blocks: the one group of a C0 surface holds
-    them all.  No faces give empty arrays of those shapes."""
-    subs = [sub for _, sub in c0.select(faces)] or [c0.groups[0].take(slice(0))]
+    row, by element then row, from the ``c0.select`` blocks: the one group
+    of a C0 surface holds them all."""
     return tuple(np.concatenate(p) for p in zip(*(
         (np.repeat(s.elements, s.mask.sum(axis=1)), s.basis[s.mask], s.coeffs[s.mask])
-        for s in subs)))
+        for _, s in c0.select())))
 
 
 @dataclass(frozen=True)
@@ -422,6 +361,14 @@ class ConstraintProblem:
     faces; ``slot_nodes[r, i + 6 j]`` is the unknown of slot (i, j) of
     element ``elements[r]``; the three ``*_sides`` are (k, 2) (element,
     side) arrays.
+
+    The problem is the system ``solve_constrained_ls`` reads.  ``G`` and
+    ``g`` are those of ``ConstraintSystem``: seven rows per constrained
+    edge, then one identity row per pinned unknown.  ``pinned`` are the
+    pinned unknowns, ascending, and ``pin_rows`` the identity row of each.
+    Fairing row i is the slot pair (a[i], b[i]), 60 per element: F c =
+    c[a] - c[b].  The dense ``F`` and the ``tags`` are made when first
+    read, which the solve does only to raise.
     """
 
     def __init__(self, c0: GSplineSurface, basisfn, variant: str,
@@ -503,12 +450,6 @@ class ConstraintProblem:
         self.pinned_sides = sides(across == t.TRANSITION)
         self.boundary_sides = sides(across == t.BOUNDARY)
 
-    # -- assembly and solve ----------------------------------------------
-
-    def system(self) -> ProblemSystem:
-        """Equality rows (seven per constrained edge, then one identity row
-        per pinned unknown), the pinned unknowns and the fairing pairs (60
-        per element), as ``solve_constrained_ls`` reads them."""
         # Pins: two coefficient layers per side, the trace row alone on
         # domain-boundary sides.  Frozen (zero) pins come first so shared
         # corner slots obey the stronger support-boundary condition; each
@@ -524,28 +465,64 @@ class ConstraintProblem:
 
         # Edge rows from the stencil table, each edge glued at its v1
         edges = self.constrained_edges
-        between, *glued = self.tables.glued
+        between, *glued = t.glued
         faces, rots, omega = (a[np.searchsorted(between, edges)] for a in glued)
         w1, w2 = omega[:, :1], omega[:, 1:]
-        side_rows = np.searchsorted(self.elements, faces)[:, _ST_SIDE]
+        side_rows = np.searchsorted(els, faces)[:, _ST_SIDE]
         cols = self.slot_nodes[side_rows,
                                _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
         n_edge_rows = 7 * edges.size
-        G = np.zeros((n_edge_rows + pinned.size, self.n))
+        self.G = G = np.zeros((n_edge_rows + pinned.size, self.n))
         # unbuffered, in entry order: repeated slots of a row sum as listed
         np.add.at(G, (7 * np.arange(edges.size)[:, None] + _ST_ROW, cols),
                   _ST_C0 + _ST_W1 * w1 + _ST_W2 * w2)
         G[n_edge_rows + np.arange(pinned.size), pinned] = 1.0
-        g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
-                            pin_rhs])
-
-        a = self.slot_nodes[:, _FAIR_A].ravel()
-        b = self.slot_nodes[:, _FAIR_B].ravel()
+        self.g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
+                                 pin_rhs])
         order = pinned.argsort()
-        return ProblemSystem(G=G, g=g, pinned=pinned[order],
-                             pin_rows=n_edge_rows + order, a=a, b=b,
-                             f=self.ctilde[a] - self.ctilde[b], ctilde=self.ctilde,
-                             make_tags=functools.partial(self._tags, keep))
+        self.pinned, self.pin_rows = pinned[order], n_edge_rows + order
+        self._keep = keep
+
+        self.a = self.slot_nodes[:, _FAIR_A].ravel()
+        self.b = self.slot_nodes[:, _FAIR_B].ravel()
+        self.f = self.ctilde[self.a] - self.ctilde[self.b]
+
+    # -- the system as solve_constrained_ls reads it ---------------------
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        F = np.zeros((self.a.size, self.n))
+        F[np.arange(self.a.size), self.a] = 1.0
+        F[np.arange(self.a.size), self.b] = -1.0
+        return F
+
+    @functools.cached_property
+    def tags(self) -> list:
+        return self._tags(self._keep)
+
+    def pins(self):
+        """``ConstraintSystem.pins``: the identity rows, which come last."""
+        return self.pinned, self.pin_rows, slice(0, self.G.shape[0] - self.pinned.size)
+
+    def fairing(self, free):
+        """``ConstraintSystem.fairing`` from the slot pairs: each fairing
+        row holds one +1 and one -1, so F x is exactly x[a] - x[b] (the
+        + 0.0 makes the -0 of (-0) - (+0) the +0 of a BLAS sum) and F_U Z
+        is the same on Z padded with a zero row per pinned unknown."""
+        a, b = self.a, self.b
+        touch = free[a] | free[b]
+
+        def times(x, rows=slice(None)):
+            out = x[a[rows]] - x[b[rows]]
+            out += 0.0
+            return out
+
+        def block(Z):
+            padded = np.zeros((free.size, Z.shape[1]))
+            padded[free] = Z
+            return times(padded, touch)
+
+        return touch, times, block
 
     def _pin_sides(self):
         """(tag, sides, pinned slots per side) of the three pin kinds, in
@@ -564,18 +541,16 @@ class ConstraintProblem:
                 for _ in range(7)] + [tags[k] for k in keep.tolist()]
 
     def assemble(self) -> ConstraintSystem:
-        """The dense view of ``system``: equality rows (seven per
-        constrained edge, then one identity row per pinned unknown) and
-        fairing rows (60 per element)."""
-        s = self.system()
-        return ConstraintSystem(G=s.G, g=s.g, F=s.F, f=s.f, tags=s.tags,
-                                ctilde=s.ctilde)
+        """The dense view of the problem: its G and g, the fairing rows as
+        a dense F and the per-row tags."""
+        return ConstraintSystem(G=self.G, g=self.g, F=self.F, f=self.f,
+                                tags=self.tags, ctilde=self.ctilde)
 
     def solve(self):
         """``(rows, diag)`` of the function, or a list of them (one per
         function) when built from a sequence of ids; ``rows`` are its
         (len(elements), 36) coefficients, laid out as ``slot_nodes``."""
-        c, infos = solve_constrained_ls(self.system(), return_info=True)
+        c, infos = solve_constrained_ls(self, return_info=True)
         infos = infos if self.ctilde.ndim > 1 else [infos]
         for a, support, diag in zip(self.functions, self.supports, infos):
             diag.update(basis=a, n_unknowns=self.n,
@@ -587,15 +562,14 @@ class ConstraintProblem:
         return out if self.ctilde.ndim > 1 else out[0]
 
 
-def solve_constrained_ls(system: ConstraintSystem | ProblemSystem,
+def solve_constrained_ls(system: ConstraintSystem | ConstraintProblem,
                          return_info: bool = False):
     """Minimize the fairing residual subject to the equality constraints.
 
-    ``system`` is a dense ``ConstraintSystem``, any G and F, or the
-    ``ProblemSystem`` of a ``ConstraintProblem``, which names its pins
-    and gives its fairing rows as slot pairs, with no dense F.  A
-    problem's ``system()`` and its dense view ``assemble()`` solve to
-    the same bits.
+    ``system`` is a dense ``ConstraintSystem``, any G and F, or a
+    ``ConstraintProblem``, which names its pins and gives its fairing
+    rows as slot pairs, with no dense F.  A problem and its dense view
+    ``assemble()`` solve to the same bits.
 
     Pins are eliminated first (Lawson & Hanson, ch. 21): ``system.pins()``
     names the pinned unknowns, the row that pins each and the other rows.
@@ -744,8 +718,9 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     diagnostics = np.empty(functions.size, dtype=object)
     for g in np.argsort(first):
         members = np.flatnonzero(group == g)
-        problem = ConstraintProblem(c0, functions[members], variant, tables)
-        rows, diagnostics[members] = zip(*problem.solve())
+        # unbound, so each problem's G is freed before the next is built
+        rows, diagnostics[members] = zip(
+            *ConstraintProblem(c0, functions[members], variant, tables).solve())
         coeffs[slot[members][:, solved[members[0]]]] = rows
     # the kept C0 rows of the other faces and these, in element order
     solved_face = c0.cnet.rings == 1

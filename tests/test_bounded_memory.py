@@ -4,13 +4,14 @@ derivative order a caller uses, every pass in the element blocks of
 K, M and the collocation Gram matrix scattered into one CSR pattern, the
 frames CSV on ``group_frames``, the padded class size of
 ``GSplineSurface.from_rows`` bounded, and ``build_g1`` without a dense
-fairing matrix."""
+fairing matrix or a second live constraint problem."""
 
 import base64
 import dataclasses
 import functools
 import json
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from gspline import evaluate, quality
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_gram, main, surface_check
 from gspline.construct_c0 import build_c0
-from gspline.construct_g1 import _c0_rows, build_g1
+from gspline.construct_g1 import ConstraintProblem, build_g1
 from gspline.errors import DegenerateBasisError, ResourceError, SingularParameterizationError
 from gspline.evaluate import (
     frame,
@@ -242,10 +243,7 @@ class TestSelect:
                          np.arange(faces.size))
 
     def test_no_faces(self):
-        c0 = rot44(1, "c0")
         assert list(rot44(1, "g1r").select(np.array([], dtype=int))) == []
-        element, basis, coeffs = _c0_rows(c0, np.array([], dtype=int))
-        assert (element.shape, basis.shape, coeffs.shape) == ((0,), (0,), (0, 16))
 
     def test_every_element_as_views(self):
         surf = rot44(3, "g1r")
@@ -352,6 +350,24 @@ class TestG1BuildMemory:
         dense_f = max(60 * d["support_after"] * d["n_unknowns"] * 8
                       for d in surface.diagnostics)
         assert peak < 2.5 * dense_f
+
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    def test_one_problem_alive_at_a_time(self, variant, monkeypatch):
+        """A problem holds its dense G, so ``build_g1`` keeps none alive
+        while it builds the next.  rot44 L2 has 9 g1p and 27 g1r problems
+        (L1 has one g1p problem)."""
+        alive, alive_at_start = weakref.WeakSet(), []
+        init = ConstraintProblem.__init__
+
+        def tracked(self, *args, **kwargs):
+            alive_at_start.append(len(alive))
+            init(self, *args, **kwargs)
+            alive.add(self)
+
+        monkeypatch.setattr(ConstraintProblem, "__init__", tracked)
+        build_g1(rot44(2, "c0"), variant)
+        assert len(alive_at_start) > 1
+        assert not any(alive_at_start)
 
 
 def parsed(text):

@@ -684,6 +684,21 @@ class TestBadNumbers:
             assert "< 9" in err["message"]
             assert not out.exists()
 
+    @pytest.mark.parametrize("mass", ["consistent", "lumped"])
+    def test_no_active_dofs_exit_2(self, tmp_path, capsys, mass):
+        # every function of the one-quad c0 surface is on the boundary
+        arc = tmp_path / "a.json"
+        arc.write_text(surface_to_json(build_c0(netgen.structured(1, 1))))
+        out = tmp_path / "eig.json"
+        capsys.readouterr()
+        assert main(["eigen", str(arc), "--mass", mass, "-o", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DomainError"
+        assert "< 0" in err["message"]
+        assert not out.exists()
+
 
 class TestUnexpectedException:
     def test_exit_5_with_json(self, ep_obj, tmp_path, capsys, monkeypatch):

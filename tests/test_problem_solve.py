@@ -91,7 +91,8 @@ def test_infeasible_problem_raises_the_dense_error(variant, monkeypatch):
              if (hit := over_pinned_row(p)) is not None]
     assert found
     for problem, (row, unknown) in found[:3]:
-        problem.ctilde[unknown] += 1.0  # the pin no longer meets the edge row
+        # the pin no longer meets the edge row
+        problem.g[problem.pin_rows[np.searchsorted(problem.pinned, unknown)]] += 1.0
         with pytest.raises(InfeasibleConstraintError) as fast:
             problem.solve()
         system = problem.assemble()
