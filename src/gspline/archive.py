@@ -97,6 +97,9 @@ def surface_from_json(text: str) -> GSplineSurface:
             np.asarray(positions, dtype=float),
         )
         records = payload["elements"]
+        if type(records) is not list:
+            raise FormatError("archive field 'elements' must be a list of element "
+                              f"records, not {records!r:.60}")
         ids = _integers([r["element"] for r in records], "element", 1)
         order = np.argsort(ids, kind="stable")
         ids, records = ids[order], [records[i] for i in order]

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import __version__
 from .archive import surface_from_json, surface_to_json
@@ -167,6 +166,8 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
     singular) the values come from the dense SVD of A, and a dense A larger
     than ``DENSE_COLLOCATION_BYTES`` is a ResourceError.
     """
+    import scipy.sparse.linalg as spla
+
     gram = collocation_gram(surface)
     v0 = np.ones(gram.shape[0])
     try:

@@ -10,6 +10,9 @@ points equal to the corner control point.  Shared points come from the
 same rows for every element, so the result is C0 everywhere, C2 across
 edges away from extraordinary vertices and C0 across spoke edges.  An
 element's basis is the ascending list of control points its rows touch.
+S is formed with numpy alone, from per-row tables of its distinct points
+summed in the order of the sparse product that first formed it, so its
+weights are that product's bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import GSplineSurface, edge_jumps
-from .mesh import CNet, ControlNet, boundary_neighbours
+from .mesh import CNet, ControlNet, boundary_neighbours, merge_rows, vertex_fans
 
 # Bezier grid positions 4 j + i of each face's corner s, its face point
 # nearest corner s, and the two points of side s (corner s -> corner s+1)
@@ -27,80 +30,130 @@ FACE_POS = [5, 6, 10, 9]
 SIDE_START_POS = [1, 7, 14, 8]
 SIDE_END_POS = [2, 11, 13, 4]
 
+# weights of the face point nearest a corner on the face's corners, from
+# that corner on around the loop
+FACE_POINT_WEIGHTS = np.array([4 / 9, 2 / 9, 1 / 9, 2 / 9])
+
+
+def _face_point_sums(rings: np.ndarray, corners: np.ndarray, weight: np.ndarray):
+    """Rows (m, 4 k) of the points ``weight`` (m,) times the sum of the face
+    points nearest the corners ``corners`` (m, k), ascending along each
+    row: the columns and terms of each face point in turn.  ``rings``
+    (4 n_faces, 4) holds each corner's face loop from that corner on."""
+    cols = rings[corners].reshape(len(corners), 4 * corners.shape[1])
+    return cols, weight[:, None] * np.tile(FACE_POINT_WEIGHTS, corners.shape[1])
+
+
+def _point_rows(cnet: CNet, rings: np.ndarray):
+    """The vertex and edge Bezier points of the net, as tables: yields
+    ``(ids, cols, terms)``, ``ids`` (m,) the point ids and ``cols`` and
+    ``terms`` (m, k) each point's terms on the control points in the order
+    in which the sparse product of the point averages with the face points
+    sums them.  Vertex points have the ids v, edge points n_v + 2 e (near
+    the lower vertex) and n_v + 2 e + 1.  ``rings`` (4 n_faces, 4) holds
+    each corner's face loop from that corner on."""
+    n_v, edges, mu = cnet.n_vertices, cnet.edges, cnet.valence
+    # interior vertex points average the face points around the vertex
+    for v, corners in vertex_fans(cnet, ~cnet.boundary_vertex):
+        yield (v, *_face_point_sums(rings, corners, 1.0 / mu[v]))
+    # boundary vertex points follow the boundary polygon; corners stay
+    corner = np.flatnonzero(cnet.boundary_vertex & (mu == 1))
+    side = np.flatnonzero(cnet.boundary_vertex & (mu > 1))
+    yield corner, corner[:, None], np.ones((len(corner), 1))
+    yield (side, np.hstack([side[:, None], boundary_neighbours(cnet)[side]]),
+           np.tile([2 / 3, 1 / 6, 1 / 6], (len(side), 1)))
+
+    # interior edge points average the face points at their end in the two
+    # faces across the edge; boundary ones divide the edge in thirds
+    inner = np.flatnonzero(~cnet.boundary_edge)
+    faces, rots = (a[inner] for a in cnet.sides)
+    for end, step in ((0, 0), (1, [1, -1])):  # the lower vertex, the higher
+        corners = np.sort(4 * faces + (rots + step) % 4, axis=1)
+        yield (n_v + 2 * inner + end,
+               *_face_point_sums(rings, corners, np.full(len(inner), 0.5)))
+    be = np.flatnonzero(cnet.boundary_edge)
+    for end, weights in ((0, [2 / 3, 1 / 3]), (1, [1 / 3, 2 / 3])):
+        yield n_v + 2 * be + end, edges[be], np.tile(weights, (len(be), 1))
+
 
 def c0_stencils(cnet: CNet):
-    """The Bezier-point operator S of the net.
+    """The Bezier-point operator S of the net, (16 n_faces, n_vertices),
+    row 16 f + 4 j + i Bezier point (i, j) of element f as weights on the
+    control points.
 
-    A CSR matrix of shape (16 n_faces, n_vertices): row 16 f + 4 j + i
-    holds Bezier point (i, j) of element f as weights on the control
-    points.
+    Returns ``(point, start, cols, vals)``: ``point`` (n_faces, 16) the
+    distinct point behind each row of S, and point p the weights
+    ``vals[start[p]:start[p + 1]]`` on the distinct control points
+    ``cols[start[p]:start[p + 1]]``, so S is the CSR matrix ``(vals,
+    cols, start)`` picked at ``point.ravel()``.  The face points
+    n_v + 2 n_e + c, nearest corner c = 4 f + s, weigh their face's
+    corners; the vertex and edge points are the rows of ``_point_rows``
+    summed by ``merge_rows``, so the weights are those of the sparse
+    product bit for bit.
     """
-    import scipy.sparse as sp
-
     n_v, n_f, n_e = cnet.n_vertices, cnet.n_faces, cnet.n_edges
-    faces, slots = cnet.faces, np.arange(4)
-    fp = 4 * np.arange(n_f)[:, None] + slots  # face point nearest corner s
-    start, end = faces, np.roll(faces, -1, axis=1)
-    near_start = 2 * cnet.face_edges + (start > end)  # edge point rows
-    near_end = 2 * cnet.face_edges + (end > start)
+    faces = cnet.faces
+    rings = faces[:, (np.arange(4)[:, None] + np.arange(4)) % 4].reshape(-1, 4)
+    tables, sizes = [], np.full(n_v + 2 * n_e + 4 * n_f, 4)
+    for ids, cols, terms in _point_rows(cnet, rings):
+        if not len(ids):
+            continue
+        cols, terms = merge_rows(cols, terms)
+        kept = np.ones(cols.shape, dtype=bool)
+        kept[:, :-1] = cols[:, 1:] != cols[:, :-1]  # a summed column's last entry
+        sizes[ids] = kept.sum(axis=1)
+        tables.append((ids, kept, cols, terms))
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    cols, vals = np.empty(start[-1], dtype=int), np.empty(start[-1])
+    for ids, kept, c, t in tables:
+        at = (start[ids, None] + np.cumsum(kept, axis=1) - 1)[kept]
+        cols[at], vals[at] = c[kept], t[kept]
+    at = start[n_v + 2 * n_e]
+    cols[at:], vals[at:] = rings.ravel(), np.tile(FACE_POINT_WEIGHTS, 4 * n_f)
 
-    # points: the face points (4/9 at their corner, 2/9 at its neighbours,
-    # 1/9 opposite), then the control points themselves
-    ring = faces[:, (slots[:, None] + slots) % 4]
-    points = sp.vstack([
-        sp.csr_matrix((np.tile([4 / 9, 2 / 9, 1 / 9, 2 / 9], 4 * n_f),
-                       (np.repeat(fp.ravel(), 4), ring.ravel())),
-                      shape=(4 * n_f, n_v)),
-        sp.identity(n_v, format="csr"),
-    ]).tocsr()
-
-    # M: face points as themselves, then edge points (two per edge, the one
-    # nearer the lower vertex first) and vertex points, on ``points``
-    rows, cols, vals = [fp.ravel()], [fp.ravel()], [np.ones(4 * n_f)]
-    inner = ~cnet.boundary_edge[cnet.face_edges]  # sides on interior edges
-    for near, pt in ((near_start, fp), (near_end, np.roll(fp, -1, axis=1))):
-        rows.append(4 * n_f + near[inner])
-        cols.append(pt[inner])
-        vals.append(np.full(inner.sum(), 0.5))
-    be = np.flatnonzero(cnet.boundary_edge)
-    u, v = 4 * n_f + cnet.edges[be].T
-    rows.append(4 * n_f + np.concatenate([2 * be, 2 * be, 2 * be + 1, 2 * be + 1]))
-    cols.append(np.concatenate([u, v, u, v]))
-    vals.append(np.repeat([2 / 3, 1 / 3, 1 / 3, 2 / 3], len(be)))
-
-    v0 = 4 * n_f + 2 * n_e
-    at = ~cnet.boundary_vertex[faces]  # corners at interior vertices
-    rows.append(v0 + faces[at])
-    cols.append(fp[at])
-    vals.append(1.0 / cnet.valence[faces[at]])
-    corner = np.flatnonzero(cnet.boundary_vertex & (cnet.valence == 1))
-    side = np.flatnonzero(cnet.boundary_vertex & (cnet.valence > 1))
-    nbrs = boundary_neighbours(cnet)[side]
-    rows.append(v0 + np.concatenate([corner, side, side, side]))
-    cols.append(4 * n_f + np.concatenate([corner, side, nbrs[:, 0], nbrs[:, 1]]))
-    vals.append(np.repeat([1.0, 2 / 3, 1 / 6, 1 / 6], [len(corner)] + [len(side)] * 3))
-    M = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(v0 + n_v, 4 * n_f + n_v))
-
-    pick = np.empty((n_f, 16), dtype=int)
-    pick[:, CORNER_POS] = v0 + faces
-    pick[:, FACE_POS] = fp
-    pick[:, SIDE_START_POS] = 4 * n_f + near_start
-    pick[:, SIDE_END_POS] = 4 * n_f + near_end
-    return (M @ points)[pick.ravel()]
+    end = np.roll(faces, -1, axis=1)
+    point = np.empty((n_f, 16), dtype=int)
+    point[:, CORNER_POS] = faces
+    point[:, FACE_POS] = n_v + 2 * n_e + 4 * np.arange(n_f)[:, None] + np.arange(4)
+    point[:, SIDE_START_POS] = n_v + 2 * cnet.face_edges + (faces > end)
+    point[:, SIDE_END_POS] = n_v + 2 * cnet.face_edges + (end > faces)
+    return point, start, cols, vals
 
 
 def build_c0(net: ControlNet) -> GSplineSurface:
-    """Build the preliminary C0 surface (degree 3 on every element)."""
+    """Build the preliminary C0 surface (degree 3 on every element).
+
+    An element's basis is the ascending list of the control points its 16
+    rows of ``c0_stencils`` touch.  Elements whose 16 points have the same
+    numbers of weights share one table of their entries, sorted along its
+    rows by (control point, Bezier position, entry) keys."""
     cnet = net.cnet
-    S = c0_stencils(cnet).tocoo()
-    face, pos = np.divmod(S.row.astype(np.int64), 16)  # keys pass 2**31
-    keys, slot = np.unique(face * cnet.n_vertices + S.col, return_inverse=True)
-    owner, basis = np.divmod(keys, cnet.n_vertices)
-    coeffs = np.zeros((len(keys), 16))
-    coeffs[slot, pos] = S.data
-    counts = np.bincount(owner, minlength=cnet.n_faces)
+    point, start, cols, vals = c0_stencils(cnet)
+    # a sort key holds (control point, position, entry); the weights of a
+    # net under 2**26 vertices fit its 63 bits
+    e_bits = len(vals).bit_length()
+    size = np.diff(start)[point]
+    order = np.lexsort(size.T[::-1])
+    cuts = np.flatnonzero((size[order[1:]] != size[order[:-1]]).any(axis=1)) + 1
+    counts, tables = np.zeros(cnet.n_faces, dtype=int), []
+    for faces in np.split(order, cuts):
+        widths = size[faces[0]]
+        at = (np.repeat(start[point[faces]], widths, axis=1)
+              + np.concatenate([np.arange(w) for w in widths.tolist()]))
+        keys = (cols[at] << 4 | np.repeat(np.arange(16), widths)) << e_bits | at
+        keys.sort(axis=1)
+        col = keys >> e_bits + 4
+        new = np.ones(keys.shape, dtype=bool)  # an element's next basis function
+        new[:, 1:] = col[:, 1:] != col[:, :-1]
+        rank = np.cumsum(new, axis=1, dtype=np.int32) - 1
+        counts[faces] = rank[:, -1] + 1
+        tables.append((faces, keys, new, rank))
+    offset = np.cumsum(counts) - counts
+    basis, coeffs = np.empty(counts.sum(), dtype=int), np.zeros((counts.sum(), 16))
+    for faces, keys, new, rank in tables:
+        slot = offset[faces, None] + rank
+        basis[slot[new]] = keys[new] >> e_bits + 4
+        coeffs.ravel()[slot * 16 + (keys >> e_bits & 15)] = vals[keys & (1 << e_bits) - 1]
     return GSplineSurface.from_rows(net, "c0", np.full(cnet.n_faces, 3),
                                     np.zeros(cnet.n_faces, dtype=bool), counts,
                                     basis, {3: coeffs})

@@ -161,8 +161,11 @@ class GSplineSurface:
             p, ids, rows = c // 2, np.flatnonzero(kind == c), row_kind == c
             mask = np.arange(counts[ids].max()) < counts[ids, None]
             b, k = np.zeros(mask.shape, dtype=int), np.zeros(mask.shape + ((p + 1) ** 2,))
-            b[mask] = basis[rows]  # the rows of the class, in element order
-            k[mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
+            if rows.all():  # one class: every row, in element order
+                b[mask], k[mask] = basis, coeffs[p]
+            else:  # the rows of the class, in element order
+                b[mask] = basis[rows]
+                k[mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
             groups.append(ElementGroup(p, bool(c % 2), ids, b, mask, k))
         return cls(net, groups, variant, diagnostics)
 

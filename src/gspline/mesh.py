@@ -36,13 +36,15 @@ class VertexClass:
 class CNet:
     """Connectivity of a manifold, consistently oriented pure-quad net.
 
-    All adjacency is index arithmetic on the corners ``c = 4 f + s``: a
-    directed side u -> v has the key u n + v, an edge min n + max.  Edge
+    All adjacency is index arithmetic on the corners ``c = 4 f + s``: an
+    edge has the key min n + max, and one sort of the corners by edge puts
+    the two directions of every edge side by side.  Edge
     ids follow first appearance in face-major order; ``edge_faces`` holds
     the face of that appearance and the face across (-1 at the boundary).
-    ``incidence`` is the sparse (n_faces, n_vertices) face-vertex matrix,
-    ``sides`` the gluing frames of every edge, and ``rings`` and
-    ``clusters`` the classification of every face.
+    ``sides`` holds the gluing frames of every edge, and ``rings`` and
+    ``clusters`` the classification of every face: rings hop through
+    ``faces``, and clusters and the fan check are ``components`` of index
+    graphs.
 
     Parameters
     ----------
@@ -92,35 +94,32 @@ class CNet:
     def _build_adjacency(self, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
         """Set the adjacency arrays; return each corner's twin, the corner
         running its side backwards in the face across (-1 at the boundary)."""
-        import scipy.sparse as sp
-
-        n = self.n_vertices
-        sides = tail * n + head
-        order = np.argsort(sides, kind="stable")
+        n, n_c = self.n_vertices, len(tail)
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
+        # one sort by edge, the two directions of an edge side by side
+        sides = (low * n + high) * 2 + (tail > head)
+        order = np.argsort(sides)
         keys = sides[order]
-        again = order[1:][keys[1:] == keys[:-1]]
-        if again.size:
-            c = again.min()
+        if (keys[1:] == keys[:-1]).any():  # name the lowest repeat, as a stable sort
+            order = np.argsort(sides, kind="stable")
+            keys = sides[order]
+            c = order[1:][keys[1:] == keys[:-1]].min()
             raise TopologyError(
                 f"directed edge {(int(tail[c]), int(head[c]))} appears twice; "
                 "net is non-manifold or inconsistently oriented"
             )
-        back = head * n + tail
-        at = np.minimum(np.searchsorted(keys, back), len(back) - 1)
-        twin = np.where(keys[at] == back, order[at], -1)
+        pair = np.flatnonzero(keys[1:] >> 1 == keys[:-1] >> 1)
+        twin = np.full(n_c, -1)
+        twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
 
         # edge ids in order of first appearance; with no side repeated an
         # edge has at most two corners, the first and its twin
-        keys, first, inverse = np.unique(np.minimum(tail, head) * n
-                                         + np.maximum(tail, head),
-                                         return_index=True, return_inverse=True)
-        by_first = np.argsort(first)
-        edge_of_key = np.empty_like(by_first)
-        edge_of_key[by_first] = np.arange(len(keys))
-        self.n_edges = len(keys)
-        self.edges = np.stack([keys // n, keys % n], axis=1)[by_first]
-        self.face_edges = edge_of_key[inverse].reshape(-1, 4)
-        starts = first[by_first]
+        first = (twin < 0) | (twin > np.arange(n_c))
+        edge_of = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        self.n_edges = len(starts)
+        self.edges = np.stack([low[starts], high[starts]], axis=1)
+        self.face_edges = np.where(first, edge_of, edge_of[twin]).reshape(-1, 4)
         # floor division keeps a missing twin at -1
         self.edge_faces = np.stack([starts, twin[starts]], axis=1) // 4
         self.boundary_edge = self.edge_faces[:, 1] < 0
@@ -131,26 +130,15 @@ class CNet:
         # interior vertices of valence other than four, boundary ones above two
         self.extraordinary = np.where(self.boundary_vertex, self.valence > 2,
                                       self.valence != 4)
-        n_c = len(tail)
-        self.incidence = sp.csr_matrix(
-            (np.ones(n_c), tail, np.arange(0, n_c + 1, 4)),
-            shape=(self.n_faces, n))
         return twin
 
     def _check_fans(self, tail: np.ndarray, twin: np.ndarray) -> None:
         # The corners at a vertex must form one closed cycle (interior) or
         # one open chain (boundary).  A corner's successor is the corner at
         # the same vertex across its outgoing side: the one after its twin.
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
-        n_c = len(tail)
-        linked = twin >= 0
+        linked = np.flatnonzero(twin >= 0)
         after = twin[linked] - twin[linked] % 4 + (twin[linked] + 1) % 4
-        links = sp.csr_matrix(
-            (np.ones(len(after)), after, np.concatenate([[0], np.cumsum(linked)])),
-            shape=(n_c, n_c))
-        n_fans, fan = connected_components(links, directed=False)
+        n_fans, fan = components(len(tail), linked, after)
         fan_vertex = np.empty(n_fans, dtype=int)
         fan_vertex[fan] = tail
         fans = np.bincount(fan_vertex, minlength=self.n_vertices)
@@ -205,9 +193,6 @@ class CNet:
         cluster, named by its smallest EP: a component of the graph linking
         each irregular face to its EP corners and the irregular faces across
         its edges."""
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
         n_v = self.n_vertices
         eps = np.flatnonzero(self.extraordinary)
         at_ep = self.extraordinary[self.faces]
@@ -217,9 +202,7 @@ class CNet:
         rows = np.concatenate([self.faces[at_ep], n_v + f[across]])
         cols = np.concatenate([n_v + np.nonzero(at_ep)[0], n_v + g[across]])
         size = n_v + self.n_faces
-        _, component = connected_components(
-            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
-            directed=False)
+        _, component = components(size, rows, cols)
         named, smallest = np.unique(component[eps], return_index=True)  # eps ascend
         name = np.full(size, -1)
         name[named] = eps[smallest]
@@ -251,6 +234,31 @@ class ControlNet:
 # classification
 
 
+def components(n: int, a, b) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on nodes 0..n-1 with
+    the edges a[i] -- b[i]: their number and the (n,) component of every
+    node, numbered in order of each component's smallest node.
+
+    Hook and compress on index arrays: every tree root hooks onto the
+    smallest root across its edges, then pointer jumping flattens every
+    tree, until no edge joins two trees.  A root only ever hooks onto a
+    smaller one, so every root ends as its component's smallest node.
+    """
+    root = np.arange(n)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+
+
 def classify_vertices(cnet: CNet) -> list[VertexClass]:
     """Classify every vertex by valence (incident faces), boundary flag and
     extraordinarity (``CNet.extraordinary``).  A boundary vertex of valence
@@ -272,21 +280,22 @@ def _face_rings(cnet: CNet, seeds, m: int) -> list[np.ndarray]:
     """Face masks of rings 1..m around the vertices ``seeds`` (indices or a
     mask): ring 1 holds the faces at a seed, ring k the faces sharing a
     vertex with ring k - 1 that lie in no lower ring."""
-    A = cnet.incidence
-    at_seed = np.zeros(cnet.n_vertices)
-    at_seed[seeds] = 1.0
-    layer = A @ at_seed > 0
+    at_seed = np.zeros(cnet.n_vertices, dtype=bool)
+    at_seed[seeds] = True
+    layer = at_seed[cnet.faces].any(axis=1)
     rings, seen = [layer], layer
     for _ in range(m - 1):
-        layer = (A @ (A.T @ layer) > 0) & ~seen
+        layer = _vertices_on(cnet, layer)[cnet.faces].any(axis=1) & ~seen
         seen = seen | layer
         rings.append(layer)
     return rings
 
 
 def _vertices_on(cnet: CNet, faces: np.ndarray) -> np.ndarray:
-    """Mask of the vertices of the faces where ``faces`` is nonzero."""
-    return cnet.incidence.T @ faces > 0
+    """Mask of the vertices of the faces where the mask ``faces`` is set."""
+    on = np.zeros(cnet.n_vertices, dtype=bool)
+    on[cnet.faces[faces]] = True
+    return on
 
 
 def ring_faces(cnet: CNet, ep: int, m: int) -> set[int]:
@@ -308,9 +317,43 @@ def ring_vertices(cnet: CNet, ep: int, m: int) -> set[int]:
     if m == 0:
         return {ep}
     *inner, outer = _face_rings(cnet, [ep], m)
-    seen = _vertices_on(cnet, sum(inner, np.zeros(cnet.n_faces)))
+    seen = _vertices_on(cnet, sum(inner, np.zeros(cnet.n_faces, dtype=bool)))
     seen[ep] = True
     return set(np.flatnonzero(_vertices_on(cnet, outer) & ~seen).tolist())
+
+
+def vertex_fans(cnet: CNet, vertices):
+    """The corners at the vertices ``vertices`` (a mask), valence by
+    valence: yields ``(v, corners)`` for each valence mu present, ``v``
+    (m,) ascending and ``corners`` (m, mu) the corners c = 4 f + s with
+    ``faces[f, s] == v``, ascending along each row."""
+    by_vertex = np.argsort(cnet.faces.ravel(), kind="stable")
+    start = np.cumsum(cnet.valence) - cnet.valence
+    mu = cnet.valence
+    for k in np.unique(mu[vertices]).tolist():
+        v = np.flatnonzero(vertices & (mu == k))
+        yield v, by_vertex[start[v, None] + np.arange(k)]
+
+
+def merge_rows(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (m, k) of (column, value) entries in canonical CSR order.
+
+    Each row is sorted stably by column, and the values of a repeated
+    column are summed in row order into its last entry, leaving 0.0 in the
+    others: the order in which a CSR matrix built from the triplets sorts
+    and sums its duplicates, so products formed from the result match it
+    bit for bit.
+    """
+    m, k = cols.shape
+    b = k.bit_length()
+    keys = cols << b | np.arange(k)  # unique keys: sorted, a stable order
+    keys.sort(axis=1)
+    cols, vals = keys >> b, vals.ravel()[(keys & (1 << b) - 1) + k * np.arange(m)[:, None]]
+    again = cols[:, 1:] == cols[:, :-1]
+    for t in np.flatnonzero(again.any(axis=0)).tolist():  # runs, left to right
+        vals[:, t + 1] += np.where(again[:, t], vals[:, t], 0.0)
+    vals[:, :-1][again] = 0.0
+    return cols, vals
 
 
 def classify_elements(cnet: CNet) -> list[ElementClass]:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DomainError,
@@ -142,6 +140,8 @@ def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
     indices: that of B^T B, with B ``surface.incidence``.  Each block sums
     the used entries of its element matrices into the data with
     ``np.bincount``, so no whole-surface triplet list is built."""
+    import scipy.sparse as sp
+
     n, B = surface.cnet.n_vertices, surface.incidence
     keys = pattern_keys(pattern := B.T.tocsr() @ B)
     sums: list = []
@@ -189,6 +189,7 @@ def spd_solver(A) -> spla.LinearOperator:
     numbering: one SuperLU factor of A in reverse Cuthill-McKee order, with
     minimum degree on A^T + A and diagonal pivots (symmetric mode).  Raises
     RuntimeError on an exactly zero pivot."""
+    import scipy.sparse.linalg as spla
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
@@ -353,6 +354,8 @@ def assemble_membrane_eigen(surface: GSplineSurface,
         raise DomainError(f"unknown mass kind {mass_kind!r}")
     system = assemble_poisson(surface, with_mass=True)
     if mass_kind == "lumped":
+        import scipy.sparse as sp
+
         diag = np.asarray(system.M.sum(axis=1)).ravel()
         act = system.active
         if diag[act].min(initial=np.inf) <= 0.0:  # no active dof: k is refused later
@@ -388,6 +391,8 @@ def solve_generalized_eigen(system: GalerkinSystem, k: int = 6) -> EigenReport:
     with K, which is symmetric positive definite, factored once by
     ``spd_solver``.  The eigenvectors are not reported.
     """
+    import scipy.sparse.linalg as spla
+
     if system.M is None:
         raise DomainError("system was assembled without a mass matrix")
     act = system.active

@@ -44,6 +44,15 @@ def cube():
     return ControlNet(CNet(8, faces), pos)
 
 
+def pillow():
+    """Two quads on the same four vertices, glued back to back into a
+    closed surface: every vertex has valence 2 and meets the same vertex
+    diagonally in both faces, so the subdivision matrix sums repeated
+    (row, column) entries."""
+    pos = np.array([(0, 0, 0), (1, 0, 0.2), (1, 1, 0), (0, 1, 0.3)], dtype=float)
+    return ControlNet(CNet(4, [(0, 1, 2, 3), (3, 2, 1, 0)]), pos)
+
+
 def open_box():
     """Unit box without its bottom face: the top face has four valence-3
     extraordinary vertices; each side face has two."""

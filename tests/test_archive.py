@@ -140,6 +140,17 @@ class TestFieldTypes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FormatError" and "'diagnostics'" in err["message"]
 
+    @pytest.mark.parametrize("value", [{}, {"0": {"element": 0}}, "elements", 5, None])
+    def test_elements_must_be_a_list(self, value, tmp_path, capsys):
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        payload["elements"] = value
+        assert "'elements'" in str(load_error(payload))
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(payload))
+        assert main(["quality", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and "'elements'" in err["message"]
+
     @pytest.mark.parametrize("field", ["basis", "net.faces"])
     def test_boolean_is_not_an_integer(self, field):
         payload = json.loads(surface_to_json(surface("val33", 0, "c0")))

@@ -1,11 +1,13 @@
-"""The sparse C0 operator and subdivision matrix against the dict- and
-loop-based reference in ``stencil_loop.py``."""
+"""The C0 operator and subdivision matrix against the dict- and
+loop-based reference in ``stencil_loop.py``, and bit for bit against the
+scipy CSR products of ``sparse_reference.py``."""
 
 import importlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gspline.construct_c0 import build_c0, c0_stencils
 from gspline.construct_g1 import build_g1
@@ -14,6 +16,7 @@ from gspline.mesh import CNet, ControlNet, boundary_neighbours
 from gspline.refine import refine
 
 import netgen
+import sparse_reference
 import stencil_loop
 
 refine_module = importlib.import_module("gspline.refine")
@@ -27,6 +30,10 @@ NETS = {
     "cylinder": netgen.cylinder,
     "boundary_ep3": netgen.boundary_ep3,  # bends edge points at the boundary
 }
+
+
+# the pillow's subdivision matrix sums repeated (row, column) entries
+ORACLE_NETS = {**NETS, "pillow": netgen.pillow}
 
 
 def levels(make, n=2):
@@ -57,9 +64,16 @@ def test_refine_matches_the_vertex_face_edge_loops(name):
         assert np.abs(new.positions - old.positions).max() <= 1e-15 * scale
 
 
+def stencil_matrix(cnet):
+    """S as a CSR matrix from the ``c0_stencils`` point table."""
+    point, start, cols, vals = c0_stencils(cnet)
+    points = sp.csr_matrix((vals, cols, start), shape=(len(start) - 1, cnet.n_vertices))
+    return points[point.ravel()]
+
+
 def test_operator_rows_are_the_element_bezier_points():
     net = netgen.val333()
-    S = c0_stencils(net.cnet)
+    S = stencil_matrix(net.cnet)
     assert S.shape == (16 * net.cnet.n_faces, net.cnet.n_vertices)
     np.testing.assert_allclose(np.asarray(S.sum(axis=1)).ravel(), 1.0, atol=1e-15)
     bez = (S @ net.positions).reshape(-1, 16, 3)
@@ -67,6 +81,31 @@ def test_operator_rows_are_the_element_bezier_points():
         np.testing.assert_allclose(
             bez[ext.element], ext.coeffs.T @ net.positions[ext.basis],
             rtol=0, atol=1e-15)
+
+
+def test_pillow_subdivision_matrix_has_repeated_entries():
+    _, (rows, cols) = sparse_reference.subdivision_triplets(netgen.pillow().cnet)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) < len(rows)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETS))
+def test_row_tables_match_the_sparse_products_bitwise(name):
+    """Refined positions, the operator S and the C0 coefficients equal the
+    CSR products R P and (M @ points)[pick] bit for bit, levels 0 to 2."""
+    for net in levels(ORACLE_NETS[name]):
+        np.testing.assert_array_equal(refine(net).positions,
+                                      sparse_reference.refined_positions(net))
+        new, old = stencil_matrix(net.cnet), sparse_reference.c0_stencils(net.cnet)
+        for A in (new, old):
+            A.sort_indices()
+        for a, b in ((new.indptr, old.indptr), (new.indices, old.indices),
+                     (new.data, old.data)):
+            np.testing.assert_array_equal(a, b)
+        (group,) = build_c0(net).groups
+        counts, basis, coeffs = sparse_reference.c0_coefficients(net.cnet)
+        np.testing.assert_array_equal(group.mask.sum(axis=1), counts)
+        np.testing.assert_array_equal(group.basis[group.mask], basis)
+        np.testing.assert_array_equal(group.coeffs[group.mask], coeffs)
 
 
 def test_element_keys_beyond_int32():

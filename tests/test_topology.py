@@ -6,7 +6,10 @@ broken nets.  Each class array is computed once per net."""
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from gspline import mesh
 from gspline.cli import surface_check
@@ -132,10 +135,10 @@ def test_net_without_extraordinary_vertices(name):
 
 def _counting(monkeypatch):
     """Count the ring and cluster passes: ``mesh._face_rings`` and
-    ``csgraph.connected_components`` calls from now on."""
+    ``mesh.components`` calls from now on."""
     calls = {"rings": 0, "clusters": 0}
     for key, owner, name in (("rings", mesh, "_face_rings"),
-                             ("clusters", csgraph, "connected_components")):
+                             ("clusters", mesh, "components")):
         def counted(*args, _fn=getattr(owner, name), _key=key, **kwargs):
             calls[_key] += 1
             return _fn(*args, **kwargs)
@@ -233,3 +236,26 @@ def test_mutants_fail_like_the_loop_reference(seed):
         else:
             assert_same_adjacency(new, old)
             assert_same_classes(new, old)
+
+
+# graphs on 1..30 nodes with up to 60 edges: isolated nodes, self-loops,
+# repeated edges and graphs without edges all occur
+GRAPHS = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=GRAPHS)
+@example(graph=(3, []))                                      # no edges
+@example(graph=(3, [(1, 1), (1, 1)]))                        # self-loops only
+@example(graph=(4, [(3, 2), (2, 3), (3, 2)]))                # one edge repeated
+@example(graph=(6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))  # a path from the top
+def test_components_match_scipy(graph):
+    n, edges = graph
+    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
+    expected = connected_components(
+        sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+    count, labels = mesh.components(n, a, b)
+    assert count == expected[0]
+    np.testing.assert_array_equal(labels, expected[1])
