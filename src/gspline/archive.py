@@ -18,6 +18,19 @@ loads; the writer no longer produces it.  Base64 takes 4 characters per
 (11.9 against 11.5 MB for 4096 g1r elements) and much faster to write
 and read.
 
+The writer streams: ``archive_pieces`` yields the text in pieces, the
+head with the diagnostics, the element records a block of about
+``RECORD_VALUES`` coefficients at a time, formatted straight from the
+group arrays with no dict per element, and the tail with the format
+version, the net (``NET_ROWS`` rows a piece) and the variant.  The CLI
+writes the pieces as they come, so it never holds the whole text;
+``surface_to_json`` is their join.  ``read_archive`` parses an open
+file, whose text is freed before the records are converted;
+``surface_from_json`` parses a string.  Either way each record's
+coefficient block is decoded straight into its row of the groups that
+``padded_groups`` lays out, so the reader holds the parsed payload and
+one copy of the coefficients.
+
 The reader converts each element field once over all records and checks
 the results as arrays.  An error about one element names the lowest
 failing element: a record whose fields cannot be read (wrong type or
@@ -25,7 +38,8 @@ shape, or a ``coeffs`` string that is not base64 of the right length) is
 reported before a record whose values fail a check, such as a non-finite
 coefficient.  Numbers must be JSON numbers: a numeric string or a boolean
 where a position, an integer or a format-1 coefficient belongs is a
-FormatError.
+FormatError.  A class of elements too wide to pad is a ResourceError,
+raised before its groups are allocated.
 """
 
 from __future__ import annotations
@@ -37,49 +51,102 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError
-from .evaluate import GSplineSurface
+from .evaluate import GSplineSurface, padded_groups
 from .extraction import SUPPORTED_DEGREES
 from .mesh import CNet, ControlNet
 
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
+RECORD_VALUES = 2**16  # coefficients of one piece of element records (0.7 MB)
+NET_ROWS = 2**10  # positions or faces of one piece of the net
 
 # What reading a malformed element record can raise
 _READ_ERRORS = (FormatError, KeyError, ValueError, TypeError, OverflowError)
 
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def archive_pieces(surface: GSplineSurface):
+    """The archive text of ``surface`` in pieces, keys in sorted order:
+    the head, up to the element list; the element records, a block of
+    about ``RECORD_VALUES`` coefficients at a time; and the tail, with the
+    net a block of ``NET_ROWS`` rows at a time.  Their concatenation is
+    ``surface_to_json(surface)``."""
+    yield '{"diagnostics":' + _dumps(surface.diagnostics) + ',"elements":['
+    yield from _record_pieces(surface)
+    yield f'],"format_version":{FORMAT_VERSION},"net":{{"faces":'
+    yield from _row_pieces(surface.cnet.faces)
+    yield ',"positions":'
+    yield from _row_pieces(surface.net.positions)
+    yield '},"variant":' + _dumps(surface.variant) + "}"
+
+
+def _row_pieces(array: np.ndarray):
+    """``_dumps(array.tolist())`` of a 2-D array, in blocks of rows."""
+    yield "["
+    for start in range(0, len(array), NET_ROWS):
+        if start:
+            yield ","
+        yield _dumps(array[start:start + NET_ROWS].tolist())[1:-1]
+    yield "]"
+
+
+def _record_pieces(surface: GSplineSurface):
+    """The element records, in element order and comma-separated, a block
+    of consecutive elements at a time."""
+    values = np.zeros(surface.cnet.n_faces, dtype=np.int64)
+    for g in surface.groups:
+        values[g.elements] = g.mask.sum(axis=1) * (g.degree + 1) ** 2
+    block = (np.cumsum(values) - values) // RECORD_VALUES  # where each record starts
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(values)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo:
+            yield ","
+        yield _records(surface, lo, hi)
+
+
+def _records(surface: GSplineSurface, lo: int, hi: int) -> str:
+    """The records of the elements lo..hi - 1, comma-separated, formatted
+    from the rows of the groups with no dict per element."""
+    records = [""] * (hi - lo)
+    for g in surface.groups:
+        a, b = np.searchsorted(g.elements, [lo, hi]).tolist()
+        degree = f',"degree":{g.degree},"element":'
+        end = ',"rational":true}' if g.rational else ',"rational":false}'
+        coeffs = g.coeffs[a:b].astype("<f8", copy=False)
+        for e, basis, n, c in zip(g.elements[a:b].tolist(), g.basis[a:b].tolist(),
+                                  g.mask[a:b].sum(axis=1).tolist(), coeffs):
+            records[e - lo] = (f'{{"basis":[{",".join(map(str, basis[:n]))}],"coeffs":"'
+                               f'{base64.b64encode(c[:n]).decode("ascii")}"{degree}{e}{end}')
+    return ",".join(records)
+
 
 def surface_to_json(surface: GSplineSurface) -> str:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "variant": surface.variant,
-        "net": {
-            "positions": surface.net.positions.tolist(),
-            "faces": surface.cnet.faces.tolist(),
-        },
-        "elements": _records(surface),
-        "diagnostics": surface.diagnostics,
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-
-def _records(surface: GSplineSurface) -> list[dict]:
-    """One record per element, in element order, from ``surface.groups``."""
-    records = [None] * surface.cnet.n_faces
-    for g in surface.groups:
-        coeffs = g.coeffs.astype("<f8", copy=False)
-        for e, basis, c, n in zip(g.elements.tolist(), g.basis.tolist(), coeffs,
-                                  g.mask.sum(axis=1).tolist()):
-            records[e] = {"element": e, "degree": g.degree, "rational": g.rational,
-                          "basis": basis[:n],
-                          "coeffs": base64.b64encode(c[:n].tobytes()).decode("ascii")}
-    return records
+    """The archive text of ``surface``: compact JSON with sorted keys."""
+    return "".join(archive_pieces(surface))
 
 
 def surface_from_json(text: str) -> GSplineSurface:
+    """The surface of the archive ``text``."""
+    return _surface(_parsed(json.loads, text))
+
+
+def read_archive(file) -> GSplineSurface:
+    """The surface of the archive in the open text ``file``, parsed from
+    it: its text is freed before the records are converted."""
+    return _surface(_parsed(json.load, file))
+
+
+def _parsed(load, source):
     try:
-        payload = json.loads(text)
+        return load(source)
     except json.JSONDecodeError as exc:
         raise FormatError(f"archive is not valid JSON: {exc}") from exc
+
+
+def _surface(payload) -> GSplineSurface:
+    """The surface of a parsed archive: each record's coefficients are
+    decoded straight into its row of the ``padded_groups``."""
     if not isinstance(payload, dict):
         raise FormatError("archive is not a JSON object")
     version = payload.get("format_version")
@@ -103,7 +170,7 @@ def surface_from_json(text: str) -> GSplineSurface:
         ids = _integers([r["element"] for r in records], "element", 1)
         order = np.argsort(ids, kind="stable")
         ids, records = ids[order], [records[i] for i in order]
-        rows = _read_elements(ids, records, version)
+        groups = _read_elements(ids, records, version)
         variant = payload["variant"]
     except KeyError as exc:
         raise FormatError(f"archive is missing field {exc}") from exc
@@ -112,7 +179,7 @@ def surface_from_json(text: str) -> GSplineSurface:
             f"archive field has the wrong type or is out of range: {exc}"
         ) from exc
     _validate(net, ids, variant)
-    surface = GSplineSurface.from_rows(net, variant, **rows, diagnostics=diagnostics)
+    surface = GSplineSurface(net, groups, variant, diagnostics)
     _validate_elements(surface)
     return surface
 
@@ -154,15 +221,15 @@ def _is_int64(x) -> bool:
             or (type(x) is float and x.is_integer() and abs(x) < 2.0**63))
 
 
-def _read_elements(ids: np.ndarray, records: list, version: int) -> dict:
+def _read_elements(ids: np.ndarray, records: list, version: int) -> list:
     """``_convert`` over all records (sorted by id) at once.  If that
     fails, the error names the lowest element whose record fails alone."""
     try:
-        return _convert(records, version)
+        return _convert(ids, records, version)
     except _READ_ERRORS:
         for element, record in zip(ids.tolist(), records):
             try:
-                _convert([record], version)
+                _convert(ids[:1], [record], version)
             except KeyError:
                 raise
             except _READ_ERRORS as exc:
@@ -170,11 +237,11 @@ def _read_elements(ids: np.ndarray, records: list, version: int) -> dict:
         raise
 
 
-def _convert(records: list, version: int) -> dict:
-    """Each field of the records converted once for all of them: the rows
-    of ``GSplineSurface.from_rows``, that is degrees, rational flags, basis
-    counts, basis ids and, per degree, coefficient rows (format
-    ``version``).  Raises on a wrong type or shape."""
+def _convert(ids: np.ndarray, records: list, version: int) -> list:
+    """The ``padded_groups`` of the elements ``ids`` filled from their
+    records (format ``version``): each field is checked once for all of
+    them, then each record's coefficients are decoded into its group row.
+    Raises on a wrong type or shape."""
     degree = _integers([r["degree"] for r in records], "degree", 1)
     unsupported = ~np.isin(degree, SUPPORTED_DEGREES)
     if unsupported.any():
@@ -190,71 +257,50 @@ def _convert(records: list, version: int) -> dict:
         raise FormatError("archive field 'basis' must be a list of integers, "
                           f"not {wrong[0]!r:.60}")
     counts = np.array([len(b) for b in basis], dtype=int)
-    coeffs = [r["coeffs"] for r in records]
     if (counts == 0).any():
         raise FormatError("coefficient matrix shape does not match basis list")
-    if version == 2:
-        stacked = _coeff_blocks(coeffs, degree, counts)
-    else:
-        stacked = _coeff_rows(coeffs, degree, counts)
-    return dict(degree=degree, rational=np.array(rational, dtype=bool), counts=counts,
-                basis=_integers(list(chain.from_iterable(basis)), "basis", 1),
-                coeffs=stacked)
+    basis = _integers(list(chain.from_iterable(basis)), "basis", 1)
+    rational = np.array(rational, dtype=bool)
+    groups = padded_groups(degree, rational, counts, ids)
+    decode = _coeff_block if version == 2 else _coeff_rows
+    kind = 2 * degree + rational
+    for g in groups:
+        g.basis[g.mask] = basis[np.repeat(kind, counts) == 2 * g.degree + g.rational]
+        members = np.flatnonzero(kind == 2 * g.degree + g.rational)
+        for row, (i, n) in enumerate(zip(members.tolist(), counts[members].tolist())):
+            g.coeffs[row, :n] = decode(records[i]["coeffs"], n, g.degree)
+    return groups
 
 
-def _coeff_rows(coeffs: list, degree: np.ndarray,
-                counts: np.ndarray) -> dict[int, np.ndarray]:
-    """Format 1: per degree, the coefficient rows of its records stacked,
-    from lists of rows of JSON numbers."""
-    if (any(type(c) is not list for c in coeffs)
-            or [len(c) for c in coeffs] != counts.tolist()):
+def _coeff_rows(rows, count: int, p: int) -> np.ndarray:
+    """Format 1: ``count`` rows of (p+1)^2 JSON numbers, as an array."""
+    if (type(rows) is not list or len(rows) != count
+            or any(type(r) is not list or len(r) != (p + 1) ** 2 for r in rows)):
         raise FormatError("coefficient matrix shape does not match basis list")
-    stacked = {}
-    for p in np.unique(degree).tolist():
-        rows = list(chain.from_iterable(coeffs[i] for i in np.flatnonzero(degree == p)))
-        if (any(type(r) is not list for r in rows)
-                or set(map(len, rows)) != {(p + 1) ** 2}):
-            raise FormatError("coefficient matrix shape does not match basis list")
-        stacked[p] = np.array(_numbers(list(chain.from_iterable(rows)), "coeffs"),
-                              dtype=float).reshape(len(rows), (p + 1) ** 2)
-    return stacked
+    return np.array(_numbers(list(chain.from_iterable(rows)), "coeffs"),
+                    dtype=float).reshape(count, -1)
 
 
-def _coeff_blocks(coeffs: list, degree: np.ndarray,
-                  counts: np.ndarray) -> dict[int, np.ndarray]:
-    """Format 2: per degree, the coefficient rows of its records stacked,
-    each record's base64 block decoded straight into its slice of one
-    array.  A block must be the padded base64 of exactly counts[i] rows
-    of (p+1)^2 little-endian float64 values: checking the string length
-    as well rejects excess padding and text after it on any Python."""
-    wrong = [c for c in coeffs if type(c) is not str]
-    if wrong:
-        raise FormatError("archive field 'coeffs' must be a base64 string, "
-                          f"not {wrong[0]!r:.60}")
-    stacked = {}
-    for p in np.unique(degree).tolist():
-        members = np.flatnonzero(degree == p)
-        row_bytes = 8 * (p + 1) ** 2
-        rows = np.empty((int(counts[members].sum()), (p + 1) ** 2), dtype="<f8")
-        out, start = rows.view(np.uint8).reshape(-1), 0
-        for i, size in zip(members.tolist(), (counts[members] * row_bytes).tolist()):
-            if len(coeffs[i]) != 4 * -(-size // 3):
-                raise FormatError(
-                    f"coefficient string of {len(coeffs[i])} characters is not "
-                    f"the base64 of {counts[i]} rows of {row_bytes} bytes")
-            try:
-                block = base64.b64decode(coeffs[i], validate=True)
-            except ValueError as exc:  # binascii.Error, or a non-ASCII string
-                raise FormatError(
-                    f"archive field 'coeffs' is not ASCII base64: {exc}") from exc
-            if len(block) != size:
-                raise FormatError(
-                    f"coefficient block of {len(block)} bytes does not hold "
-                    f"{counts[i]} rows of {row_bytes} bytes")
-            out[start:start + size] = np.frombuffer(block, dtype=np.uint8)
-            start += size
-        stacked[p] = rows.astype(float, copy=False)
-    return stacked
+def _coeff_block(text, count: int, p: int) -> np.ndarray:
+    """Format 2: the padded base64 of exactly ``count`` rows of (p+1)^2
+    little-endian float64 values, as an array over the decoded bytes.
+    Checking the string length as well rejects excess padding and text
+    after it on any Python."""
+    if type(text) is not str:
+        raise FormatError(f"archive field 'coeffs' must be a base64 string, not {text!r:.60}")
+    row_bytes = 8 * (p + 1) ** 2
+    size = count * row_bytes
+    if len(text) != 4 * -(-size // 3):
+        raise FormatError(f"coefficient string of {len(text)} characters is not "
+                          f"the base64 of {count} rows of {row_bytes} bytes")
+    try:
+        block = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise FormatError(f"archive field 'coeffs' is not ASCII base64: {exc}") from exc
+    if len(block) != size:
+        raise FormatError(f"coefficient block of {len(block)} bytes does not hold "
+                          f"{count} rows of {row_bytes} bytes")
+    return np.frombuffer(block, dtype="<f8").reshape(count, -1)
 
 
 def _validate(net: ControlNet, ids: np.ndarray, variant: str) -> None:

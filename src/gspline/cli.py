@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .archive import surface_from_json, surface_to_json
+from .archive import archive_pieces, read_archive
 from .construct_g1 import g1_residuals
 from .errors import (
     FormatError,
     GSplineError,
     InfeasibleConstraintError,
-    NonFiniteError,
     ResourceError,
+    finite_json,
 )
 from .evaluate import (
     GSplineSurface,
@@ -63,24 +63,30 @@ def _load_net(path: str) -> ControlNet:
 
 
 def _load_surface(path: str) -> GSplineSurface:
+    """The archive at ``path``, parsed from the open file."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            return read_archive(file)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"archive is not UTF-8 text: {exc}") from exc
+
+
+def _write(path: str | None, text) -> None:
+    """``text``, a string or its pieces (``archive_pieces``), written
+    piece by piece to the file ``path`` or, for None or "-", to stdout,
+    then a newline unless the last piece ends in one.  No piece is joined
+    to another, so an archive is never held whole."""
+    pieces = [text] if isinstance(text, str) else text
+    out = sys.stdout if path is None or path == "-" else open(path, "w")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"archive is not UTF-8 text: {exc}") from exc
-    return surface_from_json(text)
-
-
-def _write(path: str | None, text: str) -> None:
-    """``text``, then a newline unless it ends in one: two writes, so a
-    large archive is not copied to append one character."""
-    end = "" if text.endswith("\n") else "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        sys.stdout.write(end)
-    else:
-        with open(path, "w") as out:
-            out.write(text)
-            out.write(end)
+        last = ""
+        for last in pieces:
+            out.write(last)
+        if not last.endswith("\n"):
+            out.write("\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def surface_check(surface: GSplineSurface) -> dict:
@@ -202,7 +208,7 @@ def collocation_singular_values(surface: GSplineSurface) -> np.ndarray:
 def cmd_build(args) -> int:
     net = _load_net(args.input)
     surface = build_variant(net, args.variant)
-    _write(args.output, surface_to_json(surface))
+    _write(args.output, archive_pieces(surface))
     if args.bezier:
         records = [{"element": int(ext.element), "degree": int(ext.degree),
                     "points": bezier_points(ext, surface.net.positions).tolist()}
@@ -226,9 +232,9 @@ def cmd_refine(args) -> int:
     if src.suffix == ".obj":
         net = _load_net(args.input)
         refined, stats = refine_n(net, args.levels)
-        if out is not None and out.suffix == ".json":
+        if args.output == "-" or (out is not None and out.suffix == ".json"):
             surface = build_variant(refined, args.variant)
-            _write(args.output, surface_to_json(surface))
+            _write(args.output, archive_pieces(surface))
         else:
             _write(args.output, save_obj(refined))
     else:
@@ -238,7 +244,7 @@ def cmd_refine(args) -> int:
             _write(args.output, save_obj(refined))
         else:
             rebuilt = build_variant(refined, surface.variant)
-            _write(args.output, surface_to_json(rebuilt))
+            _write(args.output, archive_pieces(rebuilt))
     sys.stderr.write(json.dumps({"levels": stats}) + "\n")
     return 0
 
@@ -281,22 +287,8 @@ def cmd_eigen(args) -> int:
 
 def cmd_check(args) -> int:
     report = surface_check(_load_surface(args.input))
-    _write(args.output, _finite_json(report))
+    _write(args.output, finite_json("check", report))
     return 0
-
-
-def _finite_json(report: dict) -> str:
-    """``report`` as indented JSON with sorted keys.  NonFiniteError names
-    the first key, in that order, whose value holds NaN or an infinity."""
-    try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        for key in sorted(report):
-            try:
-                json.dumps(report[key], allow_nan=False)
-            except ValueError:
-                raise NonFiniteError(f"check report value {key!r} is not finite") from None
-        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--variant", choices=("c0", "g1p", "g1r"), default="c0",
                    help="construction when converting an OBJ to an archive")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None,
+                   help="a .obj path for a net, else an archive; '-' writes an archive "
+                        "to stdout, and no -o an OBJ input's refined net")
     p.set_defaults(fn=cmd_refine)
 
     p = sub.add_parser("quality", help="minimum invalid shell thickness")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evaluate import GSplineSurface, edge_jumps
+from .evaluate import GSplineSurface, edge_jumps, padded_groups
 from .mesh import CNet, ControlNet, boundary_neighbours, merge_rows, vertex_fans
 
 # Bezier grid positions 4 j + i of each face's corner s, its face point
@@ -33,6 +33,8 @@ SIDE_END_POS = [2, 11, 13, 4]
 # weights of the face point nearest a corner on the face's corners, from
 # that corner on around the loop
 FACE_POINT_WEIGHTS = np.array([4 / 9, 2 / 9, 1 / 9, 2 / 9])
+
+KEY_BLOCK = 2**14  # sort keys of one block of faces in ``build_c0`` (128 kB)
 
 
 def _face_point_sums(rings: np.ndarray, corners: np.ndarray, weight: np.ndarray):
@@ -126,7 +128,10 @@ def build_c0(net: ControlNet) -> GSplineSurface:
     An element's basis is the ascending list of the control points its 16
     rows of ``c0_stencils`` touch.  Elements whose 16 points have the same
     numbers of weights share one table of their entries, sorted along its
-    rows by (control point, Bezier position, entry) keys."""
+    rows by (control point, Bezier position, entry) keys and cut into
+    blocks of about ``KEY_BLOCK`` keys.  Once every element's count is
+    known, each block is written straight into the one group of
+    ``padded_groups`` and freed."""
     cnet = net.cnet
     point, start, cols, vals = c0_stencils(cnet)
     # a sort key holds (control point, position, entry); the weights of a
@@ -138,25 +143,29 @@ def build_c0(net: ControlNet) -> GSplineSurface:
     counts, tables = np.zeros(cnet.n_faces, dtype=int), []
     for faces in np.split(order, cuts):
         widths = size[faces[0]]
-        at = (np.repeat(start[point[faces]], widths, axis=1)
-              + np.concatenate([np.arange(w) for w in widths.tolist()]))
-        keys = (cols[at] << 4 | np.repeat(np.arange(16), widths)) << e_bits | at
-        keys.sort(axis=1)
+        offsets = np.concatenate([np.arange(w) for w in widths.tolist()])
+        step = max(1, KEY_BLOCK // len(offsets))
+        for block in (faces[i:i + step] for i in range(0, len(faces), step)):
+            at = np.repeat(start[point[block]], widths, axis=1) + offsets
+            keys = (cols[at] << 4 | np.repeat(np.arange(16), widths)) << e_bits | at
+            keys.sort(axis=1)
+            col = keys >> e_bits + 4
+            counts[block] = (col[:, 1:] != col[:, :-1]).sum(axis=1) + 1
+            tables.append((block, keys))
+    del point, start, cols, at, col
+    (group,) = padded_groups(np.full(cnet.n_faces, 3), np.zeros(cnet.n_faces, dtype=bool),
+                             counts)
+    width = group.mask.shape[1]
+    while tables:  # each block freed once written
+        faces, keys = tables.pop()
         col = keys >> e_bits + 4
         new = np.ones(keys.shape, dtype=bool)  # an element's next basis function
         new[:, 1:] = col[:, 1:] != col[:, :-1]
-        rank = np.cumsum(new, axis=1, dtype=np.int32) - 1
-        counts[faces] = rank[:, -1] + 1
-        tables.append((faces, keys, new, rank))
-    offset = np.cumsum(counts) - counts
-    basis, coeffs = np.empty(counts.sum(), dtype=int), np.zeros((counts.sum(), 16))
-    for faces, keys, new, rank in tables:
-        slot = offset[faces, None] + rank
-        basis[slot[new]] = keys[new] >> e_bits + 4
-        coeffs.ravel()[slot * 16 + (keys >> e_bits & 15)] = vals[keys & (1 << e_bits) - 1]
-    return GSplineSurface.from_rows(net, "c0", np.full(cnet.n_faces, 3),
-                                    np.zeros(cnet.n_faces, dtype=bool), counts,
-                                    basis, {3: coeffs})
+        # (element, basis function) of each entry
+        slot = faces[:, None] * width + np.cumsum(new, axis=1) - 1
+        group.basis.ravel()[slot[new]] = col[new]
+        group.coeffs.ravel()[slot * 16 + (keys >> e_bits & 15)] = vals[keys & (1 << e_bits) - 1]
+    return GSplineSurface(net, [group], "c0")
 
 
 def geometry_continuity_residual(surface: GSplineSurface, edge: int,

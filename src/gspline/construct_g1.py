@@ -27,7 +27,7 @@ slots by vertex, side slots by edge position, interior slots per face),
 so elements share the unknowns of their common edges.  Whatever the
 problems of one build share is made once, in arrays, by
 ``build_tables``: the irregular faces (``CNet.rings``, ``CNet.clusters``)
-and their extraction rows from one ``c0.select`` walk, elevated by one
+and their extraction rows from the C0 groups, elevated by one
 stacked ``degree_elevate_2`` call; each function's support and solve set
 as a row of a boolean table over the irregular faces; the slot keys of
 every irregular face and the face across each of its sides; and
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, InternalError
-from .evaluate import GSplineSurface, edge_frames, edge_sums, glued_frames
+from .evaluate import GSplineSurface, edge_frames, edge_sums, glued_frames, padded_groups
 from .extraction import degree_elevate_2
 from .mesh import CNet, irregular_basis_vertices
 
@@ -75,6 +75,8 @@ PIVOT_MIN = 1e-2
 # times the largest count as zero, equality residuals above EQ_TOL fail.
 RANK_TOL = 1e-10
 EQ_TOL = 1e-9
+
+COPY_ROWS = 2**8  # C0 rows that build_g1 copies into its cubic group at a time
 
 
 @dataclass(frozen=True)
@@ -260,13 +262,14 @@ class ConstraintSystem:
         return touch, lambda x, rows=slice(None): F[rows] @ x, lambda Z: Fr[touch] @ Z
 
 
-def _c0_rows(c0: GSplineSurface):
+def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
     """Element, basis id and cubic coefficients (16,) of every extraction
-    row, by element then row, from the ``c0.select`` blocks: the one group
-    of a C0 surface holds them all."""
+    row of the ``faces``, by element then row, taken from the groups of
+    ``c0``: the one group of a C0 surface holds them all."""
+    subs = [g.take(np.flatnonzero(np.isin(g.elements, faces))) for g in c0.groups]
     return tuple(np.concatenate(p) for p in zip(*(
         (np.repeat(s.elements, s.mask.sum(axis=1)), s.basis[s.mask], s.coeffs[s.mask])
-        for _, s in c0.select())))
+        for s in subs)))
 
 
 @dataclass(frozen=True)
@@ -277,8 +280,7 @@ class BuildTables:
     ``faces`` are the irregular faces, ascending.  ``rows`` holds, for
     every extraction row of theirs (by face, then row), the index of its
     face in ``faces``, its basis id and its cubic coefficients elevated
-    to bi-quintic (36,); ``kept`` the element, basis id and cubic
-    coefficients (16,) of the rows of all other faces.  ``support`` and
+    to bi-quintic (36,).  ``support`` and
     ``solved`` are (len(functions), len(faces)) tables over the ascending
     ``functions``: each function's support, and the faces it is solved
     over: its support (g1r) or every face of the clusters its support
@@ -296,7 +298,6 @@ class BuildTables:
     variant: str
     faces: np.ndarray
     rows: tuple
-    kept: tuple
     functions: np.ndarray
     support: np.ndarray
     solved: np.ndarray
@@ -312,10 +313,8 @@ def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
     ``degree_elevate_2`` and one ``glued_sides`` call."""
     cnet = c0.cnet
     faces, cluster = analyze_net(cnet)
-    element, basis, coeffs = _c0_rows(c0)
-    irregular = cnet.rings[element] == 1
-    at = np.searchsorted(faces, element[irregular])
-    basis_at = basis[irregular]
+    element, basis_at, coeffs = _c0_rows(c0, faces)
+    at = np.searchsorted(faces, element)
     ids = np.unique(np.asarray(functions, dtype=np.int64))
     hit = np.isin(basis_at, ids, kind="sort")
     fn = np.searchsorted(ids, basis_at[hit])
@@ -337,8 +336,7 @@ def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
     between = np.unique(side_edges[across >= 0])
     return BuildTables(
         variant, faces,
-        (at, basis_at, degree_elevate_2(coeffs[irregular])),
-        (element[~irregular], basis[~irregular], coeffs[~irregular]),
+        (at, basis_at, degree_elevate_2(coeffs)),
         ids, support, solved, slot_keys(cnet, faces), side_edges, across,
         (between, *glued_sides(cnet, between)))
 
@@ -708,7 +706,8 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
             f" supported on irregular element {faces[j]}")
 
     # One solve, a column per function, per distinct solve set, in the order
-    # of each set's first function; row slot[a, j] is function a on face j.
+    # of each set's first function; row slot[a, j] is function a on face j,
+    # face by face, so the rows are those of the rational group in order.
     sets = solved.view(f"V{solved.shape[1]}").ravel()  # each row as one bytes key
     _, first, group = np.unique(sets, return_index=True, return_inverse=True)
     face_of, fn = np.nonzero(solved.T)
@@ -722,15 +721,27 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
         rows, diagnostics[members] = zip(
             *ConstraintProblem(c0, functions[members], variant, tables).solve())
         coeffs[slot[members][:, solved[members[0]]]] = rows
-    # the kept C0 rows of the other faces and these, in element order
+
+    # The groups, laid out once the solves are done: the other faces keep
+    # their C0 rows, copied ``COPY_ROWS`` at a time.
     solved_face = c0.cnet.rings == 1
-    element, kept, cubic = tables.kept
-    owner = np.concatenate([element, faces[face_of]])
-    return GSplineSurface.from_rows(
-        c0.net, variant, np.where(solved_face, P, 3), solved_face & (variant == "g1r"),
-        np.bincount(owner, minlength=c0.cnet.n_faces),
-        np.concatenate([kept, functions[fn]])[np.argsort(owner, kind="stable")],
-        {3: cubic, P: coeffs}, diagnostics.tolist())
+    counts = np.zeros(c0.cnet.n_faces, dtype=int)
+    for kept in c0.groups:
+        counts[kept.elements] = kept.mask.sum(axis=1)
+    counts[faces] = solved.sum(axis=0)
+    groups = padded_groups(np.where(solved_face, P, 3), solved_face & (variant == "g1r"),
+                           counts)
+    for g in groups:
+        if g.degree == P:
+            g.basis[g.mask], g.coeffs[g.mask] = functions[fn], coeffs
+            continue
+        for src in c0.groups:
+            at = np.flatnonzero(~solved_face[src.elements])
+            w = min(src.mask.shape[1], g.mask.shape[1])
+            for part in (at[i:i + COPY_ROWS] for i in range(0, len(at), COPY_ROWS)):
+                row = np.searchsorted(g.elements, src.elements[part])
+                g.basis[row, :w], g.coeffs[row, :w] = src.basis[part, :w], src.coeffs[part, :w]
+    return GSplineSurface(c0.net, groups, variant, diagnostics.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all gspline modules."""
+"""Exception hierarchy shared by all gspline modules, and ``finite_json``,
+the one writer of every JSON report."""
+
+import json
 
 
 class GSplineError(Exception):
@@ -82,3 +85,19 @@ class EigensolverError(GSplineError):
 
 class NonFiniteError(GSplineError):
     """A computed report value is not a finite number (an overflow, say)."""
+
+
+def finite_json(command: str, report: dict) -> str:
+    """The ``command``'s ``report`` as indented JSON with sorted keys.
+    JSON has no NaN or infinity, so NonFiniteError names the command and
+    the first key, in that order, whose value holds one."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        for key in sorted(report):
+            try:
+                json.dumps(report[key], allow_nan=False)
+            except ValueError:
+                raise NonFiniteError(
+                    f"{command} report value {key!r} is not finite") from None
+        raise

@@ -10,7 +10,7 @@ the chosen frame origin by ``glued_frames``; ``edge_frames`` is one row.
 
 A surface stores its extraction operators once, as ``GSplineSurface.groups``:
 the elements of each (degree, rational) class stacked into zero-padded
-arrays by ``GSplineSurface.from_rows``.  ``extraction(e)`` is a view of
+arrays laid out by ``padded_groups``.  ``extraction(e)`` is a view of
 element e's group row.  ``GSplineSurface.select`` is the one walk that
 picks elements out of the groups: all of them or those of a face list,
 group by group in ascending element order, in blocks whose tables hold at
@@ -97,13 +97,47 @@ def checked_id(value, n: int, what: str) -> int:
     return int(value)
 
 
+def padded_groups(degree, rational, counts, elements=None) -> list[ElementGroup]:
+    """Zeroed groups of the elements ``elements`` (ascending, by default
+    0..len(degree) - 1) of degree ``degree``, rational flag ``rational``
+    and ``counts`` basis functions: one group per (degree, rational) class,
+    in ascending (degree, rational) order, each element padded to its
+    class's largest count and its ``mask`` set.  Builds and the archive
+    reader fill ``basis`` and ``coeffs`` in place.
+
+    A ResourceError is raised, before anything is allocated, for a class
+    whose padded coefficients would take more than ``MAX_PADDING`` times
+    the bytes of its rows and more than ``PADDING_FLOOR`` bytes."""
+    degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
+    elements = np.arange(len(degree)) if elements is None else np.asarray(elements)
+    kind = 2 * degree + np.asarray(rational, dtype=bool)
+    classes = [(c // 2, bool(c % 2), np.flatnonzero(kind == c))
+               for c in np.unique(kind).tolist()]
+    for p, _, ids in classes:
+        padded, used = (8 * (p + 1) ** 2 * n for n in (
+            len(ids) * counts[ids].max(), counts[ids].sum()))
+        if padded > max(MAX_PADDING * used, PADDING_FLOOR):
+            wide = ids[counts[ids].argmax()]
+            raise ResourceError(
+                f"element {elements[wide]} with {counts[wide]} basis functions pads the "
+                f"{len(ids)} degree-{p} elements of its class to {padded / 2**20:.0f} MB, "
+                f"{padded / used:.0f} times the {used / 2**20:.1f} MB of their rows")
+    groups = []
+    for p, flag, ids in classes:
+        mask = np.arange(counts[ids].max()) < counts[ids, None]
+        groups.append(ElementGroup(p, flag, elements[ids], np.zeros(mask.shape, dtype=int),
+                                   mask, np.zeros(mask.shape + ((p + 1) ** 2,))))
+    return groups
+
+
 @dataclass
 class GSplineSurface:
     """A control net with one extraction operator per element.
 
     ``variant`` is one of ``"c0"``, ``"g1p"``, ``"g1r"``.  ``groups`` is
     the stored form of the extraction operators: each element is a row of
-    the group of its (degree, rational) class.  ``from_rows`` builds it;
+    the group of its (degree, rational) class.  ``padded_groups`` lays it
+    out, and ``from_rows`` fills it from rows;
     ``select`` walks it, and ``extraction``, ``extractions`` and ``degree``
     read one element (a DomainError for anything but an integer id in
     0..n_faces - 1, as ``checked_id``).
@@ -130,13 +164,8 @@ class GSplineSurface:
         flag ``rational[e]`` and ``counts[e]`` basis functions: ``basis``
         lists the basis ids of all elements, element after element, and
         ``coeffs[p]`` the coefficient rows of the degree-p elements, in the
-        same order.  Each (degree, rational) class becomes one group;
-        ``diagnostics`` is stored as given.
-
-        Every element of a class is padded to the class's largest support.
-        A ResourceError is raised, before anything is stacked, for a class
-        whose padded coefficients would take more than ``MAX_PADDING``
-        times the bytes of its rows and more than ``PADDING_FLOOR`` bytes."""
+        same order.  ``padded_groups`` lays out the groups, which these
+        rows then fill; ``diagnostics`` is stored as given."""
         degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
         unsupported = degree[~np.isin(degree, SUPPORTED_DEGREES)]
         if unsupported.size:
@@ -145,28 +174,16 @@ class GSplineSurface:
                 np.shape(coeffs.get(p)) != (counts[degree == p].sum(), (p + 1) ** 2)
                 for p in set(degree.tolist())):
             raise DomainError("coefficient matrix shape does not match basis list")
-        kind = 2 * degree + np.asarray(rational, dtype=bool)
-        row_kind, row_degree, groups = np.repeat(kind, counts), np.repeat(degree, counts), []
-        for c in np.unique(kind).tolist():
-            p, ids = c // 2, np.flatnonzero(kind == c)
-            padded, used = (8 * (p + 1) ** 2 * n for n in (
-                len(ids) * counts[ids].max(), counts[ids].sum()))
-            if padded > max(MAX_PADDING * used, PADDING_FLOOR):
-                wide = int(ids[counts[ids].argmax()])
-                raise ResourceError(
-                    f"element {wide} with {counts[wide]} basis functions pads the "
-                    f"{len(ids)} degree-{p} elements of its class to {padded / 2**20:.0f} MB, "
-                    f"{padded / used:.0f} times the {used / 2**20:.1f} MB of their rows")
-        for c in np.unique(kind).tolist():
-            p, ids, rows = c // 2, np.flatnonzero(kind == c), row_kind == c
-            mask = np.arange(counts[ids].max()) < counts[ids, None]
-            b, k = np.zeros(mask.shape, dtype=int), np.zeros(mask.shape + ((p + 1) ** 2,))
+        groups = padded_groups(degree, rational, counts)
+        row_kind = np.repeat(2 * degree + np.asarray(rational, dtype=bool), counts)
+        row_degree = np.repeat(degree, counts)
+        for g in groups:
+            p, rows = g.degree, row_kind == 2 * g.degree + g.rational
             if rows.all():  # one class: every row, in element order
-                b[mask], k[mask] = basis, coeffs[p]
+                g.basis[g.mask], g.coeffs[g.mask] = basis, coeffs[p]
             else:  # the rows of the class, in element order
-                b[mask] = basis[rows]
-                k[mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
-            groups.append(ElementGroup(p, bool(c % 2), ids, b, mask, k))
+                g.basis[g.mask] = basis[rows]
+                g.coeffs[g.mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
         return cls(net, groups, variant, diagnostics)
 
     @property

@@ -12,14 +12,13 @@ the outer fibers make it the most conservative choice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_json
 from .evaluate import GSplineSurface, group_frames, map_groups
 
 
@@ -76,7 +75,7 @@ class QualityReport:
             "element_min_det": {str(k): v for k, v in
                                 sorted(self.element_min_det.items())},
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return finite_json("quality", payload)
 
     def to_csv_row(self) -> str:
         t = "inf" if math.isinf(self.thickness) else f"{self.thickness:.6g}"

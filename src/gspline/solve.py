@@ -20,7 +20,6 @@ SuperLU factor in symmetric mode, banded by a reverse Cuthill-McKee order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,6 +34,7 @@ from .errors import (
     SingularParameterizationError,
     SingularSystemError,
     TopologyError,
+    finite_json,
 )
 from .evaluate import GSplineSurface, map_groups, pattern_keys, raise_first
 from .extraction import evaluate_basis, group_table
@@ -280,20 +280,20 @@ class ConvergenceReport:
     orders: dict = field(default_factory=dict)
 
     def finalize(self):
+        """The convergence order log2(e_i / e_i+1) between each two levels,
+        None where the ratio is zero or not finite (an error of 0 or of
+        infinity): no log of either is taken."""
         self.orders = {}
         for key in ("l2", "linf", "h1"):
             errs = [lv[key] for lv in self.levels]
-            self.orders[key] = [
-                math.log(errs[i] / errs[i + 1]) / math.log(2.0)
-                for i in range(len(errs) - 1)
-            ]
+            ratios = [a / b if b else math.inf for a, b in zip(errs, errs[1:])]
+            self.orders[key] = [math.log(r) / math.log(2.0) if 0.0 < r < math.inf else None
+                                for r in ratios]
         return self
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"variant": self.variant, "levels": self.levels,
-             "orders": self.orders},
-            indent=2, sort_keys=True)
+        return finite_json("poisson", {"variant": self.variant, "levels": self.levels,
+                                       "orders": self.orders})
 
     def to_csv(self) -> str:
         lines = ["level,n_el,h,n_dof,l2,linf,h1"]
@@ -373,9 +373,8 @@ class EigenReport:
     residuals: list
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"mass": self.mass_kind, "eigenvalues": self.eigenvalues,
-             "residuals": self.residuals}, indent=2, sort_keys=True)
+        return finite_json("eigen", {"mass": self.mass_kind, "eigenvalues": self.eigenvalues,
+                                     "residuals": self.residuals})
 
     def to_csv(self) -> str:
         lines = ["mode,eigenvalue,residual"]

@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from gspline.archive import FORMAT_VERSION, surface_from_json, surface_to_json
+from gspline import archive, cli
+from gspline.archive import FORMAT_VERSION, archive_pieces, surface_from_json, surface_to_json
 from gspline.cli import main
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError
+from gspline.mesh import save_obj
 from gspline.refine import refine_n
 
 import archive_v1
@@ -345,3 +347,56 @@ class TestLowestFailingElementVersion2:
         {**UNREADABLE_V2, **INVALID_V2}[kind](payload["elements"][2], 0)
         error = str(load_error(payload))
         assert message in error and named_elements(error) == [2]
+
+
+def net_obj(tmp_path, net, levels):
+    """An OBJ file of the net ``net`` of ``netgen`` refined ``levels`` times:
+    17 significant digits load back to the same doubles."""
+    path = tmp_path / f"{net}_L{levels}.obj"
+    path.write_text(save_obj(refine_n(getattr(netgen, net)(), levels)[0]))
+    return path
+
+
+class TestCliArchives:
+    """The CLI writes an archive piece by piece (``archive_pieces``), to a
+    file or to stdout, and reads it from the open file; the bytes are
+    those of ``surface_to_json`` and one newline."""
+
+    @pytest.mark.parametrize("output", ["file", "stdout"])
+    @pytest.mark.parametrize("command", ["build", "refine"])
+    @pytest.mark.parametrize("net, levels, variant", CASES)
+    def test_written_bytes(self, net, levels, variant, command, output, tmp_path, capsys):
+        if command == "build":  # the refined net's OBJ, built as it is
+            argv = ["build", str(net_obj(tmp_path, net, levels)), "--variant", variant]
+        else:
+            argv = ["refine", str(net_obj(tmp_path, net, 0)), "--levels", str(levels),
+                    "--variant", variant]
+        path = tmp_path / "out.json"
+        assert main([*argv, "-o", str(path) if output == "file" else "-"]) == 0
+        written = path.read_text() if output == "file" else capsys.readouterr().out
+        assert written == surface_to_json(surface(net, levels, variant)) + "\n"
+
+    @pytest.mark.parametrize("net, levels, variant", CASES)
+    def test_file_read_gives_the_groups_of_the_text(self, net, levels, variant, tmp_path):
+        text = surface_to_json(surface(net, levels, variant)) + "\n"
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        ours, ref = cli._load_surface(str(path)), surface_from_json(text)
+        assert len(ours.groups) == len(ref.groups) > 0
+        assert {g.rational for g in ours.groups} == {variant == "g1r", False}
+        for a, b in zip(ours.groups, ref.groups):
+            assert (a.degree, a.rational) == (b.degree, b.rational)
+            for field in ("elements", "basis", "mask", "coeffs"):
+                assert_bitwise(getattr(a, field), getattr(b, field))
+        assert_same_surface(ours, ref)
+
+    @pytest.mark.parametrize("net, levels, variant", CASES)
+    def test_pieces_join_to_the_text(self, net, levels, variant, monkeypatch):
+        written = surface(net, levels, variant)
+        text = surface_to_json(written)
+        assert "".join(archive_pieces(written)) == text
+        monkeypatch.setattr(archive, "RECORD_VALUES", 1)  # a piece per record
+        monkeypatch.setattr(archive, "NET_ROWS", 3)
+        pieces = list(archive_pieces(written))
+        assert "".join(pieces) == text
+        assert len(pieces) > 2 * written.cnet.n_faces

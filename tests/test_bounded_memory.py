@@ -3,8 +3,9 @@ derivative order a caller uses, every pass in the element blocks of
 ``GSplineSurface.select`` at one table budget (``evaluate.BLOCK_ENTRIES``),
 K, M and the collocation Gram matrix scattered into one CSR pattern, the
 frames CSV on ``group_frames``, the padded class size of
-``GSplineSurface.from_rows`` bounded, and ``build_g1`` without a dense
-fairing matrix or a second live constraint problem."""
+``padded_groups`` bounded, ``build_g1`` without a dense fairing matrix
+or a second live constraint problem, builds that fill their groups in
+place, and archives written in pieces and read from the open file."""
 
 import base64
 import dataclasses
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gspline import evaluate, quality
+from gspline import cli, evaluate, quality
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_gram, main, surface_check
 from gspline.construct_c0 import build_c0
@@ -31,7 +32,7 @@ from gspline.evaluate import (
     rotation_offset_matrix,
 )
 from gspline.extraction import group_table, rationalize
-from gspline.mesh import ControlNet
+from gspline.mesh import ControlNet, save_obj
 from gspline.refine import refine_n
 from gspline.solve import (
     assemble_membrane_eigen,
@@ -487,3 +488,62 @@ class TestPaddingBound:
         monkeypatch.setattr(evaluate, "MAX_PADDING", 1)
         with pytest.raises(ResourceError):
             evaluate.GSplineSurface.from_rows(surf.net, "g1r", **args)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def group_bytes(surface, fields=("elements", "basis", "mask", "coeffs")):
+    return sum(getattr(g, f).nbytes for g in surface.groups for f in fields)
+
+
+class TestArchiveAndBuildMemory:
+    """rot44 L3 g1r (1024 elements, a 3.0 MB archive).  Before the streamed
+    writer, the file reader and the in-place builds: the CLI write peaked
+    at 12.5 MB above the surface, the read at 11.2 MB above the text (14.1
+    MB through the CLI) and build_c0 and build_g1 at 3.1 and 3.3 times
+    their result."""
+
+    @functools.cached_property
+    def net(self):
+        return refine_n(netgen.rot44(), 3)[0]
+
+    def test_cli_write_holds_a_few_pieces(self, tmp_path, monkeypatch):
+        """About three pieces of 0.7 MB at once, whatever the archive's size."""
+        surface = rot44(3, "g1r")
+        obj, out = tmp_path / "net.obj", tmp_path / "a.json"
+        obj.write_text(save_obj(surface.net))
+        monkeypatch.setattr(cli, "build_variant", lambda net, variant: surface)
+        code, peak = traced_peak(main, ["build", str(obj), "--variant", "g1r", "-o", str(out)])
+        assert code == 0
+        assert peak < 2.5e6 < len(out.read_text())
+
+    def test_read_holds_the_payload_and_one_coefficient_copy(self, tmp_path):
+        """The parsed payload, the groups filled in place and their index
+        tables; through the CLI the text is freed before conversion."""
+        text = surface_to_json(rot44(3, "g1r"))
+        payload = traced_peak(json.loads, text)[1]
+        surface, peak = traced_peak(surface_from_json, text)
+        bound = payload + 1.5 * group_bytes(surface, ["coeffs"])
+        assert peak < bound
+        path = tmp_path / "a.json"
+        path.write_text(text + "\n")
+        assert traced_peak(cli._load_surface, str(path))[1] < bound
+
+    def test_build_c0_below_twice_its_result(self):
+        build_c0(self.net)  # the net's lazy tables, before measuring
+        surface, peak = traced_peak(build_c0, self.net)
+        assert peak < 2 * group_bytes(surface)
+
+    def test_build_g1_below_twice_its_result(self):
+        c0 = build_c0(self.net)
+        build_g1(c0, "g1r")  # the surface's lazy tables, before measuring
+        surface, peak = traced_peak(build_g1, c0, "g1r")
+        assert peak < 2 * group_bytes(surface)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspline import cli, errors, solve
+from gspline import cli, errors, quality, solve
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import main, surface_check
 from gspline.construct_c0 import build_c0
@@ -19,7 +19,7 @@ from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError, GSplineError
 from gspline.evaluate import map_point
 from gspline.extraction import bezier_points
-from gspline.mesh import load_obj, save_obj
+from gspline.mesh import ControlNet, load_obj, save_obj
 from gspline.refine import refine
 
 import archive_v1
@@ -897,3 +897,58 @@ def test_write_does_not_copy_the_text(tmp_path):
         tracemalloc.stop()
     assert peak < 1.5 * len(text)
     assert (tmp_path / "big.txt").read_text() == text + "\n"
+
+
+def scaled_obj(tmp_path, net, factor):
+    """An OBJ of ``net`` with every position times ``factor``."""
+    path = tmp_path / "scaled.obj"
+    path.write_text(save_obj(ControlNet(net.cnet, net.positions * factor)))
+    return path
+
+
+class TestFiniteReports:
+    """Every JSON report is finite or a NonFiniteError (exit 5) naming the
+    command and the key: JSON has no NaN or infinity (RFC 8259, section 6)."""
+
+    @pytest.mark.parametrize("variant", ["c0", "g1r"])
+    def test_overflowing_error_norm_exit_5(self, variant, tmp_path, capsys):
+        """val33 x 1e100: the level-2 l2 error overflows, and the study
+        exited 0 with Infinity and NaN in its report."""
+        out = tmp_path / "conv.json"
+        assert main(["poisson", str(scaled_obj(tmp_path, netgen.val33(), 1e100)),
+                     "--levels", "3", "--variant", variant, "-o", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NonFiniteError", "message": "poisson report value 'levels' is not finite"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["c0", "g1p", "g1r"])
+    def test_no_log_of_a_zero_error_ratio(self, variant, tmp_path, capsys):
+        """boundary_ep3 x 1e100: the l2 errors are 1.0, then infinity, and
+        the order took the log of their ratio, 0, and exited 5 with a
+        ValueError."""
+        out = tmp_path / "conv.json"
+        assert main(["poisson", str(scaled_obj(tmp_path, netgen.boundary_ep3(), 1e100)),
+                     "--levels", "3", "--variant", variant, "-o", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NonFiniteError", "message": "poisson report value 'levels' is not finite"}
+        assert not out.exists()
+
+    def test_orders_of_zero_or_infinite_errors_are_null(self):
+        errs = [1.0, 0.25, 0.0, 0.5, math.inf, 2.0, math.nan, 1e-300, 1e300]
+        report = solve.ConvergenceReport(
+            "c0", [{"l2": e, "linf": e, "h1": e} for e in errs]).finalize()
+        assert report.orders["l2"] == [math.log(4.0) / math.log(2.0), None, None, None,
+                                       None, None, None, None]
+        report.levels = report.levels[:2]
+        assert json.loads(report.finalize().to_json())["orders"]["h1"] == [2.0]
+
+    @pytest.mark.parametrize("report, name, key", [
+        (lambda: solve.EigenReport("consistent", [1.0, math.nan], [0.0, 0.0]), "eigen",
+         "eigenvalues"),
+        (lambda: quality.QualityReport("c0", 1.0, math.inf, None), "quality",
+         "valid_up_to"),
+    ])
+    def test_every_report_names_its_command(self, report, name, key):
+        with pytest.raises(errors.NonFiniteError,
+                           match=f"^{name} report value '{key}' is not finite$"):
+            report().to_json()
