@@ -6,7 +6,9 @@ minimum-invalid-thickness report, ``poisson`` for the convergence study,
 ``eigen`` for membrane eigenvalues and ``check`` for the invariant
 diagnostics of an archive, whose collocation Gram matrix comes from
 ``solve.assemble_pattern`` on the pattern of K.  All commands are
-deterministic for identical inputs; errors, a malformed argument
+deterministic for identical inputs, and builds whose G1 systems are under
+``construct_g1.ONE_THREAD_ENTRIES`` also across BLAS thread counts;
+errors, a malformed argument
 included, exit with one machine-readable JSON line on stderr (exit codes:
 2 input format, 3 topology, 4 construction infeasible, 5 numeric or an
 unexpected exception).

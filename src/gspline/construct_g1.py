@@ -51,14 +51,25 @@ problem hands it its pins and its pairs; a dense ``ConstraintSystem``,
 any G and F, has its pins found in G and its fairing block cut from F,
 and both then take the same steps, bitwise.
 Only numpy's LAPACK is used: scipy links its own OpenBLAS, and mixing
-the two here was slower.
+the two here was slower.  A system whose reduced equality matrix has
+fewer than ``ONE_THREAD_ENTRIES`` entries (2^18, near the measured
+crossover of about 500 x 900) is solved on one thread of numpy's own
+OpenBLAS (``openblas_set_num_threads_local``, looked up on the first
+such solve and restored after it); below that size a second thread
+costs more than it saves, and on one thread the bits no longer depend
+on the machine's core count.  Where numpy links no OpenBLAS with that
+setter, and for larger systems, the count is left as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -75,6 +86,10 @@ PIVOT_MIN = 1e-2
 # times the largest count as zero, equality residuals above EQ_TOL fail.
 RANK_TOL = 1e-10
 EQ_TOL = 1e-9
+# Systems whose reduced equality matrix has fewer entries than this are
+# solved on one BLAS thread; a second thread costs more than it saves up
+# to about 500 x 900.
+ONE_THREAD_ENTRIES = 2**18
 
 COPY_ROWS = 2**8  # C0 rows that build_g1 copies into its cubic group at a time
 
@@ -560,6 +575,53 @@ class ConstraintProblem:
         return out if self.ctilde.ndim > 1 else out[0]
 
 
+@functools.cache
+def _openblas_threads():
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with
+    numpy (``numpy.libs`` on Linux and Windows wheels, ``numpy/.dylibs`` on
+    macOS), or None where numpy links another BLAS or an OpenBLAS without
+    it.  The library is already loaded, so this only finds its handle."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+        return set_threads
+    return None
+
+
+# On OpenBLAS's pthreads builds (numpy's Linux wheels) the thread count is
+# the process's, not the calling thread's: the first open one-thread scope
+# saves it and the last one to close restores it.
+_SCOPES = threading.Lock()
+_scopes = [0, 0]  # open scopes, and the count before the first opened
+
+
+@contextlib.contextmanager
+def _blas_threads(entries: int):
+    """Run numpy's BLAS on one thread while a system of ``entries`` below
+    ``ONE_THREAD_ENTRIES`` is solved, and restore the previous count after,
+    also when solves run in several threads at once."""
+    set_threads = _openblas_threads() if entries < ONE_THREAD_ENTRIES else None
+    if set_threads is None:
+        yield
+        return
+    with _SCOPES:
+        if not _scopes[0]:
+            _scopes[1] = set_threads(1)
+        _scopes[0] += 1
+    try:
+        yield
+    finally:
+        with _SCOPES:
+            _scopes[0] -= 1
+            if not _scopes[0]:
+                set_threads(_scopes[1])
+
+
 def solve_constrained_ls(system: ConstraintSystem | ConstraintProblem,
                          return_info: bool = False):
     """Minimize the fairing residual subject to the equality constraints.
@@ -598,6 +660,11 @@ def solve_constrained_ls(system: ConstraintSystem | ConstraintProblem,
     Each info dict names the path in ``"fairing"``:
     ``"cholesky"`` or ``"lstsq"``.  Only numpy is called here; scipy's
     LAPACK runs on a second OpenBLAS and made these small solves slower.
+    When the reduced matrix has fewer than ``ONE_THREAD_ENTRIES`` entries,
+    everything from the pinned values on (the SVD, the Cholesky or
+    ``lstsq`` step and the residual products) runs on one thread of
+    numpy's OpenBLAS, restored in a ``finally`` (``_blas_threads``); such
+    a solve gives the same bits at any starting thread count.
 
     ``g`` and ``f`` are one right-hand side (1-D; returns a vector and one
     info dict) or one column per right-hand side (2-D; returns one column
@@ -617,57 +684,57 @@ def solve_constrained_ls(system: ConstraintSystem | ConstraintProblem,
     pinned, pin_rows, rest = system.pins()
     free = np.ones(G.shape[1], dtype=bool)
     free[pinned] = False
-    c = np.zeros((G.shape[1], f.shape[1]))
-    c[pinned] = g[pin_rows] / G[pin_rows, pinned][:, None]
-
     Gr = G[rest]
-    gr = g[rest] - Gr @ c
-    Gr = Gr[:, free]
-    live = Gr.any(axis=1)  # rows on pinned unknowns only: checked below
-    U, s, Vt = np.linalg.svd(Gr[live], full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    c[free] = Vt[:rank].T @ ((U[:, :rank].T @ gr[live]) / s[:rank, None])
-    scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
-    eq_residual = np.abs(G @ c - g)
-    bad = eq_residual > EQ_TOL * scale
-    if bad.any():
-        col = int(np.flatnonzero(bad.any(axis=0))[0])
-        rows = np.flatnonzero(bad[:, col])
-        pins = pin_rows[G[np.ix_(rows, pinned)].any(axis=0)]
-        edges = sorted({system.tags[i][1] for i in np.union1d(rows, pins)
-                        if system.tags[i][0] == "edge"})
-        raise InfeasibleConstraintError(
-            f"equality constraints inconsistent (max residual "
-            f"{eq_residual[:, col].max():.3e})", edges=edges)
-    Z = Vt[rank:].T
-    touch, times, block = system.fairing(free)
-    B = block(Z)
-    r = f[touch] - times(c, touch)
-    A = B.T @ B
-    try:
-        d = np.diag(np.linalg.cholesky(A))
-        normal = d.size > 0 and d.min() > PIVOT_MIN * d.max()
-    except np.linalg.LinAlgError:
-        normal = False
-    if normal:
-        z = np.linalg.solve(A, B.T @ r)
-    else:  # the minimizer nearest the C0 target (z~ = 0 without one)
-        target = c if system.ctilde is None else system.ctilde.reshape(c.shape)
-        zt = Z.T @ (target - c)[free]
-        z = zt + np.linalg.lstsq(B, r - B @ zt, rcond=None)[0]
-    c[free] += Z @ z
-    final = np.abs(G @ c - g).max(axis=0, initial=0.0)
-    if (final > EQ_TOL * scale).any():
-        raise InfeasibleConstraintError(
-            f"constraint residual {final.max():.3e} after solve", edges=[])
-    if not return_info:
-        return c.reshape((-1,) + cols)
-    ls_residual = np.linalg.norm(times(c) - f, axis=0)
-    infos = [{"rank": pinned.size + rank, "n_equality": int(G.shape[0]),
-              "ls_residual": float(ls), "eq_residual": float(eq),
-              "fairing": "cholesky" if normal else "lstsq"}
-             for ls, eq in zip(ls_residual, final)]
-    return c.reshape((-1,) + cols), (infos if cols else infos[0])
+    Gf = Gr[:, free]
+    live = Gf.any(axis=1)  # rows on pinned unknowns only: checked below
+    with _blas_threads(int(live.sum()) * Gf.shape[1]):
+        c = np.zeros((G.shape[1], f.shape[1]))
+        c[pinned] = g[pin_rows] / G[pin_rows, pinned][:, None]
+        gr = g[rest] - Gr @ c
+        U, s, Vt = np.linalg.svd(Gf[live], full_matrices=True)
+        rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+        c[free] = Vt[:rank].T @ ((U[:, :rank].T @ gr[live]) / s[:rank, None])
+        scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
+        eq_residual = np.abs(G @ c - g)
+        bad = eq_residual > EQ_TOL * scale
+        if bad.any():
+            col = int(np.flatnonzero(bad.any(axis=0))[0])
+            rows = np.flatnonzero(bad[:, col])
+            pins = pin_rows[G[np.ix_(rows, pinned)].any(axis=0)]
+            edges = sorted({system.tags[i][1] for i in np.union1d(rows, pins)
+                            if system.tags[i][0] == "edge"})
+            raise InfeasibleConstraintError(
+                f"equality constraints inconsistent (max residual "
+                f"{eq_residual[:, col].max():.3e})", edges=edges)
+        Z = Vt[rank:].T
+        touch, times, block = system.fairing(free)
+        B = block(Z)
+        r = f[touch] - times(c, touch)
+        A = B.T @ B
+        try:
+            d = np.diag(np.linalg.cholesky(A))
+            normal = d.size > 0 and d.min() > PIVOT_MIN * d.max()
+        except np.linalg.LinAlgError:
+            normal = False
+        if normal:
+            z = np.linalg.solve(A, B.T @ r)
+        else:  # the minimizer nearest the C0 target (z~ = 0 without one)
+            target = c if system.ctilde is None else system.ctilde.reshape(c.shape)
+            zt = Z.T @ (target - c)[free]
+            z = zt + np.linalg.lstsq(B, r - B @ zt, rcond=None)[0]
+        c[free] += Z @ z
+        final = np.abs(G @ c - g).max(axis=0, initial=0.0)
+        if (final > EQ_TOL * scale).any():
+            raise InfeasibleConstraintError(
+                f"constraint residual {final.max():.3e} after solve", edges=[])
+        if not return_info:
+            return c.reshape((-1,) + cols)
+        ls_residual = np.linalg.norm(times(c) - f, axis=0)
+        infos = [{"rank": pinned.size + rank, "n_equality": int(G.shape[0]),
+                  "ls_residual": float(ls), "eq_residual": float(eq),
+                  "fairing": "cholesky" if normal else "lstsq"}
+                 for ls, eq in zip(ls_residual, final)]
+        return c.reshape((-1,) + cols), (infos if cols else infos[0])
 
 
 # ----------------------------------------------------------------------

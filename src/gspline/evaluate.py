@@ -723,7 +723,3 @@ def frames_csv(surface: GSplineSurface, resolution: int = 4) -> str:
         rows.append(f"{i // m},{xi:.6f},{eta:.6f},{x:.12g},{y:.12g},{z:.12g},"
                     f"{nx:.12g},{ny:.12g},{nz:.12g},{k1:.12g},{k2:.12g}")
     return "\n".join(rows) + "\n"
-
-
-def bounding_box_diagonal(net: ControlNet) -> float:
-    return float(np.linalg.norm(np.ptp(net.positions, axis=0)))

@@ -222,3 +222,8 @@ def kkt_solve(F, f, G=None, g=None):
 def central_difference(fun, x, h=1e-6):
     """Central finite difference of a scalar- or vector-valued function."""
     return (np.asarray(fun(x + h)) - np.asarray(fun(x - h))) / (2 * h)
+
+
+def bounding_box_diagonal(net) -> float:
+    """Length of the diagonal of the axis-aligned box around the net."""
+    return float(np.linalg.norm(np.ptp(net.positions, axis=0)))

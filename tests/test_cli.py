@@ -952,3 +952,81 @@ class TestFiniteReports:
         with pytest.raises(errors.NonFiniteError,
                            match=f"^{name} report value '{key}' is not finite$"):
             report().to_json()
+
+
+def _merge_first_two(p):
+    q = p.copy()
+    q[1] = q[0]
+    return q
+
+
+# position maps of the finite-report sweep; the topology is unchanged
+POSITION_MAPS = {
+    "x1e100": lambda p: p * 1e100,  # error norms overflow
+    "x1e150": lambda p: p * 1e150,  # so do the eigenvalues
+    "x1e-150": lambda p: p * 1e-150,  # tangents underflow
+    "zero": lambda p: p * 0.0,
+    "flat": lambda p: p * [1.0, 1.0, 0.0],
+    "line": lambda p: p * [1.0, 0.0, 0.0],
+    "merged": _merge_first_two,
+    "noise": lambda p: p + np.random.default_rng(0).normal(scale=0.3, size=p.shape),
+}
+
+# (net, map, variant), chosen by what each covers: a boundary EP and
+# valence-3 EPs at x 1e100 in every variant; merged EP clusters (val333);
+# several EPs on a boundary (open_box); closed nets without a boundary for
+# poisson and eigen, one of them on the lstsq fairing path (cube, pillow);
+# a periodic strip (cylinder)
+SWEEP = [
+    *(("boundary_ep3", "x1e100", v) for v in ("c0", "g1p", "g1r")),
+    *(("val33", "x1e100", v) for v in ("c0", "g1p", "g1r")),
+    ("val333", "x1e150", "g1p"),
+    ("val333", "flat", "g1r"),
+    ("val333", "merged", "c0"),
+    ("open_box", "x1e150", "g1r"),
+    ("open_box", "x1e-150", "g1p"),
+    ("open_box", "line", "g1r"),
+    ("open_box", "noise", "c0"),
+    ("cube", "zero", "g1p"),
+    ("cube", "noise", "g1r"),
+    ("pillow", "merged", "g1p"),
+    ("cylinder", "noise", "g1r"),
+    ("cylinder", "x1e100", "c0"),
+]
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("net, mapping, variant", SWEEP)
+def test_finite_report_sweep(net, mapping, variant, tmp_path, capsys):
+    """Every command on a mapped net writes finite JSON (exit 0) or exits
+    with one JSON line that names a ``GSplineError`` and its code."""
+    base = getattr(netgen, net)()
+    obj = tmp_path / "net.obj"
+    obj.write_text(save_obj(ControlNet(base.cnet, POSITION_MAPS[mapping](base.positions))))
+    archive = tmp_path / "surface.json"
+    commands = [
+        ["build", str(obj), "--variant", variant, "-o", str(archive)],
+        ["check", str(archive)],
+        ["quality", str(archive)],
+        ["eigen", str(archive), "-k", "3"],
+        ["poisson", str(obj), "--levels", "2", "--variant", variant],
+        ["refine", str(archive)],
+    ]
+    for i, args in enumerate(commands):
+        if i and args[1] == str(archive) and not archive.exists():
+            continue  # the build failed, as checked below
+        out = tmp_path / f"{args[0]}_out.json"
+        code = main(args if i == 0 else args + ["-o", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            json.loads((archive if i == 0 else out).read_text(), parse_constant=_no_constant)
+            continue
+        lines = err.splitlines()
+        assert len(lines) == 1, (args, err)
+        name = json.loads(lines[0])["error"]
+        error = getattr(errors, name, None)
+        assert isinstance(error, type) and issubclass(error, GSplineError), (args, err)
+        assert code == error.exit_code, (args, err)

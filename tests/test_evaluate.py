@@ -18,7 +18,6 @@ from gspline.errors import (
 from gspline.evaluate import (
     MAX_SAMPLES,
     GSplineSurface,
-    bounding_box_diagonal,
     edge_frames,
     edge_watertightness,
     frame,
@@ -33,6 +32,7 @@ from gspline.refine import refine, refine_n
 
 import extraction_list
 import netgen
+from oracles import bounding_box_diagonal
 
 
 def element_loop_mesh(surface, r):

@@ -17,18 +17,14 @@ from gspline.construct_g1 import (
     solve_constrained_ls,
 )
 from gspline.errors import DomainError, InfeasibleConstraintError
-from gspline.evaluate import (
-    edge_watertightness,
-    map_point,
-    bounding_box_diagonal,
-)
+from gspline.evaluate import edge_watertightness, map_point
 from gspline.extraction import bernstein_1d, evaluate_basis
 from gspline.mesh import ElementClass, classify_elements, spoke_edges
 from gspline.refine import refine
 
 import edge_block_loop
 import netgen
-from oracles import kkt_solve
+from oracles import bounding_box_diagonal, kkt_solve
 from topology_loop import edge_frames
 
 
