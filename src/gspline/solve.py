@@ -10,7 +10,10 @@ sizes run per block of elements of one (degree, rational) group, so their
 memory is that of one block (see ``evaluate.map_groups``): one Bernstein
 table per block and point set, built only to the derivative order used,
 then one batched product per quantity gives every element's Jacobians,
-physical gradients, Ke, Me, load or error integrals.  K, M and the
+physical gradients, Ke, Me, load or error integrals.  The Jacobians and
+mapped points are summed over the basis functions term by term, over
+contiguous rows and in the order of ``np.einsum`` without ``optimize``, so
+they are bitwise the einsum's (``_basis_sum``).  K, M and the
 collocation Gram matrix of ``gspline check`` are summed block by block into
 one CSR pattern by ``assemble_pattern``: that of B^T B, with B the cached
 element-by-basis incidence ``GSplineSurface.incidence``.  Every sparse
@@ -79,7 +82,7 @@ def _group_geometry(surface, g, pts, checks=()):
     """
     N, dN, bad_w = group_table(g, pts, order=1)
     P = surface.net.positions[g.basis][..., :2]
-    J = np.einsum("enma,end->emda", dN, P)  # J[e, m, d, a] = dx_d / dxi_a
+    J = _basis_sum(dN, P)  # J[e, m, d, a] = dx_d / dxi_a
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     scale = np.abs(J).max(axis=(1, 2, 3))
     singular = np.abs(det).min(axis=1) <= 1e-14 * np.maximum(scale * scale, 1e-30)
@@ -89,9 +92,27 @@ def _group_geometry(surface, g, pts, checks=()):
     inv = np.stack([J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]],
                    axis=-1).reshape(J.shape) / det[..., None, None]
     # physical gradients: dN/dx_d = dN/dxi_a * (J^-1)[a, d], summed from +0.0
-    # as einsum sums, so that the padded slots hold +0.0 and not -0.0
-    gp = 0.0 + dN[..., :1] * inv[:, None, :, 0] + dN[..., 1:] * inv[:, None, :, 1]
-    return N, gp, np.einsum("enm,end->emd", N, P), np.abs(det)
+    # as einsum sums, so that the padded slots hold +0.0 and not -0.0; one
+    # d at a time, so every product writes contiguous (E, n, m) rows
+    gp = np.stack([0.0 + dN[..., 0] * inv[:, None, :, 0, d] + dN[..., 1] * inv[:, None, :, 1, d]
+                   for d in (0, 1)], axis=-1)
+    return N, gp, _basis_sum(N, P), np.abs(det)
+
+
+def _basis_sum(T, P):
+    """sum_n T[e, n, m, ...] P[e, n, d], shaped (E, m, d, ...): bitwise the
+    ``np.einsum`` without ``optimize``, which adds the n terms in order from
+    +0.0.  Here each term is one product over the contiguous rows of an
+    (E, d, m...) buffer; the einsum's output interleaves the short axis d,
+    which makes it 2-3 times slower."""
+    E, n, *rest = T.shape
+    size = math.prod(rest)
+    acc = np.zeros((E, P.shape[2], size))
+    term = np.empty_like(acc)
+    for k in range(n):
+        np.multiply(T[:, k].reshape(E, 1, size), P[:, k, :, None], out=term)
+        acc += term
+    return np.moveaxis(acc.reshape(E, -1, *rest), 1, 2)
 
 
 def boundary_functions(surface: GSplineSurface) -> set[int]:
@@ -107,9 +128,10 @@ def boundary_functions(surface: GSplineSurface) -> set[int]:
     for g in surface.groups:
         p, r = g.degree, np.arange(g.degree + 1)
         sides = np.array([r, r * (p + 1) + p, p * (p + 1) + r, r * (p + 1)])
-        trace = np.abs(g.coeffs[:, :, sides]).max(axis=-1) > 1e-12  # (E, n, 4)
-        on_boundary = cnet.boundary_edge[cnet.face_edges[g.elements]]
-        out.update(g.basis[(trace & on_boundary[:, None, :]).any(axis=-1)].tolist())
+        on_boundary = cnet.boundary_edge[cnet.face_edges[g.elements]]  # (E, 4)
+        rows = on_boundary.any(axis=1)  # only these elements are read
+        trace = np.abs(g.coeffs[rows][:, :, sides]).max(axis=-1) > 1e-12  # (E', n, 4)
+        out.update(g.basis[rows][(trace & on_boundary[rows, None, :]).any(axis=-1)].tolist())
     return out
 
 
@@ -240,7 +262,7 @@ def compute_errors(surface: GSplineSurface, coeffs: np.ndarray,
         ca = np.where(g.mask, coeffs[g.basis], 0.0)
         ue, (gx, gy) = exact(x[..., 0], x[..., 1]), exact_grad(x[..., 0], x[..., 1])
         guh = np.einsum("en,enmd->emd", ca, gp)
-        x2 = np.einsum("enm,end->emd", N2, surface.net.positions[g.basis][..., :2])
+        x2 = _basis_sum(N2, surface.net.positions[g.basis][..., :2])
         ue2 = exact(x2[..., 0], x2[..., 1])
         return np.array([
             np.sum(w * (np.einsum("en,enm->em", ca, N) - ue) ** 2),
@@ -266,8 +288,9 @@ def mean_element_size(surface: GSplineSurface) -> float:
     def diagonals(g):
         N, bad_w = group_table(g, [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], order=0)
         raise_first(g, [bad_w])
-        c = np.einsum("enm,enc->mec", N, surface.net.positions[g.basis])
-        return np.linalg.norm(c[1] - c[0], axis=-1) + np.linalg.norm(c[3] - c[2], axis=-1)
+        c = _basis_sum(N, surface.net.positions[g.basis])  # (E, 4, 3)
+        return (np.linalg.norm(c[:, 1] - c[:, 0], axis=-1)
+                + np.linalg.norm(c[:, 3] - c[:, 2], axis=-1))
 
     total = float(np.concatenate(map_groups(surface, diagonals, 4)).sum())
     return 0.5 * total / surface.cnet.n_faces

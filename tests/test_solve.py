@@ -405,6 +405,52 @@ class TestGeometryAgainstEinsum:
         monkeypatch.setattr(solve, "_group_geometry", geometry_einsum.group_geometry)
         assert convergence_study(netgen.rot44(), "g1r", 3).to_json() == ours
 
+    @pytest.mark.parametrize("case", [*GROUPED_CASES, "rot44 L2 g1r"])
+    def test_errors_and_size_bitwise_equal(self, case):
+        surf = rot44_case(2, "g1r") if case == "rot44 L2 g1r" else grouped_case(*case)
+        u = solve_poisson(assemble_poisson(surf))
+        assert compute_errors(surf, u) == geometry_einsum.compute_errors(surf, u)
+        assert mean_element_size(surf) == geometry_einsum.mean_element_size(surf)
+
+
+def einsum_tables(rng, E, n, m, *tail):
+    """A random (E, n, m, *tail) table and (E, n, 3) points, of magnitudes
+    1e-8 to 1e8 so that the order of the sum shows, with a zero-padded last
+    slot in every other element and -0.0 entries in both."""
+    T = rng.standard_normal((E, n, m, *tail)) * 10.0 ** rng.integers(-8, 9, (E, n, m, *tail))
+    P = rng.standard_normal((E, n, 3)) * 10.0 ** rng.integers(-8, 9, (E, n, 3))
+    T[::2, -1] = 0.0
+    P[::2, -1] = 0.0
+    T[rng.random(T.shape) < 0.1] = -0.0
+    P[rng.random(P.shape) < 0.1] = -0.0
+    return T, P
+
+
+class TestBasisSum:
+    """``solve._basis_sum`` is bitwise the einsum without ``optimize``."""
+
+    @pytest.mark.parametrize("E", [1, 2, 37])
+    @pytest.mark.parametrize("n", [1, 16, 36])
+    def test_values_and_points(self, E, n):
+        rng = np.random.default_rng(100 * E + n)
+        T, P = einsum_tables(rng, E, n, 25)
+        for d in (2, 3):
+            assert same_bits(solve._basis_sum(T, P[..., :d]),
+                             np.einsum("enm,end->emd", T, P[..., :d]))
+
+    @pytest.mark.parametrize("E", [1, 2, 37])
+    @pytest.mark.parametrize("n", [1, 16, 36])
+    def test_jacobians(self, E, n):
+        rng = np.random.default_rng(100 * E + n + 1)
+        T, P = einsum_tables(rng, E, n, 25, 2)
+        assert same_bits(solve._basis_sum(T, P[..., :2]),
+                         np.einsum("enma,end->emda", T, P[..., :2]))
+
+    def test_sums_from_positive_zero(self):
+        T, P = np.full((3, 4, 5), -0.0), np.ones((3, 4, 2))
+        out = solve._basis_sum(T, P)
+        assert out.shape == (3, 5, 2) and not np.signbit(out).any()
+
 
 def eigsh_default(system, k=6):
     """Eigenvalues from ``eigsh`` factoring K itself (SuperLU's default
