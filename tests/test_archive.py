@@ -12,10 +12,12 @@ from gspline.cli import main
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import build_g1
 from gspline.errors import FormatError
+from gspline.evaluate import ElementGroup, GSplineSurface
 from gspline.mesh import save_obj
 from gspline.refine import refine_n
 
 import archive_v1
+import archive_v2
 import netgen
 
 
@@ -31,7 +33,7 @@ def payload_v1(net, levels, variant):
 
 
 def block(values) -> str:
-    """A format-2 coefficient string."""
+    """A coefficient string of format 2 or a block of format 3."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
@@ -61,6 +63,15 @@ def assert_same_surface(loaded, written):
         json.dumps(getattr(written, "diagnostics", None), sort_keys=True)
 
 
+def assert_same_groups(loaded, written):
+    """Byte for byte the same group arrays: elements, basis, mask and coeffs."""
+    assert len(loaded.groups) == len(written.groups) > 0
+    for a, b in zip(loaded.groups, written.groups):
+        assert (a.degree, a.rational) == (b.degree, b.rational)
+        for field in ("elements", "basis", "mask", "coeffs"):
+            assert_bitwise(getattr(a, field), getattr(b, field))
+
+
 CASES = [("rot44", levels, variant) for levels in (0, 1, 2)
          for variant in ("c0", "g1p", "g1r")] + [("val333", 0, "g1r")]
 
@@ -84,23 +95,80 @@ class TestRoundTrip:
         texts = [surface_to_json(build_g1(c0, "g1r")) for _ in range(2)]
         assert texts[0] == texts[1]
         assert "\n" not in texts[0]
-        assert json.loads(texts[0])["format_version"] == FORMAT_VERSION == 2
+        assert json.loads(texts[0])["format_version"] == FORMAT_VERSION == 3
 
     @pytest.mark.parametrize("net, levels, variant", CASES)
     def test_version_1_and_2_texts_load_bitwise_equal(self, net, levels, variant):
+        """Formats 1, 2 and 3 load to the same surface, group arrays and all."""
         written = surface(net, levels, variant)
         v1 = surface_from_json(archive_v1.surface_to_json(written))
-        v2 = surface_from_json(surface_to_json(written))
+        v2 = surface_from_json(archive_v2.surface_to_json(written))
+        v3 = surface_from_json(surface_to_json(written))
         assert_same_surface(v1, written)
         assert_same_surface(v2, v1)
+        assert_same_surface(v3, v1)
+        for loaded in (v1, v2, v3):
+            assert_same_groups(loaded, written)
 
     def test_coeffs_are_base64_of_little_endian_rows(self):
         written = surface("val333", 0, "g1r")
-        records = json.loads(surface_to_json(written))["elements"]
+        records = json.loads(archive_v2.surface_to_json(written))["elements"]
         for record, ext in zip(records, written.extractions):
             text = record["coeffs"]
             assert text.isascii() and len(text) % 4 == 0
             assert_bitwise(unblock(text, (ext.degree + 1) ** 2), ext.coeffs)
+
+    @pytest.mark.parametrize("net, levels, variant", CASES)
+    def test_text_round_trips_with_distinct_blocks_in_first_use_order(self, net, levels,
+                                                                      variant):
+        """The text of the loaded surface is the text; each record's
+        ``coeffs`` indexes the base64 of its rows; no two blocks are
+        equal, and each block's first user is later than the previous
+        block's."""
+        written = surface(net, levels, variant)
+        text = surface_to_json(written)
+        assert surface_to_json(surface_from_json(text)) == text
+        payload = json.loads(text)
+        blocks, index = payload["blocks"], [r["coeffs"] for r in payload["elements"]]
+        assert all(type(i) is int for i in index)
+        assert len(set(blocks)) == len(blocks) == len(set(index))
+        firsts = [index.index(i) for i in range(len(blocks))]
+        assert firsts == sorted(firsts)
+        for i, ext in zip(index, written.extractions):
+            assert_bitwise(unblock(blocks[i], (ext.degree + 1) ** 2), ext.coeffs)
+
+    def test_shared_blocks_shrink_the_text(self):
+        written = surface("rot44", 2, "g1r")
+        payload = json.loads(surface_to_json(written))
+        assert len(payload["blocks"]) < len(payload["elements"]) / 3
+        assert 2 * len(surface_to_json(written)) < len(archive_v2.surface_to_json(written))
+
+    def test_equal_blocks_of_two_classes_are_one_block(self):
+        """Blocks are compared as bytes, whatever the class of their
+        elements: 9 bicubic rows of zeros are the bytes of 4 quintic rows
+        of zeros."""
+        net = netgen.structured(2, 2)
+
+        def group(p, elements, n):
+            return ElementGroup(p, False, np.array(elements), np.tile(np.arange(n), (2, 1)),
+                                np.ones((2, n), dtype=bool), np.zeros((2, n, (p + 1) ** 2)))
+
+        groups = [group(3, [0, 2], 9), group(5, [1, 3], 4)]
+        text = surface_to_json(GSplineSurface(net, groups, "c0"))
+        payload = json.loads(text)
+        assert payload["blocks"] == [block(np.zeros(9 * 16))]
+        assert [r["coeffs"] for r in payload["elements"]] == [0, 0, 0, 0]
+        for got, want in zip(surface_from_json(text).groups, groups):
+            assert (got.degree, got.rational) == (want.degree, want.rational)
+            assert_bitwise(got.coeffs, want.coeffs)
+
+    def test_digest_collisions_are_split_by_bytes(self, monkeypatch):
+        """The digest only proposes equal blocks; the bytes decide, so a
+        constant digest gives the same text."""
+        written = surface("rot44", 1, "g1r")
+        text = surface_to_json(written)
+        monkeypatch.setattr(archive, "_weights", lambda size: np.zeros(size, dtype=np.uint64))
+        assert surface_to_json(written) == text
 
     def test_absent_rational_flag_means_polynomial(self):
         written = surface("rot44", 0, "g1p")
@@ -125,7 +193,7 @@ class TestFieldTypes:
         message = str(load_error(payload))
         assert "'rational'" in message and "element 2" in message
 
-    @pytest.mark.parametrize("value", [True, 1.0, 2.0, 0, 3, "2", None])
+    @pytest.mark.parametrize("value", [True, 1.0, 2.0, 0, 4, "2", None])
     def test_format_version_must_be_the_integer_1_or_2(self, value):
         payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
         payload["format_version"] = value
@@ -219,7 +287,7 @@ def two_bad_records(lower, higher, version=1):
     if version == 1:
         payload, kinds = payload_v1("val33", 0, "c0"), {**UNREADABLE, **INVALID}
     else:
-        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        payload = json.loads(archive_v2.surface_to_json(surface("val33", 0, "c0")))
         kinds = {**UNREADABLE_V2, **INVALID_V2}
     n_vertices = len(payload["net"]["positions"])
     kinds[lower](payload["elements"][1], n_vertices)
@@ -249,7 +317,8 @@ class TestLowestFailingElement:
         assert named_elements(str(load_error(two_bad_records(lower, higher)))) == [3]
 
 
-# The same for format-2 records, whose coefficients are one base64 string.
+# The same for format-2 records, whose coefficients are one base64 string,
+# on the text of the frozen format-2 writer.
 def _recoded(edit):
     """Rewrite a record's coefficient block: ``edit`` maps its rows (an
     array) to the values to encode."""
@@ -343,10 +412,185 @@ class TestLowestFailingElementVersion2:
         ("coeff -Inf bytes", "non-finite coefficient"),
     ])
     def test_each_coefficient_mutation_fails_its_own_check(self, kind, message):
-        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        payload = json.loads(archive_v2.surface_to_json(surface("val33", 0, "c0")))
         {**UNREADABLE_V2, **INVALID_V2}[kind](payload["elements"][2], 0)
         error = str(load_error(payload))
         assert message in error and named_elements(error) == [2]
+
+
+# The same for format-3 records, whose coefficients are an index into the
+# table of blocks.  A kind mutates ``(payload, record)``; one that edits
+# coefficients gives the record a block of its own first, so no other
+# record changes and no block is left unused.
+def _own_block(payload, record) -> int:
+    users = [r for r in payload["elements"] if r["coeffs"] == record["coeffs"]]
+    if len(users) > 1:
+        payload["blocks"].append(payload["blocks"][record["coeffs"]])
+        record["coeffs"] = len(payload["blocks"]) - 1
+    return record["coeffs"]
+
+
+def _block_set(make):
+    """Replace the record's own block by ``make(old block, record)``."""
+    def mutate(payload, record):
+        i = _own_block(payload, record)
+        payload["blocks"][i] = make(payload["blocks"][i], record)
+    return mutate
+
+
+def _block_rows(edit):
+    """Re-encode the record's own block: ``edit`` maps its rows to the
+    values to encode."""
+    return _block_set(lambda text, r: block(edit(
+        unblock(text, (r["degree"] + 1) ** 2).copy())))
+
+
+def _record_kind(mutate):
+    """A record-level mutation of format 1 or 2 on a format-3 record."""
+    return lambda payload, record: mutate(record, len(payload["net"]["positions"]))
+
+
+def _put_v3(value):
+    def edit(rows):
+        rows.flat[5] = value
+        return rows
+    return _block_rows(edit)
+
+
+UNREADABLE_V3 = {
+    **{kind: _record_kind(UNREADABLE[kind]) for kind in
+       ("degree type", "degree value", "rational type", "basis type")},
+    "index true": lambda p, r: r.__setitem__("coeffs", True),
+    "index 1.5": lambda p, r: r.__setitem__("coeffs", 1.5),
+    "index -1": lambda p, r: r.__setitem__("coeffs", -1),
+    "index past the table": lambda p, r: r.__setitem__("coeffs", len(p["blocks"])),
+    "index string": lambda p, r: r.__setitem__("coeffs", p["blocks"][r["coeffs"]]),
+    "block number": _block_set(lambda text, r: 0.5),
+    "block null": _block_set(lambda text, r: None),
+    "block list": _block_set(lambda text, r: unblock(text, (r["degree"] + 1) ** 2).tolist()),
+    "block outside alphabet": _block_set(lambda text, r: text[:10] + "*" + text[11:]),
+    "block non-ASCII": _block_set(lambda text, r: text[:10] + "\u00e9" + text[11:]),
+    "block cut": _block_set(lambda text, r: text[:-1]),
+    "block one row short": _block_rows(lambda rows: rows[:-1]),
+    "block one row long": _block_rows(lambda rows: np.vstack([rows, rows[:1]])),
+}
+INVALID_V3 = {
+    **{kind: _record_kind(INVALID[kind]) for kind in
+       ("basis range", "basis repeated", "rational misplaced")},
+    "block NaN bytes": _put_v3(np.nan),
+    "block +Inf bytes": _put_v3(np.inf),
+    "block -Inf bytes": _put_v3(-np.inf),
+}
+
+
+def two_bad_records_v3(lower, higher):
+    payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+    kinds = {**UNREADABLE_V3, **INVALID_V3}
+    kinds[lower](payload, payload["elements"][1])
+    kinds[higher](payload, payload["elements"][3])
+    payload["elements"].reverse()
+    return payload
+
+
+class TestLowestFailingElementVersion3:
+    @pytest.mark.parametrize("lower", UNREADABLE_V3)
+    @pytest.mark.parametrize("higher", UNREADABLE_V3)
+    def test_unreadable_records(self, lower, higher):
+        assert named_elements(str(load_error(two_bad_records_v3(lower, higher)))) == [1]
+
+    @pytest.mark.parametrize("lower", INVALID_V3)
+    @pytest.mark.parametrize("higher", INVALID_V3)
+    def test_invalid_records(self, lower, higher):
+        assert named_elements(str(load_error(two_bad_records_v3(lower, higher)))) == [1]
+
+    @pytest.mark.parametrize("lower", INVALID_V3)
+    @pytest.mark.parametrize("higher", UNREADABLE_V3)
+    def test_unreadable_record_comes_first(self, lower, higher):
+        assert named_elements(str(load_error(two_bad_records_v3(lower, higher)))) == [3]
+
+    @pytest.mark.parametrize("kind", [*UNREADABLE_V3, *INVALID_V3])
+    def test_exit_2_through_the_cli(self, kind, tmp_path, capsys):
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(two_bad_records_v3(kind, kind)))
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert named_elements(err["message"]) == [1]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("index true", "'coeffs' holds True"),
+        ("index 1.5", "'coeffs' holds 1.5"),
+        ("index -1", "block -1 is outside the table of 4 blocks"),
+        ("index past the table", "block 4 is outside the table of 4 blocks"),
+        ("index string", "not a 64-bit integer"),
+        ("block number", "archive block 2 must be a base64 string"),
+        ("block null", "archive block 2 must be a base64 string"),
+        ("block list", "archive block 2 must be a base64 string"),
+        ("block outside alphabet", "archive block 2 is not ASCII base64"),
+        ("block non-ASCII", "archive block 2 is not ASCII base64"),
+        ("block cut", "characters is not the base64"),
+        ("block one row short", "characters is not the base64"),
+        ("block one row long", "characters is not the base64"),
+        ("block NaN bytes", "non-finite coefficient"),
+        ("block +Inf bytes", "non-finite coefficient"),
+        ("block -Inf bytes", "non-finite coefficient"),
+    ])
+    def test_each_mutation_fails_its_own_check(self, kind, message):
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        {**UNREADABLE_V3, **INVALID_V3}[kind](payload, payload["elements"][2])
+        error = str(load_error(payload))
+        assert message in error and named_elements(error) == [2]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda text, n: text[:-4], "characters is not the base64"),
+        (lambda text, n: 7, "must be a base64 string"),
+        (lambda text, n: block(np.r_[unblock(text, n).flat[:5], np.nan,
+                                     unblock(text, n).flat[6:]]), "non-finite coefficient"),
+    ])
+    def test_shared_block_names_its_lowest_user(self, make, message):
+        """Elements 19 and 23 of val333 refined once share a block, so a
+        fault in it fails both, and the error names 19."""
+        payload = json.loads(surface_to_json(surface("val333", 1, "c0")))
+        records = payload["elements"]
+        shared = records[19]["coeffs"]
+        assert [r["element"] for r in records if r["coeffs"] == shared] == [19, 23]
+        payload["blocks"][shared] = make(payload["blocks"][shared], 16)
+        error = str(load_error(payload))
+        assert message in error and named_elements(error) == [19]
+
+    @pytest.mark.parametrize("blocks", ["missing", {}, "AAAA", None, 5])
+    def test_block_table_must_be_a_list(self, blocks, tmp_path, capsys):
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        if blocks == "missing":
+            del payload["blocks"]
+        else:
+            payload["blocks"] = blocks
+        assert "'blocks'" in str(load_error(payload))
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(payload))
+        assert main(["check", str(arc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and "'blocks'" in err["message"]
+
+    @pytest.mark.parametrize("extra", [block(np.zeros(16)), "not base64", 5])
+    def test_unused_block(self, extra, tmp_path, capsys):
+        """A block no record uses, whatever it holds, is a FormatError."""
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        payload["blocks"].insert(2, extra)
+        for record in payload["elements"]:
+            record["coeffs"] += record["coeffs"] >= 2
+        assert str(load_error(payload)) == "archive block 2 is used by no element"
+        arc = tmp_path / "a.json"
+        arc.write_text(json.dumps(payload))
+        assert main(["check", str(arc)]) == 2
+        assert "used by no element" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_unused_block_after_every_record_error(self):
+        """An element that fails is named before an unused block."""
+        payload = json.loads(surface_to_json(surface("val33", 0, "c0")))
+        payload["blocks"].append(block(np.zeros(16)))
+        INVALID_V3["block NaN bytes"](payload, payload["elements"][3])
+        assert named_elements(str(load_error(payload))) == [3]
 
 
 def net_obj(tmp_path, net, levels):

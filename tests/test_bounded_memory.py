@@ -42,6 +42,7 @@ from gspline.solve import (
     solve_poisson,
 )
 
+import archive_v2
 import coo_assembly
 import edge_loop
 import element_loop
@@ -442,9 +443,9 @@ class TestFramesCsv:
 
 
 def widened(level=3):
-    """rot44 L3 c0 archive text with element 0 widened to every vertex id,
-    zero rows but for its own."""
-    payload = json.loads(surface_to_json(rot44(level, "c0")))
+    """rot44 L3 c0 format-2 archive text with element 0 widened to every
+    vertex id, zero rows but for its own."""
+    payload = json.loads(archive_v2.surface_to_json(rot44(level, "c0")))
     record = payload["elements"][0]
     n = len(payload["net"]["positions"])
     rows = np.zeros((n, 16))
@@ -523,7 +524,26 @@ class TestArchiveAndBuildMemory:
         monkeypatch.setattr(cli, "build_variant", lambda net, variant: surface)
         code, peak = traced_peak(main, ["build", str(obj), "--variant", "g1r", "-o", str(out)])
         assert code == 0
-        assert peak < 2.5e6 < len(out.read_text())
+        # its 111 shared blocks make the text 0.56 MB; the test below writes
+        # 3.1 MB of distinct blocks under the same bound
+        assert peak < 2.5e6
+
+    def test_cli_write_of_distinct_blocks_holds_a_few_pieces(self, tmp_path, monkeypatch):
+        """The same bound when no two elements share a block: the writer
+        numbers the blocks by digest and compares rows in place, so it
+        keeps no copy of the coefficients."""
+        surface = rot44(3, "g1r")
+        scale = [1 + 2.0**-40 * (1 + g.elements[:, None, None]) for g in surface.groups]
+        surface = dataclasses.replace(surface, groups=[
+            dataclasses.replace(g, coeffs=g.coeffs * s) for g, s in zip(surface.groups, scale)])
+        obj, out = tmp_path / "net.obj", tmp_path / "a.json"
+        obj.write_text(save_obj(surface.net))
+        monkeypatch.setattr(cli, "build_variant", lambda net, variant: surface)
+        code, peak = traced_peak(main, ["build", str(obj), "--variant", "g1r", "-o", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert len(json.loads(text)["blocks"]) == surface.cnet.n_faces
+        assert peak < 2.5e6 < len(text)
 
     def test_read_holds_the_payload_and_one_coefficient_copy(self, tmp_path):
         """The parsed payload, the groups filled in place and their index

@@ -23,6 +23,7 @@ from gspline.mesh import ControlNet, load_obj, save_obj
 from gspline.refine import refine
 
 import archive_v1
+import archive_v2
 import extraction_list
 import netgen
 
@@ -458,19 +459,21 @@ class TestBadArchives:
             rows = np.frombuffer(base64.b64decode(record["coeffs"]), dtype="<f8")
             record["coeffs"] = base64.b64encode((-rows).tobytes()).decode("ascii")
 
-        arc = self._mutated_archive(ep_obj, tmp_path, negate)
+        arc = self._mutated_archive(ep_obj, tmp_path, negate, version=2)
         assert main(["eigen", str(arc)]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateBasisError"
 
-    def _mutated_archive(self, obj, tmp_path, mutate, variant="g1r", version=2):
-        """An archive built by the CLI, written again by the format-1
-        oracle if ``version`` is 1, with ``mutate`` applied to its JSON."""
+    def _mutated_archive(self, obj, tmp_path, mutate, variant="g1r", version=3):
+        """An archive built by the CLI, written again by the frozen
+        format-1 or format-2 writer if ``version`` is 1 or 2, with
+        ``mutate`` applied to its JSON."""
         arc = tmp_path / "a.json"
         main(["build", str(obj), "--variant", variant, "-o", str(arc)])
         text = arc.read_text()
-        if version == 1:
-            text = archive_v1.surface_to_json(surface_from_json(text))
+        if version in (1, 2):
+            writer = archive_v1 if version == 1 else archive_v2
+            text = writer.surface_to_json(surface_from_json(text))
         payload = json.loads(text)
         mutate(payload)
         arc.write_text(json.dumps(payload))
@@ -521,7 +524,7 @@ class TestBadArchives:
                 payload["net"]["positions"][0][0] = float("nan")
 
         arc = self._mutated_archive(ep_obj, tmp_path, put_nan,
-                                    version=1 if field == "coeffs" else 2)
+                                    version={"coeffs": 1, "coeff bytes": 2}.get(field, 3))
         self._assert_format_error(["check", str(arc)], capsys)
         self._assert_format_error(["quality", str(arc)], capsys)
 
@@ -754,9 +757,43 @@ JSON_VALUES = st.recursive(
 
 @functools.cache
 def small_archive(variant, version=2):
+    """val33 as an archive of format ``version``: 1 and 2 by the frozen
+    writers, 3 by ``surface_to_json``."""
     c0 = build_c0(netgen.val33())
-    write = surface_to_json if version == 2 else archive_v1.surface_to_json
+    write = {1: archive_v1.surface_to_json, 2: archive_v2.surface_to_json,
+             3: surface_to_json}[version]
     return write(c0 if variant == "c0" else build_g1(c0, variant))
+
+
+@functools.cache
+def shared_block_archive(variant):
+    """val333 refined once as a format-3 text, some of whose elements
+    share a block."""
+    c0 = build_c0(refine(netgen.val333()))
+    return surface_to_json(c0 if variant == "c0" else build_g1(c0, variant))
+
+
+CORRUPTIONS = ["truncated", "appended", "character", "non-finite", "not a string"]
+
+
+def corrupted(text, kind, data):
+    """The base64 coefficient string ``text`` corrupted in the way ``kind``."""
+    if kind == "truncated":
+        return text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+    if kind == "appended":
+        return text + data.draw(st.text(min_size=1, max_size=8), label="tail")
+    if kind == "character":
+        at = data.draw(st.integers(0, len(text.rstrip("=")) - 1), label="at")
+        return text[:at] + data.draw(st.characters().filter(
+            lambda c: not (c.isascii() and c.isalnum()) and c not in "+/"),
+            label="character") + text[at + 1:]
+    if kind == "non-finite":
+        bits = np.frombuffer(base64.b64decode(text), dtype="<u8").copy()
+        slot = data.draw(st.integers(0, len(bits) - 1), label="slot")
+        bits[slot] = (data.draw(st.booleans(), label="sign") << 63 | 0x7FF << 52
+                      | data.draw(st.integers(0, 2**52 - 1), label="mantissa"))
+        return base64.b64encode(bits.astype("<u8").tobytes()).decode("ascii")
+    return data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)), label="value")
 
 
 def assert_loads_or_exit_2_or_3(load, data):
@@ -770,7 +807,7 @@ def assert_loads_or_exit_2_or_3(load, data):
 
 class TestMutatedInputs:
     @settings(max_examples=300, deadline=None)
-    @given(variant=st.sampled_from(["c0", "g1r"]), version=st.sampled_from([1, 2]),
+    @given(variant=st.sampled_from(["c0", "g1r"]), version=st.sampled_from([1, 2, 3]),
            data=st.data())
     def test_archive_with_one_field_replaced(self, variant, version, data):
         payload = json.loads(small_archive(variant, version))
@@ -792,7 +829,7 @@ class TestMutatedInputs:
     @given(variant=st.sampled_from(["c0", "g1r"]),
            field=st.sampled_from(["element", "degree", "basis", "net.faces"]),
            value=st.floats().filter(lambda x: not (math.isfinite(x) and x.is_integer())),
-           version=st.sampled_from([1, 2]), data=st.data())
+           version=st.sampled_from([1, 2, 3]), data=st.data())
     def test_non_integral_float_in_an_integer_field(self, variant, field, value,
                                                     version, data):
         payload = json.loads(small_archive(variant, version))
@@ -815,8 +852,8 @@ class TestMutatedInputs:
            | st.integers().map(str),
            data=st.data())
     def test_string_or_boolean_in_a_number_field(self, variant, field, value, data):
-        # format-1 coefficients are JSON numbers; format 2 holds them in a string
-        payload = json.loads(small_archive(variant, 1 if field == "coeffs" else 2))
+        # format-1 coefficients are JSON numbers; formats 2 and 3 hold them in strings
+        payload = json.loads(small_archive(variant, 1 if field == "coeffs" else 3))
         rows = payload["net"]["positions"] if field == "net.positions" else \
             data.draw(st.sampled_from(payload["elements"]), label="record")["coeffs"]
         row = data.draw(st.sampled_from(rows), label="row")
@@ -826,37 +863,32 @@ class TestMutatedInputs:
 
     @settings(max_examples=300, deadline=None)
     @given(variant=st.sampled_from(["c0", "g1r"]),
-           kind=st.sampled_from(["truncated", "appended", "character", "non-finite",
-                                 "not a string"]),
+           kind=st.sampled_from(CORRUPTIONS),
            data=st.data())
     def test_corrupted_coefficient_string(self, variant, kind, data):
         payload = json.loads(small_archive(variant))
         record = data.draw(st.sampled_from(payload["elements"]), label="record")
-        text = record["coeffs"]
-        if kind == "truncated":
-            text = text[:data.draw(st.integers(0, len(text) - 1), label="length")]
-        elif kind == "appended":
-            text += data.draw(st.text(min_size=1, max_size=8), label="tail")
-        elif kind == "character":
-            at = data.draw(st.integers(0, len(text.rstrip("=")) - 1), label="at")
-            text = text[:at] + data.draw(st.characters().filter(
-                lambda c: not (c.isascii() and c.isalnum()) and c not in "+/"),
-                label="character") + text[at + 1:]
-        elif kind == "non-finite":
-            bits = np.frombuffer(base64.b64decode(text), dtype="<u8").copy()
-            slot = data.draw(st.integers(0, len(bits) - 1), label="slot")
-            bits[slot] = (data.draw(st.booleans(), label="sign") << 63 | 0x7FF << 52
-                          | data.draw(st.integers(0, 2**52 - 1), label="mantissa"))
-            text = base64.b64encode(bits.astype("<u8").tobytes()).decode("ascii")
-        else:
-            text = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)),
-                             label="value")
-        record["coeffs"] = text
+        record["coeffs"] = corrupted(record["coeffs"], kind, data)
         with pytest.raises(FormatError) as info:
             surface_from_json(json.dumps(payload))
         assert info.value.exit_code == 2
         assert re.findall(r"element (\d+)", str(info.value))[:1] == \
             [str(record["element"])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(["c0", "g1r"]), kind=st.sampled_from(CORRUPTIONS),
+           data=st.data())
+    def test_corrupted_block(self, variant, kind, data):
+        """A corrupted block of a format-3 text fails every element that
+        uses it; the error names the lowest one."""
+        payload = json.loads(shared_block_archive(variant))
+        i = data.draw(st.integers(0, len(payload["blocks"]) - 1), label="block")
+        payload["blocks"][i] = corrupted(payload["blocks"][i], kind, data)
+        with pytest.raises(FormatError) as info:
+            surface_from_json(json.dumps(payload))
+        assert info.value.exit_code == 2
+        users = [r["element"] for r in payload["elements"] if r["coeffs"] == i]
+        assert re.findall(r"element (\d+)", str(info.value))[:1] == [str(min(users))]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
