@@ -59,6 +59,7 @@ from itertools import chain
 
 import numpy as np
 
+from .distinct import first_use, weights as _weights
 from .errors import FormatError
 from .evaluate import GSplineSurface, padded_groups
 from .extraction import SUPPORTED_DEGREES
@@ -122,39 +123,20 @@ def block_numbers(surface: GSplineSurface) -> tuple[np.ndarray, np.ndarray]:
     for g, rows, bits in _row_bits(surface):
         values = (g.mask[rows].sum(axis=1) * (g.degree + 1) ** 2).astype(np.uint64)
         keys[g.elements[rows]] = bits @ weights[:bits.shape[1]] + values  # wraps mod 2^64
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    group_of, row_of = surface.group_slots
-    head = first[inverse]  # the first element of each element's key
-    same = group_of[head] == group_of
-    for g, rows, bits in _row_bits(surface):
-        at = g.elements[rows]
-        twin = np.where(same[at], row_of[head[at]], np.arange(len(g.elements))[rows])
-        twin = g.coeffs[twin].astype("<f8", copy=False).view("<u8")
-        same[at] &= (bits == twin.reshape(len(at), -1)).all(axis=1)
-    if not same.all():  # a digest collision, or equal blocks of two classes
-        split = np.zeros(n, dtype=np.int64)
-        for key in np.unique(inverse[~same]).tolist():
-            seen = {}
-            for e in np.flatnonzero(inverse == key).tolist():
-                rows = surface.extraction(e).coeffs.astype("<f8", copy=False).tobytes()
-                split[e] = seen.setdefault(rows, len(seen))
-        _, first, inverse = np.unique(inverse * (split.max() + 1) + split,
-                                      return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    return number[inverse], first[order]
 
+    def agree(head):  # head: the first element of each element's key
+        group_of, row_of = surface.group_slots
+        same = group_of[head] == group_of
+        for g, rows, bits in _row_bits(surface):
+            at = g.elements[rows]
+            twin = np.where(same[at], row_of[head[at]], np.arange(len(g.elements))[rows])
+            twin = g.coeffs[twin].astype("<f8", copy=False).view("<u8")
+            same[at] &= (bits == twin.reshape(len(at), -1)).all(axis=1)
+        return same
 
-def _weights(size: int) -> np.ndarray:
-    """Pseudo-random uint64 weights of a digest of up to ``size`` values,
-    the splitmix64 outputs 1..size: the same on every call, and each a
-    prefix of the longer ones, so equal blocks of two classes get equal
-    digests.  (``numpy.random`` would add an import to every write.)"""
-    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # a digest collision, or equal blocks of two classes, is split by bytes
+    return first_use(keys, agree, lambda e: surface.extraction(e).coeffs.astype(
+        "<f8", copy=False).tobytes())
 
 
 def _row_bits(surface: GSplineSurface):

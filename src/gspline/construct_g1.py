@@ -29,19 +29,41 @@ problems of one build share is made once, in arrays, by
 ``build_tables``: the irregular faces (``CNet.rings``, ``CNet.clusters``)
 and their extraction rows from the C0 groups, elevated by one
 stacked ``degree_elevate_2`` call; each function's support and solve set
-as a row of a boolean table over the irregular faces; the slot keys of
-every irregular face and the face across each of its sides; and
-``glued_sides`` of every edge between two irregular faces.  Each
-``ConstraintProblem`` takes its rows of these tables (a standalone one
-makes the tables of its own functions) and numbers its own unknowns.
-It then writes G from index arrays, the seven rows of each constrained
-edge from one stencil table (``_EDGE_STENCIL``) with one ``np.add.at``
-and an identity row per pinned unknown, and keeps what it knows: the
-pinned unknowns, and the 60 fairing differences of each element as slot
-pairs (a, b), F c = c[a] - c[b], with no dense F.  ``assemble`` is the
-dense view of the same parts, F and the per-row tags included.
+as a row of a boolean table over the irregular faces, and the number of
+its solve set (a distinct row); the slot keys of every irregular face
+and the face across each of its sides; and ``glued_sides`` of every edge
+between two irregular faces.
+
+The set-up of the solve sets is one array pass over many sets at once
+(``BuildTables.set_up``, giving ``SolveSets``): each set's unknown
+numbering (first appearance of its slot keys), its elevated targets
+ctilde with the shared-node check, its side classes, its pins (first
+side pins, frozen sides first) and the columns of the stencil entries
+of its edges, as flat arrays cut by per-set offsets.  A
+``ConstraintProblem`` slices its set of these (a standalone one sets up
+the sets of its own functions) and makes its dense G and g when it is
+solved: the seven rows of each constrained edge from one stencil table
+(``_EDGE_STENCIL``), summed in entry order, then an identity row per
+pinned unknown.  It keeps the 60 fairing differences of each element as
+slot pairs (a, b), F c = c[a] - c[b], with no dense F.  ``assemble`` is
+the dense view of the same parts, F and the per-row tags included.
 ``solve`` gives each function's (elements, 36) rows, stored as they
 are.
+
+Refinement repeats each EP's neighbourhood, so many sets of one build
+have the same system: 72 of the 165 of rot44 g1r at levels 0-4.
+``build_g1`` keys each set by a digest of the arrays its solve reads
+(``SolveSets.systems``) and confirms equal keys bitwise
+(``distinct.segments``, the scheme of the archive's block table).  Each
+distinct system is solved once; a repeat takes the rows and the solver
+info of its first set, and only its per-function fields are its own.
+The set-up runs a chunk of about ``SET_UP_VALUES`` values at a time, so
+a build on an EP-dense net holds no more than one chunk of it; a set
+that repeats a set of an earlier chunk is confirmed by setting up both
+again in one pass.  (One pass over all 113 sets of an EP-dense g1r net
+of 96 faces holds 2 MB of set-up through every solve, and its
+tracemalloc peak is 10.3 MB, in its digest; four chunks peak at 8.1 MB,
+under the 8.6 MB of setting up one problem at a time.)
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
@@ -68,7 +90,7 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +98,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleConstraintError, InternalError
 from .evaluate import GSplineSurface, edge_frames, edge_sums, glued_frames, padded_groups
 from .extraction import degree_elevate_2
+from .distinct import ranges, segments
 from .mesh import CNet, irregular_basis_vertices
 
 P = 5  # irregular elements are bi-quintic
@@ -92,6 +115,9 @@ EQ_TOL = 1e-9
 ONE_THREAD_ENTRIES = 2**18
 
 COPY_ROWS = 2**8  # C0 rows that build_g1 copies into its cubic group at a time
+# about the 8-byte values of one pass of build_g1's set-up, a chunk of its
+# solve sets
+SET_UP_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -288,6 +314,68 @@ def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
 
 
 @dataclass(frozen=True)
+class SolveSets:
+    """The set-up of the solve sets ``ids`` of one build, made in one array
+    pass by ``BuildTables.set_up``: flat arrays cut into one segment per
+    set by ``*_off`` bounds, which a ``ConstraintProblem`` slices.
+
+    Per function of the tables: ``local``, the index in ``ids`` of its set
+    (-1 if not covered); ``column``, its column in that set; and
+    ``bad_slot``, the first of its set's slots (element by element) whose
+    elevated value disagrees with the value of its unknown, or -1.  Per
+    set: ``cols`` and the unknown count ``n``.  Per element of a set
+    (``element_off``): ``elements`` (rows of the face tables), ``nodes``
+    (the unknown of each of its 36 slots) and ``side_class`` (FROZEN,
+    PINNED, TRACE or COUPLED per side).  Then the targets ``ctilde`` (n x
+    cols per set); the constrained ``edges``, ascending, with the column
+    of each of the 40 entries of their stencil rows (``entry_cols``, in
+    the order G sums them) and their blend weights ``omega``; and the
+    ``pinned`` unknowns, ascending, with their ``pin_rows``, ``keep`` (the
+    side slots that pin, in pin row order) and ``pin_rhs`` (in pin row
+    order, cols each).
+    """
+
+    FROZEN, PINNED, TRACE, COUPLED = range(4)
+
+    ids: np.ndarray
+    local: np.ndarray
+    column: np.ndarray
+    bad_slot: np.ndarray
+    cols: np.ndarray
+    n: np.ndarray
+    element_off: np.ndarray
+    elements: np.ndarray
+    nodes: np.ndarray
+    side_class: np.ndarray
+    ctilde: np.ndarray
+    ctilde_off: np.ndarray
+    edges: np.ndarray
+    edge_off: np.ndarray
+    entry_cols: np.ndarray
+    omega: np.ndarray
+    pinned: np.ndarray
+    pin_rows: np.ndarray
+    keep: np.ndarray
+    pin_off: np.ndarray
+    pin_rhs: np.ndarray
+    pin_rhs_off: np.ndarray
+
+    def systems(self) -> list:
+        """``(values, offsets)`` of what each set's solve reads: G is the
+        stencil rows of its edges (their entry columns and blend weights)
+        and the identity rows of ``pinned`` at ``pin_rows``, g is zero but
+        for ``pin_rhs``, the fairing pairs are the ``nodes`` of the slot
+        pairs, f their ``ctilde`` differences, and n sizes G.  Sets whose
+        segments are bitwise equal solve to the same bits."""
+        edge_off = self.edge_off
+        return [(self.entry_cols, len(_ST_ROW) * edge_off), (self.omega.ravel(), 2 * edge_off),
+                (self.pinned, self.pin_off), (self.pin_rows, self.pin_off),
+                (self.pin_rhs, self.pin_rhs_off),
+                (self.nodes.ravel(), (P + 1) ** 2 * self.element_off),
+                (self.ctilde, self.ctilde_off), (self.n, np.arange(self.n.size + 1))]
+
+
+@dataclass(frozen=True)
 class BuildTables:
     """What the constraint problems of one G1 build share, made once by
     ``build_tables``; each problem takes its rows.
@@ -299,12 +387,15 @@ class BuildTables:
     ``solved`` are (len(functions), len(faces)) tables over the ascending
     ``functions``: each function's support, and the faces it is solved
     over: its support (g1r) or every face of the clusters its support
-    touches (g1p).  ``keys`` is ``slot_keys`` of ``faces``.
+    touches (g1p).  A solve set is a distinct row of ``solved``, and
+    ``set_of`` numbers each function's set, the sets in the order of
+    their first function.  ``keys`` is ``slot_keys`` of ``faces``.
     ``side_edges[r, s]`` is the edge of side s of ``faces[r]``, and
     ``across[r, s]`` the index in ``faces`` of the irregular face across
     it, ``TRANSITION`` across any other face and ``BOUNDARY`` on the
     domain boundary.  ``glued`` is (edges, faces, rots, omega): every edge
     between two irregular faces, ascending, and its ``glued_sides`` rows.
+    ``sets`` is the set-up of some solve sets (``set_up``).
     """
 
     TRANSITION = -1
@@ -316,16 +407,35 @@ class BuildTables:
     functions: np.ndarray
     support: np.ndarray
     solved: np.ndarray
+    set_of: np.ndarray
     keys: np.ndarray
     side_edges: np.ndarray
     across: np.ndarray
     glued: tuple
+    sets: SolveSets | None = None
+
+    def set_up(self, ids) -> BuildTables:
+        """These tables with ``sets`` the set-up of the solve sets ``ids``
+        (ascending), made in one pass (``_set_up``)."""
+        return replace(self, sets=_set_up(self, np.asarray(ids, dtype=np.int64)))
+
+
+def _offsets(counts) -> np.ndarray:
+    """The k + 1 bounds of k segments of ``counts`` items."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
     """The ``BuildTables`` of the basis ``functions`` of ``c0`` in
-    ``variant``: one ``_c0_rows``, one ``slot_keys``, one
-    ``degree_elevate_2`` and one ``glued_sides`` call."""
+    ``variant``, set up for all their solve sets: one ``_c0_rows``, one
+    ``slot_keys``, one ``degree_elevate_2`` and one ``glued_sides`` call,
+    and one pass over the sets."""
+    tables = _shared_tables(c0, functions, variant)
+    return tables.set_up(np.arange(tables.set_of.max(initial=-1) + 1))
+
+
+def _shared_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
+    """``build_tables`` without the set-up of its sets."""
     cnet = c0.cnet
     faces, cluster = analyze_net(cnet)
     element, basis_at, coeffs = _c0_rows(c0, faces)
@@ -341,6 +451,11 @@ def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
         touched = np.zeros((ids.size, names.size), dtype=bool)
         touched[fn, ring[at[hit]]] = True
         solved = np.ascontiguousarray(touched[:, ring])
+    # each row as one bytes key; the sets numbered by first use
+    key = solved.view(f"V{faces.size}").ravel() if faces.size else np.zeros(ids.size, np.int8)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.size)
 
     side_edges = cnet.face_edges[faces]
     pair = cnet.edge_faces[side_edges]
@@ -350,10 +465,132 @@ def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
                                BuildTables.TRANSITION))
     between = np.unique(side_edges[across >= 0])
     return BuildTables(
-        variant, faces,
-        (at, basis_at, degree_elevate_2(coeffs)),
-        ids, support, solved, slot_keys(cnet, faces), side_edges, across,
+        variant, faces, (at, basis_at, degree_elevate_2(coeffs)), ids, support, solved,
+        number[inverse.ravel()], slot_keys(cnet, faces), side_edges, across,
         (between, *glued_sides(cnet, between)))
+
+
+def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
+    """``SolveSets`` of the solve sets ``ids`` of the tables ``t``.
+
+    Each step runs over all the sets at once, set by set in its arrays,
+    and gives each set what a problem set up alone would: its unknowns
+    numbered by first appearance of their slot keys, element by element;
+    ctilde from the first cubic row of every (element, function) pair,
+    each unknown's slots checked against it; the sides of each element
+    classified against the set; the pins of the frozen, pinned and
+    boundary sides, in that order, each unknown pinned by its first side;
+    and the entries of the stencil rows of its edges.
+    """
+    n_faces, slots = t.faces.size, (P + 1) ** 2
+    # the functions of the sets, set by set, ascending
+    local = np.where(np.isin(t.set_of, ids), np.searchsorted(ids, t.set_of), -1)
+    covered = np.flatnonzero(local >= 0)
+    members = covered[np.argsort(local[covered], kind="stable")]
+    cols = np.bincount(local[covered], minlength=ids.size)
+    column = np.full(t.set_of.size, -1)
+    column[members] = np.arange(members.size) - np.repeat(_offsets(cols)[:-1], cols)
+    in_set = t.solved[members[_offsets(cols)[:-1]]]
+
+    # elements (set by set, faces ascending) and their unknowns, numbered
+    # here across all the sets, set by set
+    el_set, el = np.nonzero(in_set)
+    element_off = _offsets(np.bincount(el_set, minlength=ids.size))
+    where = el_set * n_faces + el  # ascending: finds an element of a set
+    span = int(t.keys.max(initial=0)) + 1
+    _, first, inverse = np.unique((el_set[:, None] * span + t.keys[el]).ravel(),
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    node = rank[inverse.ravel()].reshape(-1, slots)
+    first = np.sort(first)  # the first slot of each unknown
+    node_set = el_set[first // slots]
+    n = np.bincount(node_set, minlength=ids.size)
+    node_off = _offsets(n)
+
+    # elevated values, element by element, slot by slot, a column per
+    # function of the set; each unknown takes those of its first slot
+    at, basis, elevated = t.rows
+    el_cols = cols[el_set]
+    value_at = _offsets(slots * el_cols)
+    hit = np.flatnonzero(np.isin(basis, t.functions, kind="sort"))
+    fn = np.searchsorted(t.functions, basis[hit])
+    mine = local[fn] >= 0
+    mine[mine] = in_set[local[fn[mine]], at[hit[mine]]]
+    hit, fn = hit[mine], fn[mine]
+    _, pair = np.unique(fn * n_faces + at[hit], return_index=True)
+    hit, fn = hit[pair], fn[pair]
+    e = np.searchsorted(where, local[fn] * n_faces + at[hit])
+    values = np.zeros(value_at[-1])
+    values[value_at[e, None] + np.arange(slots) * el_cols[e, None]
+           + column[fn, None]] = elevated[hit]
+    node_cols = cols[node_set]
+    ctilde_at = _offsets(node_cols)
+    ctilde = values[ranges(value_at[first // slots] + first % slots * node_cols, node_cols)]
+    slot_cols = np.repeat(el_cols, slots)
+    bad = np.flatnonzero(np.abs(values - ctilde[ranges(ctilde_at[node.ravel()], slot_cols)])
+                         > 1e-9)
+    slot = np.searchsorted(_offsets(slot_cols), bad, side="right") - 1
+    s = el_set[slot // slots]
+    bad_slot = np.full(t.set_of.size, np.iinfo(np.int64).max)
+    np.minimum.at(bad_slot, members[_offsets(cols)[s] + bad - _offsets(slot_cols)[slot]],
+                  slot - slots * element_off[s])
+    bad_slot[bad_slot == np.iinfo(np.int64).max] = -1
+
+    # Classify the sides of every element.  Edges interior to the
+    # unknown set carry tangent-plane equations.  Sides against
+    # transition elements pin two coefficient layers to their elevated
+    # values (keeps C1 with the unmodified neighbor).  Sides against
+    # irregular elements outside the unknown set (restricted variant
+    # only) pin two layers to zero so the function dies C1 at its
+    # support boundary; away from boundary EPs the elevated values
+    # already vanish there, so both readings coincide.  Domain-boundary
+    # sides pin only the trace row (the boundary curve), leaving the
+    # cross-derivative free for the constraints at boundary EPs.
+    across = t.across[el]
+    inner = across >= 0
+    inside = np.zeros(across.shape, dtype=bool)
+    inside[inner] = in_set[np.broadcast_to(el_set[:, None], across.shape)[inner], across[inner]]
+    side_class = np.select([inside, inner, across == BuildTables.TRANSITION],
+                           [SolveSets.COUPLED, SolveSets.FROZEN, SolveSets.PINNED],
+                           SolveSets.TRACE)
+    span = int(t.side_edges.max(initial=0)) + 1
+    e_set, edges = np.divmod(np.unique((el_set[:, None] * span + t.side_edges[el])[inside]),
+                             span)
+    edge_off = _offsets(np.bincount(e_set, minlength=ids.size))
+
+    # Pins: two coefficient layers per side, the trace row alone on
+    # domain-boundary sides.  Frozen (zero) pins come first so shared
+    # corner slots obey the stronger support-boundary condition; each
+    # unknown is pinned once, by its first side.
+    kind = side_class.ravel()
+    side = np.flatnonzero(kind < SolveSets.COUPLED)
+    side = side[np.argsort(el_set[side // 4] * 3 + kind[side], kind="stable")]
+    width = np.array([2 * P + 2, 2 * P + 2, P + 1])[kind[side]]
+    layers = _SIDE_SLOTS.ravel()[ranges(side % 4 * (2 * P + 2), width)]
+    pins = node[np.repeat(side // 4, width), layers]
+    pin_set = np.repeat(el_set[side // 4], width)
+    head = np.sort(np.unique(pins, return_index=True)[1])  # pin rows, set by set
+    pinned, p_set = pins[head], pin_set[head]
+    pin_off = _offsets(np.bincount(p_set, minlength=ids.size))
+    keep = head - _offsets(np.bincount(pin_set, minlength=ids.size))[p_set]
+    frozen = np.bincount(el_set[side // 4][kind[side] == SolveSets.FROZEN], minlength=ids.size)
+    pin_rhs = ctilde[ranges(ctilde_at[pinned], cols[p_set])]
+    pin_rhs[np.repeat(keep < (2 * P + 2) * frozen[p_set], cols[p_set])] = 0.0
+    order = np.argsort(pinned)  # stays in each set: the numbers run set by set
+    pin_rows = 7 * np.diff(edge_off)[p_set] + order - pin_off[p_set]
+
+    # the stencil entries of each edge, glued at its v1
+    _, glued_faces, rots, omega = (x[np.searchsorted(t.glued[0], edges)] for x in t.glued)
+    ends = np.searchsorted(where, e_set[:, None] * n_faces
+                           + np.searchsorted(t.faces, glued_faces))
+    entry_cols = (node[ends[:, _ST_SIDE], _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
+                  - node_off[e_set, None])
+    return SolveSets(
+        ids, local, column, bad_slot, cols, n, element_off, el,
+        node - node_off[el_set, None], side_class, ctilde, _offsets(n * cols), edges,
+        edge_off, entry_cols.ravel(), omega, pinned[order] - node_off[p_set], pin_rows,
+        keep, pin_off, pin_rhs, _offsets(np.diff(pin_off) * cols))
 
 
 class ConstraintProblem:
@@ -366,8 +603,8 @@ class ConstraintProblem:
     in-cluster irregular elements, "g1r" couples only edges interior to the
     function's original support and pins the rest.  ``tables`` are the
     ``build_tables`` of ``c0`` in ``variant`` over functions that include
-    these (by default those of these functions alone); the problem takes
-    its rows of them and numbers its own unknowns.
+    these (by default those of these functions alone); the problem slices
+    its set of ``tables.sets`` and takes its functions' columns.
 
     ``elements`` (the faces solved over) and ``constrained_edges`` are
     ascending id arrays; ``supports`` are boolean rows over the irregular
@@ -377,11 +614,12 @@ class ConstraintProblem:
 
     The problem is the system ``solve_constrained_ls`` reads.  ``G`` and
     ``g`` are those of ``ConstraintSystem``: seven rows per constrained
-    edge, then one identity row per pinned unknown.  ``pinned`` are the
-    pinned unknowns, ascending, and ``pin_rows`` the identity row of each.
-    Fairing row i is the slot pair (a[i], b[i]), 60 per element: F c =
-    c[a] - c[b].  The dense ``F`` and the ``tags`` are made when first
-    read, which the solve does only to raise.
+    edge, then one identity row per pinned unknown; both are made when
+    first read, by the solve.  ``pinned`` are the pinned unknowns,
+    ascending, and ``pin_rows`` the identity row of each.  Fairing row i
+    is the slot pair (a[i], b[i]), 60 per element: F c = c[a] - c[b].  The
+    dense ``F`` and the ``tags`` are made when first read, which the solve
+    does only to raise.
     """
 
     def __init__(self, c0: GSplineSurface, basisfn, variant: str,
@@ -396,111 +634,104 @@ class ConstraintProblem:
         fns = fns.astype(np.int64)
         self.c0 = c0
         self.functions = fns.tolist()
-        cols = () if np.ndim(basisfn) == 0 else (fns.size,)
         self.variant = variant
-        named = f"basis functions {self.functions}"
 
         self.tables = t = build_tables(c0, fns, variant) if tables is None else tables
         held = np.searchsorted(t.functions, fns)  # rows of the function tables
         if (t.variant != variant or (held == t.functions.size).any()
                 or (t.functions[held] != fns).any()):
-            raise DomainError(f"the build tables do not hold {variant} {named}")
-        self.supports, solved = t.support[held], t.solved[held]
-        if not solved.any():
-            raise DomainError(f"{named} support no irregular element")
-        if (solved != solved[0]).any():
-            raise DomainError(f"{named} are solved over different element sets")
-        mine = np.flatnonzero(solved[0])  # rows of the face tables
-        self.elements = els = t.faces[mine]
+            raise DomainError(f"the build tables do not hold {variant} "
+                              f"basis functions {self.functions}")
+        self.supports = t.support[held]
+        one_set = (t.set_of[held] == t.set_of[held[:1]]).all()
+        if one_set and not t.solved[held[:1]].any():
+            raise DomainError(f"basis functions {self.functions} support no irregular element")
+        if not one_set:
+            raise DomainError(f"basis functions {self.functions} are solved over "
+                              "different element sets")
 
-        # unknowns numbered by first appearance of their slot key, element
-        # by element, j then i
-        _, first, inverse = np.unique(t.keys[mine], return_index=True,
-                                      return_inverse=True)
-        nodes = first.argsort().argsort()[inverse.ravel()]
-        self.slot_nodes = nodes.reshape(-1, (P + 1) ** 2)  # row per element
-        self.n = first.size
-
-        # elevated targets from the first cubic row of every (element,
-        # function) pair; each unknown's slots must all agree
-        at, basis, elevated = t.rows
-        rows = np.flatnonzero(solved[0][at])
-        row, k = np.nonzero(basis[rows, None] == fns)
-        row = rows[row]
-        e = np.searchsorted(mine, at[row])
-        _, pair = np.unique(e * fns.size + k, return_index=True)
-        values = np.zeros((els.size, fns.size, (P + 1) ** 2))
-        values[e[pair], k[pair]] = elevated[row[pair]]
-        values = values.swapaxes(1, 2).reshape(-1, fns.size)  # slot by slot
-        ctilde = values[np.sort(first)]
-        bad = (np.abs(values - ctilde[nodes]) > 1e-9).any(axis=1)
-        if bad.any():
+        sets = t.sets
+        s = -1 if sets is None else sets.local[held[0]]
+        if s < 0:
+            raise DomainError(f"the build tables do not hold the set-up of {variant} "
+                              f"basis functions {self.functions}")
+        rows = slice(*sets.element_off[s:s + 2])
+        self.elements = els = t.faces[sets.elements[rows]]
+        bad = sets.bad_slot[held]
+        if (bad >= 0).any():
             raise InternalError(
                 "inconsistent elevated coefficients at a shared node of "
-                f"element {els[bad.argmax() // (P + 1) ** 2]}")
-        self.ctilde = ctilde.reshape((self.n,) + cols)
+                f"element {els[bad[bad >= 0].min() // (P + 1) ** 2]}")
+        self.slot_nodes = sets.nodes[rows]
+        self.n = int(sets.n[s])
+        take = sets.column[held]
+        whole = take.size == sets.cols[s] and (take == np.arange(take.size)).all()
 
-        # Classify the sides of every element.  Edges interior to the
-        # unknown set carry tangent-plane equations.  Sides against
-        # transition elements pin two coefficient layers to their elevated
-        # values (keeps C1 with the unmodified neighbor).  Sides against
-        # irregular elements outside the unknown set (restricted variant
-        # only) pin two layers to zero so the function dies C1 at its
-        # support boundary; away from boundary EPs the elevated values
-        # already vanish there, so both readings coincide.  Domain-boundary
-        # sides pin only the trace row (the boundary curve), leaving the
-        # cross-derivative free for the constraints at boundary EPs.
-        across = t.across[mine]
-        # TRANSITION and BOUNDARY read the two appended False
-        inside = np.append(solved[0], [False, False])[across]
+        def columns(flat, off):
+            """The set's rows of ``flat``, these functions' columns."""
+            table = flat[off[s]:off[s + 1]].reshape(-1, sets.cols[s])
+            table = table if whole else table[:, take]
+            return table if np.ndim(basisfn) else table.reshape(-1)
 
-        def sides(mask):
-            f, s = np.nonzero(mask)
-            return np.column_stack([els[f], s])
+        self.ctilde = columns(sets.ctilde, sets.ctilde_off)
+        self._side_class = sets.side_class[rows]
+        edges = slice(*sets.edge_off[s:s + 2])
+        self.constrained_edges, self._omega = sets.edges[edges], sets.omega[edges]
+        self._entry_cols = sets.entry_cols[len(_ST_ROW) * edges.start:len(_ST_ROW) * edges.stop]
+        pins = slice(*sets.pin_off[s:s + 2])
+        self.pinned, self.pin_rows, self._keep = (
+            sets.pinned[pins], sets.pin_rows[pins], sets.keep[pins])
+        self._pin_rhs = columns(sets.pin_rhs, sets.pin_rhs_off)
 
-        self.constrained_edges = np.unique(t.side_edges[mine][inside])
-        self.frozen_sides = sides((across >= 0) & ~inside)
-        self.pinned_sides = sides(across == t.TRANSITION)
-        self.boundary_sides = sides(across == t.BOUNDARY)
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        return self.slot_nodes[:, _FAIR_A].ravel()
 
-        # Pins: two coefficient layers per side, the trace row alone on
-        # domain-boundary sides.  Frozen (zero) pins come first so shared
-        # corner slots obey the stronger support-boundary condition; each
-        # unknown is pinned once, by its first side.
-        pins = np.concatenate([
-            self.slot_nodes[np.searchsorted(self.elements, sides[:, 0])[:, None],
-                            _SIDE_SLOTS[sides[:, 1], :width]].ravel()
-            for _, sides, width in self._pin_sides()])
-        keep = np.sort(np.unique(pins, return_index=True)[1])
-        pinned = pins[keep]
-        pin_rhs = self.ctilde[pinned]
-        pin_rhs[keep < (2 * P + 2) * len(self.frozen_sides)] = 0.0
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return self.slot_nodes[:, _FAIR_B].ravel()
 
-        # Edge rows from the stencil table, each edge glued at its v1
-        edges = self.constrained_edges
-        between, *glued = t.glued
-        faces, rots, omega = (a[np.searchsorted(between, edges)] for a in glued)
-        w1, w2 = omega[:, :1], omega[:, 1:]
-        side_rows = np.searchsorted(els, faces)[:, _ST_SIDE]
-        cols = self.slot_nodes[side_rows,
-                               _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
-        n_edge_rows = 7 * edges.size
-        self.G = G = np.zeros((n_edge_rows + pinned.size, self.n))
-        # unbuffered, in entry order: repeated slots of a row sum as listed
-        np.add.at(G, (7 * np.arange(edges.size)[:, None] + _ST_ROW, cols),
-                  _ST_C0 + _ST_W1 * w1 + _ST_W2 * w2)
-        G[n_edge_rows + np.arange(pinned.size), pinned] = 1.0
-        self.g = np.concatenate([np.zeros((n_edge_rows,) + pin_rhs.shape[1:]),
-                                 pin_rhs])
-        order = pinned.argsort()
-        self.pinned, self.pin_rows = pinned[order], n_edge_rows + order
-        self._keep = keep
+    @functools.cached_property
+    def f(self) -> np.ndarray:
+        return self.ctilde[self.a] - self.ctilde[self.b]
 
-        self.a = self.slot_nodes[:, _FAIR_A].ravel()
-        self.b = self.slot_nodes[:, _FAIR_B].ravel()
-        self.f = self.ctilde[self.a] - self.ctilde[self.b]
+    def _sides(self, kind) -> np.ndarray:
+        f, side = np.nonzero(self._side_class == kind)
+        return np.column_stack([self.elements[f], side])
+
+    @functools.cached_property
+    def frozen_sides(self) -> np.ndarray:
+        return self._sides(SolveSets.FROZEN)
+
+    @functools.cached_property
+    def pinned_sides(self) -> np.ndarray:
+        return self._sides(SolveSets.PINNED)
+
+    @functools.cached_property
+    def boundary_sides(self) -> np.ndarray:
+        return self._sides(SolveSets.TRACE)
 
     # -- the system as solve_constrained_ls reads it ---------------------
+
+    @functools.cached_property
+    def G(self) -> np.ndarray:
+        edges, omega = self.constrained_edges.size, self._omega
+        shape = (7 * edges + self.pinned.size, self.n)
+        at = (7 * np.arange(edges)[:, None] + _ST_ROW) * self.n \
+            + self._entry_cols.reshape(edges, len(_ST_ROW))
+        # summed from +0.0 in entry order, as an unbuffered np.add.at into
+        # zeros sums: repeated slots of a row add as listed (with no entry,
+        # bincount gives integer zeros)
+        values = _ST_C0 + _ST_W1 * omega[:, :1] + _ST_W2 * omega[:, 1:]
+        G = np.bincount(at.ravel(), values.ravel(), minlength=shape[0] * shape[1]).astype(
+            float, copy=False).reshape(shape)
+        G[self.pin_rows, self.pinned] = 1.0
+        return G
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return np.concatenate([np.zeros((7 * self.constrained_edges.size,)
+                                        + self._pin_rhs.shape[1:]), self._pin_rhs])
 
     @functools.cached_property
     def F(self) -> np.ndarray:
@@ -564,15 +795,20 @@ class ConstraintProblem:
         function) when built from a sequence of ids; ``rows`` are its
         (len(elements), 36) coefficients, laid out as ``slot_nodes``."""
         c, infos = solve_constrained_ls(self, return_info=True)
-        infos = infos if self.ctilde.ndim > 1 else [infos]
-        for a, support, diag in zip(self.functions, self.supports, infos):
-            diag.update(basis=a, n_unknowns=self.n,
-                        n_constrained_edges=len(self.constrained_edges),
-                        n_pinned_sides=len(self.pinned_sides),
-                        support_before=int(support.sum()),
-                        support_after=len(self.elements))
+        infos = self.annotate(infos if self.ctilde.ndim > 1 else [infos])
         out = list(zip(np.moveaxis(c.reshape(self.n, -1)[self.slot_nodes], -1, 0), infos))
         return out if self.ctilde.ndim > 1 else out[0]
+
+    def annotate(self, infos):
+        """The solve's info dicts, one per function, with the fields of
+        each function added: its id, support sizes and problem sizes."""
+        pinned_sides = int(np.count_nonzero(self._side_class == SolveSets.PINNED))
+        for a, support, diag in zip(self.functions, self.supports.sum(axis=1).tolist(), infos):
+            diag.update(basis=a, n_unknowns=self.n,
+                        n_constrained_edges=len(self.constrained_edges),
+                        n_pinned_sides=pinned_sides, support_before=support,
+                        support_after=len(self.elements))
+        return infos
 
 
 @functools.cache
@@ -687,13 +923,16 @@ def solve_constrained_ls(system: ConstraintSystem | ConstraintProblem,
     Gr = G[rest]
     Gf = Gr[:, free]
     live = Gf.any(axis=1)  # rows on pinned unknowns only: checked below
-    with _blas_threads(int(live.sum()) * Gf.shape[1]):
+    if not live.all():
+        Gf = Gf[live]  # the SVD's input, the only copy alive
+    with _blas_threads(Gf.size):
         c = np.zeros((G.shape[1], f.shape[1]))
         c[pinned] = g[pin_rows] / G[pin_rows, pinned][:, None]
         gr = g[rest] - Gr @ c
-        U, s, Vt = np.linalg.svd(Gf[live], full_matrices=True)
+        U, s, Vt = np.linalg.svd(Gf, full_matrices=True)
         rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         c[free] = Vt[:rank].T @ ((U[:, :rank].T @ gr[live]) / s[:rank, None])
+        del Gf, U  # before the fairing block, where the solve peaks
         scale = np.maximum(1.0, np.abs(g).max(axis=0, initial=0.0))
         eq_residual = np.abs(G @ c - g)
         bad = eq_residual > EQ_TOL * scale
@@ -745,10 +984,80 @@ def elevate_irregular(c0: GSplineSurface):
     """Degree-elevated bi-quintic coefficients of every basis function on
     every irregular element it supports: dict (basis, element) -> (6, 6),
     element by element in extraction-row order."""
-    tables = build_tables(c0, [], "g1r")  # no function tables needed
+    tables = _shared_tables(c0, [], "g1r")  # no function tables needed
     at, basis, elevated = tables.rows
     grids = elevated.reshape(-1, P + 1, P + 1).swapaxes(1, 2)
     return dict(zip(zip(basis.tolist(), tables.faces[at].tolist()), grids))
+
+
+def _chunks(tables: BuildTables, by_set: np.ndarray, member_off: np.ndarray):
+    """Runs of consecutive solve sets, each set up in one pass of about
+    ``SET_UP_VALUES`` values (a set's estimate: its elements times 128 +
+    40 per function), and at least one set."""
+    cols = np.diff(member_off)
+    size = tables.solved[by_set[member_off[:-1]]].sum(axis=1) * (128 + 40 * cols)
+    run = (np.cumsum(size) - size) // SET_UP_VALUES  # where each set starts
+    bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), cols.size]
+    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _solve_all(c0: GSplineSurface, functions: np.ndarray, variant: str):
+    """The irregular faces, the ``solved`` table and the (rows, 36) rows
+    and diagnostics of ``build_g1``'s solves: one solve, a column per
+    function, per distinct solve set, in the order of each set's first
+    function.  Row slot[a, j] is function a on face j, face by face, so
+    the rows are those of the rational group in order.
+
+    The sets are set up a chunk at a time (``_chunks``).  A set whose
+    system is bitwise that of an earlier set (``SolveSets.systems``,
+    numbered by ``distinct.segments``) takes that set's rows and solver
+    info, and only its own per-function fields.  A set first in its chunk
+    whose digest an earlier chunk solved is compared bitwise with the sets
+    solved with that digest, all set up again in one pass."""
+    shared = _shared_tables(c0, functions, variant)
+    faces, (at, basis, _), solved = shared.faces, shared.rows, shared.solved
+    extra = ~np.isin(basis, functions)
+    if extra.any():
+        j = at[extra.argmax()]  # the lowest such element
+        raise InternalError(
+            f"regular basis functions {np.unique(basis[extra & (at == j)]).tolist()}"
+            f" supported on irregular element {faces[j]}")
+
+    face_of, fn = np.nonzero(solved.T)
+    slot = np.zeros(solved.shape, dtype=np.int64)
+    slot[fn, face_of] = np.arange(fn.size)
+    coeffs = np.zeros((fn.size, (P + 1) ** 2))
+    diagnostics = np.empty(functions.size, dtype=object)
+    by_set = np.argsort(shared.set_of, kind="stable")
+    member_off = _offsets(np.bincount(shared.set_of))
+    solved_keys = {}  # digest -> the sets solved with it
+    for ids in _chunks(shared, by_set, member_off):
+        tables = shared.set_up(ids)
+        number, first, keys = segments(tables.sets.systems())
+        twins = ids[first[number]]
+        ask = [i for i, k in enumerate(keys.tolist()) if twins[i] == ids[i] and k in solved_keys]
+        if ask:
+            earlier = [s for k in keys[ask].tolist() for s in solved_keys[k]]
+            both = shared.set_up(np.union1d(earlier, ids[ask])).sets
+            number, first, _ = segments(both.systems())
+            twins[ask] = both.ids[first[number]][np.searchsorted(both.ids, ids[ask])]
+            del both  # before the chunk's solves
+        for s, twin, key in zip(ids.tolist(), twins.tolist(), keys.tolist()):
+            members = by_set[member_off[s]:member_off[s + 1]]
+            here = slot[members][:, solved[members[0]]]
+            # unbound, so each problem and its G are freed before the next
+            if twin == s:
+                rows, diagnostics[members] = zip(
+                    *ConstraintProblem(c0, functions[members], variant, tables).solve())
+                coeffs[here] = rows
+                solved_keys.setdefault(key, []).append(s)
+                continue
+            held = by_set[member_off[twin]:member_off[twin + 1]]
+            coeffs[here] = coeffs[slot[held][:, solved[held[0]]]]
+            diagnostics[members] = ConstraintProblem(
+                c0, functions[members], variant, tables).annotate(
+                    [dict(d) for d in diagnostics[held]])
+    return faces, solved, coeffs, diagnostics
 
 
 def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
@@ -763,31 +1072,8 @@ def build_g1(c0: GSplineSurface, variant: str) -> GSplineSurface:
     if variant not in ("g1p", "g1r"):
         raise DomainError(f"unknown construction variant {variant!r}")
     functions = np.array(sorted(irregular_basis_vertices(c0.cnet)), dtype=np.int64)
-    tables = build_tables(c0, functions, variant)
-    faces, (at, basis, _), solved = tables.faces, tables.rows, tables.solved
-    extra = ~np.isin(basis, functions)
-    if extra.any():
-        j = at[extra.argmax()]  # the lowest such element
-        raise InternalError(
-            f"regular basis functions {np.unique(basis[extra & (at == j)]).tolist()}"
-            f" supported on irregular element {faces[j]}")
-
-    # One solve, a column per function, per distinct solve set, in the order
-    # of each set's first function; row slot[a, j] is function a on face j,
-    # face by face, so the rows are those of the rational group in order.
-    sets = solved.view(f"V{solved.shape[1]}").ravel()  # each row as one bytes key
-    _, first, group = np.unique(sets, return_index=True, return_inverse=True)
-    face_of, fn = np.nonzero(solved.T)
-    slot = np.zeros(solved.shape, dtype=np.int64)
-    slot[fn, face_of] = np.arange(fn.size)
-    coeffs = np.zeros((fn.size, (P + 1) ** 2))
-    diagnostics = np.empty(functions.size, dtype=object)
-    for g in np.argsort(first):
-        members = np.flatnonzero(group == g)
-        # unbound, so each problem's G is freed before the next is built
-        rows, diagnostics[members] = zip(
-            *ConstraintProblem(c0, functions[members], variant, tables).solve())
-        coeffs[slot[members][:, solved[members[0]]]] = rows
+    faces, solved, coeffs, diagnostics = _solve_all(c0, functions, variant)
+    fn = np.nonzero(solved.T)[1]
 
     # The groups, laid out once the solves are done: the other faces keep
     # their C0 rows, copied ``COPY_ROWS`` at a time.

@@ -80,6 +80,13 @@ def _group_geometry(surface, g, pts, checks=()):
     (E, m).  Raises for the first element with a nonpositive rational
     denominator, a singular Jacobian or a failed later check, in that order.
     """
+    N, gp, adet, P = _group_jacobians(surface, g, pts, checks)
+    return N, gp, _basis_sum(N, P), adet
+
+
+def _group_jacobians(surface, g, pts, checks=()):
+    """``_group_geometry`` without the points: values, physical gradients,
+    |det J| and the planar control points (E, n, 2) of each element."""
     N, dN, bad_w = group_table(g, pts, order=1)
     P = surface.net.positions[g.basis][..., :2]
     J = _basis_sum(dN, P)  # J[e, m, d, a] = dx_d / dxi_a
@@ -96,7 +103,7 @@ def _group_geometry(surface, g, pts, checks=()):
     # d at a time, so every product writes contiguous (E, n, m) rows
     gp = np.stack([0.0 + dN[..., 0] * inv[:, None, :, 0, d] + dN[..., 1] * inv[:, None, :, 1, d]
                    for d in (0, 1)], axis=-1)
-    return N, gp, _basis_sum(N, P), np.abs(det)
+    return N, gp, np.abs(det), P
 
 
 def _basis_sum(T, P):
@@ -186,15 +193,21 @@ def assemble_poisson(surface: GSplineSurface, source=default_source,
                      with_mass: bool = False) -> GalerkinSystem:
     """Stiffness matrix and load vector of the Poisson model problem: K,
     and M with ``with_mass``, from one ``assemble_pattern`` call, so they
-    share its pattern arrays; each block adds its fe into the load."""
+    share its pattern arrays; each block adds its fe into the load.  With
+    ``source`` None there is no load: it stays zero, and the mapped
+    quadrature points are not evaluated."""
     load = np.zeros(surface.cnet.n_vertices)
 
     def element_matrices(g):  # each element's Ke (and Me); its fe into the load
         rule = gauss_legendre_2d(g.degree + 1)
-        N, gp, x, adet = _group_geometry(surface, g, rule.points)
+        if source is None:
+            N, gp, adet, _ = _group_jacobians(surface, g, rule.points)
+        else:
+            N, gp, x, adet = _group_geometry(surface, g, rule.points)
         w = rule.weights * adet
-        fe = np.einsum("enm,em->en", N, w * source(x[..., 0], x[..., 1]))
-        np.add.at(load, g.basis[g.mask], fe[g.mask])
+        if source is not None:
+            fe = np.einsum("enm,em->en", N, w * source(x[..., 0], x[..., 1]))
+            np.add.at(load, g.basis[g.mask], fe[g.mask])
         Ke = np.einsum("enmd,ekmd,em->enk", gp, gp, w, optimize=True)
         if not with_mass:
             return (Ke,)
@@ -372,10 +385,11 @@ def convergence_study(net0, variant: str, levels: int) -> ConvergenceReport:
 
 def assemble_membrane_eigen(surface: GSplineSurface,
                             mass_kind: str = "consistent") -> GalerkinSystem:
-    """Stiffness and mass matrices of the Dirichlet membrane problem."""
+    """Stiffness and mass matrices of the Dirichlet membrane problem; its
+    ``load`` is zero."""
     if mass_kind not in ("consistent", "lumped"):
         raise DomainError(f"unknown mass kind {mass_kind!r}")
-    system = assemble_poisson(surface, with_mass=True)
+    system = assemble_poisson(surface, source=None, with_mass=True)
     if mass_kind == "lumped":
         import scipy.sparse as sp
 

@@ -277,6 +277,27 @@ class TestEigen:
         with pytest.raises(LumpingError, match="nonpositive mass entry"):
             assemble_membrane_eigen(surface, "lumped")
 
+    @pytest.mark.parametrize("variant", ["g1p", "g1r"])
+    def test_membrane_assembly_has_no_load(self, variant, monkeypatch):
+        """K and M bitwise those of the Poisson assembly with the mass; the
+        load is zero, and neither the source nor the mapped points are
+        evaluated."""
+        surf = rot44_case(2, variant)
+        ref = assemble_poisson(surf, with_mass=True)
+        assert ref.load.any()
+
+        def source(x, y):
+            raise AssertionError("the eigen assembly evaluated a source")
+
+        monkeypatch.setattr(assemble_poisson, "__defaults__", (source, False))
+        monkeypatch.setattr(solve, "_group_geometry", None)
+        system = assemble_membrane_eigen(surf, "consistent")
+        assert not system.load.any() and system.load.shape == ref.load.shape
+        for ours, theirs in ((system.K, ref.K), (system.M, ref.M)):
+            assert same_bits(ours.indptr, theirs.indptr)
+            assert same_bits(ours.indices, theirs.indices)
+            assert same_bits(ours.data, theirs.data)
+
     def test_unknown_mass_kind_is_a_domain_error(self):
         with pytest.raises(DomainError, match="unknown mass kind 'diagonal'"):
             assemble_membrane_eigen(build_c0(netgen.structured(2, 2)), "diagonal")
