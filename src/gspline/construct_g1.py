@@ -34,12 +34,12 @@ its solve set (a distinct row); the slot keys of every irregular face
 and the face across each of its sides; and ``glued_sides`` of every edge
 between two irregular faces.
 
-The set-up of the solve sets is one array pass over many sets at once
-(``BuildTables.set_up``, giving ``SolveSets``): each set's unknown
-numbering (first appearance of its slot keys), its elevated targets
-ctilde with the shared-node check, its side classes, its pins (first
-side pins, frozen sides first) and the columns of the stencil entries
-of its edges, as flat arrays cut by per-set offsets.  A
+The set-up of the solve sets is one array pass over every set of the
+build at once (``BuildTables.sets``, a ``SolveSets``): each set's
+unknown numbering (first appearance of its slot keys), its elevated
+targets ctilde with the shared-node check, its side classes, its pins
+(first side pins, frozen sides first) and the columns of the stencil
+entries of its edges, as flat arrays cut by per-set offsets.  A
 ``ConstraintProblem`` slices its set of these (a standalone one sets up
 the sets of its own functions) and makes its dense G and g when it is
 solved: the seven rows of each constrained edge from one stencil table
@@ -57,13 +57,9 @@ have the same system: 72 of the 165 of rot44 g1r at levels 0-4.
 (``distinct.segments``, the scheme of the archive's block table).  Each
 distinct system is solved once; a repeat takes the rows and the solver
 info of its first set, and only its per-function fields are its own.
-The set-up runs a chunk of about ``SET_UP_VALUES`` values at a time, so
-a build on an EP-dense net holds no more than one chunk of it; a set
-that repeats a set of an earlier chunk is confirmed by setting up both
-again in one pass.  (One pass over all 113 sets of an EP-dense g1r net
-of 96 faces holds 2 MB of set-up through every solve, and its
-tracemalloc peak is 10.3 MB, in its digest; four chunks peak at 8.1 MB,
-under the 8.6 MB of setting up one problem at a time.)
+The build holds the set-up of all its sets through its solves, one
+dense system at a time: about 2 MB for the 113 sets of an EP-dense g1r
+net of 96 faces, whose ``build_g1`` tracemalloc peak is 10.3 MB.
 
 ``solve_constrained_ls`` fixes the pinned unknowns first, takes the rank
 of the other rows over the free unknowns from an SVD, and solves the
@@ -90,7 +86,7 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +111,6 @@ EQ_TOL = 1e-9
 ONE_THREAD_ENTRIES = 2**18
 
 COPY_ROWS = 2**8  # C0 rows that build_g1 copies into its cubic group at a time
-# about the 8-byte values of one pass of build_g1's set-up, a chunk of its
-# solve sets
-SET_UP_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -315,12 +308,11 @@ def _c0_rows(c0: GSplineSurface, faces: np.ndarray):
 
 @dataclass(frozen=True)
 class SolveSets:
-    """The set-up of the solve sets ``ids`` of one build, made in one array
-    pass by ``BuildTables.set_up``: flat arrays cut into one segment per
-    set by ``*_off`` bounds, which a ``ConstraintProblem`` slices.
+    """The set-up of every solve set of one build, made in one array pass
+    (``_set_up``): flat arrays cut by ``*_off`` bounds into one segment per
+    set, numbered as ``BuildTables.set_of``, which a problem slices.
 
-    Per function of the tables: ``local``, the index in ``ids`` of its set
-    (-1 if not covered); ``column``, its column in that set; and
+    Per function of the tables: ``column``, its column in its set; and
     ``bad_slot``, the first of its set's slots (element by element) whose
     elevated value disagrees with the value of its unknown, or -1.  Per
     set: ``cols`` and the unknown count ``n``.  Per element of a set
@@ -337,8 +329,6 @@ class SolveSets:
 
     FROZEN, PINNED, TRACE, COUPLED = range(4)
 
-    ids: np.ndarray
-    local: np.ndarray
     column: np.ndarray
     bad_slot: np.ndarray
     cols: np.ndarray
@@ -395,7 +385,8 @@ class BuildTables:
     it, ``TRANSITION`` across any other face and ``BOUNDARY`` on the
     domain boundary.  ``glued`` is (edges, faces, rots, omega): every edge
     between two irregular faces, ascending, and its ``glued_sides`` rows.
-    ``sets`` is the set-up of some solve sets (``set_up``).
+    ``sets`` is the set-up of every solve set, made in one pass when first
+    read.
     """
 
     TRANSITION = -1
@@ -412,12 +403,10 @@ class BuildTables:
     side_edges: np.ndarray
     across: np.ndarray
     glued: tuple
-    sets: SolveSets | None = None
 
-    def set_up(self, ids) -> BuildTables:
-        """These tables with ``sets`` the set-up of the solve sets ``ids``
-        (ascending), made in one pass (``_set_up``)."""
-        return replace(self, sets=_set_up(self, np.asarray(ids, dtype=np.int64)))
+    @functools.cached_property
+    def sets(self) -> SolveSets:
+        return _set_up(self)
 
 
 def _offsets(counts) -> np.ndarray:
@@ -427,15 +416,9 @@ def _offsets(counts) -> np.ndarray:
 
 def build_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
     """The ``BuildTables`` of the basis ``functions`` of ``c0`` in
-    ``variant``, set up for all their solve sets: one ``_c0_rows``, one
-    ``slot_keys``, one ``degree_elevate_2`` and one ``glued_sides`` call,
-    and one pass over the sets."""
-    tables = _shared_tables(c0, functions, variant)
-    return tables.set_up(np.arange(tables.set_of.max(initial=-1) + 1))
-
-
-def _shared_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
-    """``build_tables`` without the set-up of its sets."""
+    ``variant``: one ``_c0_rows``, one ``slot_keys``, one
+    ``degree_elevate_2`` and one ``glued_sides`` call, and one pass over
+    the sets when they are first read."""
     cnet = c0.cnet
     faces, cluster = analyze_net(cnet)
     element, basis_at, coeffs = _c0_rows(c0, faces)
@@ -470,8 +453,8 @@ def _shared_tables(c0: GSplineSurface, functions, variant: str) -> BuildTables:
         (between, *glued_sides(cnet, between)))
 
 
-def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
-    """``SolveSets`` of the solve sets ``ids`` of the tables ``t``.
+def _set_up(t: BuildTables) -> SolveSets:
+    """``SolveSets`` of every solve set of the tables ``t``.
 
     Each step runs over all the sets at once, set by set in its arrays,
     and gives each set what a problem set up alone would: its unknowns
@@ -482,20 +465,18 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     boundary sides, in that order, each unknown pinned by its first side;
     and the entries of the stencil rows of its edges.
     """
-    n_faces, slots = t.faces.size, (P + 1) ** 2
+    n_faces, slots, set_of = t.faces.size, (P + 1) ** 2, t.set_of
     # the functions of the sets, set by set, ascending
-    local = np.where(np.isin(t.set_of, ids), np.searchsorted(ids, t.set_of), -1)
-    covered = np.flatnonzero(local >= 0)
-    members = covered[np.argsort(local[covered], kind="stable")]
-    cols = np.bincount(local[covered], minlength=ids.size)
-    column = np.full(t.set_of.size, -1)
+    members = np.argsort(set_of, kind="stable")
+    cols = np.bincount(set_of)  # the sets are numbered 0, 1, ...
+    column = np.empty_like(members)
     column[members] = np.arange(members.size) - np.repeat(_offsets(cols)[:-1], cols)
     in_set = t.solved[members[_offsets(cols)[:-1]]]
 
     # elements (set by set, faces ascending) and their unknowns, numbered
     # here across all the sets, set by set
     el_set, el = np.nonzero(in_set)
-    element_off = _offsets(np.bincount(el_set, minlength=ids.size))
+    element_off = _offsets(np.bincount(el_set, minlength=cols.size))
     where = el_set * n_faces + el  # ascending: finds an element of a set
     span = int(t.keys.max(initial=0)) + 1
     _, first, inverse = np.unique((el_set[:, None] * span + t.keys[el]).ravel(),
@@ -505,7 +486,7 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     node = rank[inverse.ravel()].reshape(-1, slots)
     first = np.sort(first)  # the first slot of each unknown
     node_set = el_set[first // slots]
-    n = np.bincount(node_set, minlength=ids.size)
+    n = np.bincount(node_set, minlength=cols.size)
     node_off = _offsets(n)
 
     # elevated values, element by element, slot by slot, a column per
@@ -515,12 +496,11 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     value_at = _offsets(slots * el_cols)
     hit = np.flatnonzero(np.isin(basis, t.functions, kind="sort"))
     fn = np.searchsorted(t.functions, basis[hit])
-    mine = local[fn] >= 0
-    mine[mine] = in_set[local[fn[mine]], at[hit[mine]]]
+    mine = in_set[set_of[fn], at[hit]]
     hit, fn = hit[mine], fn[mine]
     _, pair = np.unique(fn * n_faces + at[hit], return_index=True)
     hit, fn = hit[pair], fn[pair]
-    e = np.searchsorted(where, local[fn] * n_faces + at[hit])
+    e = np.searchsorted(where, set_of[fn] * n_faces + at[hit])
     values = np.zeros(value_at[-1])
     values[value_at[e, None] + np.arange(slots) * el_cols[e, None]
            + column[fn, None]] = elevated[hit]
@@ -532,7 +512,7 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
                          > 1e-9)
     slot = np.searchsorted(_offsets(slot_cols), bad, side="right") - 1
     s = el_set[slot // slots]
-    bad_slot = np.full(t.set_of.size, np.iinfo(np.int64).max)
+    bad_slot = np.full(set_of.size, np.iinfo(np.int64).max)
     np.minimum.at(bad_slot, members[_offsets(cols)[s] + bad - _offsets(slot_cols)[slot]],
                   slot - slots * element_off[s])
     bad_slot[bad_slot == np.iinfo(np.int64).max] = -1
@@ -557,7 +537,7 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     span = int(t.side_edges.max(initial=0)) + 1
     e_set, edges = np.divmod(np.unique((el_set[:, None] * span + t.side_edges[el])[inside]),
                              span)
-    edge_off = _offsets(np.bincount(e_set, minlength=ids.size))
+    edge_off = _offsets(np.bincount(e_set, minlength=cols.size))
 
     # Pins: two coefficient layers per side, the trace row alone on
     # domain-boundary sides.  Frozen (zero) pins come first so shared
@@ -572,9 +552,9 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     pin_set = np.repeat(el_set[side // 4], width)
     head = np.sort(np.unique(pins, return_index=True)[1])  # pin rows, set by set
     pinned, p_set = pins[head], pin_set[head]
-    pin_off = _offsets(np.bincount(p_set, minlength=ids.size))
-    keep = head - _offsets(np.bincount(pin_set, minlength=ids.size))[p_set]
-    frozen = np.bincount(el_set[side // 4][kind[side] == SolveSets.FROZEN], minlength=ids.size)
+    pin_off = _offsets(np.bincount(p_set, minlength=cols.size))
+    keep = head - _offsets(np.bincount(pin_set, minlength=cols.size))[p_set]
+    frozen = np.bincount(el_set[side // 4][kind[side] == SolveSets.FROZEN], minlength=cols.size)
     pin_rhs = ctilde[ranges(ctilde_at[pinned], cols[p_set])]
     pin_rhs[np.repeat(keep < (2 * P + 2) * frozen[p_set], cols[p_set])] = 0.0
     order = np.argsort(pinned)  # stays in each set: the numbers run set by set
@@ -587,7 +567,7 @@ def _set_up(t: BuildTables, ids: np.ndarray) -> SolveSets:
     entry_cols = (node[ends[:, _ST_SIDE], _ROT_SLOT[rots[:, _ST_SIDE], _ST_I, _ST_J]]
                   - node_off[e_set, None])
     return SolveSets(
-        ids, local, column, bad_slot, cols, n, element_off, el,
+        column, bad_slot, cols, n, element_off, el,
         node - node_off[el_set, None], side_class, ctilde, _offsets(n * cols), edges,
         edge_off, entry_cols.ravel(), omega, pinned[order] - node_off[p_set], pin_rows,
         keep, pin_off, pin_rhs, _offsets(np.diff(pin_off) * cols))
@@ -643,18 +623,13 @@ class ConstraintProblem:
             raise DomainError(f"the build tables do not hold {variant} "
                               f"basis functions {self.functions}")
         self.supports = t.support[held]
-        one_set = (t.set_of[held] == t.set_of[held[:1]]).all()
-        if one_set and not t.solved[held[:1]].any():
-            raise DomainError(f"basis functions {self.functions} support no irregular element")
-        if not one_set:
+        if not (t.set_of[held] == t.set_of[held[:1]]).all():
             raise DomainError(f"basis functions {self.functions} are solved over "
                               "different element sets")
+        if not t.solved[held[:1]].any():
+            raise DomainError(f"basis functions {self.functions} support no irregular element")
 
-        sets = t.sets
-        s = -1 if sets is None else sets.local[held[0]]
-        if s < 0:
-            raise DomainError(f"the build tables do not hold the set-up of {variant} "
-                              f"basis functions {self.functions}")
+        sets, s = t.sets, t.set_of[held[0]]
         rows = slice(*sets.element_off[s:s + 2])
         self.elements = els = t.faces[sets.elements[rows]]
         bad = sets.bad_slot[held]
@@ -984,21 +959,10 @@ def elevate_irregular(c0: GSplineSurface):
     """Degree-elevated bi-quintic coefficients of every basis function on
     every irregular element it supports: dict (basis, element) -> (6, 6),
     element by element in extraction-row order."""
-    tables = _shared_tables(c0, [], "g1r")  # no function tables needed
+    tables = build_tables(c0, [], "g1r")  # no function tables needed
     at, basis, elevated = tables.rows
     grids = elevated.reshape(-1, P + 1, P + 1).swapaxes(1, 2)
     return dict(zip(zip(basis.tolist(), tables.faces[at].tolist()), grids))
-
-
-def _chunks(tables: BuildTables, by_set: np.ndarray, member_off: np.ndarray):
-    """Runs of consecutive solve sets, each set up in one pass of about
-    ``SET_UP_VALUES`` values (a set's estimate: its elements times 128 +
-    40 per function), and at least one set."""
-    cols = np.diff(member_off)
-    size = tables.solved[by_set[member_off[:-1]]].sum(axis=1) * (128 + 40 * cols)
-    run = (np.cumsum(size) - size) // SET_UP_VALUES  # where each set starts
-    bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), cols.size]
-    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _solve_all(c0: GSplineSurface, functions: np.ndarray, variant: str):
@@ -1008,14 +972,12 @@ def _solve_all(c0: GSplineSurface, functions: np.ndarray, variant: str):
     function.  Row slot[a, j] is function a on face j, face by face, so
     the rows are those of the rational group in order.
 
-    The sets are set up a chunk at a time (``_chunks``).  A set whose
+    Every set is set up in one pass (``BuildTables.sets``).  A set whose
     system is bitwise that of an earlier set (``SolveSets.systems``,
     numbered by ``distinct.segments``) takes that set's rows and solver
-    info, and only its own per-function fields.  A set first in its chunk
-    whose digest an earlier chunk solved is compared bitwise with the sets
-    solved with that digest, all set up again in one pass."""
-    shared = _shared_tables(c0, functions, variant)
-    faces, (at, basis, _), solved = shared.faces, shared.rows, shared.solved
+    info, and only its own per-function fields."""
+    tables = build_tables(c0, functions, variant)
+    faces, (at, basis, _), solved = tables.faces, tables.rows, tables.solved
     extra = ~np.isin(basis, functions)
     if extra.any():
         j = at[extra.argmax()]  # the lowest such element
@@ -1028,35 +990,23 @@ def _solve_all(c0: GSplineSurface, functions: np.ndarray, variant: str):
     slot[fn, face_of] = np.arange(fn.size)
     coeffs = np.zeros((fn.size, (P + 1) ** 2))
     diagnostics = np.empty(functions.size, dtype=object)
-    by_set = np.argsort(shared.set_of, kind="stable")
-    member_off = _offsets(np.bincount(shared.set_of))
-    solved_keys = {}  # digest -> the sets solved with it
-    for ids in _chunks(shared, by_set, member_off):
-        tables = shared.set_up(ids)
-        number, first, keys = segments(tables.sets.systems())
-        twins = ids[first[number]]
-        ask = [i for i, k in enumerate(keys.tolist()) if twins[i] == ids[i] and k in solved_keys]
-        if ask:
-            earlier = [s for k in keys[ask].tolist() for s in solved_keys[k]]
-            both = shared.set_up(np.union1d(earlier, ids[ask])).sets
-            number, first, _ = segments(both.systems())
-            twins[ask] = both.ids[first[number]][np.searchsorted(both.ids, ids[ask])]
-            del both  # before the chunk's solves
-        for s, twin, key in zip(ids.tolist(), twins.tolist(), keys.tolist()):
-            members = by_set[member_off[s]:member_off[s + 1]]
-            here = slot[members][:, solved[members[0]]]
-            # unbound, so each problem and its G are freed before the next
-            if twin == s:
-                rows, diagnostics[members] = zip(
-                    *ConstraintProblem(c0, functions[members], variant, tables).solve())
-                coeffs[here] = rows
-                solved_keys.setdefault(key, []).append(s)
-                continue
-            held = by_set[member_off[twin]:member_off[twin + 1]]
-            coeffs[here] = coeffs[slot[held][:, solved[held[0]]]]
-            diagnostics[members] = ConstraintProblem(
-                c0, functions[members], variant, tables).annotate(
-                    [dict(d) for d in diagnostics[held]])
+    by_set = np.argsort(tables.set_of, kind="stable")
+    member_off = _offsets(np.bincount(tables.set_of))
+    number, first = segments(tables.sets.systems())
+    for s, twin in enumerate(first[number].tolist()):
+        members = by_set[member_off[s]:member_off[s + 1]]
+        here = slot[members][:, solved[members[0]]]
+        # unbound, so each problem and its G are freed before the next
+        if twin == s:
+            rows, diagnostics[members] = zip(
+                *ConstraintProblem(c0, functions[members], variant, tables).solve())
+            coeffs[here] = rows
+            continue
+        held = by_set[member_off[twin]:member_off[twin + 1]]
+        coeffs[here] = coeffs[slot[held][:, solved[held[0]]]]
+        diagnostics[members] = ConstraintProblem(
+            c0, functions[members], variant, tables).annotate(
+                [dict(d) for d in diagnostics[held]])
     return faces, solved, coeffs, diagnostics
 
 

@@ -56,12 +56,12 @@ def ranges(starts, counts) -> np.ndarray:
             + np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts, counts))
 
 
-def segments(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``first_use`` of items whose content is one segment of each part,
-    and the items' digests.  ``parts`` are ``(values, offsets)`` pairs: a
-    flat array of 8-byte values and the k + 1 bounds of its segments, one
-    per item.  Two items are equal when every part's segments have the
-    same length and the same bytes."""
+def segments(parts) -> tuple[np.ndarray, np.ndarray]:
+    """``first_use`` of items whose content is one segment of each part.
+    ``parts`` are ``(values, offsets)`` pairs: a flat array of 8-byte
+    values and the k + 1 bounds of its segments, one per item.  Two items
+    are equal when every part's segments have the same length and the
+    same bytes."""
     bits, starts, lengths = _layout(parts)
     # each value's place in its item's content, parts end to end
     ahead = np.cumsum(lengths, axis=0) - lengths
@@ -84,7 +84,7 @@ def segments(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     def content(i):
         return lengths[:, i].tobytes() + bits[ranges(starts[:, i], lengths[:, i])].tobytes()
 
-    return (*first_use(keys, agree, content), keys)
+    return first_use(keys, agree, content)
 
 
 def _layout(parts):

@@ -41,7 +41,7 @@ from .errors import (
     ResourceError,
     SingularParameterizationError,
 )
-from .extraction import SUPPORTED_DEGREES, ElementExtraction, group_table, stacked_points
+from .extraction import ElementExtraction, group_table, stacked_points
 from .mesh import CNet, ControlNet
 
 DEGENERATE_TOL = 1e-12  # relative size of |a1 x a2| below which tangents are flat
@@ -136,11 +136,10 @@ class GSplineSurface:
 
     ``variant`` is one of ``"c0"``, ``"g1p"``, ``"g1r"``.  ``groups`` is
     the stored form of the extraction operators: each element is a row of
-    the group of its (degree, rational) class.  ``padded_groups`` lays it
-    out, and ``from_rows`` fills it from rows;
-    ``select`` walks it, and ``extraction``, ``extractions`` and ``degree``
-    read one element (a DomainError for anything but an integer id in
-    0..n_faces - 1, as ``checked_id``).
+    the group of its (degree, rational) class, laid out by
+    ``padded_groups``; ``select`` walks it, and ``extraction``,
+    ``extractions`` and ``degree`` read one element (a DomainError for
+    anything but an integer id in 0..n_faces - 1, as ``checked_id``).
     ``incidence`` gives the pattern of every per-basis-function sum.
     ``diagnostics`` lists the G1 construction's per-function records
     (None on a C0 surface).
@@ -156,35 +155,6 @@ class GSplineSurface:
             raise DomainError(f"unknown construction variant {self.variant!r}")
         if sum(len(g.elements) for g in self.groups) != self.net.cnet.n_faces:
             raise InternalError("one extraction required per element")
-
-    @classmethod
-    def from_rows(cls, net: ControlNet, variant: str, degree, rational, counts,
-                  basis: np.ndarray, coeffs: dict, diagnostics=None) -> GSplineSurface:
-        """The surface whose element e has degree ``degree[e]``, rational
-        flag ``rational[e]`` and ``counts[e]`` basis functions: ``basis``
-        lists the basis ids of all elements, element after element, and
-        ``coeffs[p]`` the coefficient rows of the degree-p elements, in the
-        same order.  ``padded_groups`` lays out the groups, which these
-        rows then fill; ``diagnostics`` is stored as given."""
-        degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
-        unsupported = degree[~np.isin(degree, SUPPORTED_DEGREES)]
-        if unsupported.size:
-            raise DomainError(f"unsupported degree {unsupported[0]}")
-        if len(basis) != counts.sum() or any(
-                np.shape(coeffs.get(p)) != (counts[degree == p].sum(), (p + 1) ** 2)
-                for p in set(degree.tolist())):
-            raise DomainError("coefficient matrix shape does not match basis list")
-        groups = padded_groups(degree, rational, counts)
-        row_kind = np.repeat(2 * degree + np.asarray(rational, dtype=bool), counts)
-        row_degree = np.repeat(degree, counts)
-        for g in groups:
-            p, rows = g.degree, row_kind == 2 * g.degree + g.rational
-            if rows.all():  # one class: every row, in element order
-                g.basis[g.mask], g.coeffs[g.mask] = basis, coeffs[p]
-            else:  # the rows of the class, in element order
-                g.basis[g.mask] = basis[rows]
-                g.coeffs[g.mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
-        return cls(net, groups, variant, diagnostics)
 
     @property
     def cnet(self) -> CNet:

@@ -2,12 +2,13 @@
 a reference.
 
 ``GSplineSurface.groups`` is the stored form of a surface's extraction
-operators, stacked once by ``GSplineSurface.from_rows``.  ``groups`` here
-is the code that stacked them from a list of ``ElementExtraction``s
-before, element by element; the stored groups must equal it bitwise.
+operators, laid out by ``evaluate.padded_groups``.  ``groups`` here is
+the code that stacked them from a list of ``ElementExtraction``s before,
+element by element; the stored groups must equal it bitwise.
+``from_rows`` fills that layout from the rows of all elements, and
 ``surface`` builds a surface from such a list (element e the e-th
-extraction) through ``from_rows``, for tests that make or edit
-extractions by hand; ``lumping_breaker`` is one such surface.
+extraction) through it, for tests that make or edit extractions by
+hand; ``lumping_breaker`` is one such surface.
 """
 
 import dataclasses
@@ -15,7 +16,9 @@ import dataclasses
 import numpy as np
 
 from gspline.construct_c0 import build_c0
-from gspline.evaluate import ElementGroup, GSplineSurface
+from gspline.errors import DomainError
+from gspline.evaluate import ElementGroup, GSplineSurface, padded_groups
+from gspline.extraction import SUPPORTED_DEGREES
 from gspline.mesh import ControlNet
 
 import netgen
@@ -39,10 +42,39 @@ def groups(exts) -> list[ElementGroup]:
     return out
 
 
+def from_rows(net: ControlNet, variant: str, degree, rational, counts,
+              basis: np.ndarray, coeffs: dict, diagnostics=None) -> GSplineSurface:
+    """The surface whose element e has degree ``degree[e]``, rational flag
+    ``rational[e]`` and ``counts[e]`` basis functions: ``basis`` lists the
+    basis ids of all elements, element after element, and ``coeffs[p]``
+    the coefficient rows of the degree-p elements, in the same order.
+    ``padded_groups`` lays out the groups, which these rows then fill;
+    ``diagnostics`` is stored as given."""
+    degree, counts = np.asarray(degree, dtype=int), np.asarray(counts, dtype=int)
+    unsupported = degree[~np.isin(degree, SUPPORTED_DEGREES)]
+    if unsupported.size:
+        raise DomainError(f"unsupported degree {unsupported[0]}")
+    if len(basis) != counts.sum() or any(
+            np.shape(coeffs.get(p)) != (counts[degree == p].sum(), (p + 1) ** 2)
+            for p in set(degree.tolist())):
+        raise DomainError("coefficient matrix shape does not match basis list")
+    groups = padded_groups(degree, rational, counts)
+    row_kind = np.repeat(2 * degree + np.asarray(rational, dtype=bool), counts)
+    row_degree = np.repeat(degree, counts)
+    for g in groups:
+        p, rows = g.degree, row_kind == 2 * g.degree + g.rational
+        if rows.all():  # one class: every row, in element order
+            g.basis[g.mask], g.coeffs[g.mask] = basis, coeffs[p]
+        else:  # the rows of the class, in element order
+            g.basis[g.mask] = basis[rows]
+            g.coeffs[g.mask] = coeffs[p][np.cumsum(row_degree == p)[rows] - 1]
+    return GSplineSurface(net, groups, variant, diagnostics)
+
+
 def surface(net, exts, variant) -> GSplineSurface:
     """The surface of ``net`` whose element e has extraction ``exts[e]``."""
     degree = [x.degree for x in exts]
-    return GSplineSurface.from_rows(
+    return from_rows(
         net, variant, degree, [x.rational for x in exts], [x.n_basis for x in exts],
         np.concatenate([x.basis for x in exts]),
         {p: np.concatenate([x.coeffs for x in exts if x.degree == p])

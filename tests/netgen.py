@@ -199,6 +199,30 @@ def bumped(net: ControlNet, amplitude: float = 0.3, center=(0.5, 0.5),
     return ControlNet(net.cnet, pos)
 
 
+def ep_dense(k: int) -> ControlNet:
+    """A k x k grid of the unit square, each cell cut into two triangles
+    along its diagonal from (i, j) to (i + 1, j + 1) and each triangle into
+    three quads at its centroid and edge midpoints, z bumped (``bumped``):
+    6 k^2 faces.  Interior grid vertices have valence 6, centroids 3, and
+    the boundary grid vertices but the corners meet three faces, so about
+    half the vertices are EPs: 30 of 67 at k = 3, 53 of 113 at k = 4."""
+    xs = np.linspace(0.0, 1.0, k + 1)
+    grid = np.column_stack([np.tile(xs, k + 1), np.repeat(xs, k + 1)])
+    v = (np.arange(k)[None, :] + (k + 1) * np.arange(k)[:, None]).ravel()
+    tris = np.stack([np.column_stack([v, v + 1, v + k + 2]),
+                     np.column_stack([v, v + k + 2, v + k + 1])], axis=1).reshape(-1, 3)
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1), axis=-1)
+    ends, side = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    mid = len(grid) + side.reshape(-1, 3)  # the midpoint of side t, from corner t
+    centre = len(grid) + len(ends) + np.arange(len(tris))
+    quads = np.stack([tris, mid, np.repeat(centre[:, None], 3, axis=1),
+                      np.roll(mid, 1, axis=1)], axis=-1).reshape(-1, 4)
+    pos = np.concatenate([grid, grid[ends].mean(axis=1), grid[tris].mean(axis=1)])
+    net = ControlNet(CNet(len(pos), quads.tolist()),
+                     np.column_stack([pos, np.zeros(len(pos))]))
+    return bumped(net)
+
+
 def continuity_suite():
     """Nets covering interior EP valences 3/5/6, a boundary EP of valence 3
     and faces carrying 2, 3 and 4 extraordinary corners."""

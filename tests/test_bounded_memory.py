@@ -485,10 +485,10 @@ class TestPaddingBound:
                     coeffs={p: np.concatenate([x.coeffs for x in surf.extractions
                                                if x.degree == p]) for p in (3, 5)})
         monkeypatch.setattr(evaluate, "PADDING_FLOOR", 0)
-        evaluate.GSplineSurface.from_rows(surf.net, "g1r", **args)  # within 8 times
+        extraction_list.from_rows(surf.net, "g1r", **args)  # within 8 times
         monkeypatch.setattr(evaluate, "MAX_PADDING", 1)
         with pytest.raises(ResourceError):
-            evaluate.GSplineSurface.from_rows(surf.net, "g1r", **args)
+            extraction_list.from_rows(surf.net, "g1r", **args)
 
 
 def traced_peak(fn, *args):

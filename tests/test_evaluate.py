@@ -17,7 +17,6 @@ from gspline.errors import (
 )
 from gspline.evaluate import (
     MAX_SAMPLES,
-    GSplineSurface,
     edge_frames,
     edge_watertightness,
     frame,
@@ -371,13 +370,13 @@ class TestStoredGroups:
         ext = build_c0(net).extraction(0)
         good = ([3, 3], [False, False], [ext.n_basis] * 2,
                 np.tile(ext.basis, 2), {3: np.tile(ext.coeffs, (2, 1))})
-        assert GSplineSurface.from_rows(net, "c0", *good).degree(1) == 3
+        assert extraction_list.from_rows(net, "c0", *good).degree(1) == 3
         with pytest.raises(DomainError, match="unsupported degree 4"):
-            GSplineSurface.from_rows(net, "c0", [3, 4], *good[1:])
+            extraction_list.from_rows(net, "c0", [3, 4], *good[1:])
         with pytest.raises(DomainError, match="does not match basis list"):
-            GSplineSurface.from_rows(net, "c0", *good[:4], {3: ext.coeffs})
+            extraction_list.from_rows(net, "c0", *good[:4], {3: ext.coeffs})
         with pytest.raises(DomainError, match="unknown construction variant"):
-            GSplineSurface.from_rows(net, "c1", *good)
+            extraction_list.from_rows(net, "c1", *good)
         with pytest.raises(InternalError, match="one extraction required"):
-            GSplineSurface.from_rows(net, "c0", *(x[:1] for x in good[:3]),
-                                     ext.basis, {3: ext.coeffs})
+            extraction_list.from_rows(net, "c0", *(x[:1] for x in good[:3]),
+                                      ext.basis, {3: ext.coeffs})

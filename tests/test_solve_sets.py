@@ -6,8 +6,7 @@ Every problem a build makes must be bitwise the loop reference
 raise what the first failing set, in set order, raises alone.  A set
 whose system is bitwise that of an earlier set takes that set's rows,
 which are bitwise its own standalone solve; sets that differ only in f
-or g are solved apart.  Neither the chunks of the set-up pass nor digest
-collisions change a build."""
+or g are solved apart.  Digest collisions change no build."""
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from gspline import construct_g1, distinct
 from gspline.construct_c0 import build_c0
 from gspline.construct_g1 import ConstraintProblem, build_g1, build_tables
-from gspline.errors import DomainError, InternalError
+from gspline.errors import InternalError
 from gspline.mesh import irregular_basis_vertices
 from gspline.refine import refine_n
 
@@ -33,6 +32,10 @@ def bitwise(a, b):
 
 
 def c0_of(name, level):
+    """The C0 surface of the net ``name`` refined ``level`` times; for
+    ``ep_dense`` the number is its k, with no refinement."""
+    if name == "ep_dense":
+        return build_c0(netgen.ep_dense(level))
     return build_c0(refine_n(getattr(netgen, name)(), level)[0])
 
 
@@ -134,18 +137,6 @@ def test_bad_tables_raise_for_the_first_failing_set(name, variant):
     assert str(mine.value) == expected
 
 
-def test_tables_without_the_set_up_of_a_set_are_a_domain_error():
-    c0 = c0_of("rot44", 0)
-    functions = sorted(irregular_basis_vertices(c0.cnet))
-    tables = build_tables(c0, functions, "g1r")
-    a = functions[-1]
-    part = tables.set_up(tables.set_of[:1])  # the first set only
-    assert tables.set_of[functions.index(a)] != tables.set_of[0]
-    with pytest.raises(DomainError, match="do not hold"):
-        ConstraintProblem(c0, a, "g1r", part)
-    ConstraintProblem(c0, functions[0], "g1r", part)
-
-
 def test_rot44_l3_solves_each_distinct_system_once(monkeypatch):
     """36 solve sets, 9 distinct systems."""
     c0 = c0_of("rot44", 3)
@@ -155,7 +146,8 @@ def test_rot44_l3_solves_each_distinct_system_once(monkeypatch):
     assert len({p.functions[0] for p in solves}) == 9
 
 
-@pytest.mark.parametrize("name, level", [("rot44", 2), ("rot44", 3), ("val333", 1)])
+@pytest.mark.parametrize("name, level", [("rot44", 2), ("rot44", 3), ("val333", 1),
+                                         ("ep_dense", 4)])
 def test_reused_rows_are_the_standalone_solve(name, level):
     """Each set's rows and diagnostics, solved or reused, are bitwise those
     of the problem of its functions set up and solved alone."""
@@ -180,7 +172,7 @@ def twin_sets(c0):
     that repeats an earlier one, and that earlier set."""
     functions = sorted(irregular_basis_vertices(c0.cnet))
     sets = build_tables(c0, functions, "g1r").sets
-    number, first, _ = distinct.segments(sets.systems())
+    number, first = distinct.segments(sets.systems())
     later = int(np.flatnonzero(first[number] != np.arange(number.size))[0])
     return int(first[number[later]]), later
 
@@ -194,14 +186,12 @@ def test_sets_with_equal_G_but_other_f_or_g_are_solved_apart(change, monkeypatch
     earlier, later = twin_sets(c0)
     set_up = construct_g1._set_up
 
-    def moved(tables, ids):
-        sets = set_up(tables, ids)
-        s = int(np.searchsorted(sets.ids, later))
-        if s < sets.ids.size and sets.ids[s] == later:
-            if change == "g":
-                sets.pin_rhs[sets.pin_rhs_off[s]] += 0.25
-            else:  # slot (2, 2) of its first element: never pinned
-                sets.ctilde[sets.ctilde_off[s] + sets.nodes[sets.element_off[s], 14]] += 0.25
+    def moved(tables):
+        sets, s = set_up(tables), later
+        if change == "g":
+            sets.pin_rhs[sets.pin_rhs_off[s]] += 0.25
+        else:  # slot (2, 2) of its first element: never pinned
+            sets.ctilde[sets.ctilde_off[s] + sets.nodes[sets.element_off[s], 14]] += 0.25
         return sets
 
     monkeypatch.setattr(construct_g1, "_set_up", moved)
@@ -217,20 +207,29 @@ def test_sets_with_equal_G_but_other_f_or_g_are_solved_apart(change, monkeypatch
 
 
 @pytest.mark.parametrize("variant", ["g1p", "g1r"])
-@pytest.mark.parametrize("name, level", [("rot44", 1), ("rot44", 3), ("cube", 2)])
-def test_chunks_and_digest_collisions_change_nothing(name, level, variant, monkeypatch):
-    """One set per set-up pass, each compared bitwise with the sets of
-    earlier passes, or one digest for every system: the same surface
+@pytest.mark.parametrize("name, level", [("rot44", 1), ("rot44", 3), ("cube", 2), ("ep_dense", 3)])
+def test_digest_collisions_change_nothing(name, level, variant, monkeypatch):
+    """One digest for every system, so each set is compared bitwise with
+    the first set of every distinct system before it: the same surface
     from the same number of solves."""
     c0 = c0_of(name, level)
     solves = counted_solves(monkeypatch)
     whole = build_g1(c0, variant)
     n_solves = len(solves)
-    monkeypatch.setattr(construct_g1, "SET_UP_VALUES", 1)
-    solves.clear()
-    same_surface(build_g1(c0, variant), whole)
-    assert len(solves) == n_solves
     monkeypatch.setattr(distinct, "weights", lambda size: np.zeros(size, dtype=np.uint64))
     solves.clear()
     same_surface(build_g1(c0, variant), whole)
     assert len(solves) == n_solves
+
+
+@pytest.mark.parametrize("k, variant, n_functions, n_sets, n_solves",
+                         [(4, "g1r", 113, 113, 78), (3, "g1p", 67, 1, 1)])
+def test_ep_dense_solves(k, variant, n_functions, n_sets, n_solves, monkeypatch):
+    """About half the vertices of the EP-dense net are EPs.  At k = 4 the
+    g1r sets have 78 distinct systems; at k = 3 g1p's clusters merge into
+    one set."""
+    c0 = c0_of("ep_dense", k)
+    made, solves = recorded(monkeypatch), counted_solves(monkeypatch)
+    surface = build_g1(c0, variant)
+    assert len(surface.diagnostics) == n_functions
+    assert len(made) == n_sets and len(solves) == n_solves
