@@ -74,15 +74,18 @@ class ElementGroup:
         return ElementGroup(self.degree, self.rational, self.elements[rows],
                             self.basis[rows], self.mask[rows], self.coeffs[rows])
 
-    def blocks(self, points: int, count: int | None = None) -> list[slice]:
+    def blocks(self, points: int, count: int | None = None,
+               entries: int | None = None) -> list[slice]:
         """Consecutive slices that cut ``count`` elements (default all of
         the group's) into the fewest blocks whose tables at ``points`` points
-        per element hold at most ``BLOCK_ENTRIES`` entries (at least one
-        element each).  The blocks differ in size by at most one element:
-        a small remainder block would take BLAS's small-matrix kernel,
-        whose sums round differently from those of one call over all."""
+        per element hold at most ``entries`` entries (default
+        ``BLOCK_ENTRIES``; at least one element each).  The blocks differ in
+        size by at most one element: a small remainder block would take
+        BLAS's small-matrix kernel, whose sums round differently from those
+        of one call over all."""
         count = len(self.elements) if count is None else count
-        k = -(-count // max(1, BLOCK_ENTRIES // (self.mask.shape[1] * points)))
+        entries = BLOCK_ENTRIES if entries is None else entries
+        k = -(-count // max(1, entries // (self.mask.shape[1] * points)))
         bounds = (np.arange(k + 1) * count // max(k, 1)).tolist()
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

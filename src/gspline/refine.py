@@ -21,6 +21,10 @@ from .errors import DomainError, InternalError, ResourceError
 from .mesh import CNet, ControlNet, boundary_neighbours, merge_rows, vertex_fans
 
 MAX_LEVELS = 8
+# Faces of a refined net.  Refining to a G1 archive peaks at about 5 KB of
+# traced memory per face of the result (rot44 refined 4-6 times, g1p and
+# g1r), so some 1.3 GB here.
+MAX_FACES = 2**18
 
 
 def _interior_vertex_mask(mu):
@@ -114,13 +118,23 @@ def row_products(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarra
     return out.T
 
 
+def check_faces(n_faces: int, levels: int) -> None:
+    """Raise a ResourceError if ``n_faces`` faces refined ``levels`` times
+    give more than ``MAX_FACES`` faces."""
+    if n_faces * 4**levels > MAX_FACES:
+        raise ResourceError(f"refining {n_faces} faces {levels} times gives "
+                            f"{n_faces * 4**levels} faces (> {MAX_FACES})")
+
+
 def refine_n(net: ControlNet, levels: int):
     """Iterated refinement; returns the final net and per-level counts.
-    Zero levels return the net unchanged."""
+    Zero levels return the net unchanged.  Too many levels or faces are a
+    ResourceError, raised before anything is refined."""
     if levels < 0:
         raise DomainError(f"refinement levels must be >= 0, got {levels}")
     if levels > MAX_LEVELS:
         raise ResourceError(f"refusing {levels} refinement levels (> {MAX_LEVELS})")
+    check_faces(net.cnet.n_faces, levels)
     stats = []
     current = net
     for _ in range(levels):

@@ -16,7 +16,10 @@ contiguous rows and in the order of ``np.einsum`` without ``optimize``, so
 they are bitwise the einsum's (``_basis_sum``).  K, M and the
 collocation Gram matrix of ``gspline check`` are summed block by block into
 one CSR pattern by ``assemble_pattern``: that of B^T B, with B the cached
-element-by-basis incidence ``GSplineSurface.incidence``.  Every sparse
+element-by-basis incidence ``GSplineSurface.incidence``.  Their element
+matrices are made a slice of a block at a time (``SLICE_ENTRIES``, a
+quarter of a block), so the assembly's memory is that of one slice, while
+the sums are still grouped per block and keep their bits.  Every sparse
 symmetric positive definite solve of them goes through ``spd_solver``: one
 SuperLU factor in symmetric mode, banded by a reverse Cuthill-McKee order.
 """
@@ -42,11 +45,14 @@ from .errors import (
 from .evaluate import GSplineSurface, map_groups, pattern_keys, raise_first
 from .extraction import evaluate_basis, group_table
 from .quality import gauss_legendre_2d
-from .refine import refine
+from .refine import check_faces, refine
 
 # Largest relative eigenpair residual |K v - lambda M v| / |K v| that
 # solve_generalized_eigen accepts.
 EIGEN_RESIDUAL_TOL = 1e-8
+# Table entries (elements * slots * points) of one slice of a block whose
+# element matrices ``assemble_pattern`` makes at a time.
+SLICE_ENTRIES = 2**16
 
 
 def default_source(x, y):
@@ -164,11 +170,15 @@ class GalerkinSystem:
 
 
 def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
-    """One CSR matrix per (E, n, n) array that ``element_matrices(block)``
+    """One CSR matrix per (E, n, n) array that ``element_matrices(group)``
     returns for each block of ``map_groups``, all on one pattern with sorted
     indices: that of B^T B, with B ``surface.incidence``.  Each block sums
-    the used entries of its element matrices into the data with
-    ``np.bincount``, so no whole-surface triplet list is built."""
+    the used entries of its element matrices into the data with one
+    ``np.bincount`` per matrix, so no whole-surface triplet list is built.
+    A block is passed to ``element_matrices`` in the near-equal slices of
+    ``ElementGroup.blocks`` at ``SLICE_ENTRIES``, each writing its used
+    entries into the block's value arrays, so only one slice's temporaries
+    are alive; a block of one slice is passed whole."""
     import scipy.sparse as sp
 
     n, B = surface.cnet.n_vertices, surface.incidence
@@ -178,11 +188,21 @@ def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
     def add(g):
         pair = g.mask[:, :, None] & g.mask[:, None, :]
         at = np.searchsorted(keys, (g.basis[:, :, None] * n + g.basis[:, None, :])[pair])
-        mats = element_matrices(g)
+        slices = g.blocks((g.degree + 1) ** 2, entries=SLICE_ENTRIES)
+        if len(slices) == 1:
+            values = [Ae[pair] for Ae in element_matrices(g)]
+        else:
+            ends = [0, *np.cumsum(pair.sum(axis=(1, 2))).tolist()]
+            values = None
+            for rows in slices:
+                mats = element_matrices(g.take(rows))
+                values = values or [np.empty(len(at)) for _ in mats]
+                for v, Ae in zip(values, mats):
+                    v[ends[rows.start]:ends[rows.stop]] = Ae[pair[rows]]
         if not sums:
-            sums.extend(np.zeros(pattern.nnz) for _ in mats)
-        for total, Ae in zip(sums, mats):
-            total += np.bincount(at, Ae[pair], minlength=pattern.nnz)
+            sums.extend(np.zeros(pattern.nnz) for _ in values)
+        for total, v in zip(sums, values):
+            total += np.bincount(at, v, minlength=pattern.nnz)
 
     map_groups(surface, add)
     return [sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
@@ -356,11 +376,14 @@ def build_variant(net, variant: str) -> GSplineSurface:
 
 
 def convergence_study(net0, variant: str, levels: int) -> ConvergenceReport:
-    """Refine, rebuild from scratch, solve and record errors per level."""
+    """Refine, rebuild from scratch, solve and record errors per level.
+    More than 6 levels, or a last level over ``refine.MAX_FACES`` faces, is
+    a ResourceError, raised before the first level is built."""
     if levels < 1:
         raise DomainError(f"a convergence study needs >= 1 level, got {levels}")
     if levels > 6:
         raise ResourceError("convergence study capped at 6 levels")
+    check_faces(net0.cnet.n_faces, levels - 1)
     report = ConvergenceReport(variant=variant)
     net = net0
     for level in range(levels):

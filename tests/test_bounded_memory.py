@@ -1,7 +1,8 @@
 """Analysis passes in bounded memory: ``group_table`` built only to the
 derivative order a caller uses, every pass in the element blocks of
 ``GSplineSurface.select`` at one table budget (``evaluate.BLOCK_ENTRIES``),
-K, M and the collocation Gram matrix scattered into one CSR pattern, the
+K, M and the collocation Gram matrix scattered into one CSR pattern, their
+element matrices made in slices of a block (``solve.SLICE_ENTRIES``), the
 frames CSV on ``group_frames``, the padded class size of
 ``padded_groups`` bounded, ``build_g1`` without a dense fairing matrix
 or a second live constraint problem, builds that fill their groups in
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gspline import cli, evaluate, quality
+from gspline import cli, evaluate, quality, solve
 from gspline.archive import surface_from_json, surface_to_json
 from gspline.cli import collocation_gram, main, surface_check
 from gspline.construct_c0 import build_c0
@@ -36,6 +37,7 @@ from gspline.mesh import ControlNet, save_obj
 from gspline.refine import refine_n
 from gspline.solve import (
     assemble_membrane_eigen,
+    assemble_pattern,
     assemble_poisson,
     compute_errors,
     mean_element_size,
@@ -321,8 +323,8 @@ class TestSharedPattern:
         assert same_bits(system.K.indices, K.indices) and same_bits(system.load, load)
 
     def test_membrane_assembly_memory(self):
-        """rot44 L4 g1r: 82.7 MB with the whole-surface triplets, about 30 MB
-        in blocks."""
+        """rot44 L4 g1r: 82.7 MB with the whole-surface triplets, 31.8 MB in
+        blocks, 20.9 MB with the element matrices made in slices."""
         surface = rot44(4, "g1r")
         surface.group_slots  # noqa: B018 - computed before measuring
         tracemalloc.start()
@@ -331,8 +333,55 @@ class TestSharedPattern:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 45e6
+        assert peak < 26e6
         assert system.K.nnz == system.M.nnz > 0
+
+
+@functools.cache
+def ep_dense(k, variant):
+    return build_g1(build_c0(netgen.ep_dense(k)), variant)
+
+
+SLICE_CASES = [("rot44", level, variant) for level, variant in CASES + [(4, "g1r")]] + [
+    ("ep_dense", 3, "g1p"), ("ep_dense", 4, "g1p")]
+
+
+def slice_case(net, level, variant):
+    return rot44(level, variant) if net == "rot44" else ep_dense(level, variant)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("net, level, variant", SLICE_CASES)
+    def test_sums_unchanged_by_the_slices(self, net, level, variant, monkeypatch):
+        """One slice per block is the assembly before slicing: K, M, the
+        load and the Gram matrix keep every bit."""
+        surf = slice_case(net, level, variant)
+        sliced = assemble_poisson(surf, with_mass=True), collocation_gram(surf)
+        monkeypatch.setattr(solve, "SLICE_ENTRIES", evaluate.BLOCK_ENTRIES)
+        whole = assemble_poisson(surf, with_mass=True), collocation_gram(surf)
+        for a, b in ((sliced[0].K, whole[0].K), (sliced[0].M, whole[0].M), (sliced[1], whole[1])):
+            assert all(same_bits(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
+        assert same_bits(sliced[0].load, whole[0].load)
+
+    @pytest.mark.parametrize("net, level, variant, most", [
+        ("rot44", 4, "g1r", 4), ("ep_dense", 4, "g1p", 3), ("rot44", 1, "g1r", 1)])
+    def test_slices_of_each_block(self, net, level, variant, most):
+        """The blocks of ``map_groups`` reach ``element_matrices`` in
+        near-equal slices within ``SLICE_ENTRIES``, in element order."""
+        surf = slice_case(net, level, variant)
+        blocks = map_groups(surf, lambda sub: sub.elements)
+        seen = []
+
+        def record(g):
+            seen.append(g.elements)
+            points = (g.degree + 1) ** 2
+            assert len(g.elements) == 1 or g.mask.size * points <= solve.SLICE_ENTRIES
+            return [np.zeros((len(g.elements),) + g.mask.shape[1:] * 2)]
+
+        assemble_pattern(surf, record)
+        assert same_bits(np.concatenate(seen), np.concatenate(blocks))
+        counts = [sum(np.isin(e, b).all() for e in seen) for b in blocks]
+        assert sum(counts) == len(seen) and max(counts) == most
 
 
 class TestG1BuildMemory:

@@ -235,6 +235,20 @@ class TestRefine:
         assert refined.variant == "g1p"
         assert refined.cnet.n_faces == 16
 
+    @pytest.mark.parametrize("argv", [["refine", "grid.obj", "--levels", "8", "-o", "x.obj"],
+                                      ["refine", "grid.obj", "--levels", "8", "-o", "x.json"],
+                                      ["poisson", "grid.obj", "--levels", "6", "-o", "x.json"]])
+    def test_too_many_faces_exit_5(self, argv, tmp_path, capsys, monkeypatch):
+        """16 faces refined 8 times would be 2^20 faces, and the last level
+        of a 6-level study of 272 faces 278528: one ResourceError line."""
+        grid = netgen.structured(4, 4) if argv[0] == "refine" else netgen.structured(17, 16)
+        (tmp_path / "grid.obj").write_text(save_obj(grid))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ResourceError"
+        assert not (tmp_path / argv[-1]).exists()
+
     def test_too_many_levels_exit_5(self, ep_obj, tmp_path, capsys):
         code = main(["refine", str(ep_obj), "--levels", "9",
                      "-o", str(tmp_path / "x.obj")])

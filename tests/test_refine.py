@@ -1,11 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from gspline import solve
 from gspline.construct_c0 import build_c0
 from gspline.errors import ResourceError
 from gspline.evaluate import map_point
 from gspline.mesh import ControlNet, classify_vertices, extraordinary_vertices
-from gspline.refine import _interior_vertex_mask, refine, refine_n
+from gspline.refine import MAX_FACES, _interior_vertex_mask, check_faces, refine, refine_n
 
 import netgen
 
@@ -66,6 +69,27 @@ class TestTopology:
     def test_level_guard(self):
         with pytest.raises(ResourceError):
             refine_n(netgen.structured(1, 1), 9)
+
+    def test_face_bound(self):
+        """``MAX_FACES`` faces are admitted, one more level's are not."""
+        for faces, levels in ((4, 8), (16, 7), (1024, 4), (MAX_FACES, 0)):
+            check_faces(faces, levels)
+            with pytest.raises(ResourceError, match=f"gives {4 * MAX_FACES} faces"):
+                check_faces(faces, levels + 1)
+
+    @pytest.mark.parametrize("run", [
+        lambda: refine_n(netgen.structured(4, 4), 8),
+        lambda: refine_n(netgen.structured(5, 1), 8),
+        lambda: solve.convergence_study(netgen.structured(17, 16), "c0", 6),
+        lambda: solve.convergence_study(netgen.structured(129, 128), "c0", 3)])
+    def test_too_many_faces_refused_before_refining(self, run, monkeypatch):
+        def refuse(net):
+            raise AssertionError("refined before the face bound was checked")
+
+        monkeypatch.setattr(importlib.import_module("gspline.refine"), "refine", refuse)
+        monkeypatch.setattr(solve, "refine", refuse)
+        with pytest.raises(ResourceError, match=r"faces \(> 262144\)"):
+            run()
 
     def test_boundary_stays_on_unit_square(self):
         net = netgen.rot44()
