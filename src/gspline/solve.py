@@ -177,8 +177,8 @@ def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
     ``np.bincount`` per matrix, so no whole-surface triplet list is built.
     A block is passed to ``element_matrices`` in the near-equal slices of
     ``ElementGroup.blocks`` at ``SLICE_ENTRIES``, each writing its used
-    entries into the block's value arrays, so only one slice's temporaries
-    are alive; a block of one slice is passed whole."""
+    entries straight into the block's value arrays, so only one slice's
+    temporaries are alive."""
     import scipy.sparse as sp
 
     n, B = surface.cnet.n_vertices, surface.incidence
@@ -188,17 +188,13 @@ def assemble_pattern(surface: GSplineSurface, element_matrices) -> list:
     def add(g):
         pair = g.mask[:, :, None] & g.mask[:, None, :]
         at = np.searchsorted(keys, (g.basis[:, :, None] * n + g.basis[:, None, :])[pair])
-        slices = g.blocks((g.degree + 1) ** 2, entries=SLICE_ENTRIES)
-        if len(slices) == 1:
-            values = [Ae[pair] for Ae in element_matrices(g)]
-        else:
-            ends = [0, *np.cumsum(pair.sum(axis=(1, 2))).tolist()]
-            values = None
-            for rows in slices:
-                mats = element_matrices(g.take(rows))
-                values = values or [np.empty(len(at)) for _ in mats]
-                for v, Ae in zip(values, mats):
-                    v[ends[rows.start]:ends[rows.stop]] = Ae[pair[rows]]
+        ends = [0, *np.cumsum(pair.sum(axis=(1, 2))).tolist()]
+        values = None
+        for rows in g.blocks((g.degree + 1) ** 2, entries=SLICE_ENTRIES):
+            mats = element_matrices(g.take(rows))
+            values = values or [np.empty(len(at)) for _ in mats]
+            for v, Ae in zip(values, mats):
+                np.compress(pair[rows].ravel(), Ae, out=v[ends[rows.start]:ends[rows.stop]])
         if not sums:
             sums.extend(np.zeros(pattern.nnz) for _ in values)
         for total, v in zip(sums, values):

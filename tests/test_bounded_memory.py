@@ -324,7 +324,7 @@ class TestSharedPattern:
 
     def test_membrane_assembly_memory(self):
         """rot44 L4 g1r: 82.7 MB with the whole-surface triplets, 31.8 MB in
-        blocks, 20.9 MB with the element matrices made in slices."""
+        blocks, 20.1 MB with the element matrices made in slices."""
         surface = rot44(4, "g1r")
         surface.group_slots  # noqa: B018 - computed before measuring
         tracemalloc.start()
